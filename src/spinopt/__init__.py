@@ -26,34 +26,23 @@ from .evaluation import (
     sweep,
 )
 from .optimizer import (
-    DpMessage,
     OptimizationResult,
     exhaustive_search,
     mst_dp,
     random_spins,
-    tree_brute_force,
 )
 from .sinr import (
-    LinkSinr,
     UtilityKind,
-    approx_network_utility,
-    approx_sinr,
-    exact_sinr,
     link_utility,
     network_utility,
-    two_way_rate,
     two_way_rates,
 )
 from .topology import (
-    RelativeSpins,
     RootedTree,
     TopologyGraph,
     build_graph,
-    complete_relative_spins,
-    edge_weight,
     maximum_spanning_tree,
     relative_from_spins,
-    spins_from_relative,
 )
 
 __all__ = [
@@ -62,25 +51,17 @@ __all__ = [
     "DEFAULT_INR_EDGE_THRESHOLD",
     "SYMMETRIC",
     "AlgorithmStats",
-    "DpMessage",
     "EvalReport",
     "ExperimentConfig",
     "FadingDraw",
     "LinkInstance",
-    "LinkSinr",
     "OptimizationResult",
-    "RelativeSpins",
     "RootedTree",
     "ScenarioConfig",
     "TopologyGraph",
     "UtilityKind",
-    "approx_network_utility",
-    "approx_sinr",
     "build_graph",
-    "complete_relative_spins",
     "draw_fading",
-    "edge_weight",
-    "exact_sinr",
     "exhaustive_search",
     "generate_instance",
     "link_utility",
@@ -91,10 +72,7 @@ __all__ = [
     "random_spins",
     "relative_from_spins",
     "run_experiment",
-    "spins_from_relative",
     "sweep",
-    "tree_brute_force",
-    "two_way_rate",
     "two_way_rates",
 ]
 

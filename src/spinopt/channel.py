@@ -160,6 +160,9 @@ class LinkInstance:
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, _freeze(arr))
+        for name in ("snr", "inr", "shadowing"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} values must be finite")
         if np.any(self.snr < 0) or np.any(self.inr < 0):
             raise ValueError("SNR/INR values must be non-negative")
 
@@ -179,6 +182,22 @@ class FadingDraw:
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr", _freeze(self.snr))
         object.__setattr__(self, "inr", _freeze(self.inr))
+
+
+def end_planes(inr: np.ndarray):
+    """INR a receiver sees from a neighbour's same end or opposite end.
+
+    Returns ``(same, opposite)``, each a pair of views ``(L->R, R->L)`` of
+    shape ``inr.shape[:-2]`` indexed ``[..., k, l]``: the INR link ``k``
+    causes at the receiver of link ``l`` (its R end for L->R, its L end for
+    R->L) when the two links have equal spins (``same``: ``k`` transmits
+    from the end matching ``l``'s transmitter) or different spins
+    (``opposite``). This is the only place that maps spins onto the INR
+    layout.
+    """
+    same = (inr[..., L, R], inr[..., R, L])
+    opposite = (inr[..., R, R], inr[..., L, L])
+    return same, opposite
 
 
 def _pair_shadowing(num_nodes: int, sigma_db: float, rng: np.random.Generator) -> np.ndarray:

@@ -141,22 +141,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     data = _load_config(args.config)
+    section = data.get("experiment", {})
     scenario = _scenario_from(data, args.seed)
     algorithms = _parse_algorithms(args.algorithms)
-    if algorithms is None:
-        algorithms = tuple(data.get("experiment", {}).get("algorithms", ())) or (
-            "exhaustive",
-            "mst_dp",
-            "random",
-        )
-    unknown = [n for n in algorithms if n not in evaluation.ALGORITHMS]
-    if unknown:
-        raise ValueError(
-            f"unknown algorithm(s) {unknown}; choose from {evaluation.ALGORITHMS}"
-        )
-    section = data.get("experiment", {})
-    utility = UtilityKind(section.get("utility", UtilityKind.PROPORTIONAL_FAIRNESS.value))
-    master_seed = args.seed if args.seed is not None else section.get("master_seed", scenario.seed)
+    if algorithms is None and "algorithms" not in section:
+        algorithms = evaluation.ALGORITHMS
+    config = _experiment_from(data, scenario, args.seed, algorithms)
+    if args.seed is None and "master_seed" not in section:
+        config = replace(config, master_seed=scenario.seed)
 
     if args.instance is not None:
         instance = channel.load_instance(args.instance)
@@ -164,28 +156,24 @@ def _cmd_optimize(args) -> int:
         instance = channel.generate_instance(scenario, args.drop)
     graph = topology.build_graph(instance, scenario.inr_edge_threshold)
     tree = topology.maximum_spanning_tree(graph)
-
-    results = {}
-    for name in algorithms:
-        if name == "exhaustive":
-            results[name] = optimizer.exhaustive_search(instance, graph, utility)
-        elif name == "mst_dp":
-            results[name] = optimizer.mst_dp(instance, graph, tree, utility)
-        elif name == "random":
-            results[name] = optimizer.random_spins(instance, graph, utility, master_seed)
+    results = {
+        name: evaluation.optimize(config, name, instance, graph, tree, config.master_seed)
+        for name in config.algorithms
+    }
 
     out = _out_dir(args)
     _write_json(
         out / "result.json",
         {
             "schema": optimizer.RESULT_SCHEMA,
-            "utility": utility.value,
-            "master_seed": master_seed,
+            "utility": config.utility.value,
+            "master_seed": config.master_seed,
             "num_links": instance.num_links,
             "graph": topology.graph_to_json(graph),
             "tree": topology.tree_to_json(tree),
             "results": {
-                name: res.to_json(include_timing=False) for name, res in results.items()
+                name: res.to_json(graph, include_timing=False)
+                for name, res in results.items()
             },
         },
     )
@@ -196,7 +184,7 @@ def _cmd_optimize(args) -> int:
     print(
         f"links={instance.num_links} edges={len(graph.edges)} "
         f"tree_edges={len(tree.tree_edges)} max_children={tree.max_children} "
-        f"utility={utility.value} master_seed={master_seed}"
+        f"utility={config.utility.value} master_seed={config.master_seed}"
     )
     print(f"{'algorithm':<16}{'objective_exact':>18}{'objective_approx':>18}")
     for name, res in results.items():
@@ -221,16 +209,17 @@ def _cmd_evaluate(args) -> int:
         f"evaluated {config.num_drops} drops x {config.frames_per_drop} frames, "
         f"master_seed={config.master_seed}"
     )
+    q_label = evaluation.percentile_label(config.percentile_q)
     for name in config.algorithms:
         st = report.stats[name]
         gain = (
             ""
             if st.gain_percentile_vs_random is None
-            else f"  gain_p{int(config.percentile_q * 100)}={st.gain_percentile_vs_random:.3f}"
+            else f"  gain_{q_label}={st.gain_percentile_vs_random:.3f}"
         )
         print(
             f"  {name:<12} mean={st.mean_bps / 1e6:.3f} Mbps  "
-            f"p{int(config.percentile_q * 100)}={st.percentile_bps / 1e6:.3f} Mbps{gain}"
+            f"{q_label}={st.percentile_bps / 1e6:.3f} Mbps{gain}"
         )
     return 0
 
@@ -279,7 +268,7 @@ def _cmd_sweep(args) -> int:
     )
     print(f"swept {parameter} over {values}")
     for value, report in zip(values, reports):
-        q_label = f"p{int(report.config.percentile_q * 100)}"
+        q_label = evaluation.percentile_label(report.config.percentile_q)
         for name in report.config.algorithms:
             st = report.stats[name]
             gain = (

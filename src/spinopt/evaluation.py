@@ -153,6 +153,11 @@ class EvalReport:
         return {"elapsed_s": self.elapsed_s, "optimize_time_s": timing}
 
 
+def percentile_label(q: float) -> str:
+    """Report label of a lower quantile, e.g. "p5" for 0.05 and "p29" for 0.29."""
+    return f"p{q * 100:g}"
+
+
 def percentile(sample: np.ndarray, q: float) -> float:
     """Lower empirical quantile: ascending order statistic ceil(q*n) - 1.
 
@@ -170,7 +175,12 @@ def percentile(sample: np.ndarray, q: float) -> float:
     return float(np.sort(sample)[index])
 
 
-def _optimize(config: ExperimentConfig, algorithm, instance, graph, tree, baseline_seed):
+def optimize(config: ExperimentConfig, algorithm, instance, graph, tree, baseline_seed):
+    """Run one of ``ALGORITHMS`` with the experiment's utility and caps.
+
+    The single algorithm dispatch of the package; ``baseline_seed`` seeds
+    the random baseline.
+    """
     if algorithm == "exhaustive":
         return exhaustive_search(instance, graph, config.utility, cap=config.exhaustive_cap)
     if algorithm == "mst_dp":
@@ -191,9 +201,9 @@ def _run_drop(args) -> dict:
     results = {}
     selectors = {}
     for name in config.algorithms:
-        res = _optimize(config, name, instance, graph, tree, baseline_seed)
+        res = optimize(config, name, instance, graph, tree, baseline_seed)
         results[name] = res
-        selectors[name] = spin_selectors(graph, res.relative)
+        selectors[name] = spin_selectors(graph, res.spins)
 
     rates = {
         name: np.empty((config.frames_per_drop, scenario.num_links))

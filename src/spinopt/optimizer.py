@@ -2,8 +2,8 @@
 
 Absolute spins are enumerated directly in the exhaustive search: fixing one
 vertex per connected component to 0 removes the global-flip symmetry, and
-the cycle-parity constraints are satisfied automatically because relative
-spins are derived from absolute ones.
+the cycle-parity constraints hold automatically because relative spins are
+XORs of absolute ones.
 
 The tree heuristic prunes the graph to its maximum spanning forest and
 optimizes the tree-edge relative spins by max-sum dynamic programming. Each
@@ -23,24 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkInstance
-from .sinr import (
-    UtilityKind,
-    approx_network_utility,
-    network_utility,
-)
-from .topology import (
-    RelativeSpins,
-    RootedTree,
-    TopologyGraph,
-    complete_relative_spins,
-    relative_from_spins,
-    spins_from_relative,
-)
+from .channel import LinkInstance, end_planes
+from .sinr import UtilityKind, denominators, network_utility
+from .topology import RootedTree, TopologyGraph, relative_from_spins
 
 EXHAUSTIVE_CAP_DEFAULT = 20
 CHILD_CAP_DEFAULT = 24
-TREE_EDGE_CAP_DEFAULT = 20
 
 _BATCH = 1 << 13
 
@@ -48,42 +36,28 @@ RESULT_SCHEMA = "spinopt.result/1"
 
 
 @dataclass(frozen=True)
-class DpMessage:
-    """Subtree values a vertex reports to its parent.
-
-    ``mu0``/``mu1`` are the best achievable subtree utilities given the
-    parent-edge spin, and ``best_child_bits[i]`` stores the child-edge spins
-    (in ascending-child order) that achieve ``mu_i``.
-    """
-
-    mu0: float
-    mu1: float
-    best_child_bits: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
-    """A spin assignment with its objective values.
+    """An absolute spin assignment with its objective values.
 
-    ``relative`` covers every graph edge and always equals the XOR pattern
-    of ``spins``; ``objective_exact`` is the exact-SINR network utility of
-    that pattern. ``objective_approx`` is the tree-restricted objective and
-    is set only by the tree-based optimizers.
+    ``objective_exact`` is the exact-SINR network utility of ``spins``.
+    ``objective_approx`` is the tree-restricted objective and is set only by
+    the tree-based optimizers.
     """
 
     algorithm: str
     spins: np.ndarray
-    relative: RelativeSpins
     objective_exact: float
     objective_approx: float | None
     elapsed_s: float
     warning: str | None = None
 
-    def to_json(self, include_timing: bool = True) -> dict:
+    def to_json(self, graph: TopologyGraph, include_timing: bool = True) -> dict:
+        """JSON view; ``relative_spins`` lists the XOR of ``spins`` per graph edge."""
+        relative = relative_from_spins(graph, self.spins)
         data = {
             "algorithm": self.algorithm,
             "spins": [int(s) for s in self.spins],
-            "relative_spins": {f"{k}-{l}": b for (k, l), b in sorted(self.relative.as_dict().items())},
+            "relative_spins": {f"{k}-{l}": b for (k, l), b in relative.items()},
             "objective_exact": self.objective_exact,
             "objective_approx": self.objective_approx,
             "warning": self.warning,
@@ -91,25 +65,6 @@ class OptimizationResult:
         if include_timing:
             data["elapsed_s"] = self.elapsed_s
         return data
-
-
-def _interference_terms(instance: LinkInstance, graph: TopologyGraph):
-    """Masked per-pair INR terms (same_slot, opposite_slot) per direction.
-
-    ``t0_lr[k, l]`` is what edge {k, l} adds to link l's L->R denominator
-    when the relative spin is 0, ``t1_lr`` when it is 1; non-edges are 0.
-    """
-    m = graph.num_vertices
-    mask = np.zeros((m, m))
-    for k, l in graph.edge_keys():
-        mask[k, l] = 1.0
-        mask[l, k] = 1.0
-    inr = instance.inr
-    t0_lr = inr[:, :, 0, 1] * mask
-    t1_lr = inr[:, :, 1, 1] * mask
-    t0_rl = inr[:, :, 1, 0] * mask
-    t1_rl = inr[:, :, 0, 0] * mask
-    return t0_lr, t1_lr, t0_rl, t1_rl
 
 
 def _rates_to_utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
@@ -124,22 +79,20 @@ def _spin_batch_utilities(
     instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, spins: np.ndarray
 ) -> np.ndarray:
     """Exact network utility for a batch of absolute spin vectors (N, M)."""
-    t0_lr, t1_lr, t0_rl, t1_rl = _interference_terms(instance, graph)
+    mask = graph.adjacency.astype(float)
     s = spins.astype(float)
     c = 1.0 - s
-    snr = instance.snr
-
-    def dens(t0, t1):
+    rates = 0.0
+    for d, (same, opposite) in enumerate(zip(*end_planes(instance.inr))):
+        t0 = same * mask
+        t1 = opposite * mask
         # neighbor k contributes t1 when s_k XOR s_l = 1, else t0; summing
         # selected non-negative terms (never t0 + diff) avoids cancellation
         # when the two INR values differ by orders of magnitude
         when_l0 = s @ t1 + c @ t0
         when_l1 = s @ t0 + c @ t1
-        return 1.0 + np.where(spins == 0, when_l0, when_l1)
-
-    den_lr = dens(t0_lr, t1_lr)
-    den_rl = dens(t0_rl, t1_rl)
-    rates = np.log2(1.0 + snr[:, 0] / den_lr) + np.log2(1.0 + snr[:, 1] / den_rl)
+        den = 1.0 + np.where(spins == 0, when_l0, when_l1)
+        rates = rates + np.log2(1.0 + instance.snr[:, d] / den)
     return _rates_to_utilities(rates, kind)
 
 
@@ -181,16 +134,13 @@ def exhaustive_search(
             best_value = float(utilities[i])
             best_spins = batch[i].copy()
 
-    relative = relative_from_spins(graph, best_spins)
-    objective = network_utility(instance, graph, kind, relative)
     warning = None
     if best_value == -np.inf:
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
         algorithm="exhaustive",
         spins=best_spins,
-        relative=relative,
-        objective_exact=objective,
+        objective_exact=network_utility(instance, graph, kind, best_spins),
         objective_approx=None,
         elapsed_s=time.perf_counter() - t_start,
         warning=warning,
@@ -204,50 +154,6 @@ def _bit_matrix(nbits: int) -> np.ndarray:
     return ((codes[:, None] >> shifts[None, :]) & 1).astype(float)
 
 
-def _local_utilities(
-    instance: LinkInstance,
-    graph: TopologyGraph,
-    tree: RootedTree,
-    kind: UtilityKind,
-    l: int,
-    bits: np.ndarray,
-    parent_spin: int,
-) -> np.ndarray:
-    """Vertex l's approximate utility for every child-edge spin combination.
-
-    Non-tree neighbors enter as constants (average of their two INR values);
-    tree neighbors contribute the INR selected by their edge spin. Terms are
-    selected, never reconstructed as base-plus-difference, so pairs whose
-    two INR values differ by orders of magnitude stay exact.
-    """
-    inr = instance.inr
-    tree_nbrs = tree.tree_neighbors(l)
-    base_lr = 1.0
-    base_rl = 1.0
-    for k in graph.neighbors(l):
-        if k not in tree_nbrs:
-            base_lr += (inr[k, l, 0, 1] + inr[k, l, 1, 1]) / 2.0
-            base_rl += (inr[k, l, 1, 0] + inr[k, l, 0, 0]) / 2.0
-    p = tree.parent[l]
-    if p >= 0:
-        base_lr += inr[p, l, 1, 1] if parent_spin else inr[p, l, 0, 1]
-        base_rl += inr[p, l, 0, 0] if parent_spin else inr[p, l, 1, 0]
-
-    den_lr = np.full(len(bits), base_lr)
-    den_rl = np.full(len(bits), base_rl)
-    for j, k in enumerate(tree.children[l]):
-        chosen = bits[:, j] == 1.0
-        den_lr += np.where(chosen, inr[k, l, 1, 1], inr[k, l, 0, 1])
-        den_rl += np.where(chosen, inr[k, l, 0, 0], inr[k, l, 1, 0])
-
-    snr = instance.snr
-    rates = np.log2(1.0 + snr[l, 0] / den_lr) + np.log2(1.0 + snr[l, 1] / den_rl)
-    if kind is UtilityKind.TWO_WAY_SUM_RATE:
-        return rates
-    with np.errstate(divide="ignore"):
-        return np.log(rates)
-
-
 def mst_dp(
     instance: LinkInstance,
     graph: TopologyGraph,
@@ -257,12 +163,17 @@ def mst_dp(
 ) -> OptimizationResult:
     """Spanning-forest pruning plus max-sum dynamic programming.
 
-    Leaf-to-root pass: every vertex maximizes its local approximate utility
-    plus its children's messages over all child-edge spin combinations, once
-    per parent-edge spin value, and reports the two maxima upward. The root
-    does the same without a parent edge. Backpropagation then walks the
-    chosen spins down the tree, non-tree edges follow by cycle parity, and
-    the exact objective of the final assignment is evaluated for reporting.
+    A vertex's approximate utility counts every non-tree neighbour as the
+    average of its two possible INR values, and every tree neighbour by the
+    INR its edge spin selects. Leaf-to-root pass: every vertex maximizes its
+    local utility plus its children's messages over all child-edge spin
+    combinations, once per parent-edge spin value, and reports the two
+    maxima upward; a root does the same once. Backpropagation then walks
+    the chosen edge spins down the tree into absolute spins (roots at 0),
+    and the exact objective of that assignment is evaluated for reporting.
+
+    Terms are selected, never reconstructed as base-plus-difference, so
+    pairs whose two INR values differ by orders of magnitude stay exact.
     """
     t_start = time.perf_counter()
     if tree.max_children > child_cap:
@@ -270,56 +181,67 @@ def mst_dp(
             f"tree DP refused: a vertex has {tree.max_children} children, cap is "
             f"{child_cap} (2**children combinations per vertex)"
         )
+    m = graph.num_vertices
+    same, opposite = (np.stack(planes, axis=-1) for planes in end_planes(instance.inr))
+    parent = np.array(tree.parent)
+    child = np.flatnonzero(parent >= 0)
+    in_tree = np.zeros((m, m), dtype=bool)
+    in_tree[child, parent[child]] = True
+    in_tree[parent[child], child] = True
+    chords = (graph.adjacency & ~in_tree)[:, :, None]
+    base = denominators((same + opposite) / 2.0 * chords)  # (M, 2): noise + chords
 
-    messages: dict[int, DpMessage] = {}
-    root_bits: dict[int, tuple[int, ...]] = {}
-    root_values: dict[int, float] = {}
+    # mu[v, b]: best subtree utility of v given its parent-edge spin b;
+    # best_row[v, b]: the child-edge spin pattern (a _bit_matrix row) achieving it
+    mu = np.zeros((m, 2))
+    best_row = np.zeros((m, 2), dtype=np.int64)
+    root_values = []
     for l in reversed(tree.order):
         kids = tree.children[l]
         bits = _bit_matrix(len(kids))
         message_sum = np.zeros(len(bits))
         for j, k in enumerate(kids):
-            msg = messages[k]
-            message_sum += np.where(bits[:, j] == 1.0, msg.mu1, msg.mu0)
+            message_sum += np.where(bits[:, j] == 1.0, mu[k, 1], mu[k, 0])
 
-        def solve(parent_spin: int) -> tuple[float, tuple[int, ...]]:
-            total = (
-                _local_utilities(instance, graph, tree, kind, l, bits, parent_spin)
-                + message_sum
-            )
-            best = int(np.argmax(total))
-            return float(total[best]), tuple(int(b) for b in bits[best])
-
-        if tree.parent[l] < 0:
-            root_values[l], root_bits[l] = solve(0)
+        p = tree.parent[l]
+        if p < 0:
+            starts = base[l][None, :]
         else:
-            mu0, bits0 = solve(0)
-            mu1, bits1 = solve(1)
-            messages[l] = DpMessage(mu0=mu0, mu1=mu1, best_child_bits=(bits0, bits1))
+            starts = np.stack((base[l] + same[p, l], base[l] + opposite[p, l]))
+        den = np.repeat(starts[:, None, :], len(bits), axis=1)  # (parent spin, row, direction)
+        for j, k in enumerate(kids):
+            den += np.where(bits[:, j, None] == 1.0, opposite[k, l], same[k, l])
+        rates = np.log2(1.0 + instance.snr[l] / den)
+        local = rates[..., 0] + rates[..., 1]
+        if kind is UtilityKind.PROPORTIONAL_FAIRNESS:
+            with np.errstate(divide="ignore"):
+                local = np.log(local)
 
-    objective_approx = float(sum(root_values.values()))
+        total = local + message_sum
+        best = np.argmax(total, axis=1)
+        best_row[l, : len(best)] = best
+        if p < 0:
+            root_values.append(float(total[0, best[0]]))
+        else:
+            mu[l] = total[(0, 1), best]
 
-    chosen: dict[tuple[int, int], int] = {}
-    stack = [(root, root_bits[root]) for root in tree.roots]
-    while stack:
-        v, bits_v = stack.pop()
-        for j, k in enumerate(tree.children[v]):
-            b = bits_v[j]
-            chosen[(min(v, k), max(v, k))] = b
-            stack.append((k, messages[k].best_child_bits[b]))
+    spins = np.zeros(m, dtype=np.int8)
+    edge_spin = np.zeros(m, dtype=np.int64)  # relative spin to the parent; 0 at roots
+    for v in tree.order:
+        kids = tree.children[v]
+        row = best_row[v, edge_spin[v]]
+        for j, k in enumerate(kids):
+            edge_spin[k] = (row >> (len(kids) - 1 - j)) & 1
+            spins[k] = spins[v] ^ edge_spin[k]
 
-    tree_spins = RelativeSpins(chosen)
-    relative = complete_relative_spins(graph, tree, tree_spins)
-    spins = spins_from_relative(tree, tree_spins, 0)
-    objective_exact = network_utility(instance, graph, kind, relative)
+    objective_approx = float(sum(root_values))
     warning = None
     if objective_approx == -np.inf:
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
         algorithm="mst_dp",
         spins=spins,
-        relative=relative,
-        objective_exact=objective_exact,
+        objective_exact=network_utility(instance, graph, kind, spins),
         objective_approx=objective_approx,
         elapsed_s=time.perf_counter() - t_start,
         warning=warning,
@@ -333,56 +255,10 @@ def random_spins(
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=graph.num_vertices, dtype=np.int8)
-    relative = relative_from_spins(graph, spins)
     return OptimizationResult(
         algorithm="random",
         spins=spins,
-        relative=relative,
-        objective_exact=network_utility(instance, graph, kind, relative),
+        objective_exact=network_utility(instance, graph, kind, spins),
         objective_approx=None,
-        elapsed_s=time.perf_counter() - t_start,
-    )
-
-
-def tree_brute_force(
-    instance: LinkInstance,
-    graph: TopologyGraph,
-    tree: RootedTree,
-    kind: UtilityKind,
-    cap: int = TREE_EDGE_CAP_DEFAULT,
-) -> OptimizationResult:
-    """Enumerate all tree-edge spin assignments against the approximate objective.
-
-    Reference oracle for the DP (intentionally straightforward and per-link);
-    meant for tests, cost 2**edges.
-    """
-    t_start = time.perf_counter()
-    edges = tree.edge_keys()
-    nbits = len(edges)
-    if nbits > cap:
-        raise ValueError(f"tree brute force refused: {nbits} tree edges exceeds cap {cap}")
-
-    best_value = -np.inf
-    best_assignment: dict[tuple[int, int], int] = {}
-    for code in range(1 << nbits):
-        assignment = {
-            edge: (code >> (nbits - 1 - j)) & 1 for j, edge in enumerate(edges)
-        }
-        value = approx_network_utility(
-            instance, graph, tree, kind, RelativeSpins(assignment)
-        )
-        if value > best_value:
-            best_value = value
-            best_assignment = assignment
-
-    tree_spins = RelativeSpins(best_assignment)
-    relative = complete_relative_spins(graph, tree, tree_spins)
-    spins = spins_from_relative(tree, tree_spins, 0)
-    return OptimizationResult(
-        algorithm="tree_brute_force",
-        spins=spins,
-        relative=relative,
-        objective_exact=network_utility(instance, graph, kind, relative),
-        objective_approx=float(best_value),
         elapsed_s=time.perf_counter() - t_start,
     )

@@ -1,22 +1,22 @@
 """SINR evaluation and link/network utilities.
 
-For a link's L->R direction the receiver is its R node; a neighboring link
-with relative spin 0 transmits from its own L end in the same slot, with
-relative spin 1 from its R end. The denominators below select the matching
-INR term per neighbor. The tree-restricted approximation replaces every
-non-tree neighbor's contribution by the average of its two possible values,
-so the objective depends only on tree-edge spins.
+The spin state is a vector of absolute spins. For a link's L->R direction
+the receiver is its R node; a neighbouring link with the same spin
+transmits from its L end in the same slot, one with the other spin from its
+R end (``channel.end_planes`` maps this onto the INR layout). Every
+denominator below sums, over the graph neighbours, the INR selected by the
+two links' relative spin.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .topology import RelativeSpins, RootedTree, TopologyGraph
+from .channel import end_planes
+from .topology import TopologyGraph, check_spins
 
 
 class UtilityKind(enum.Enum):
@@ -24,75 +24,12 @@ class UtilityKind(enum.Enum):
     PROPORTIONAL_FAIRNESS = "proportional_fairness"
 
 
-class LinkSinr(NamedTuple):
-    sinr_lr: float
-    sinr_rl: float
-
-
-def _spin_for(spins: RelativeSpins, k: int, l: int) -> int:
-    try:
-        return spins[k, l]
-    except KeyError:
-        raise ValueError(f"missing relative spin for edge ({min(k, l)},{max(k, l)})") from None
-
-
-def exact_sinr(values, graph: TopologyGraph, l: int, spins: RelativeSpins) -> LinkSinr:
-    """Exact two-direction SINR of link l under the given relative spins.
-
-    ``values`` is anything with ``snr``/``inr`` arrays in instance layout
-    (a LinkInstance for long-term gains, a FadingDraw for instantaneous
-    ones). Interference is summed over the link's graph neighbors.
-    """
-    snr, inr = values.snr, values.inr
-    den_lr = 1.0
-    den_rl = 1.0
-    for k in graph.neighbors(l):
-        r = _spin_for(spins, k, l)
-        den_lr += inr[k, l, 1, 1] if r else inr[k, l, 0, 1]
-        den_rl += inr[k, l, 0, 0] if r else inr[k, l, 1, 0]
-    return LinkSinr(float(snr[l, 0] / den_lr), float(snr[l, 1] / den_rl))
-
-
-def approx_sinr(
-    values,
-    graph: TopologyGraph,
-    tree: RootedTree,
-    l: int,
-    tree_spins: RelativeSpins,
-) -> LinkSinr:
-    """Tree-restricted SINR of link l.
-
-    Tree neighbors contribute their exact spin-selected INR; every non-tree
-    neighbor contributes the average of its two possible INR values, making
-    the result independent of non-tree spins.
-    """
-    snr, inr = values.snr, values.inr
-    tree_nbrs = tree.tree_neighbors(l)
-    den_lr = 1.0
-    den_rl = 1.0
-    for k in graph.neighbors(l):
-        if k in tree_nbrs:
-            r = _spin_for(tree_spins, k, l)
-            den_lr += inr[k, l, 1, 1] if r else inr[k, l, 0, 1]
-            den_rl += inr[k, l, 0, 0] if r else inr[k, l, 1, 0]
-        else:
-            den_lr += (inr[k, l, 0, 1] + inr[k, l, 1, 1]) / 2.0
-            den_rl += (inr[k, l, 1, 0] + inr[k, l, 0, 0]) / 2.0
-    return LinkSinr(float(snr[l, 0] / den_lr), float(snr[l, 1] / den_rl))
-
-
-def two_way_rate(s: LinkSinr) -> float:
-    """Two-way sum rate log2(1+sinr_lr) + log2(1+sinr_rl) in bit/s/Hz."""
-    return math.log2(1.0 + s.sinr_lr) + math.log2(1.0 + s.sinr_rl)
-
-
-def link_utility(kind: UtilityKind, s: LinkSinr) -> float:
-    """Per-link utility; proportional fairness is ln of the two-way rate.
+def link_utility(kind: UtilityKind, rate: float) -> float:
+    """Per-link utility of a two-way rate; proportional fairness is its ln.
 
     A zero rate under proportional fairness maps to -inf so that
     maximizers avoid it whenever any alternative is feasible.
     """
-    rate = two_way_rate(s)
     if kind is UtilityKind.TWO_WAY_SUM_RATE:
         return rate
     if kind is UtilityKind.PROPORTIONAL_FAIRNESS:
@@ -100,54 +37,56 @@ def link_utility(kind: UtilityKind, s: LinkSinr) -> float:
     raise ValueError(f"unknown utility kind: {kind!r}")
 
 
-def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins: RelativeSpins) -> float:
-    """Sum of link utilities under exact SINRs; the optimizers' objective."""
+def denominators(terms: np.ndarray) -> np.ndarray:
+    """(M, 2) SINR denominators from (M, M, 2) interference terms ``[k, l, d]``.
+
+    Noise (1.0) first, then each interferer in ascending k: the same
+    accumulation order as a per-link loop, so results match it bit for bit.
+    """
+    stacked = np.concatenate((np.ones((1,) + terms.shape[1:]), terms))
+    return np.add.reduce(stacked, axis=0)
+
+
+def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins) -> float:
+    """Sum of link utilities under exact SINRs; the optimizers' objective.
+
+    ``values`` is anything with ``snr``/``inr`` arrays in instance layout
+    (a LinkInstance for long-term gains, a FadingDraw for instantaneous
+    ones); ``spins`` holds one absolute 0/1 spin per link.
+    """
+    spins = check_spins(graph, spins)
+    same, opposite = (np.stack(planes, axis=-1) for planes in end_planes(values.inr))
+    differ = (spins[:, None] != spins[None, :])[:, :, None]
+    terms = np.where(differ, opposite, same) * graph.adjacency[:, :, None]
+    sinr = values.snr / denominators(terms)
     return sum(
-        link_utility(kind, exact_sinr(values, graph, l, spins))
-        for l in range(graph.num_vertices)
+        link_utility(kind, math.log2(1.0 + lr) + math.log2(1.0 + rl))
+        for lr, rl in sinr.tolist()
     )
 
 
-def approx_network_utility(
-    values,
-    graph: TopologyGraph,
-    tree: RootedTree,
-    kind: UtilityKind,
-    tree_spins: RelativeSpins,
-) -> float:
-    """Sum of link utilities under tree-restricted SINRs."""
-    return sum(
-        link_utility(kind, approx_sinr(values, graph, tree, l, tree_spins))
-        for l in range(graph.num_vertices)
-    )
-
-
-def spin_selectors(graph: TopologyGraph, spins: RelativeSpins) -> tuple[np.ndarray, np.ndarray]:
+def spin_selectors(graph: TopologyGraph, spins) -> tuple[np.ndarray, np.ndarray]:
     """(same_end, opposite_end) 0/1 masks for vectorized rate evaluation.
 
-    ``same_end[k, l]`` is 1 when edge {k, l} exists with relative spin 0,
-    ``opposite_end[k, l]`` when it exists with spin 1; both are symmetric
-    and zero elsewhere. Precompute once per (graph, spins) pair and reuse
-    across fading draws.
+    ``same_end[k, l]`` is 1 when edge {k, l} exists and the two spins agree,
+    ``opposite_end[k, l]`` when it exists and they differ; both are
+    symmetric and zero elsewhere. Precompute once per (graph, spins) pair
+    and reuse across fading draws.
     """
-    m = graph.num_vertices
-    s0 = np.zeros((m, m))
-    s1 = np.zeros((m, m))
-    for k, l in graph.edge_keys():
-        r = _spin_for(spins, k, l)
-        (s1 if r else s0)[k, l] = 1.0
-        (s1 if r else s0)[l, k] = 1.0
-    return s0, s1
+    spins = check_spins(graph, spins)
+    differ = spins[:, None] != spins[None, :]
+    adjacency = graph.adjacency
+    return (adjacency & ~differ).astype(float), (adjacency & differ).astype(float)
 
 
 def two_way_rates(values, selectors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-link two-way sum rates (bit/s/Hz) for all links at once.
 
-    Vectorized equivalent of ``two_way_rate(exact_sinr(...))`` per link,
-    used by the Monte-Carlo harness on per-frame fading draws.
+    Used by the Monte-Carlo harness on per-frame fading draws.
     """
     s0, s1 = selectors
-    snr, inr = values.snr, values.inr
-    den_lr = 1.0 + (s0 * inr[:, :, 0, 1] + s1 * inr[:, :, 1, 1]).sum(axis=0)
-    den_rl = 1.0 + (s0 * inr[:, :, 1, 0] + s1 * inr[:, :, 0, 0]).sum(axis=0)
+    (same_lr, same_rl), (opposite_lr, opposite_rl) = end_planes(values.inr)
+    snr = values.snr
+    den_lr = 1.0 + (s0 * same_lr + s1 * opposite_lr).sum(axis=0)
+    den_rl = 1.0 + (s0 * same_rl + s1 * opposite_rl).sum(axis=0)
     return np.log2(1.0 + snr[:, 0] / den_lr) + np.log2(1.0 + snr[:, 1] / den_rl)

@@ -1,4 +1,4 @@
-"""Interference topology graph, maximum spanning forest, and spin algebra.
+"""Interference topology graph and maximum spanning forest.
 
 Vertices are two-way links; an edge connects two links whenever any of the
 eight cross-link INR values between them exceeds the threshold. Each edge
@@ -6,20 +6,19 @@ carries the largest change in received interference power that flipping the
 pair's relative spin can cause; the maximum spanning forest over these
 weights keeps the edges whose spin choice matters most.
 
-A relative spin is the XOR of the two links' absolute spins. Relative spins
-are symmetric and XOR to zero around every cycle, so fixing them on a
-spanning forest determines them everywhere.
+The spin state is a vector of absolute spins, one 0/1 value per link. A
+relative spin is the XOR of two absolute spins; it exists only as the
+``relative_from_spins`` view written to result files.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance
+from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, end_planes
 
 Edge = tuple[int, int, float]
 
@@ -27,86 +26,39 @@ GRAPH_SCHEMA = "spinopt.graph/1"
 TREE_SCHEMA = "spinopt.tree/1"
 
 
-def _norm_edge(k: int, l: int) -> tuple[int, int]:
-    if k == l:
-        raise ValueError(f"self-pair ({k},{l}) is not a valid edge")
-    return (k, l) if k < l else (l, k)
-
-
-class RelativeSpins(Mapping):
-    """Relative spins keyed by unordered link pair.
-
-    Lookup is symmetric: ``spins[k, l] == spins[l, k]``. Values are 0/1.
-    """
-
-    __slots__ = ("_spins",)
-
-    def __init__(self, spins: Mapping[tuple[int, int], int] = ()):
-        normalized = {}
-        for (k, l), bit in dict(spins).items():
-            if bit not in (0, 1):
-                raise ValueError(f"relative spin for ({k},{l}) must be 0 or 1, got {bit!r}")
-            normalized[_norm_edge(int(k), int(l))] = int(bit)
-        self._spins = normalized
-
-    def __getitem__(self, edge: tuple[int, int]) -> int:
-        return self._spins[_norm_edge(*edge)]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._spins))
-
-    def __len__(self) -> int:
-        return len(self._spins)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({k},{l}): {b}" for (k, l), b in sorted(self._spins.items()))
-        return f"RelativeSpins({{{inner}}})"
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self._spins)
-
-
 @dataclass(frozen=True)
 class TopologyGraph:
     """Undirected weighted link-interference graph.
 
     Edges are (k, l, weight) with k < l, sorted by (k, l), no duplicates.
+    ``adjacency`` is the dense (M, M) boolean form of the same edge set,
+    symmetric with a false diagonal; the kernels read the graph through it.
     """
 
     num_vertices: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.num_vertices < 1:
+        m = self.num_vertices
+        if m < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
-        adjacency: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        weights = {}
-        for k, l, w in self.edges:
-            if not 0 <= k < l < self.num_vertices:
+        edges = tuple(sorted(self.edges))
+        adjacency = np.zeros((m, m), dtype=bool)
+        for k, l, w in edges:
+            if not 0 <= k < l < m:
                 raise ValueError(f"edge ({k},{l}) out of range or not ordered k < l")
-            if (k, l) in seen:
+            if adjacency[k, l]:
                 raise ValueError(f"duplicate edge ({k},{l})")
             if w < 0:
                 raise ValueError(f"edge ({k},{l}) has negative weight {w}")
-            seen.add((k, l))
-            adjacency[k].append(l)
-            adjacency[l].append(k)
-            weights[(k, l)] = float(w)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        object.__setattr__(
-            self, "_adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        )
-        object.__setattr__(self, "_weights", weights)
+            adjacency[k, l] = True
+        adjacency |= adjacency.T
+        adjacency.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adjacency", adjacency)
 
     def neighbors(self, l: int) -> tuple[int, ...]:
-        return self._adjacency[l]
-
-    def has_edge(self, k: int, l: int) -> bool:
-        return _norm_edge(k, l) in self._weights
-
-    def weight(self, k: int, l: int) -> float:
-        return self._weights[_norm_edge(k, l)]
+        return tuple(int(k) for k in np.flatnonzero(self.adjacency[l]))
 
     def edge_keys(self) -> tuple[tuple[int, int], ...]:
         return tuple((k, l) for k, l, _ in self.edges)
@@ -161,15 +113,6 @@ class RootedTree:
         """Largest child count of any vertex; drives the DP's 2**D cost."""
         return max(len(c) for c in self.children)
 
-    def tree_neighbors(self, l: int) -> frozenset[int]:
-        nbrs = set(self.children[l])
-        if self.parent[l] >= 0:
-            nbrs.add(self.parent[l])
-        return frozenset(nbrs)
-
-    def edge_keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, l) for k, l, _ in self.tree_edges)
-
     def total_weight(self) -> float:
         # fsum: correctly rounded regardless of edge order
         return math.fsum(w for _, _, w in self.tree_edges)
@@ -200,41 +143,19 @@ class _DisjointSet:
         return True
 
 
-def edge_weight(instance: LinkInstance, k: int, l: int) -> float:
-    """Largest spin-induced change in interference power between two links.
-
-    For each receive direction of each link, flipping the pair's relative
-    spin swaps which end of the other link interferes; the weight is the
-    maximum absolute difference over the four receive directions. Symmetric
-    in (k, l).
-    """
-    if k == l:
-        raise ValueError("edge weight needs two distinct links")
-    inr = instance.inr
-    return float(
-        max(
-            abs(inr[k, l, 1, 1] - inr[k, l, 0, 1]),
-            abs(inr[k, l, 0, 0] - inr[k, l, 1, 0]),
-            abs(inr[l, k, 1, 1] - inr[l, k, 0, 1]),
-            abs(inr[l, k, 0, 0] - inr[l, k, 1, 0]),
-        )
-    )
-
-
 def build_graph(
     instance: LinkInstance, threshold: float = DEFAULT_INR_EDGE_THRESHOLD
 ) -> TopologyGraph:
     """Topology graph: edge {k, l} iff any of the 8 cross INRs exceeds threshold."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    inr = instance.inr
-    peak = inr.max(axis=(2, 3))
+    peak = instance.inr.max(axis=(2, 3))
     peak = np.maximum(peak, peak.T)
 
-    diff = np.maximum(
-        np.abs(inr[:, :, 1, 1] - inr[:, :, 0, 1]),
-        np.abs(inr[:, :, 0, 0] - inr[:, :, 1, 0]),
-    )
+    # the largest change in interference power that flipping the pair's
+    # relative spin causes in any of the four receive directions
+    same, opposite = end_planes(instance.inr)
+    diff = np.maximum(*(np.abs(o - s) for s, o in zip(same, opposite)))
     weight = np.maximum(diff, diff.T)
 
     edges = []
@@ -292,65 +213,8 @@ def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
     )
 
 
-def _require_keys(spins: RelativeSpins, keys: tuple[tuple[int, int], ...], what: str) -> None:
-    expected = set(keys)
-    given = set(spins.as_dict())
-    missing = expected - given
-    if missing:
-        raise ValueError(f"{what} missing relative spin for edge(s) {sorted(missing)}")
-    extra = given - expected
-    if extra:
-        raise ValueError(f"{what} has relative spins for non-tree edge(s) {sorted(extra)}")
-
-
-def _root_parity(tree: RootedTree, tree_spins: RelativeSpins) -> np.ndarray:
-    """XOR of tree-edge spins along each vertex's path to its root."""
-    parity = np.zeros(tree.num_vertices, dtype=np.int8)
-    for v in tree.order:
-        p = tree.parent[v]
-        if p >= 0:
-            parity[v] = parity[p] ^ tree_spins[p, v]
-    return parity
-
-
-def complete_relative_spins(
-    graph: TopologyGraph, tree: RootedTree, tree_spins: RelativeSpins
-) -> RelativeSpins:
-    """Extend tree-edge spins to every graph edge via cycle parity.
-
-    Each non-tree edge closes a unique cycle with the tree; its spin is the
-    XOR of the tree-edge spins along the tree path between its endpoints,
-    which makes the XOR around the cycle zero.
-    """
-    _require_keys(tree_spins, tree.edge_keys(), "tree_spins")
-    parity = _root_parity(tree, tree_spins)
-    full = dict(tree_spins.as_dict())
-    for k, l in graph.edge_keys():
-        if (k, l) not in full:
-            full[(k, l)] = int(parity[k] ^ parity[l])
-    return RelativeSpins(full)
-
-
-def spins_from_relative(
-    tree: RootedTree, tree_spins: RelativeSpins, root_spin: int = 0
-) -> np.ndarray:
-    """Absolute spins consistent with the given tree-edge relative spins.
-
-    Every root takes ``root_spin``; each child's spin is its parent's XOR
-    the connecting edge's relative spin. Flipping ``root_spin`` complements
-    the whole assignment and leaves all relative spins unchanged.
-    """
-    if root_spin not in (0, 1):
-        raise ValueError(f"root_spin must be 0 or 1, got {root_spin!r}")
-    _require_keys(tree_spins, tree.edge_keys(), "tree_spins")
-    spins = _root_parity(tree, tree_spins)
-    if root_spin:
-        spins ^= 1
-    return spins
-
-
-def relative_from_spins(graph: TopologyGraph, spins: np.ndarray) -> RelativeSpins:
-    """Relative spin of every graph edge: XOR of the endpoint spins."""
+def check_spins(graph: TopologyGraph, spins) -> np.ndarray:
+    """The spin vector as an array, after checking it has one 0/1 spin per link."""
     spins = np.asarray(spins)
     if spins.shape != (graph.num_vertices,):
         raise ValueError(
@@ -358,7 +222,13 @@ def relative_from_spins(graph: TopologyGraph, spins: np.ndarray) -> RelativeSpin
         )
     if not np.isin(spins, (0, 1)).all():
         raise ValueError("spins must be 0/1")
-    return RelativeSpins({(k, l): int(spins[k] ^ spins[l]) for k, l in graph.edge_keys()})
+    return spins
+
+
+def relative_from_spins(graph: TopologyGraph, spins) -> dict[tuple[int, int], int]:
+    """Relative spin of every graph edge: XOR of the endpoint spins."""
+    spins = check_spins(graph, spins)
+    return {(k, l): int(spins[k] ^ spins[l]) for k, l in graph.edge_keys()}
 
 
 def graph_to_json(graph: TopologyGraph) -> dict:

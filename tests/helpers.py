@@ -1,12 +1,20 @@
-"""Shared builders and oracles for the test suite."""
+"""Shared builders and oracles for the test suite.
+
+The oracles are slow, per-link loop forms of what the package computes with
+dense arrays; they read the INR layout directly, so they stay independent
+of ``channel.end_planes``.
+"""
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 
 from spinopt.channel import LinkInstance, ScenarioConfig, generate_instance
-from spinopt.topology import TopologyGraph
+from spinopt.optimizer import OptimizationResult, network_utility
+from spinopt.sinr import link_utility
+from spinopt.topology import RootedTree, TopologyGraph
 
 
 def build_instance(inr, snr=None, kinds=None) -> LinkInstance:
@@ -58,6 +66,14 @@ def enumerate_cycles(graph: TopologyGraph) -> list[list[int]]:
     return cycles
 
 
+def cycle_parity(relative, cycle: list[int]) -> int:
+    """XOR of the relative spins (keyed by (k, l), k < l) around a cycle."""
+    parity = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        parity ^= relative[min(a, b), max(a, b)]
+    return parity
+
+
 def spanning_tree_weights(graph: TopologyGraph) -> list[float]:
     """Total weights of every spanning tree of a small connected graph."""
     n = graph.num_vertices
@@ -81,3 +97,110 @@ def spanning_tree_weights(graph: TopologyGraph) -> list[float]:
         if acyclic:
             weights.append(math.fsum(w for _, _, w in subset))
     return weights
+
+
+def _interference(inr, k, l, relative):
+    """(L->R, R->L) INR that link k adds at link l for a given relative spin."""
+    if relative:
+        return inr[k, l, 1, 1], inr[k, l, 0, 0]
+    return inr[k, l, 0, 1], inr[k, l, 1, 0]
+
+
+def exact_sinr(values, graph, l, spins):
+    """Exact (L->R, R->L) SINR of link l under absolute spins."""
+    snr, inr = values.snr, values.inr
+    den_lr = 1.0
+    den_rl = 1.0
+    for k in graph.neighbors(l):
+        lr, rl = _interference(inr, k, l, spins[k] ^ spins[l])
+        den_lr += lr
+        den_rl += rl
+    return float(snr[l, 0] / den_lr), float(snr[l, 1] / den_rl)
+
+
+def approx_sinr(values, graph, tree, l, spins):
+    """Tree-restricted SINR of link l: non-tree neighbours enter as the
+    average of their two possible INR values."""
+    snr, inr = values.snr, values.inr
+    tree_nbrs = set(tree.children[l]) | {tree.parent[l]}
+    den_lr = 1.0
+    den_rl = 1.0
+    for k in graph.neighbors(l):
+        if k in tree_nbrs:
+            lr, rl = _interference(inr, k, l, spins[k] ^ spins[l])
+        else:
+            lr = (inr[k, l, 0, 1] + inr[k, l, 1, 1]) / 2.0
+            rl = (inr[k, l, 1, 0] + inr[k, l, 0, 0]) / 2.0
+        den_lr += lr
+        den_rl += rl
+    return float(snr[l, 0] / den_lr), float(snr[l, 1] / den_rl)
+
+
+def rates_of(sinrs):
+    """Per-link two-way rates log2(1 + sinr_lr) + log2(1 + sinr_rl)."""
+    return [math.log2(1.0 + lr) + math.log2(1.0 + rl) for lr, rl in sinrs]
+
+
+def utility_of(kind, sinrs):
+    """Network utility from per-link (L->R, R->L) SINRs, summed in link order."""
+    return sum(link_utility(kind, rate) for rate in rates_of(sinrs))
+
+
+def tree_brute_force(
+    instance: LinkInstance,
+    graph: TopologyGraph,
+    tree: RootedTree,
+    kind,
+    cap: int = 20,
+) -> OptimizationResult:
+    """Enumerate every tree-edge spin assignment against the approximate objective.
+
+    Each root is fixed at spin 0, so the absolute spins of the other
+    vertices enumerate the tree-edge relative spins one to one. Ties go to
+    the lexicographically smallest spin vector.
+    """
+    t_start = time.perf_counter()
+    m = graph.num_vertices
+    free = [v for v in range(m) if tree.parent[v] >= 0]
+    if len(free) > cap:
+        raise ValueError(f"tree brute force refused: {len(free)} tree edges exceeds cap {cap}")
+
+    best_value = -math.inf
+    best_spins = np.zeros(m, dtype=np.int8)
+    for code in range(1 << len(free)):
+        spins = np.zeros(m, dtype=np.int8)
+        for j, v in enumerate(free):
+            spins[v] = (code >> (len(free) - 1 - j)) & 1
+        value = utility_of(
+            kind, [approx_sinr(instance, graph, tree, l, spins) for l in range(m)]
+        )
+        if value > best_value:
+            best_value = value
+            best_spins = spins
+    return OptimizationResult(
+        algorithm="tree_brute_force",
+        spins=best_spins,
+        objective_exact=network_utility(instance, graph, kind, best_spins),
+        objective_approx=float(best_value),
+        elapsed_s=time.perf_counter() - t_start,
+    )
+
+
+def edge_weight(instance: LinkInstance, k: int, l: int) -> float:
+    """Largest spin-induced change in interference power between two links.
+
+    For each receive direction of each link, flipping the pair's relative
+    spin swaps which end of the other link interferes; the weight is the
+    maximum absolute difference over the four receive directions.
+    """
+    if k == l:
+        raise ValueError("edge weight needs two distinct links")
+    inr = instance.inr
+    return float(
+        max(
+            abs(inr[k, l, 1, 1] - inr[k, l, 0, 1]),
+            abs(inr[k, l, 0, 0] - inr[k, l, 1, 0]),
+            abs(inr[l, k, 1, 1] - inr[l, k, 0, 1]),
+            abs(inr[l, k, 0, 0] - inr[l, k, 1, 0]),
+        )
+    )

@@ -10,18 +10,23 @@ import time
 
 import numpy as np
 
-from helpers import enumerate_cycles, spanning_tree_weights
+from helpers import (
+    approx_sinr,
+    cycle_parity,
+    enumerate_cycles,
+    spanning_tree_weights,
+    tree_brute_force,
+    utility_of,
+)
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.cli import main
 from spinopt.evaluation import ExperimentConfig, run_experiment
-from spinopt.optimizer import exhaustive_search, mst_dp, random_spins, tree_brute_force
-from spinopt.sinr import UtilityKind, approx_network_utility, network_utility
+from spinopt.optimizer import exhaustive_search, mst_dp, random_spins
+from spinopt.sinr import UtilityKind, network_utility
 from spinopt.topology import (
-    RelativeSpins,
     build_graph,
     maximum_spanning_tree,
     relative_from_spins,
-    spins_from_relative,
 )
 
 PF = UtilityKind.PROPORTIONAL_FAIRNESS
@@ -55,8 +60,9 @@ def test_acceptance_1_dp_equals_tree_oracle():
         worst = max(worst, rel_diff(dp.objective_approx, oracle.objective_approx))
         assert rel_diff(dp.objective_approx, oracle.objective_approx) <= 1e-9
 
-        recovered = RelativeSpins({e: dp.relative[e] for e in tree.edge_keys()})
-        achieved = approx_network_utility(inst, graph, tree, PF, recovered)
+        achieved = utility_of(
+            PF, [approx_sinr(inst, graph, tree, l, dp.spins) for l in range(m)]
+        )
         assert rel_diff(achieved, dp.objective_approx) <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -105,21 +111,18 @@ def test_acceptance_3_constraint_suite():
             tree_brute_force(inst, graph, tree, PF),
         )
         for res in results:
+            relative = relative_from_spins(graph, res.spins)
             for cycle in cycles:
-                parity = 0
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    parity ^= res.relative[a, b]
-                assert parity == 0
+                assert cycle_parity(relative, cycle) == 0
 
-            flipped = relative_from_spins(graph, 1 - res.spins)
+            flipped = 1 - res.spins
             assert network_utility(inst, graph, PF, flipped) == res.objective_exact
 
-            tree_bits = RelativeSpins({e: res.relative[e] for e in tree.edge_keys()})
-            for root_spin in (0, 1):
-                s = spins_from_relative(tree, tree_bits, root_spin)
-                back = relative_from_spins(graph, s)
-                for e in tree.edge_keys():
-                    assert back[e] == tree_bits[e]
+            # tree edges determine the spins up to a global flip
+            assert relative_from_spins(graph, flipped) == relative
+            for v, p in enumerate(tree.parent):
+                if p >= 0:
+                    assert res.spins[v] == res.spins[p] ^ relative[min(v, p), max(v, p)]
             checked += 1
     print(
         f"\nACCEPTANCE 3 (cycle parity, exact flip invariance, tree round trip on "
@@ -144,7 +147,7 @@ def test_acceptance_4_spin_indifferent_instances():
         values = []
         for code in range(2 ** (m - 1)):  # first spin fixed: global flip symmetry
             s = np.array([0] + [(code >> j) & 1 for j in range(m - 1)])
-            values.append(network_utility(flat, graph, SUM_RATE, relative_from_spins(graph, s)))
+            values.append(network_utility(flat, graph, SUM_RATE, s))
         spread = rel_diff(max(values), min(values))
         worst = max(worst, spread)
         assert spread <= 1e-12

@@ -269,3 +269,13 @@ def test_instances_are_read_only():
         inst.inr[0, 1, 0, 0] = 5.0
     edited = dataclasses.replace(inst, inr=inst.inr.copy())
     assert edited.inr.flags.writeable is False
+
+
+@pytest.mark.parametrize("field", ["snr", "inr", "shadowing"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_instance_rejects_non_finite_gains(field, bad):
+    inst = generate_instance(ScenarioConfig(num_links=3, seed=2), drop_seed=2)
+    arrays = {name: getattr(inst, name).copy() for name in ("snr", "inr", "shadowing")}
+    arrays[field].flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(inst, **arrays)

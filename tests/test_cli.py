@@ -238,3 +238,40 @@ def test_unknown_algorithm_flag(tmp_path, capsys):
     )
     assert code == 1
     assert "magic" in capsys.readouterr().err
+
+
+def test_optimize_rejects_unknown_experiment_key(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 3, "seed": 1},
+        experiment={"bogus": 1},
+    )
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_optimize_honours_exhaustive_cap(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 4, "seed": 1},
+        experiment={"algorithms": ["exhaustive"], "exhaustive_cap": 3},
+    )
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "cap 3" in capsys.readouterr().err
+
+
+def test_percentile_label_is_exact(tmp_path, capsys):
+    cfg = tiny_eval_config(tmp_path, percentile_q=0.29)
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "e"), "--threads", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "p29=" in out and "gain_p29=" in out and "p28" not in out
+
+    sweep_cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 2, "seed": 5},
+        experiment={"num_drops": 1, "frames_per_drop": 1, "percentile_q": 0.29},
+        sweep={"parameter": "num_links", "values": [2]},
+    )
+    assert main(["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "s"), "--threads", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "p29=" in out and "p28" not in out

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_instance, enumerate_cycles, random_instance
+from helpers import (
+    approx_sinr,
+    build_instance,
+    cycle_parity,
+    enumerate_cycles,
+    random_instance,
+    tree_brute_force,
+    utility_of,
+)
 from spinopt.optimizer import (
     exhaustive_search,
     mst_dp,
     random_spins,
-    tree_brute_force,
 )
 from spinopt.sinr import UtilityKind, network_utility
 from spinopt.topology import (
@@ -35,7 +42,7 @@ def all_assignment_utilities(inst, graph, kind):
     values = []
     for code in range(2 ** m):
         s = np.array([(code >> (m - 1 - j)) & 1 for j in range(m)])
-        values.append(network_utility(inst, graph, kind, relative_from_spins(graph, s)))
+        values.append(network_utility(inst, graph, kind, s))
     return values
 
 
@@ -67,8 +74,9 @@ def test_exhaustive_matches_full_enumeration(kind):
 def test_exhaustive_result_is_self_consistent():
     inst, graph, _ = prepared(6, seed=3)
     res = exhaustive_search(inst, graph, PF)
-    assert res.relative.as_dict() == relative_from_spins(graph, res.spins).as_dict()
-    assert res.objective_exact == network_utility(inst, graph, PF, res.relative)
+    relative = res.to_json(graph)["relative_spins"]
+    assert relative == {f"{k}-{l}": b for (k, l), b in relative_from_spins(graph, res.spins).items()}
+    assert res.objective_exact == network_utility(inst, graph, PF, res.spins)
     assert res.objective_approx is None
     assert res.spins[0] == 0  # component representative fixed
 
@@ -77,8 +85,8 @@ def test_tree_based_results_are_self_consistent():
     for seed in range(5):
         inst, graph, tree = prepared(7, seed=seed)
         for res in (mst_dp(inst, graph, tree, PF), tree_brute_force(inst, graph, tree, PF)):
-            assert res.relative.as_dict() == relative_from_spins(graph, res.spins).as_dict()
-            assert res.objective_exact == network_utility(inst, graph, PF, res.relative)
+            assert res.spins.shape == (7,) and set(res.spins) <= {0, 1}
+            assert res.objective_exact == network_utility(inst, graph, PF, res.spins)
             assert res.objective_approx is not None
 
 
@@ -96,8 +104,7 @@ def test_flip_invariance_of_returned_assignments():
             mst_dp(inst, graph, tree, PF),
             random_spins(inst, graph, PF, seed),
         ):
-            flipped = relative_from_spins(graph, 1 - res.spins)
-            assert network_utility(inst, graph, PF, flipped) == res.objective_exact
+            assert network_utility(inst, graph, PF, 1 - res.spins) == res.objective_exact
 
 
 def test_dp_matches_tree_brute_force():
@@ -114,10 +121,7 @@ def test_dp_matches_tree_brute_force():
 def test_dp_single_edge_picks_better_spin():
     inst, graph, tree = prepared(2, seed=1, threshold=1e-6)
     assert graph.edge_keys() == ((0, 1),)
-    u = [
-        network_utility(inst, graph, PF, relative_from_spins(graph, np.array([0, b])))
-        for b in (0, 1)
-    ]
+    u = [network_utility(inst, graph, PF, np.array([0, b])) for b in (0, 1)]
     res = mst_dp(inst, graph, tree, PF)
     assert res.objective_exact == pytest.approx(max(u), rel=1e-12)
     assert res.objective_approx == pytest.approx(max(u), rel=1e-12)
@@ -127,7 +131,7 @@ def test_dp_exact_when_graph_is_tree():
     # prune every chord from a random instance so the graph equals its tree
     for seed in range(6):
         inst, graph, tree = prepared(7, seed=seed)
-        keep = set(tree.edge_keys())
+        keep = {(k, l) for k, l, _ in tree.tree_edges}
         pruned_inr = inst.inr.copy()
         for k, l in graph.edge_keys():
             if (k, l) not in keep:
@@ -200,9 +204,7 @@ def test_batch_utilities_are_exact_under_extreme_inr_asymmetry():
         [[(code >> (2 - j)) & 1 for j in range(3)] for code in range(8)], dtype=np.int8
     )
     fast = _spin_batch_utilities(inst, graph, PF, batch)
-    slow = [
-        network_utility(inst, graph, PF, relative_from_spins(graph, s)) for s in batch
-    ]
+    slow = [network_utility(inst, graph, PF, s) for s in batch]
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
@@ -265,13 +267,13 @@ def test_tree_brute_force_flat_objective_when_spin_indifferent():
     graph = build_graph(inst, threshold=0.01)
     tree = maximum_spanning_tree(graph)
     values = set()
-    from spinopt.sinr import approx_network_utility
-    from spinopt.topology import RelativeSpins
-
     for code in range(4):
-        bits = {e: (code >> j) & 1 for j, e in enumerate(tree.edge_keys())}
-        values.add(approx_network_utility(inst, graph, tree, SUM_RATE, RelativeSpins(bits)))
+        spins = np.array([0, code >> 1, code & 1])
+        values.add(
+            utility_of(SUM_RATE, [approx_sinr(inst, graph, tree, l, spins) for l in range(3)])
+        )
     assert len(values) == 1
+    assert tree_brute_force(inst, graph, tree, SUM_RATE).objective_approx in values
 
 
 def test_all_optimizer_outputs_satisfy_cycle_parity():
@@ -284,21 +286,21 @@ def test_all_optimizer_outputs_satisfy_cycle_parity():
             random_spins(inst, graph, PF, seed),
             tree_brute_force(inst, graph, tree, PF),
         ):
+            relative = relative_from_spins(graph, res.spins)
             for cycle in cycles:
-                parity = 0
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    parity ^= res.relative[a, b]
-                assert parity == 0
+                assert cycle_parity(relative, cycle) == 0
 
 
 def test_result_json_shape():
     inst, graph, tree = prepared(3, seed=1)
     res = mst_dp(inst, graph, tree, PF)
-    data = res.to_json()
+    data = res.to_json(graph)
     assert data["algorithm"] == "mst_dp"
-    assert set(data["relative_spins"]) == {f"{k}-{l}" for k, l in graph.edge_keys()}
+    assert data["relative_spins"] == {
+        f"{k}-{l}": int(res.spins[k] ^ res.spins[l]) for k, l in graph.edge_keys()
+    }
     assert "elapsed_s" in data
-    assert "elapsed_s" not in res.to_json(include_timing=False)
+    assert "elapsed_s" not in res.to_json(graph, include_timing=False)
 
 
 def test_pf_with_dead_link_returns_zero_assignment_with_warning():

@@ -1,0 +1,92 @@
+"""Property tests: the dense kernels and optimizers against the loop oracles.
+
+Example counts are bounded and generation is derandomized, so the suite
+stays fast and every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    build_instance,
+    exact_sinr,
+    random_instance,
+    rates_of,
+    tree_brute_force,
+    utility_of,
+)
+from spinopt.channel import draw_fading
+from spinopt.optimizer import exhaustive_search, mst_dp
+from spinopt.sinr import UtilityKind, network_utility, spin_selectors, two_way_rates
+from spinopt.topology import build_graph, maximum_spanning_tree
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+KINDS = st.sampled_from(list(UtilityKind))
+
+
+@st.composite
+def networks(draw, max_links=7):
+    """(instance, graph, tree, spins): a random drop or a hand-made instance
+    whose INRs span twelve orders of magnitude, with random absolute spins."""
+    m = draw(st.integers(2, max_links))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        _, inst = random_instance(m, seed, link_mix=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    else:
+        rng = np.random.default_rng(seed)
+        inr = 10.0 ** rng.uniform(-4.0, 8.0, size=(m, m, 2, 2))
+        inr[rng.random((m, m)) < 0.3] = 0.0
+        inr[np.arange(m), np.arange(m)] = 0.0
+        inst = build_instance(inr, snr=10.0 ** rng.uniform(0.0, 3.0, size=(m, 2)))
+    graph = build_graph(inst, threshold=draw(st.sampled_from([1e-3, 1e-2, 1.0])))
+    tree = maximum_spanning_tree(graph)
+    spins = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.int8)
+    return inst, graph, tree, spins
+
+
+@PROPERTY
+@given(networks(), KINDS, st.booleans())
+def test_network_utility_equals_loop_oracle(net, kind, faded):
+    inst, graph, _, spins = net
+    values = draw_fading(inst, 1) if faded else inst
+    oracle = utility_of(
+        kind, [exact_sinr(values, graph, l, spins) for l in range(graph.num_vertices)]
+    )
+    assert network_utility(values, graph, kind, spins) == oracle
+
+
+@PROPERTY
+@given(networks(), st.integers(0, 2**16))
+def test_two_way_rates_equal_loop_oracle(net, frame):
+    inst, graph, _, spins = net
+    draw = draw_fading(inst, frame)
+    fast = two_way_rates(draw, spin_selectors(graph, spins))
+    slow = rates_of([exact_sinr(draw, graph, l, spins) for l in range(graph.num_vertices)])
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(networks(), KINDS)
+def test_dp_equals_tree_brute_force(net, kind):
+    inst, graph, tree, _ = net
+    dp = mst_dp(inst, graph, tree, kind)
+    oracle = tree_brute_force(inst, graph, tree, kind)
+    np.testing.assert_allclose(dp.objective_approx, oracle.objective_approx, rtol=1e-9)
+
+
+@PROPERTY
+@given(networks(), KINDS)
+def test_global_flip_is_exact(net, kind):
+    inst, graph, _, spins = net
+    assert network_utility(inst, graph, kind, spins) == network_utility(
+        inst, graph, kind, 1 - spins
+    )
+
+
+@PROPERTY
+@given(networks(), KINDS)
+def test_exhaustive_dominates_dp(net, kind):
+    inst, graph, tree, _ = net
+    exhaustive = exhaustive_search(inst, graph, kind)
+    assert exhaustive.objective_exact >= mst_dp(inst, graph, tree, kind).objective_exact

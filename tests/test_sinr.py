@@ -3,26 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_instance, random_instance
-from spinopt.channel import draw_fading
-from spinopt.sinr import (
-    LinkSinr,
-    UtilityKind,
-    approx_network_utility,
+from helpers import (
     approx_sinr,
+    build_instance,
     exact_sinr,
+    random_instance,
+    rates_of,
+    utility_of,
+)
+from spinopt.channel import draw_fading
+from spinopt.optimizer import mst_dp
+from spinopt.sinr import (
+    UtilityKind,
     link_utility,
     network_utility,
     spin_selectors,
-    two_way_rate,
     two_way_rates,
 )
 from spinopt.topology import (
-    RelativeSpins,
     TopologyGraph,
     build_graph,
     maximum_spanning_tree,
-    relative_from_spins,
 )
 
 SUM_RATE = UtilityKind.TWO_WAY_SUM_RATE
@@ -44,25 +45,32 @@ def two_link_instance():
 def test_isolated_link_sinr_equals_snr():
     inst = build_instance(np.zeros((2, 2, 2, 2)))
     graph = TopologyGraph(num_vertices=2, edges=())
-    s = exact_sinr(inst, graph, 0, RelativeSpins())
-    assert s == LinkSinr(100.0, 100.0)
+    s = exact_sinr(inst, graph, 0, np.array([0, 1]))
+    assert s == (100.0, 100.0)
 
 
 def test_exact_sinr_selects_interferer_end_by_spin():
     inst, graph = two_link_instance()
-    same = exact_sinr(inst, graph, 0, RelativeSpins({(0, 1): 0}))
-    assert same.sinr_lr == pytest.approx(100.0 / (1.0 + 4.0), rel=1e-15)
-    assert same.sinr_rl == pytest.approx(100.0 / (1.0 + 2.0), rel=1e-15)
-    opposite = exact_sinr(inst, graph, 0, RelativeSpins({(0, 1): 1}))
-    assert opposite.sinr_lr == pytest.approx(100.0 / (1.0 + 9.0), rel=1e-15)
-    assert opposite.sinr_rl == pytest.approx(100.0 / (1.0 + 6.0), rel=1e-15)
-    assert same.sinr_lr == 20.0 and opposite.sinr_lr == 10.0
+    same = exact_sinr(inst, graph, 0, np.array([1, 1]))
+    assert same[0] == pytest.approx(100.0 / (1.0 + 4.0), rel=1e-15)
+    assert same[1] == pytest.approx(100.0 / (1.0 + 2.0), rel=1e-15)
+    opposite = exact_sinr(inst, graph, 0, np.array([0, 1]))
+    assert opposite[0] == pytest.approx(100.0 / (1.0 + 9.0), rel=1e-15)
+    assert opposite[1] == pytest.approx(100.0 / (1.0 + 6.0), rel=1e-15)
+    assert same[0] == 20.0 and opposite[0] == 10.0
+    # the dense kernel picks the same ends
+    for spins, sinr in (([1, 1], same), ([0, 1], opposite)):
+        rates = two_way_rates(inst, spin_selectors(graph, np.array(spins)))
+        assert rates[0] == pytest.approx(rates_of([sinr])[0], rel=1e-12)
 
 
 def test_exact_sinr_requires_incident_spins():
     inst, graph = two_link_instance()
-    with pytest.raises(ValueError, match="missing relative spin"):
-        exact_sinr(inst, graph, 0, RelativeSpins())
+    for bad in (np.array([0]), np.array([0, 1, 0]), np.array([0, 2])):
+        with pytest.raises(ValueError, match="spins"):
+            network_utility(inst, graph, SUM_RATE, bad)
+        with pytest.raises(ValueError, match="spins"):
+            spin_selectors(graph, bad)
 
 
 def test_sinr_never_exceeds_snr():
@@ -70,27 +78,27 @@ def test_sinr_never_exceeds_snr():
         _, inst = random_instance(6, seed=seed)
         graph = build_graph(inst, threshold=0.01)
         rng = np.random.default_rng(seed)
-        spins = relative_from_spins(graph, rng.integers(0, 2, size=6))
+        spins = rng.integers(0, 2, size=6)
         for l in range(6):
             s = exact_sinr(inst, graph, l, spins)
-            assert 0.0 <= s.sinr_lr <= inst.snr[l, 0]
-            assert 0.0 <= s.sinr_rl <= inst.snr[l, 1]
+            assert 0.0 <= s[0] <= inst.snr[l, 0]
+            assert 0.0 <= s[1] <= inst.snr[l, 1]
 
 
 def test_sinr_monotone_in_inr_and_snr():
     inst, graph = two_link_instance()
-    spins = RelativeSpins({(0, 1): 0})
+    spins = np.array([0, 0])
     base = exact_sinr(inst, graph, 0, spins)
 
     worse = inst.inr.copy()
     worse[1, 0, 0, 1] *= 3.0
     bumped = build_instance(worse)
     s = exact_sinr(bumped, graph, 0, spins)
-    assert s.sinr_lr < base.sinr_lr and s.sinr_rl == base.sinr_rl
+    assert s[0] < base[0] and s[1] == base[1]
 
     louder = build_instance(inst.inr.copy(), snr=np.full((2, 2), 200.0))
     s = exact_sinr(louder, graph, 0, spins)
-    assert s.sinr_lr > base.sinr_lr and s.sinr_rl > base.sinr_rl
+    assert s[0] > base[0] and s[1] > base[1]
 
 
 def triangle_instance(seed=0):
@@ -113,11 +121,11 @@ def test_approx_sinr_uses_exact_terms_for_tree_neighbors():
     inst = build_instance(inr)
     graph = TopologyGraph(num_vertices=3, edges=((0, 1, 5.0), (0, 2, 1.0), (1, 2, 0.5)))
     tree = maximum_spanning_tree(graph)
-    assert tree.edge_keys() == ((0, 1), (0, 2))
+    assert [(k, l) for k, l, _ in tree.tree_edges] == [(0, 1), (0, 2)]
     # vertex 1: edge to 0 is tree, edge to 2 is the pruned chord
-    s = approx_sinr(inst, graph, tree, 0, RelativeSpins({(0, 1): 0, (0, 2): 0}))
+    s = approx_sinr(inst, graph, tree, 0, np.array([0, 0, 0]))
     expected_lr = 100.0 / (1.0 + 4.0 + 1.0)
-    assert s.sinr_lr == pytest.approx(expected_lr, rel=1e-15)
+    assert s[0] == pytest.approx(expected_lr, rel=1e-15)
 
 
 def test_approx_contribution_is_average_of_both_ends():
@@ -127,10 +135,10 @@ def test_approx_contribution_is_average_of_both_ends():
     inst = build_instance(inr)
     graph = TopologyGraph(num_vertices=3, edges=((0, 1, 5.0), (0, 2, 4.0), (1, 2, 0.5)))
     tree = maximum_spanning_tree(graph)
-    assert (1, 2) not in tree.edge_keys()
-    s = approx_sinr(inst, graph, tree, 1, RelativeSpins({(0, 1): 1, (0, 2): 0}))
+    assert tree.parent == (-1, 0, 0)  # (1, 2) is the chord
+    s = approx_sinr(inst, graph, tree, 1, np.array([0, 1, 0]))
     # non-tree neighbor 2 contributes (4 + 9) / 2 = 6.5 to the LR denominator
-    assert s.sinr_lr == pytest.approx(100.0 / (1.0 + 6.5), rel=1e-15)
+    assert s[0] == pytest.approx(100.0 / (1.0 + 6.5), rel=1e-15)
 
 
 def test_approx_equals_exact_when_graph_is_tree():
@@ -142,13 +150,11 @@ def test_approx_equals_exact_when_graph_is_tree():
     inst = build_instance(inr)
     graph = build_graph(inst, threshold=0.01)
     tree = maximum_spanning_tree(graph)
-    assert set(tree.edge_keys()) == set(graph.edge_keys())
+    assert tree.tree_edges == graph.edges
     for trial in range(8):
-        bits = RelativeSpins(
-            {e: int(b) for e, b in zip(tree.edge_keys(), np.random.default_rng(trial).integers(0, 2, 3))}
-        )
+        spins = np.random.default_rng(trial).integers(0, 2, 4)
         for l in range(4):
-            assert approx_sinr(inst, graph, tree, l, bits) == exact_sinr(inst, graph, l, bits)
+            assert approx_sinr(inst, graph, tree, l, spins) == exact_sinr(inst, graph, l, spins)
 
 
 def test_approx_equals_exact_for_spin_indifferent_chord():
@@ -160,26 +166,24 @@ def test_approx_equals_exact_for_spin_indifferent_chord():
     inst = build_instance(inr)
     graph = TopologyGraph(num_vertices=3, edges=((0, 1, 5.0), (0, 2, 4.0), (1, 2, 0.0)))
     tree = maximum_spanning_tree(graph)
-    tree_bits = {(0, 1): 1, (0, 2): 0}
-    approx = approx_sinr(inst, graph, tree, 1, RelativeSpins(tree_bits))
-    for chord_bit in (0, 1):
-        exact = exact_sinr(
-            inst, graph, 1, RelativeSpins({**tree_bits, (1, 2): chord_bit})
-        )
-        assert approx == exact
+    assert tree.parent == (-1, 0, 0)  # (1, 2) is the chord
+    for code in range(4):  # both values of the chord's relative spin
+        spins = np.array([0, code >> 1, code & 1])
+        assert approx_sinr(inst, graph, tree, 1, spins) == exact_sinr(inst, graph, 1, spins)
 
 
 def test_link_utility_values():
-    assert link_utility(SUM_RATE, LinkSinr(0.0, 0.0)) == 0.0
-    assert link_utility(SUM_RATE, LinkSinr(3.0, 1.0)) == pytest.approx(3.0, rel=1e-15)
-    assert link_utility(PF, LinkSinr(3.0, 1.0)) == pytest.approx(math.log(3.0), rel=1e-15)
-    assert link_utility(PF, LinkSinr(0.0, 0.0)) == -math.inf
-    assert two_way_rate(LinkSinr(1.0, 0.0)) == 1.0
+    assert link_utility(SUM_RATE, 0.0) == 0.0
+    assert link_utility(SUM_RATE, 3.0) == 3.0
+    assert link_utility(PF, 3.0) == pytest.approx(math.log(3.0), rel=1e-15)
+    assert link_utility(PF, 0.0) == -math.inf
+    with pytest.raises(ValueError):
+        link_utility("sum", 1.0)
 
 
 def test_network_utility_two_links_by_hand():
     inst, graph = two_link_instance()
-    spins = RelativeSpins({(0, 1): 0})
+    spins = np.array([1, 1])
     # link 0 sees (4, 2); link 1 sees nothing (its row toward link 0 is zero)
     expected = (
         math.log2(1 + 100 / 5) + math.log2(1 + 100 / 3) + 2 * math.log2(1 + 100)
@@ -190,7 +194,7 @@ def test_network_utility_two_links_by_hand():
 def test_network_utility_zero_interference_is_sum_of_isolated():
     inst = build_instance(np.zeros((3, 3, 2, 2)))
     graph = TopologyGraph(num_vertices=3, edges=())
-    value = network_utility(inst, graph, SUM_RATE, RelativeSpins())
+    value = network_utility(inst, graph, SUM_RATE, np.zeros(3, dtype=np.int8))
     assert value == pytest.approx(6 * math.log2(101), rel=1e-15)
 
 
@@ -199,8 +203,8 @@ def test_network_utility_invariant_under_global_flip():
         _, inst = random_instance(6, seed=seed)
         graph = build_graph(inst, threshold=0.01)
         s = np.random.default_rng(seed).integers(0, 2, size=6)
-        u = network_utility(inst, graph, PF, relative_from_spins(graph, s))
-        u_flip = network_utility(inst, graph, PF, relative_from_spins(graph, 1 - s))
+        u = network_utility(inst, graph, PF, s)
+        u_flip = network_utility(inst, graph, PF, 1 - s)
         assert u == u_flip
 
 
@@ -214,7 +218,7 @@ def test_spin_indifferent_instances_have_constant_utility():
     values = set()
     for code in range(2 ** 4):
         s = [(code >> j) & 1 for j in range(4)]
-        values.add(network_utility(flat, graph, SUM_RATE, relative_from_spins(graph, np.array(s))))
+        values.add(network_utility(flat, graph, SUM_RATE, np.array(s)))
     assert len(values) == 1
 
 
@@ -223,20 +227,21 @@ def test_vectorized_rates_match_per_link_path():
         _, inst = random_instance(7, seed=seed)
         graph = build_graph(inst, threshold=0.01)
         s = np.random.default_rng(seed).integers(0, 2, size=7)
-        spins = relative_from_spins(graph, s)
-        selectors = spin_selectors(graph, spins)
+        selectors = spin_selectors(graph, s)
         draw = draw_fading(inst, frame_seed=seed)
         fast = two_way_rates(draw, selectors)
-        slow = [two_way_rate(exact_sinr(draw, graph, l, spins)) for l in range(7)]
+        slow = rates_of([exact_sinr(draw, graph, l, s) for l in range(7)])
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
 def test_approx_network_utility_sums_links():
-    inst, graph = triangle_instance()
-    tree = maximum_spanning_tree(graph)
-    bits = RelativeSpins({e: 1 for e in tree.edge_keys()})
-    total = approx_network_utility(inst, graph, tree, SUM_RATE, bits)
-    manual = sum(
-        two_way_rate(approx_sinr(inst, graph, tree, l, bits)) for l in range(3)
-    )
-    assert total == pytest.approx(manual, rel=1e-15)
+    # the DP's tree-restricted objective is the per-link sum at its own spins
+    for seed in range(4):
+        inst, graph = triangle_instance(seed)
+        tree = maximum_spanning_tree(graph)
+        for kind in (SUM_RATE, PF):
+            dp = mst_dp(inst, graph, tree, kind)
+            manual = utility_of(
+                kind, [approx_sinr(inst, graph, tree, l, dp.spins) for l in range(3)]
+            )
+            assert dp.objective_approx == pytest.approx(manual, rel=1e-15)

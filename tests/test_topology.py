@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from helpers import build_instance, enumerate_cycles, random_instance, spanning_tree_weights
+from helpers import (
+    build_instance,
+    cycle_parity,
+    edge_weight,
+    enumerate_cycles,
+    random_instance,
+    spanning_tree_weights,
+)
+from spinopt.optimizer import mst_dp
+from spinopt.sinr import UtilityKind
 from spinopt.topology import (
-    RelativeSpins,
     TopologyGraph,
     build_graph,
-    complete_relative_spins,
-    edge_weight,
     graph_to_edge_list,
     graph_to_json,
     maximum_spanning_tree,
     relative_from_spins,
-    spins_from_relative,
     tree_to_json,
 )
 
@@ -21,16 +26,33 @@ def graph_from(num_vertices, weighted_edges):
     return TopologyGraph(num_vertices=num_vertices, edges=tuple(weighted_edges))
 
 
-def test_relative_spins_symmetric_lookup():
-    r = RelativeSpins({(2, 1): 1, (0, 1): 0})
-    assert r[1, 2] == 1 and r[2, 1] == 1
-    assert r[0, 1] == 0
-    assert len(r) == 2
-    assert (1, 2) in r
-    with pytest.raises(ValueError):
-        RelativeSpins({(1, 1): 0})
-    with pytest.raises(ValueError):
-        RelativeSpins({(0, 1): 2})
+def tree_keys(tree):
+    return tuple((k, l) for k, l, _ in tree.tree_edges)
+
+
+def dp_with_tree_spins(num_links, tree_spins, chords=()):
+    """Run the DP on an instance built so that its best tree-edge spins are known.
+
+    Every tree edge {k, l} costs both links 1e3 of INR in each direction
+    unless their relative spin equals ``tree_spins[k, l]``, which makes that
+    pattern the unique DP optimum; each chord carries a spin-indifferent
+    INR of 0.5, so it joins the graph with weight 0 and stays out of the
+    tree.
+    """
+    inr = np.zeros((num_links, num_links, 2, 2))
+    for (k, l), bit in tree_spins.items():
+        for a, b in ((k, l), (l, k)):
+            if bit:  # penalise equal spins: the same-end INR (layout L->R, R->L)
+                inr[a, b, 0, 1] = inr[a, b, 1, 0] = 1e3
+            else:  # penalise different spins: the opposite-end INR
+                inr[a, b, 1, 1] = inr[a, b, 0, 0] = 1e3
+    for k, l in chords:
+        inr[k, l] = inr[l, k] = 0.5
+    inst = build_instance(inr)
+    graph = build_graph(inst, threshold=0.01)
+    tree = maximum_spanning_tree(graph)
+    assert set(tree_keys(tree)) == set(tree_spins)
+    return graph, tree, mst_dp(inst, graph, tree, UtilityKind.TWO_WAY_SUM_RATE)
 
 
 def test_graph_validation():
@@ -42,7 +64,10 @@ def test_graph_validation():
         graph_from(2, [(0, 2, 1.0)])  # out of range
     g = graph_from(4, [(0, 2, 1.0), (0, 1, 2.0)])
     assert g.neighbors(0) == (1, 2)
-    assert g.weight(2, 0) == 1.0
+    assert g.edges == ((0, 1, 2.0), (0, 2, 1.0))
+    expected = np.zeros((4, 4), dtype=bool)
+    expected[[0, 1, 0, 2], [1, 0, 2, 0]] = True
+    np.testing.assert_array_equal(g.adjacency, expected)
     assert g.components() == ((0, 1, 2), (3,))
 
 
@@ -121,7 +146,7 @@ def test_mst_tie_break_is_lexicographic():
     # all weights equal: Kruskal must prefer (0,1) then (0,2) then (0,3)
     g = graph_from(4, [(2, 3, 1.0), (0, 3, 1.0), (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = maximum_spanning_tree(g)
-    assert t.edge_keys() == ((0, 1), (0, 2), (0, 3))
+    assert tree_keys(t) == ((0, 1), (0, 2), (0, 3))
 
 
 def test_mst_matches_brute_force_enumeration():
@@ -165,62 +190,45 @@ def test_mst_determinism():
 
 
 def test_complete_relative_spins_zero_parity():
-    g = graph_from(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 3.0)])
-    t = maximum_spanning_tree(g)
-    full = complete_relative_spins(g, t, RelativeSpins({e: 0 for e in t.edge_keys()}))
-    assert set(full.values()) == {0}
-    assert set(full) == set(g.edge_keys())
+    # all tree-edge spins 0: every link gets the root's spin, every chord 0
+    g, t, dp = dp_with_tree_spins(3, {(0, 1): 0, (0, 2): 0}, chords=[(1, 2)])
+    np.testing.assert_array_equal(dp.spins, [0, 0, 0])
+    assert set(relative_from_spins(g, dp.spins).values()) == {0}
+    assert set(relative_from_spins(g, dp.spins)) == set(g.edge_keys())
 
 
 def test_complete_relative_spins_triangle_chord():
-    g = graph_from(3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 1.0)])
-    t = maximum_spanning_tree(g)
-    assert t.edge_keys() == ((0, 1), (0, 2))
-    full = complete_relative_spins(g, t, RelativeSpins({(0, 1): 1, (0, 2): 1}))
-    assert full[1, 2] == 0  # XOR of the two tree spins around the 3-cycle
+    g, t, dp = dp_with_tree_spins(3, {(0, 1): 1, (0, 2): 1}, chords=[(1, 2)])
+    relative = relative_from_spins(g, dp.spins)
+    assert relative[0, 1] == 1 and relative[0, 2] == 1
+    assert relative[1, 2] == 0  # XOR of the two tree spins around the 3-cycle
 
 
 def test_complete_relative_spins_path_chord():
-    g = graph_from(3, [(0, 1, 5.0), (0, 2, 1.0), (1, 2, 4.0)])
-    t = maximum_spanning_tree(g)  # path 0-1-2
-    assert t.edge_keys() == ((0, 1), (1, 2))
-    full = complete_relative_spins(g, t, RelativeSpins({(0, 1): 1, (1, 2): 0}))
-    assert full[0, 2] == 1
-
-
-def test_complete_relative_spins_rejects_wrong_keys():
-    g = graph_from(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 3.0)])
-    t = maximum_spanning_tree(g)
-    with pytest.raises(ValueError, match="missing"):
-        complete_relative_spins(g, t, RelativeSpins({t.edge_keys()[0]: 0}))
-    bad = dict.fromkeys(g.edge_keys(), 0)  # includes the non-tree chord
-    with pytest.raises(ValueError, match="non-tree"):
-        complete_relative_spins(g, t, RelativeSpins(bad))
+    g, t, dp = dp_with_tree_spins(3, {(0, 1): 1, (1, 2): 0}, chords=[(0, 2)])
+    assert t.parent == (-1, 0, 1)  # path 0-1-2
+    relative = relative_from_spins(g, dp.spins)
+    assert relative[0, 2] == 1
 
 
 def test_spins_from_relative_propagation_and_flip():
-    g = graph_from(4, [(0, 1, 4.0), (1, 2, 3.0), (1, 3, 2.0)])
-    t = maximum_spanning_tree(g)
-    r = RelativeSpins({(0, 1): 1, (1, 2): 0, (1, 3): 1})
-    s0 = spins_from_relative(t, r, root_spin=0)
-    np.testing.assert_array_equal(s0, [0, 1, 1, 0])
-    s1 = spins_from_relative(t, r, root_spin=1)
-    np.testing.assert_array_equal(s1, 1 - s0)
-    assert relative_from_spins(g, s0).as_dict() == relative_from_spins(g, s1).as_dict()
+    g, t, dp = dp_with_tree_spins(4, {(0, 1): 1, (1, 2): 0, (1, 3): 1})
+    np.testing.assert_array_equal(dp.spins, [0, 1, 1, 0])  # root fixed at 0
+    assert relative_from_spins(g, dp.spins) == relative_from_spins(g, 1 - dp.spins)
 
 
 def test_spin_round_trip_on_tree_edges():
     rng = np.random.default_rng(77)
-    for seed in range(20):
-        _, inst = random_instance(int(rng.integers(2, 9)), seed=seed)
-        g = build_graph(inst, threshold=0.01)
-        t = maximum_spanning_tree(g)
-        r = RelativeSpins({e: int(rng.integers(0, 2)) for e in t.edge_keys()})
-        for root_spin in (0, 1):
-            s = spins_from_relative(t, r, root_spin)
-            back = relative_from_spins(g, s)
-            for k, l in t.edge_keys():
-                assert back[k, l] == r[k, l]
+    for _ in range(20):
+        m = int(rng.integers(2, 9))
+        # random tree: vertex v > 0 hangs below a random earlier vertex
+        tree_spins = {
+            (int(rng.integers(0, v)), v): int(rng.integers(0, 2)) for v in range(1, m)
+        }
+        g, t, dp = dp_with_tree_spins(m, tree_spins)
+        relative = relative_from_spins(g, dp.spins)
+        for edge, bit in tree_spins.items():
+            assert relative[edge] == bit
 
 
 def test_relative_from_spins_basics():
@@ -241,10 +249,7 @@ def test_cycle_parity_holds_for_spin_derived_relatives():
         s = rng.integers(0, 2, size=6)
         r = relative_from_spins(g, s)
         for cycle in enumerate_cycles(g):
-            parity = 0
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                parity ^= r[a, b]
-            assert parity == 0
+            assert cycle_parity(r, cycle) == 0
 
 
 def test_completed_spins_satisfy_cycle_parity():
@@ -252,14 +257,10 @@ def test_completed_spins_satisfy_cycle_parity():
         _, inst = random_instance(7, seed=100 + seed)
         g = build_graph(inst, threshold=0.005)
         t = maximum_spanning_tree(g)
-        rng = np.random.default_rng(seed)
-        r = RelativeSpins({e: int(rng.integers(0, 2)) for e in t.edge_keys()})
-        full = complete_relative_spins(g, t, r)
+        dp = mst_dp(inst, g, t, UtilityKind.PROPORTIONAL_FAIRNESS)
+        full = relative_from_spins(g, dp.spins)
         for cycle in enumerate_cycles(g):
-            parity = 0
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                parity ^= full[a, b]
-            assert parity == 0
+            assert cycle_parity(full, cycle) == 0
 
 
 def test_exports():
