@@ -221,11 +221,20 @@ def interference_tensor(
 
     The interference a source node causes at another node is its nominal
     transmit SNR scaled by ``(d_nominal / d)**eta`` path loss and the node
-    pair's shadow factor. Same-link entries are zeroed.
+    pair's shadow factor. Same-link entries are zeroed. Nodes of two links
+    at the same position are rejected: the INR between them would be infinite.
     """
     m = len(kinds)
     nodes = np.asarray(positions, dtype=float).reshape(2 * m, 2)
     dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=2)
+    link_of = np.arange(2 * m) // 2
+    coincide = np.argwhere((dist == 0) & (link_of[:, None] < link_of[None, :]))
+    if len(coincide):
+        a, b = coincide[0]
+        raise ValueError(
+            f"nodes coincide: end {a % 2} of link {a // 2} and end {b % 2} of link "
+            f"{b // 2} share a position, which makes the INR between them infinite"
+        )
 
     nominal = config.nominal_snr()
     # transmit "power" of node (l, x): the nominal SNR it produces on its own

@@ -219,7 +219,7 @@ def _run_drop(args) -> dict:
         "objective": {name: results[name].objective_exact for name in config.algorithms},
         "optimize_time": {name: results[name].elapsed_s for name in config.algorithms},
         "max_children": tree.max_children,
-        "num_edges": len(graph.edges),
+        "num_edges": int(graph.adjacency.sum()) // 2,
     }
 
 

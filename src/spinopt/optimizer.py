@@ -28,7 +28,22 @@ from .sinr import UtilityKind, denominators, network_utility
 from .topology import RootedTree, TopologyGraph, relative_from_spins
 
 EXHAUSTIVE_CAP_DEFAULT = 20
-CHILD_CAP_DEFAULT = 24
+
+# Memory budget of one vertex's DP step. A vertex with D children enumerates
+# R = 2**D child-edge spin rows. Building the boolean bit matrix holds the
+# int64 codes and masked codes (8R + 8DR bytes) beside the bits (DR); the
+# step then holds the bits, the message sums and a temporary (16R), and the
+# (2, R, 2) float64 denominators with two same-shaped temporaries while
+# taking rates (96R). The default child cap is the largest D that fits.
+DP_STEP_BUDGET = 64 << 20
+
+
+def _dp_step_bytes(nbits: int) -> int:
+    rows = 1 << nbits
+    return rows * max(8 + 9 * nbits, nbits + 112)
+
+
+CHILD_CAP_DEFAULT = max(d for d in range(32) if _dp_step_bytes(d) <= DP_STEP_BUDGET)
 
 _BATCH = 1 << 13
 
@@ -148,10 +163,10 @@ def exhaustive_search(
 
 
 def _bit_matrix(nbits: int) -> np.ndarray:
-    """(2**nbits, nbits) rows of bit patterns; row index == bits read MSB-first."""
+    """(2**nbits, nbits) boolean bit patterns; row index == bits read MSB-first."""
     codes = np.arange(1 << nbits, dtype=np.int64)
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    return ((codes[:, None] >> shifts[None, :]) & 1).astype(float)
+    masks = 1 << np.arange(nbits - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] & masks) != 0
 
 
 def mst_dp(
@@ -201,7 +216,7 @@ def mst_dp(
         bits = _bit_matrix(len(kids))
         message_sum = np.zeros(len(bits))
         for j, k in enumerate(kids):
-            message_sum += np.where(bits[:, j] == 1.0, mu[k, 1], mu[k, 0])
+            message_sum += np.where(bits[:, j], mu[k, 1], mu[k, 0])
 
         p = tree.parent[l]
         if p < 0:
@@ -210,7 +225,7 @@ def mst_dp(
             starts = np.stack((base[l] + same[p, l], base[l] + opposite[p, l]))
         den = np.repeat(starts[:, None, :], len(bits), axis=1)  # (parent spin, row, direction)
         for j, k in enumerate(kids):
-            den += np.where(bits[:, j, None] == 1.0, opposite[k, l], same[k, l])
+            den += np.where(bits[:, j, None], opposite[k, l], same[k, l])
         rates = np.log2(1.0 + instance.snr[l] / den)
         local = rates[..., 0] + rates[..., 1]
         if kind is UtilityKind.PROPORTIONAL_FAIRNESS:

@@ -26,87 +26,89 @@ GRAPH_SCHEMA = "spinopt.graph/1"
 TREE_SCHEMA = "spinopt.tree/1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopologyGraph:
-    """Undirected weighted link-interference graph.
+    """Undirected weighted link-interference graph as a dense weight matrix.
 
-    Edges are (k, l, weight) with k < l, sorted by (k, l), no duplicates.
-    ``adjacency`` is the dense (M, M) boolean form of the same edge set,
-    symmetric with a false diagonal; the kernels read the graph through it.
+    ``weight[k, l]`` is the weight of edge {k, l}; it is NaN where the two
+    links share no edge and on the diagonal. The matrix is square,
+    symmetric, non-negative and read-only. ``adjacency`` is its boolean edge
+    mask, which the kernels read; ``edges`` lists the same edges as
+    (k, l, weight) tuples with k < l in (k, l) order, for output files.
     """
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
+    weight: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.num_vertices
-        if m < 1:
-            raise ValueError("graph needs at least one vertex")
-        edges = tuple(sorted(self.edges))
-        adjacency = np.zeros((m, m), dtype=bool)
-        for k, l, w in edges:
-            if not 0 <= k < l < m:
-                raise ValueError(f"edge ({k},{l}) out of range or not ordered k < l")
-            if adjacency[k, l]:
-                raise ValueError(f"duplicate edge ({k},{l})")
-            if w < 0:
-                raise ValueError(f"edge ({k},{l}) has negative weight {w}")
-            adjacency[k, l] = True
-        adjacency |= adjacency.T
+        weight = np.array(self.weight, dtype=float)
+        if weight.ndim != 2 or weight.shape[0] != weight.shape[1] or weight.size == 0:
+            raise ValueError(f"weight must be a non-empty square matrix, got {weight.shape}")
+        if not np.isnan(np.diagonal(weight)).all():
+            raise ValueError("weight diagonal must be NaN (no self-edges)")
+        if not np.array_equal(weight, weight.T, equal_nan=True):
+            raise ValueError("weight must be symmetric")
+        if (weight < 0).any():
+            raise ValueError("edge weights must be >= 0")
+        weight.setflags(write=False)
+        adjacency = ~np.isnan(weight)
         adjacency.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "adjacency", adjacency)
 
-    def neighbors(self, l: int) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.flatnonzero(self.adjacency[l]))
+    @property
+    def num_vertices(self) -> int:
+        return self.weight.shape[0]
 
-    def edge_keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, l) for k, l, _ in self.edges)
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return _edge_list(self.weight, self.adjacency)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        dsu = _DisjointSet(self.num_vertices)
-        for k, l, _ in self.edges:
-            dsu.union(k, l)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.num_vertices):
-            groups.setdefault(dsu.find(v), []).append(v)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        unseen = np.ones(self.num_vertices, dtype=bool)
+        groups = []
+        while unseen.any():
+            member = frontier = np.arange(self.num_vertices) == np.argmax(unseen)
+            while frontier.any():
+                frontier = self.adjacency[frontier].any(axis=0) & ~member
+                member = member | frontier
+            unseen &= ~member
+            groups.append(tuple(np.flatnonzero(member).tolist()))
+        return tuple(groups)
 
 
 @dataclass(frozen=True)
 class RootedTree:
     """Rooted maximum spanning forest of a topology graph.
 
-    One root per connected component (the component's lowest-index vertex);
-    ``parent[v]`` is -1 for roots, children are listed in ascending order,
-    and ``order`` is a breadth-first ordering in which every parent precedes
-    its children.
+    ``parent[v]`` is -1 for roots, one per connected component (its
+    lowest-index vertex). Derived from it: ``roots`` ascending, ``children``
+    of every vertex ascending, and ``order``, a per-root breadth-first
+    ordering in which every parent precedes its children.
     """
 
-    num_vertices: int
-    roots: tuple[int, ...]
     parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
     tree_edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        m = len(self.parent)
+        children: list[list[int]] = [[] for _ in range(m)]
+        roots = []
+        for v, p in enumerate(self.parent):
+            if not -1 <= p < m:
+                raise ValueError(f"parent of {v} is {p}, outside [-1, {m})")
+            (roots if p < 0 else children[p]).append(v)
         order = []
-        seen = set()
-        for root in self.roots:
-            queue = [root]
-            while queue:
-                v = queue.pop(0)
-                order.append(v)
-                seen.add(v)
-                queue.extend(self.children[v])
-        if len(order) != self.num_vertices or len(seen) != self.num_vertices:
+        for root in roots:
+            level = [root]
+            while level:
+                order.extend(level)
+                level = [k for v in level for k in children[v]]
+        if len(order) != m:
             raise ValueError("tree does not reach every vertex exactly once")
-        object.__setattr__(self, "_order", tuple(order))
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return self._order
+        object.__setattr__(self, "roots", tuple(roots))
+        object.__setattr__(self, "children", tuple(map(tuple, children)))
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def max_children(self) -> int:
@@ -118,31 +120,6 @@ class RootedTree:
         return math.fsum(w for _, _, w in self.tree_edges)
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def build_graph(
     instance: LinkInstance, threshold: float = DEFAULT_INR_EDGE_THRESHOLD
 ) -> TopologyGraph:
@@ -150,67 +127,61 @@ def build_graph(
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     peak = instance.inr.max(axis=(2, 3))
-    peak = np.maximum(peak, peak.T)
+    edge = np.maximum(peak, peak.T) > threshold
+    np.fill_diagonal(edge, False)
 
     # the largest change in interference power that flipping the pair's
     # relative spin causes in any of the four receive directions
     same, opposite = end_planes(instance.inr)
     diff = np.maximum(*(np.abs(o - s) for s, o in zip(same, opposite)))
-    weight = np.maximum(diff, diff.T)
-
-    edges = []
-    for k, l in zip(*np.nonzero(np.triu(peak > threshold, 1))):
-        edges.append((int(k), int(l), float(weight[k, l])))
-    return TopologyGraph(num_vertices=instance.num_links, edges=tuple(edges))
+    return TopologyGraph(np.where(edge, np.maximum(diff, diff.T), np.nan))
 
 
 def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
     """Maximum-weight spanning forest, rooted per component.
 
-    Kruskal on edges sorted by descending weight with ascending (k, l) as
-    the tie-break, so equal-weight choices are deterministic. Each
-    component is rooted at its lowest-index vertex; children are ordered
-    ascending.
+    Dense Prim. Edges rank by descending weight, then ascending (k, l); the
+    ranking is strict, so the forest is the unique maximum under it and
+    equal-weight choices are deterministic. Each component grows from its
+    lowest unvisited vertex, which is its root; a vertex's parent is the
+    tree vertex it joins through, so children come out ascending.
     """
-    dsu = _DisjointSet(graph.num_vertices)
-    kept: list[Edge] = []
-    for k, l, w in sorted(graph.edges, key=lambda e: (-e[2], e[0], e[1])):
-        if dsu.union(k, l):
-            kept.append((k, l, w))
+    m = graph.num_vertices
+    # a vertex's column is blanked when it joins, so no later row offers an edge to it
+    weight = np.array(graph.weight)
+    parent = np.full(m, -1)
+    unvisited = np.ones(m, dtype=bool)
+    # per outside vertex: the weight of its best edge into the tree and that edge's tree end
+    best = np.full(m, -np.inf)
+    via = np.full(m, -1)
+    for _ in range(m):
+        v = np.argmax(best)
+        if best[v] == -np.inf:
+            v = np.argmax(unvisited)  # component done: its lowest vertex roots the next
+        else:
+            top = np.flatnonzero(best == best[v])
+            if len(top) > 1:  # equal weights: the edge with the smallest (k, l)
+                lo, hi = np.minimum(top, via[top]), np.maximum(top, via[top])
+                v = top[np.argmin(lo * m + hi)]
+            parent[v], best[v] = via[v], -np.inf
+        unvisited[v] = False
+        weight[:, v] = np.nan
+        # equal weights into one vertex: the lower tree end has the smaller (k, l)
+        w = weight[v]
+        better = (w > best) | ((w == best) & (v < via))
+        np.copyto(best, w, where=better)
+        np.copyto(via, v, where=better)
 
-    adjacency: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for k, l, _ in kept:
-        adjacency[k].append(l)
-        adjacency[l].append(k)
+    child = np.flatnonzero(parent >= 0)
+    kept = np.zeros((m, m), dtype=bool)
+    kept[child, parent[child]] = kept[parent[child], child] = True
+    return RootedTree(tuple(parent.tolist()), _edge_list(graph.weight, kept))
 
-    comp_root: dict[int, int] = {}
-    for v in range(graph.num_vertices):
-        r = dsu.find(v)
-        comp_root[r] = min(comp_root.get(r, v), v)
-    roots = tuple(sorted(comp_root.values()))
 
-    parent = [-1] * graph.num_vertices
-    children: list[tuple[int, ...]] = [()] * graph.num_vertices
-    visited = [False] * graph.num_vertices
-    for root in roots:
-        visited[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            kids = tuple(u for u in sorted(adjacency[v]) if not visited[u])
-            children[v] = kids
-            for u in kids:
-                visited[u] = True
-                parent[u] = v
-            queue.extend(kids)
-
-    return RootedTree(
-        num_vertices=graph.num_vertices,
-        roots=roots,
-        parent=tuple(parent),
-        children=tuple(children),
-        tree_edges=tuple(sorted(kept)),
-    )
+def _edge_list(weight: np.ndarray, mask: np.ndarray) -> tuple[Edge, ...]:
+    """(k, l, weight) of every pair k < l set in the symmetric ``mask``, in (k, l) order."""
+    k, l = np.nonzero(np.triu(mask))
+    return tuple(zip(k.tolist(), l.tolist(), weight[k, l].tolist()))
 
 
 def check_spins(graph: TopologyGraph, spins) -> np.ndarray:
@@ -228,24 +199,26 @@ def check_spins(graph: TopologyGraph, spins) -> np.ndarray:
 def relative_from_spins(graph: TopologyGraph, spins) -> dict[tuple[int, int], int]:
     """Relative spin of every graph edge: XOR of the endpoint spins."""
     spins = check_spins(graph, spins)
-    return {(k, l): int(spins[k] ^ spins[l]) for k, l in graph.edge_keys()}
+    k, l = np.nonzero(np.triu(graph.adjacency))
+    bits = (spins[k] != spins[l]).astype(int)
+    return dict(zip(zip(k.tolist(), l.tolist()), bits.tolist()))
 
 
 def graph_to_json(graph: TopologyGraph) -> dict:
     return {
         "schema": GRAPH_SCHEMA,
         "num_vertices": graph.num_vertices,
-        "edges": [[k, l, w] for k, l, w in graph.edges],
+        "edges": list(map(list, graph.edges)),
     }
 
 
 def tree_to_json(tree: RootedTree) -> dict:
     return {
         "schema": TREE_SCHEMA,
-        "num_vertices": tree.num_vertices,
+        "num_vertices": len(tree.parent),
         "roots": list(tree.roots),
         "parent": list(tree.parent),
-        "edges": [[k, l, w] for k, l, w in tree.tree_edges],
+        "edges": list(map(list, tree.tree_edges)),
         "max_children": tree.max_children,
     }
 

@@ -8,6 +8,7 @@ of ``channel.end_planes``.
 import math
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,6 +42,103 @@ def random_instance(num_links, seed, link_mix=0.5, **overrides):
     return cfg, generate_instance(cfg, drop_seed=seed)
 
 
+def graph_from(num_vertices, edges) -> TopologyGraph:
+    """Graph from (k, l, weight) edges: the symmetric weight matrix, NaN elsewhere."""
+    weight = np.full((num_vertices, num_vertices), np.nan)
+    for k, l, w in edges:
+        weight[k, l] = weight[l, k] = w
+    return TopologyGraph(weight)
+
+
+def edge_keys(graph: TopologyGraph) -> tuple[tuple[int, int], ...]:
+    """(k, l) of every graph edge, in (k, l) order."""
+    return tuple((k, l) for k, l, _ in graph.edges)
+
+
+def neighbors(graph: TopologyGraph, l: int) -> list[int]:
+    """Graph neighbours of vertex l in ascending order."""
+    return np.flatnonzero(graph.adjacency[l]).tolist()
+
+
+class _DisjointSet:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
+
+
+def kruskal_forest(num_vertices, edges) -> SimpleNamespace:
+    """Per-edge oracle for ``maximum_spanning_tree`` and ``components``.
+
+    Kruskal with union-find over (k, l, weight) edges sorted by descending
+    weight, then ascending (k, l); each component is rooted at its lowest
+    vertex and walked breadth-first with children in ascending order.
+    Returns ``parent``, ``roots``, ``children``, ``order``, ``tree_edges``
+    (sorted by (k, l)) and ``components`` (sorted vertex tuples ordered by
+    minimum vertex).
+    """
+    dsu = _DisjointSet(num_vertices)
+    kept = []
+    for k, l, w in sorted(edges, key=lambda e: (-e[2], e[0], e[1])):
+        if dsu.union(k, l):
+            kept.append((k, l, w))
+
+    adjacency = [[] for _ in range(num_vertices)]
+    for k, l, _ in kept:
+        adjacency[k].append(l)
+        adjacency[l].append(k)
+
+    groups = {}
+    for v in range(num_vertices):
+        groups.setdefault(dsu.find(v), []).append(v)
+    components = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    roots = tuple(comp[0] for comp in components)
+
+    parent = [-1] * num_vertices
+    children = [()] * num_vertices
+    visited = [False] * num_vertices
+    order = []
+    for root in roots:
+        visited[root] = True
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            kids = tuple(u for u in sorted(adjacency[v]) if not visited[u])
+            children[v] = kids
+            for u in kids:
+                visited[u] = True
+                parent[u] = v
+            queue.extend(kids)
+
+    return SimpleNamespace(
+        parent=tuple(parent),
+        roots=roots,
+        children=tuple(children),
+        order=tuple(order),
+        tree_edges=tuple(sorted(kept)),
+        components=components,
+    )
+
+
 def enumerate_cycles(graph: TopologyGraph) -> list[list[int]]:
     """All simple cycles (length >= 3) of a small undirected graph.
 
@@ -52,7 +150,7 @@ def enumerate_cycles(graph: TopologyGraph) -> list[list[int]]:
 
     def extend(path: list[int]) -> None:
         head = path[-1]
-        for nxt in graph.neighbors(head):
+        for nxt in neighbors(graph, head):
             if nxt == path[0] and len(path) >= 3:
                 if path[1] < path[-1]:
                     cycles.append(path.copy())
@@ -79,22 +177,8 @@ def spanning_tree_weights(graph: TopologyGraph) -> list[float]:
     n = graph.num_vertices
     weights = []
     for subset in combinations(graph.edges, n - 1):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for k, l, _ in subset:
-            rk, rl = find(k), find(l)
-            if rk == rl:
-                acyclic = False
-                break
-            parent[rk] = rl
-        if acyclic:
+        dsu = _DisjointSet(n)
+        if all(dsu.union(k, l) for k, l, _ in subset):
             weights.append(math.fsum(w for _, _, w in subset))
     return weights
 
@@ -111,7 +195,7 @@ def exact_sinr(values, graph, l, spins):
     snr, inr = values.snr, values.inr
     den_lr = 1.0
     den_rl = 1.0
-    for k in graph.neighbors(l):
+    for k in neighbors(graph, l):
         lr, rl = _interference(inr, k, l, spins[k] ^ spins[l])
         den_lr += lr
         den_rl += rl
@@ -125,7 +209,7 @@ def approx_sinr(values, graph, tree, l, spins):
     tree_nbrs = set(tree.children[l]) | {tree.parent[l]}
     den_lr = 1.0
     den_rl = 1.0
-    for k in graph.neighbors(l):
+    for k in neighbors(graph, l):
         if k in tree_nbrs:
             lr, rl = _interference(inr, k, l, spins[k] ^ spins[l])
         else:

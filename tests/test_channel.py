@@ -122,6 +122,14 @@ def test_asymmetric_source_power_enters_interference():
     assert inr[0, 1, 1, 1] == pytest.approx(10.0, rel=1e-12)  # R source, d=50
 
 
+def test_interference_rejects_coincident_nodes():
+    positions, kinds = _square_layout()
+    positions[1, 0] = positions[0, 1]  # L1 placed on R0
+    cfg = ScenarioConfig(num_links=2, seed=0)
+    with pytest.raises(ValueError, match="coincide"):
+        interference_tensor(positions, kinds, np.ones((4, 4)), cfg)
+
+
 def test_instance_matches_formula_without_shadowing():
     cfg = ScenarioConfig(num_links=5, link_mix=0.4, shadow_sigma_db=0.0, seed=11)
     inst = generate_instance(cfg, drop_seed=2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,19 +8,22 @@ from helpers import (
     approx_sinr,
     build_instance,
     cycle_parity,
+    edge_keys,
     enumerate_cycles,
+    graph_from,
     random_instance,
     tree_brute_force,
     utility_of,
 )
 from spinopt.optimizer import (
+    CHILD_CAP_DEFAULT,
+    DP_STEP_BUDGET,
     exhaustive_search,
     mst_dp,
     random_spins,
 )
 from spinopt.sinr import UtilityKind, network_utility
 from spinopt.topology import (
-    TopologyGraph,
     build_graph,
     maximum_spanning_tree,
     relative_from_spins,
@@ -48,7 +52,7 @@ def all_assignment_utilities(inst, graph, kind):
 
 def test_exhaustive_single_link():
     inst = build_instance(np.zeros((1, 1, 2, 2)))
-    graph = TopologyGraph(num_vertices=1, edges=())
+    graph = graph_from(1, ())
     res = exhaustive_search(inst, graph, SUM_RATE)
     np.testing.assert_array_equal(res.spins, [0])
     assert res.objective_exact == pytest.approx(2 * math.log2(101), rel=1e-15)
@@ -56,7 +60,7 @@ def test_exhaustive_single_link():
 
 def test_exhaustive_zero_interference_ties_break_to_zero():
     inst = build_instance(np.zeros((3, 3, 2, 2)))
-    graph = TopologyGraph(num_vertices=3, edges=())
+    graph = graph_from(3, ())
     res = exhaustive_search(inst, graph, SUM_RATE)
     np.testing.assert_array_equal(res.spins, [0, 0, 0])
     assert res.objective_exact == pytest.approx(6 * math.log2(101), rel=1e-15)
@@ -120,7 +124,7 @@ def test_dp_matches_tree_brute_force():
 
 def test_dp_single_edge_picks_better_spin():
     inst, graph, tree = prepared(2, seed=1, threshold=1e-6)
-    assert graph.edge_keys() == ((0, 1),)
+    assert edge_keys(graph) == ((0, 1),)
     u = [network_utility(inst, graph, PF, np.array([0, b])) for b in (0, 1)]
     res = mst_dp(inst, graph, tree, PF)
     assert res.objective_exact == pytest.approx(max(u), rel=1e-12)
@@ -133,13 +137,13 @@ def test_dp_exact_when_graph_is_tree():
         inst, graph, tree = prepared(7, seed=seed)
         keep = {(k, l) for k, l, _ in tree.tree_edges}
         pruned_inr = inst.inr.copy()
-        for k, l in graph.edge_keys():
+        for k, l in edge_keys(graph):
             if (k, l) not in keep:
                 pruned_inr[k, l] = 0.0
                 pruned_inr[l, k] = 0.0
         pruned = build_instance(pruned_inr, snr=inst.snr.copy(), kinds=inst.kinds.copy())
         graph2 = build_graph(pruned, threshold=0.01)
-        assert set(graph2.edge_keys()) <= keep
+        assert set(edge_keys(graph2)) <= keep
         tree2 = maximum_spanning_tree(graph2)
         dp = mst_dp(pruned, graph2, tree2, PF)
         exh = exhaustive_search(pruned, graph2, PF)
@@ -172,6 +176,31 @@ def test_dp_refuses_wide_vertices():
     with pytest.raises(ValueError, match="children"):
         mst_dp(inst, graph, tree, SUM_RATE, child_cap=4)
 
+    # the default cap refuses one child more than its memory budget admits
+    star = graph_from(
+        CHILD_CAP_DEFAULT + 2, [(0, leaf, 1.0) for leaf in range(1, CHILD_CAP_DEFAULT + 2)]
+    )
+    inst = build_instance(np.zeros((star.num_vertices,) * 2 + (2, 2)))
+    with pytest.raises(ValueError, match="children"):
+        mst_dp(inst, star, maximum_spanning_tree(star), SUM_RATE)
+
+
+def test_dp_step_at_default_cap_fits_memory_budget():
+    # vertex 1 hangs below root 0 and has CHILD_CAP_DEFAULT leaves, so its
+    # step enumerates the widest admitted rows once per parent-edge spin
+    m = CHILD_CAP_DEFAULT + 2
+    broom = graph_from(m, [(0, 1, 2.0)] + [(1, leaf, 1.0) for leaf in range(2, m)])
+    tree = maximum_spanning_tree(broom)
+    assert tree.max_children == CHILD_CAP_DEFAULT
+    inst = build_instance(np.full((m, m, 2, 2), 0.5))
+    tracemalloc.start()
+    try:
+        mst_dp(inst, broom, tree, PF)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= DP_STEP_BUDGET
+
 
 def test_dp_value_is_exact_under_extreme_inr_asymmetry():
     # close-range interferer: one end hits at ~1e8, the other near 1; a
@@ -182,7 +211,7 @@ def test_dp_value_is_exact_under_extreme_inr_asymmetry():
     inr[1, 0, 1, 0] = 3.3e7
     inr[1, 0, 0, 0] = 1.1
     inst = build_instance(inr)
-    graph = TopologyGraph(num_vertices=2, edges=((0, 1, 1e8),))
+    graph = graph_from(2, ((0, 1, 1e8),))
     tree = maximum_spanning_tree(graph)
     for kind in (SUM_RATE, PF):
         dp = mst_dp(inst, graph, tree, kind)
@@ -199,7 +228,7 @@ def test_batch_utilities_are_exact_under_extreme_inr_asymmetry():
     inr[2, 0, 1, 0] = 4.5e6
     inr[2, 0, 0, 0] = 1.7
     inst = build_instance(inr)
-    graph = TopologyGraph(num_vertices=3, edges=((0, 1, 1e7), (0, 2, 1e6)))
+    graph = graph_from(3, ((0, 1, 1e7), (0, 2, 1e6)))
     batch = np.array(
         [[(code >> (2 - j)) & 1 for j in range(3)] for code in range(8)], dtype=np.int8
     )
@@ -244,7 +273,7 @@ def test_random_spins_deterministic_and_fair():
 
 def test_random_spins_zero_interference_matches_exhaustive():
     inst = build_instance(np.zeros((4, 4, 2, 2)))
-    graph = TopologyGraph(num_vertices=4, edges=())
+    graph = graph_from(4, ())
     rnd = random_spins(inst, graph, SUM_RATE, seed=3)
     exh = exhaustive_search(inst, graph, SUM_RATE)
     assert rnd.objective_exact == exh.objective_exact
@@ -297,7 +326,7 @@ def test_result_json_shape():
     data = res.to_json(graph)
     assert data["algorithm"] == "mst_dp"
     assert data["relative_spins"] == {
-        f"{k}-{l}": int(res.spins[k] ^ res.spins[l]) for k, l in graph.edge_keys()
+        f"{k}-{l}": int(res.spins[k] ^ res.spins[l]) for k, l in edge_keys(graph)
     }
     assert "elapsed_s" in data
     assert "elapsed_s" not in res.to_json(graph, include_timing=False)
@@ -306,7 +335,7 @@ def test_result_json_shape():
 def test_pf_with_dead_link_returns_zero_assignment_with_warning():
     inr = np.zeros((2, 2, 2, 2))
     inst = build_instance(inr, snr=np.array([[0.0, 0.0], [100.0, 100.0]]))
-    graph = TopologyGraph(num_vertices=2, edges=((0, 1, 1.0),))
+    graph = graph_from(2, ((0, 1, 1.0),))
     tree = maximum_spanning_tree(graph)
     for res in (
         exhaustive_search(inst, graph, PF),

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from helpers import (
     build_instance,
     exact_sinr,
+    graph_from,
+    kruskal_forest,
     random_instance,
     rates_of,
     tree_brute_force,
@@ -43,6 +45,39 @@ def networks(draw, max_links=7):
     tree = maximum_spanning_tree(graph)
     spins = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.int8)
     return inst, graph, tree, spins
+
+
+@st.composite
+def weighted_graphs(draw, max_vertices=10):
+    """(num_vertices, edges): random graphs of every density, disconnected
+    ones included, whose weights take at most three values so ties are common."""
+    m = draw(st.integers(1, max_vertices))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=3))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [
+        (k, l, float(rng.choice(levels)))
+        for k in range(m)
+        for l in range(k + 1, m)
+        if rng.random() < density
+    ]
+    return m, edges
+
+
+@PROPERTY
+@given(weighted_graphs())
+def test_spanning_forest_equals_kruskal_oracle(graph_edges):
+    m, edges = graph_edges
+    graph = graph_from(m, edges)
+    tree = maximum_spanning_tree(graph)
+    oracle = kruskal_forest(m, edges)
+    assert graph.edges == tuple(sorted(edges))
+    assert graph.components() == oracle.components
+    assert tree.parent == oracle.parent
+    assert tree.roots == oracle.roots
+    assert tree.children == oracle.children
+    assert tree.order == oracle.order
+    assert tree.tree_edges == oracle.tree_edges
 
 
 @PROPERTY

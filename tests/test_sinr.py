@@ -7,6 +7,7 @@ from helpers import (
     approx_sinr,
     build_instance,
     exact_sinr,
+    graph_from,
     random_instance,
     rates_of,
     utility_of,
@@ -21,7 +22,6 @@ from spinopt.sinr import (
     two_way_rates,
 )
 from spinopt.topology import (
-    TopologyGraph,
     build_graph,
     maximum_spanning_tree,
 )
@@ -38,13 +38,13 @@ def two_link_instance():
     inr[1, 0, 1, 0] = 2.0  # R1 -> L0
     inr[1, 0, 0, 0] = 6.0  # L1 -> L0
     inst = build_instance(inr)
-    graph = TopologyGraph(num_vertices=2, edges=((0, 1, 5.0),))
+    graph = graph_from(2, ((0, 1, 5.0),))
     return inst, graph
 
 
 def test_isolated_link_sinr_equals_snr():
     inst = build_instance(np.zeros((2, 2, 2, 2)))
-    graph = TopologyGraph(num_vertices=2, edges=())
+    graph = graph_from(2, ())
     s = exact_sinr(inst, graph, 0, np.array([0, 1]))
     assert s == (100.0, 100.0)
 
@@ -119,7 +119,7 @@ def test_approx_sinr_uses_exact_terms_for_tree_neighbors():
     inr[1, 0, 1, 1] = 9.0
     inr[2, 0, 0, 1] = 1.0
     inst = build_instance(inr)
-    graph = TopologyGraph(num_vertices=3, edges=((0, 1, 5.0), (0, 2, 1.0), (1, 2, 0.5)))
+    graph = graph_from(3, ((0, 1, 5.0), (0, 2, 1.0), (1, 2, 0.5)))
     tree = maximum_spanning_tree(graph)
     assert [(k, l) for k, l, _ in tree.tree_edges] == [(0, 1), (0, 2)]
     # vertex 1: edge to 0 is tree, edge to 2 is the pruned chord
@@ -133,7 +133,7 @@ def test_approx_contribution_is_average_of_both_ends():
     inr[2, 1, 0, 1] = 4.0  # L2 -> R1
     inr[2, 1, 1, 1] = 9.0  # R2 -> R1
     inst = build_instance(inr)
-    graph = TopologyGraph(num_vertices=3, edges=((0, 1, 5.0), (0, 2, 4.0), (1, 2, 0.5)))
+    graph = graph_from(3, ((0, 1, 5.0), (0, 2, 4.0), (1, 2, 0.5)))
     tree = maximum_spanning_tree(graph)
     assert tree.parent == (-1, 0, 0)  # (1, 2) is the chord
     s = approx_sinr(inst, graph, tree, 1, np.array([0, 1, 0]))
@@ -164,7 +164,7 @@ def test_approx_equals_exact_for_spin_indifferent_chord():
     inr[2, 1, 1, 0] = 3.0
     inr[2, 1, 0, 0] = 3.0
     inst = build_instance(inr)
-    graph = TopologyGraph(num_vertices=3, edges=((0, 1, 5.0), (0, 2, 4.0), (1, 2, 0.0)))
+    graph = graph_from(3, ((0, 1, 5.0), (0, 2, 4.0), (1, 2, 0.0)))
     tree = maximum_spanning_tree(graph)
     assert tree.parent == (-1, 0, 0)  # (1, 2) is the chord
     for code in range(4):  # both values of the chord's relative spin
@@ -193,7 +193,7 @@ def test_network_utility_two_links_by_hand():
 
 def test_network_utility_zero_interference_is_sum_of_isolated():
     inst = build_instance(np.zeros((3, 3, 2, 2)))
-    graph = TopologyGraph(num_vertices=3, edges=())
+    graph = graph_from(3, ())
     value = network_utility(inst, graph, SUM_RATE, np.zeros(3, dtype=np.int8))
     assert value == pytest.approx(6 * math.log2(101), rel=1e-15)
 

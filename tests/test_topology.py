@@ -4,8 +4,10 @@ import pytest
 from helpers import (
     build_instance,
     cycle_parity,
+    edge_keys,
     edge_weight,
     enumerate_cycles,
+    graph_from,
     random_instance,
     spanning_tree_weights,
 )
@@ -20,10 +22,6 @@ from spinopt.topology import (
     relative_from_spins,
     tree_to_json,
 )
-
-
-def graph_from(num_vertices, weighted_edges):
-    return TopologyGraph(num_vertices=num_vertices, edges=tuple(weighted_edges))
 
 
 def tree_keys(tree):
@@ -56,19 +54,35 @@ def dp_with_tree_spins(num_links, tree_spins, chords=()):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        graph_from(3, [(1, 0, 1.0)])  # not ordered
-    with pytest.raises(ValueError):
-        graph_from(3, [(0, 1, 1.0), (0, 1, 2.0)])  # duplicate
-    with pytest.raises(ValueError):
-        graph_from(2, [(0, 2, 1.0)])  # out of range
-    g = graph_from(4, [(0, 2, 1.0), (0, 1, 2.0)])
-    assert g.neighbors(0) == (1, 2)
+    with pytest.raises(ValueError, match="square"):
+        TopologyGraph(np.full((2, 3), np.nan))
+    with pytest.raises(ValueError, match="square"):
+        TopologyGraph(np.full((0, 0), np.nan))
+    with pytest.raises(ValueError, match="diagonal"):
+        TopologyGraph(np.zeros((2, 2)))  # self-edges
+    one_way = np.full((3, 3), np.nan)
+    one_way[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        TopologyGraph(one_way)  # edge present in one direction only
+    one_way[1, 0] = 2.0
+    with pytest.raises(ValueError, match="symmetric"):
+        TopologyGraph(one_way)  # two weights for one edge
+    with pytest.raises(ValueError, match=">= 0"):
+        graph_from(2, [(0, 1, -1.0)])
+
+    weight = np.full((4, 4), np.nan)
+    weight[[0, 2, 0, 1], [2, 0, 1, 0]] = [1.0, 1.0, 2.0, 2.0]
+    g = TopologyGraph(weight)
+    weight[0, 2] = weight[2, 0] = 7.0  # the graph keeps its own copy
+    assert g.num_vertices == 4
     assert g.edges == ((0, 1, 2.0), (0, 2, 1.0))
     expected = np.zeros((4, 4), dtype=bool)
     expected[[0, 1, 0, 2], [1, 0, 2, 0]] = True
     np.testing.assert_array_equal(g.adjacency, expected)
     assert g.components() == ((0, 1, 2), (3,))
+    for name in ("weight", "adjacency"):
+        with pytest.raises(ValueError):
+            getattr(g, name)[0, 3] = 1.0  # read-only
 
 
 def test_no_interference_means_no_edges():
@@ -84,7 +98,7 @@ def test_three_mutually_interfering_links_form_triangle():
             if k != l:
                 inr[k, l] = 1.0
     g = build_graph(build_instance(inr), threshold=0.01)
-    assert g.edge_keys() == ((0, 1), (0, 2), (1, 2))
+    assert edge_keys(g) == ((0, 1), (0, 2), (1, 2))
 
 
 def test_single_pair_above_threshold():
@@ -92,14 +106,14 @@ def test_single_pair_above_threshold():
     inr[0, 1] = 0.005  # below
     inr[1, 2, 1, 0] = 0.5  # single directed path above
     g = build_graph(build_instance(inr), threshold=0.01)
-    assert g.edge_keys() == ((1, 2),)
+    assert edge_keys(g) == ((1, 2),)
 
 
 def test_threshold_monotonicity():
     _, inst = random_instance(8, seed=42)
-    low = set(build_graph(inst, threshold=0.001).edge_keys())
-    mid = set(build_graph(inst, threshold=0.01).edge_keys())
-    high = set(build_graph(inst, threshold=1.0).edge_keys())
+    low = set(edge_keys(build_graph(inst, threshold=0.001)))
+    mid = set(edge_keys(build_graph(inst, threshold=0.01)))
+    high = set(edge_keys(build_graph(inst, threshold=1.0)))
     assert high <= mid <= low
 
 
@@ -194,7 +208,7 @@ def test_complete_relative_spins_zero_parity():
     g, t, dp = dp_with_tree_spins(3, {(0, 1): 0, (0, 2): 0}, chords=[(1, 2)])
     np.testing.assert_array_equal(dp.spins, [0, 0, 0])
     assert set(relative_from_spins(g, dp.spins).values()) == {0}
-    assert set(relative_from_spins(g, dp.spins)) == set(g.edge_keys())
+    assert set(relative_from_spins(g, dp.spins)) == set(edge_keys(g))
 
 
 def test_complete_relative_spins_triangle_chord():
