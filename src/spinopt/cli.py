@@ -12,25 +12,28 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import channel, evaluation, optimizer, topology
 from .sinr import UtilityKind
 
 CONFIG_SCHEMA = "spinopt.config/1"
-_EXPERIMENT_KEYS = {
-    "algorithms",
-    "num_drops",
-    "frames_per_drop",
-    "utility",
-    "bandwidth_hz",
-    "percentile_q",
-    "master_seed",
-    "fading",
-    "exhaustive_cap",
+_SECTION_KEYS = {
+    "scenario": {f.name for f in fields(channel.ScenarioConfig)},
+    "experiment": {
+        "algorithms",
+        "num_drops",
+        "frames_per_drop",
+        "utility",
+        "bandwidth_hz",
+        "percentile_q",
+        "master_seed",
+        "fading",
+        "exhaustive_cap",
+    },
+    "sweep": {"parameter", "values"},
 }
-_SWEEP_KEYS = {"parameter", "values"}
 _SWEEP_PARAMETERS = ("num_links", "link_mix")
 
 
@@ -46,9 +49,24 @@ def _load_config(path: str) -> dict:
         raise ValueError(
             f"config {path}: expected \"schema\": \"{CONFIG_SCHEMA}\", got {data.get('schema')!r}"
         )
-    unknown = set(data) - {"schema", "scenario", "experiment", "sweep"}
+    unknown = set(data) - {"schema", *_SECTION_KEYS}
     if unknown:
         raise ValueError(f"config {path}: unknown top-level key(s) {sorted(unknown)}")
+    # the one config contract of every command
+    for name, keys in _SECTION_KEYS.items():
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config {path}: section {name!r} must be a JSON object")
+        if set(section) - keys:
+            raise ValueError(f"unknown {name} key(s) {sorted(set(section) - keys)}")
+    if "sweep" in data:
+        parameter, values = data["sweep"].get("parameter"), data["sweep"].get("values")
+        if parameter not in _SWEEP_PARAMETERS:
+            raise ValueError(
+                f"sweep key 'parameter' must be one of {_SWEEP_PARAMETERS}, got {parameter!r}"
+            )
+        if not isinstance(values, list) or not values:
+            raise ValueError("sweep key 'values' must be a non-empty list")
     return data
 
 
@@ -66,9 +84,6 @@ def _experiment_from(
     algorithms_override: tuple[str, ...] | None,
 ) -> evaluation.ExperimentConfig:
     section = dict(data.get("experiment", {}))
-    unknown = set(section) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ValueError(f"unknown experiment key(s) {sorted(unknown)}")
     if "utility" in section:
         try:
             section["utility"] = UtilityKind(section["utility"])
@@ -171,10 +186,7 @@ def _cmd_optimize(args) -> int:
             "num_links": instance.num_links,
             "graph": topology.graph_to_json(graph),
             "tree": topology.tree_to_json(tree),
-            "results": {
-                name: res.to_json(graph, include_timing=False)
-                for name, res in results.items()
-            },
+            "results": {name: res.to_json(graph) for name, res in results.items()},
         },
     )
     _write_meta(
@@ -226,20 +238,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     data = _load_config(args.config)
-    section = data.get("sweep")
-    if not section:
+    if "sweep" not in data:
         raise ValueError("sweep command needs a 'sweep' section in the config")
-    unknown = set(section) - _SWEEP_KEYS
-    if unknown:
-        raise ValueError(f"unknown sweep key(s) {sorted(unknown)}")
-    parameter = section.get("parameter")
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ValueError(
-            f"sweep key 'parameter' must be one of {_SWEEP_PARAMETERS}, got {parameter!r}"
-        )
-    values = section.get("values")
-    if not isinstance(values, list) or not values:
-        raise ValueError("sweep key 'values' must be a non-empty list")
+    parameter, values = data["sweep"]["parameter"], data["sweep"]["values"]
 
     scenario = _scenario_from(data, args.seed)
     base = _experiment_from(data, scenario, args.seed, _parse_algorithms(args.algorithms))

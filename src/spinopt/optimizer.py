@@ -29,23 +29,23 @@ from .topology import RootedTree, TopologyGraph, relative_from_spins
 
 EXHAUSTIVE_CAP_DEFAULT = 20
 
-# Memory budget of one vertex's DP step. A vertex with D children enumerates
-# R = 2**D child-edge spin rows. Building the boolean bit matrix holds the
-# int64 codes and masked codes (8R + 8DR bytes) beside the bits (DR); the
-# step then holds the bits, the message sums and a temporary (16R), and the
-# (2, R, 2) float64 denominators with two same-shaped temporaries while
-# taking rates (96R). The default child cap is the largest D that fits.
+# Memory budget of one vertex's DP step. A vertex with D children ends with
+# R = 2**D child-edge spin rows. Per row, taking rates holds the (2, R, 2)
+# float64 denominators (32 B), the 1 + snr/den temporary and the log2 rates
+# of the same shape (64 B) and the message sums (8 B); a doubling holds
+# at most 60 B (old and new denominators and message sums). The child cap is
+# the largest D whose rows fit the budget.
 DP_STEP_BUDGET = 64 << 20
-
-
-def _dp_step_bytes(nbits: int) -> int:
-    rows = 1 << nbits
-    return rows * max(8 + 9 * nbits, nbits + 112)
-
-
-CHILD_CAP_DEFAULT = max(d for d in range(32) if _dp_step_bytes(d) <= DP_STEP_BUDGET)
+_DP_ROW_BYTES = 104
+CHILD_CAP = (DP_STEP_BUDGET // _DP_ROW_BYTES).bit_length() - 1
 
 _BATCH = 1 << 13
+
+# The exhaustive screen sums denominators in another order than
+# network_utility and uses numpy's logarithms: a rate differs by at most
+# ~(M + 2) eps / ln 2 + 2 ulp and a utility by < 1e-11 * max(1, |utility|)
+# for M <= 20, unless proportional fairness meets a rate below ~1e-3.
+_SCREEN_MARGIN = 1e-9
 
 RESULT_SCHEMA = "spinopt.result/1"
 
@@ -66,10 +66,10 @@ class OptimizationResult:
     elapsed_s: float
     warning: str | None = None
 
-    def to_json(self, graph: TopologyGraph, include_timing: bool = True) -> dict:
-        """JSON view; ``relative_spins`` lists the XOR of ``spins`` per graph edge."""
+    def to_json(self, graph: TopologyGraph) -> dict:
+        """JSON view (no timing); ``relative_spins`` is the XOR of ``spins`` per edge."""
         relative = relative_from_spins(graph, self.spins)
-        data = {
+        return {
             "algorithm": self.algorithm,
             "spins": [int(s) for s in self.spins],
             "relative_spins": {f"{k}-{l}": b for (k, l), b in relative.items()},
@@ -77,9 +77,6 @@ class OptimizationResult:
             "objective_approx": self.objective_approx,
             "warning": self.warning,
         }
-        if include_timing:
-            data["elapsed_s"] = self.elapsed_s
-        return data
 
 
 def _rates_to_utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
@@ -111,6 +108,11 @@ def _spin_batch_utilities(
     return _rates_to_utilities(rates, kind)
 
 
+def _screen_floor(best: float) -> float:
+    """Lowest screened utility that may still be the exact maximum."""
+    return best - _SCREEN_MARGIN * max(1.0, abs(best)) if best > -np.inf else np.inf
+
+
 def exhaustive_search(
     instance: LinkInstance,
     graph: TopologyGraph,
@@ -121,8 +123,10 @@ def exhaustive_search(
 
     Fixes the lowest-index vertex of every connected component to spin 0 and
     enumerates all remaining assignments, so a connected graph costs
-    2**(M-1) evaluations. Ties go to the lexicographically smallest spin
-    vector. Refuses M above ``cap``.
+    2**(M-1) evaluations. A batched kernel screens them; the ones within
+    ``_SCREEN_MARGIN`` of the best are re-ranked by ``network_utility``, so
+    the spins maximize the reported objective. Ties go to the
+    lexicographically smallest spin vector. Refuses M above ``cap``.
     """
     t_start = time.perf_counter()
     m = graph.num_vertices
@@ -135,8 +139,8 @@ def exhaustive_search(
     free = [v for v in range(m) if v not in fixed]
     nbits = len(free)
 
-    best_value = -np.inf
-    best_spins = np.zeros(m, dtype=np.int8)
+    top = -np.inf
+    screened, near_spins = [], []
     for start in range(0, 1 << nbits, _BATCH):
         count = min(_BATCH, (1 << nbits) - start)
         codes = np.arange(start, start + count, dtype=np.int64)
@@ -144,29 +148,28 @@ def exhaustive_search(
         for j, v in enumerate(free):
             batch[:, v] = (codes >> (nbits - 1 - j)) & 1
         utilities = _spin_batch_utilities(instance, graph, kind, batch)
-        i = int(np.argmax(utilities))
-        if utilities[i] > best_value:
-            best_value = float(utilities[i])
-            best_spins = batch[i].copy()
+        top = max(top, float(utilities.max()))
+        near = utilities >= _screen_floor(top)
+        screened.append(utilities[near])
+        near_spins.append(batch[near])
 
-    warning = None
-    if best_value == -np.inf:
+    # re-rank the near-best assignments by the objective that is reported
+    candidates = np.concatenate(near_spins)[np.concatenate(screened) >= _screen_floor(top)]
+    exact = [network_utility(instance, graph, kind, spins) for spins in candidates]
+    if exact:
+        best_spins, objective, warning = candidates[np.argmax(exact)], max(exact), None
+    else:
+        best_spins = np.zeros(m, dtype=np.int8)
+        objective = network_utility(instance, graph, kind, best_spins)
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
         algorithm="exhaustive",
         spins=best_spins,
-        objective_exact=network_utility(instance, graph, kind, best_spins),
+        objective_exact=objective,
         objective_approx=None,
         elapsed_s=time.perf_counter() - t_start,
         warning=warning,
     )
-
-
-def _bit_matrix(nbits: int) -> np.ndarray:
-    """(2**nbits, nbits) boolean bit patterns; row index == bits read MSB-first."""
-    codes = np.arange(1 << nbits, dtype=np.int64)
-    masks = 1 << np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    return (codes[:, None] & masks) != 0
 
 
 def mst_dp(
@@ -174,7 +177,6 @@ def mst_dp(
     graph: TopologyGraph,
     tree: RootedTree,
     kind: UtilityKind,
-    child_cap: int = CHILD_CAP_DEFAULT,
 ) -> OptimizationResult:
     """Spanning-forest pruning plus max-sum dynamic programming.
 
@@ -191,13 +193,15 @@ def mst_dp(
     pairs whose two INR values differ by orders of magnitude stay exact.
     """
     t_start = time.perf_counter()
-    if tree.max_children > child_cap:
+    if tree.max_children > CHILD_CAP:
         raise ValueError(
             f"tree DP refused: a vertex has {tree.max_children} children, cap is "
-            f"{child_cap} (2**children combinations per vertex)"
+            f"{CHILD_CAP} (2**children combinations per vertex)"
         )
     m = graph.num_vertices
-    same, opposite = (np.stack(planes, axis=-1) for planes in end_planes(instance.inr))
+    # pick[k, l, edge spin, direction]: the INR k adds at l's receivers
+    pick = np.stack([np.stack(planes, axis=-1) for planes in end_planes(instance.inr)], axis=2)
+    same, opposite = pick[:, :, 0], pick[:, :, 1]
     parent = np.array(tree.parent)
     child = np.flatnonzero(parent >= 0)
     in_tree = np.zeros((m, m), dtype=bool)
@@ -207,25 +211,20 @@ def mst_dp(
     base = denominators((same + opposite) / 2.0 * chords)  # (M, 2): noise + chords
 
     # mu[v, b]: best subtree utility of v given its parent-edge spin b;
-    # best_row[v, b]: the child-edge spin pattern (a _bit_matrix row) achieving it
+    # best_row[v, b]: the child-edge spins achieving it, first child in the
+    # most significant bit
     mu = np.zeros((m, 2))
     best_row = np.zeros((m, 2), dtype=np.int64)
     root_values = []
     for l in reversed(tree.order):
-        kids = tree.children[l]
-        bits = _bit_matrix(len(kids))
-        message_sum = np.zeros(len(bits))
-        for j, k in enumerate(kids):
-            message_sum += np.where(bits[:, j], mu[k, 1], mu[k, 0])
-
         p = tree.parent[l]
-        if p < 0:
-            starts = base[l][None, :]
-        else:
-            starts = np.stack((base[l] + same[p, l], base[l] + opposite[p, l]))
-        den = np.repeat(starts[:, None, :], len(bits), axis=1)  # (parent spin, row, direction)
-        for j, k in enumerate(kids):
-            den += np.where(bits[:, j, None], opposite[k, l], same[k, l])
+        # den[parent spin, row, direction]; each child doubles the rows and
+        # its edge spin becomes the lowest bit of the row index
+        den = (base[l] + pick[p, l] if p >= 0 else base[l][None])[:, None, :]
+        message_sum = np.zeros(1)
+        for k in tree.children[l]:
+            den = (den[:, :, None, :] + pick[k, l]).reshape(len(den), -1, 2)
+            message_sum = np.add.outer(message_sum, mu[k]).ravel()
         rates = np.log2(1.0 + instance.snr[l] / den)
         local = rates[..., 0] + rates[..., 1]
         if kind is UtilityKind.PROPORTIONAL_FAIRNESS:

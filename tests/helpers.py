@@ -37,6 +37,19 @@ def build_instance(inr, snr=None, kinds=None) -> LinkInstance:
     )
 
 
+def cyclic_instance(shifts, snr) -> LinkInstance:
+    """Cyclically symmetric instance: ``inr[l, k] = shifts[(k - l) % M]`` for
+    an (M, 2, 2) ``shifts`` whose entry 0 is ignored, equal SNR everywhere.
+
+    Rotating every spin by one link maps the instance onto itself, so many
+    assignments tie up to rounding."""
+    shifts = np.array(shifts, dtype=float)
+    shifts[0] = 0.0
+    m = len(shifts)
+    offsets = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    return build_instance(shifts[offsets], snr=np.full((m, 2), float(snr)))
+
+
 def random_instance(num_links, seed, link_mix=0.5, **overrides):
     cfg = ScenarioConfig(num_links=num_links, link_mix=link_mix, seed=seed, **overrides)
     return cfg, generate_instance(cfg, drop_seed=seed)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from spinopt.channel import load_instance
 from spinopt.cli import main
 
@@ -182,6 +184,29 @@ def test_rejects_unknown_experiment_key(tmp_path, capsys):
     )
     assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "oops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "sections, bad_key",
+    [
+        ({"experiment": {"num_dropz": 1}}, "num_dropz"),
+        ({"sweep": {"parameter": "num_links", "valuez": [2]}}, "valuez"),
+        ({"sweep": {"parameter": "area", "values": [2]}}, "area"),
+        ({"experiment": ["num_drops"]}, "experiment"),
+    ],
+)
+def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, sections, bad_key):
+    good = {
+        "experiment": {"num_drops": 1, "frames_per_drop": 1},
+        "sweep": {"parameter": "num_links", "values": [2]},
+    }
+    cfg = write_config(tmp_path, scenario={"num_links": 2, "seed": 1}, **{**good, **sections})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command in ("evaluate", "sweep"):
+        argv += ["--threads", "1"]
+    assert main(argv) == 1
+    assert bad_key in capsys.readouterr().err
 
 
 def test_rejects_wrong_schema_tag(tmp_path, capsys):

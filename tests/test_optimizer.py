@@ -8,6 +8,7 @@ from helpers import (
     approx_sinr,
     build_instance,
     cycle_parity,
+    cyclic_instance,
     edge_keys,
     enumerate_cycles,
     graph_from,
@@ -16,7 +17,7 @@ from helpers import (
     utility_of,
 )
 from spinopt.optimizer import (
-    CHILD_CAP_DEFAULT,
+    CHILD_CAP,
     DP_STEP_BUDGET,
     exhaustive_search,
     mst_dp,
@@ -73,6 +74,24 @@ def test_exhaustive_matches_full_enumeration(kind):
         res = exhaustive_search(inst, graph, kind)
         oracle = max(all_assignment_utilities(inst, graph, kind))
         assert res.objective_exact == pytest.approx(oracle, rel=1e-12)
+
+
+def test_exhaustive_maximizes_the_objective_it_reports():
+    # the batched screen ranks [0, 0, 1] first, but its exact
+    # utility is one ulp below the tied [0, 1, 0] and [0, 1, 1]
+    shifts = [
+        np.zeros((2, 2)),
+        [[0.13464823523303174, 29.384536217762108], [1.7625932885228994, 30.861139369028344]],
+        [[0.10711830265116751, 1.2449114841648306], [0.17214329497778144, 9.074939303745667]],
+    ]
+    inst = cyclic_instance(shifts, snr=15.297580473558767)
+    graph = build_graph(inst, threshold=0.01)
+    best = max(all_assignment_utilities(inst, graph, SUM_RATE))
+    res = exhaustive_search(inst, graph, SUM_RATE)
+    np.testing.assert_array_equal(res.spins, [0, 1, 0])
+    assert res.objective_exact == best == 11.54401887028603
+    dp = mst_dp(inst, graph, maximum_spanning_tree(graph), SUM_RATE)
+    assert res.objective_exact >= dp.objective_exact
 
 
 def test_exhaustive_result_is_self_consistent():
@@ -166,32 +185,22 @@ def test_dp_spin_indifferent_star():
 
 
 def test_dp_refuses_wide_vertices():
-    inr = np.zeros((6, 6, 2, 2))
-    for leaf in range(1, 6):
-        inr[leaf, 0, 0, 1] = 5.0 + leaf
-    inst = build_instance(inr)
-    graph = build_graph(inst, threshold=0.01)
-    tree = maximum_spanning_tree(graph)
-    assert tree.max_children == 5
-    with pytest.raises(ValueError, match="children"):
-        mst_dp(inst, graph, tree, SUM_RATE, child_cap=4)
-
-    # the default cap refuses one child more than its memory budget admits
-    star = graph_from(
-        CHILD_CAP_DEFAULT + 2, [(0, leaf, 1.0) for leaf in range(1, CHILD_CAP_DEFAULT + 2)]
-    )
+    # the cap refuses one child more than its memory budget admits
+    star = graph_from(CHILD_CAP + 2, [(0, leaf, 1.0) for leaf in range(1, CHILD_CAP + 2)])
+    tree = maximum_spanning_tree(star)
+    assert tree.max_children == CHILD_CAP + 1
     inst = build_instance(np.zeros((star.num_vertices,) * 2 + (2, 2)))
     with pytest.raises(ValueError, match="children"):
-        mst_dp(inst, star, maximum_spanning_tree(star), SUM_RATE)
+        mst_dp(inst, star, tree, SUM_RATE)
 
 
-def test_dp_step_at_default_cap_fits_memory_budget():
-    # vertex 1 hangs below root 0 and has CHILD_CAP_DEFAULT leaves, so its
-    # step enumerates the widest admitted rows once per parent-edge spin
-    m = CHILD_CAP_DEFAULT + 2
+def test_dp_step_at_cap_fits_memory_budget():
+    # vertex 1 hangs below root 0 and has CHILD_CAP leaves, so its step
+    # enumerates the widest admitted rows once per parent-edge spin
+    m = CHILD_CAP + 2
     broom = graph_from(m, [(0, 1, 2.0)] + [(1, leaf, 1.0) for leaf in range(2, m)])
     tree = maximum_spanning_tree(broom)
-    assert tree.max_children == CHILD_CAP_DEFAULT
+    assert tree.max_children == CHILD_CAP
     inst = build_instance(np.full((m, m, 2, 2), 0.5))
     tracemalloc.start()
     try:
@@ -328,8 +337,7 @@ def test_result_json_shape():
     assert data["relative_spins"] == {
         f"{k}-{l}": int(res.spins[k] ^ res.spins[l]) for k, l in edge_keys(graph)
     }
-    assert "elapsed_s" in data
-    assert "elapsed_s" not in res.to_json(graph, include_timing=False)
+    assert "elapsed_s" not in data
 
 
 def test_pf_with_dead_link_returns_zero_assignment_with_warning():

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    approx_sinr,
     build_instance,
+    cyclic_instance,
     exact_sinr,
     graph_from,
     kruskal_forest,
@@ -29,14 +31,19 @@ KINDS = st.sampled_from(list(UtilityKind))
 
 @st.composite
 def networks(draw, max_links=7):
-    """(instance, graph, tree, spins): a random drop or a hand-made instance
-    whose INRs span twelve orders of magnitude, with random absolute spins."""
+    """(instance, graph, tree, spins): a random drop, a hand-made instance
+    whose INRs span twelve orders of magnitude, or a cyclically symmetric one
+    whose assignments tie up to rounding, with random absolute spins."""
     m = draw(st.integers(2, max_links))
     seed = draw(st.integers(0, 2**32 - 1))
-    if draw(st.booleans()):
+    rng = np.random.default_rng(seed)
+    shape = draw(st.sampled_from(["drop", "extreme", "cyclic"]))
+    if shape == "drop":
         _, inst = random_instance(m, seed, link_mix=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    elif shape == "cyclic":
+        shifts = 10.0 ** rng.uniform(-1.0, 2.0, size=(m, 2, 2))
+        inst = cyclic_instance(shifts, snr=rng.uniform(1.0, 100.0))
     else:
-        rng = np.random.default_rng(seed)
         inr = 10.0 ** rng.uniform(-4.0, 8.0, size=(m, m, 2, 2))
         inr[rng.random((m, m)) < 0.3] = 0.0
         inr[np.arange(m), np.arange(m)] = 0.0
@@ -108,6 +115,11 @@ def test_dp_equals_tree_brute_force(net, kind):
     dp = mst_dp(inst, graph, tree, kind)
     oracle = tree_brute_force(inst, graph, tree, kind)
     np.testing.assert_allclose(dp.objective_approx, oracle.objective_approx, rtol=1e-9)
+    # the decoded spins must carry the objective the DP reports
+    achieved = utility_of(
+        kind, [approx_sinr(inst, graph, tree, l, dp.spins) for l in range(graph.num_vertices)]
+    )
+    np.testing.assert_allclose(achieved, dp.objective_approx, rtol=1e-9)
 
 
 @PROPERTY
