@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkInstance, end_planes
-from .sinr import UtilityKind, denominators, network_utility
+from .sinr import UtilityKind, denominators, network_utilities, network_utility
 from .topology import RootedTree, TopologyGraph, relative_from_spins
 
 EXHAUSTIVE_CAP_DEFAULT = 20
@@ -40,6 +40,9 @@ _DP_ROW_BYTES = 104
 CHILD_CAP = (DP_STEP_BUDGET // _DP_ROW_BYTES).bit_length() - 1
 
 _BATCH = 1 << 13
+# The exact re-rank holds a few (N, M, M, 2) float64 arrays per batch of N
+# candidates: ~3.3 MB each at M = 20.
+_RERANK_BATCH = 1 << 9
 
 # The exhaustive screen sums denominators in another order than
 # network_utility and uses numpy's logarithms: a rate differs by at most
@@ -124,8 +127,9 @@ def exhaustive_search(
     Fixes the lowest-index vertex of every connected component to spin 0 and
     enumerates all remaining assignments, so a connected graph costs
     2**(M-1) evaluations. A batched kernel screens them; the ones within
-    ``_SCREEN_MARGIN`` of the best are re-ranked by ``network_utility``, so
-    the spins maximize the reported objective. Ties go to the
+    ``_SCREEN_MARGIN`` of the best are re-ranked in batches by the exact
+    objective (``network_utilities``, bit-identical to ``network_utility``),
+    so the spins maximize the reported objective. Ties go to the
     lexicographically smallest spin vector. Refuses M above ``cap``.
     """
     t_start = time.perf_counter()
@@ -155,7 +159,10 @@ def exhaustive_search(
 
     # re-rank the near-best assignments by the objective that is reported
     candidates = np.concatenate(near_spins)[np.concatenate(screened) >= _screen_floor(top)]
-    exact = [network_utility(instance, graph, kind, spins) for spins in candidates]
+    exact = []
+    for start in range(0, len(candidates), _RERANK_BATCH):
+        batch = candidates[start : start + _RERANK_BATCH]
+        exact += network_utilities(instance, graph, kind, batch)
     if exact:
         best_spins, objective, warning = candidates[np.argmax(exact)], max(exact), None
     else:

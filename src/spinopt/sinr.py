@@ -38,13 +38,35 @@ def link_utility(kind: UtilityKind, rate: float) -> float:
 
 
 def denominators(terms: np.ndarray) -> np.ndarray:
-    """(M, 2) SINR denominators from (M, M, 2) interference terms ``[k, l, d]``.
+    """(..., M, 2) SINR denominators from (..., M, M, 2) interference terms ``[k, l, d]``.
 
     Noise (1.0) first, then each interferer in ascending k: the same
     accumulation order as a per-link loop, so results match it bit for bit.
+    The k axis is never the innermost one, so numpy adds its terms one by
+    one instead of pairwise.
     """
-    stacked = np.concatenate((np.ones((1,) + terms.shape[1:]), terms))
-    return np.add.reduce(stacked, axis=0)
+    noise = np.ones(terms.shape[:-3] + (1,) + terms.shape[-2:])
+    return np.add.reduce(np.concatenate((noise, terms), axis=-3), axis=-3)
+
+
+def network_utilities(values, graph: TopologyGraph, kind: UtilityKind, spins) -> list[float]:
+    """``network_utility`` of every row of an (N, M) batch of absolute spins.
+
+    The batch shares one dense denominator computation; each utility is
+    then summed in Python exactly as ``network_utility`` sums it, so every
+    value equals that function's result for its row bit for bit.
+    """
+    same, opposite = (np.stack(planes, axis=-1) for planes in end_planes(values.inr))
+    differ = (spins[:, :, None] != spins[:, None, :])[..., None]
+    terms = np.where(differ, opposite, same) * graph.adjacency[:, :, None]
+    sinr = values.snr / denominators(terms)
+    return [
+        sum(
+            link_utility(kind, math.log2(1.0 + lr) + math.log2(1.0 + rl))
+            for lr, rl in rows
+        )
+        for rows in sinr.tolist()
+    ]
 
 
 def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins) -> float:
@@ -54,15 +76,7 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins) -> f
     (a LinkInstance for long-term gains, a FadingDraw for instantaneous
     ones); ``spins`` holds one absolute 0/1 spin per link.
     """
-    spins = check_spins(graph, spins)
-    same, opposite = (np.stack(planes, axis=-1) for planes in end_planes(values.inr))
-    differ = (spins[:, None] != spins[None, :])[:, :, None]
-    terms = np.where(differ, opposite, same) * graph.adjacency[:, :, None]
-    sinr = values.snr / denominators(terms)
-    return sum(
-        link_utility(kind, math.log2(1.0 + lr) + math.log2(1.0 + rl))
-        for lr, rl in sinr.tolist()
-    )
+    return network_utilities(values, graph, kind, check_spins(graph, spins)[None])[0]
 
 
 def spin_selectors(graph: TopologyGraph, spins) -> tuple[np.ndarray, np.ndarray]:
@@ -82,11 +96,15 @@ def spin_selectors(graph: TopologyGraph, spins) -> tuple[np.ndarray, np.ndarray]
 def two_way_rates(values, selectors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-link two-way sum rates (bit/s/Hz) for all links at once.
 
-    Used by the Monte-Carlo harness on per-frame fading draws.
+    ``values.snr``/``values.inr`` may carry leading frame axes, e.g. a
+    chunk of fading draws stacked as (F, M, 2) and (F, M, M, 2, 2); the
+    result then has shape (F, M). Each frame's rates are bit-identical to
+    evaluating that frame alone: the interferers are summed over ascending
+    k before the noise is added.
     """
     s0, s1 = selectors
     (same_lr, same_rl), (opposite_lr, opposite_rl) = end_planes(values.inr)
     snr = values.snr
-    den_lr = 1.0 + (s0 * same_lr + s1 * opposite_lr).sum(axis=0)
-    den_rl = 1.0 + (s0 * same_rl + s1 * opposite_rl).sum(axis=0)
-    return np.log2(1.0 + snr[:, 0] / den_lr) + np.log2(1.0 + snr[:, 1] / den_rl)
+    den_lr = 1.0 + (s0 * same_lr + s1 * opposite_lr).sum(axis=-2)
+    den_rl = 1.0 + (s0 * same_rl + s1 * opposite_rl).sum(axis=-2)
+    return np.log2(1.0 + snr[..., 0] / den_lr) + np.log2(1.0 + snr[..., 1] / den_rl)

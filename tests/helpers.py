@@ -5,6 +5,7 @@ dense arrays; they read the INR layout directly, so they stay independent
 of ``channel.end_planes``.
 """
 
+import csv
 import math
 import time
 from itertools import combinations
@@ -12,10 +13,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spinopt.channel import LinkInstance, ScenarioConfig, generate_instance
+from spinopt.channel import LinkInstance, ScenarioConfig, draw_fading, generate_instance
+from spinopt.evaluation import optimize
 from spinopt.optimizer import OptimizationResult, network_utility
-from spinopt.sinr import link_utility
-from spinopt.topology import RootedTree, TopologyGraph
+from spinopt.sinr import link_utility, spin_selectors, two_way_rates
+from spinopt.topology import RootedTree, TopologyGraph, build_graph, maximum_spanning_tree
 
 
 def build_instance(inr, snr=None, kinds=None) -> LinkInstance:
@@ -301,3 +303,63 @@ def edge_weight(instance: LinkInstance, k: int, l: int) -> float:
             abs(inr[l, k, 0, 0] - inr[l, k, 1, 0]),
         )
     )
+
+
+def exhaustive_rerank(instance: LinkInstance, graph: TopologyGraph, kind):
+    """Per-candidate oracle for ``exhaustive_search``: (spins, objective).
+
+    Every assignment, enumerated as the optimizer does (the lowest vertex of
+    each component at 0, the first free vertex as the most significant bit),
+    is scored on its own by the per-link loop form of ``network_utility``;
+    the first maximum wins, and the all-zero spins when every utility is -inf.
+    """
+    m = graph.num_vertices
+    fixed = {comp[0] for comp in graph.components()}
+    free = [v for v in range(m) if v not in fixed]
+    best_spins, best = None, None
+    for code in range(1 << len(free)):
+        spins = np.zeros(m, dtype=np.int8)
+        for j, v in enumerate(free):
+            spins[v] = (code >> (len(free) - 1 - j)) & 1
+        value = utility_of(kind, [exact_sinr(instance, graph, l, spins) for l in range(m)])
+        if best is None or value > best:
+            best_spins, best = spins, value
+    return best_spins, best
+
+
+def per_frame_rates(config) -> dict[str, np.ndarray]:
+    """Per-frame loop oracle of ``run_experiment``'s ``rates_bps``.
+
+    Rebuilds every drop from the experiment's derived seeds and evaluates
+    one ``two_way_rates`` call per (algorithm, frame) on a single frame.
+    """
+    seeds = np.random.SeedSequence(config.master_seed).generate_state(
+        2 * config.num_drops, dtype=np.uint64
+    )
+    shape = (config.num_drops, config.frames_per_drop, config.scenario.num_links)
+    rates = {name: np.empty(shape) for name in config.algorithms}
+    for d in range(config.num_drops):
+        instance = generate_instance(config.scenario, int(seeds[2 * d]))
+        graph = build_graph(instance, config.scenario.inr_edge_threshold)
+        tree = maximum_spanning_tree(graph)
+        for name in config.algorithms:
+            result = optimize(config, name, instance, graph, tree, int(seeds[2 * d + 1]))
+            selectors = spin_selectors(graph, result.spins)
+            for f in range(config.frames_per_drop):
+                values = instance if config.fading == "none" else draw_fading(instance, f)
+                rates[name][d, f] = config.bandwidth_hz * two_way_rates(values, selectors)
+    return rates
+
+
+def write_samples_csv_rows(report, path) -> None:
+    """Row-at-a-time ``csv.writer`` oracle of ``evaluation.write_samples_csv``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["algorithm", "num_links", "drop", "frame", "link", "rate_bps"])
+        m = report.config.scenario.num_links
+        for name in report.config.algorithms:
+            rates = report.stats[name].rates_bps
+            for d in range(rates.shape[0]):
+                for f in range(rates.shape[1]):
+                    for l in range(m):
+                        writer.writerow([name, m, d, f, l, repr(float(rates[d, f, l]))])

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import per_frame_rates, write_samples_csv_rows
+from spinopt import evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.evaluation import (
+    FADING_MODES,
+    AlgorithmStats,
+    EvalReport,
     ExperimentConfig,
     percentile,
     plot_rows,
@@ -213,6 +218,63 @@ def test_csv_writers(tmp_path):
     plot_lines = plot.read_text().strip().splitlines()
     assert len(plot_lines) == 1 + 3
     assert plot_lines[0].startswith("num_links,link_mix,algorithm")
+
+
+def test_samples_csv_bytes_match_csv_writer(tmp_path):
+    config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=2)
+    values = np.array(
+        [0.0, 1e-05, 1.5e16, 5e-324, 1.0 / 3.0, 2.5e-7, 123456789.0, 1e22, 0.1, 7.0, 1e-300, 9.5e6]
+    )
+    stats = {
+        name: AlgorithmStats(
+            algorithm=name,
+            rates_bps=rates.reshape(2, 2, 3),
+            mean_bps=0.0,
+            percentile_bps=0.0,
+            mean_objective=0.0,
+            optimize_time_s=0.0,
+        )
+        for name, rates in zip(config.algorithms, (values, values[::-1]))
+    }
+    report = EvalReport(config, stats, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
+    write_samples_csv(report, tmp_path / "fast.csv")
+    write_samples_csv_rows(report, tmp_path / "rows.csv")
+    written = (tmp_path / "fast.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.count(b"\r\n") == 1 + 2 * 12
+    assert b"mst_dp,3,0,1,0,5e-324\r\n" in written
+
+
+@pytest.mark.parametrize("fading", FADING_MODES)
+@pytest.mark.parametrize("frames_per_chunk", [1, 3, 7])
+def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk):
+    # ten links: numpy would sum the ten interferers pairwise, not in
+    # ascending order, if the k axis became the innermost one
+    config = small_config(
+        scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),
+        num_drops=2,
+        frames_per_drop=7,
+        fading=fading,
+    )
+    m = config.scenario.num_links
+    frame_bytes = 8 * (m * 2 + m * m * 2 * 2)  # float64 snr + inr of one frame
+    monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", frames_per_chunk * frame_bytes)
+    chunks = []
+    two_way_rates = evaluation.two_way_rates
+
+    def recording(values, selectors):
+        rates = two_way_rates(values, selectors)
+        chunks.append(rates.shape[0])
+        return rates
+
+    monkeypatch.setattr(evaluation, "two_way_rates", recording)
+    report = run_experiment(config)
+    sizes = {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[frames_per_chunk]
+    per_drop = [size for size in sizes for _ in config.algorithms]
+    assert chunks == per_drop * config.num_drops
+    oracle = per_frame_rates(config)
+    for name in config.algorithms:
+        assert np.array_equal(report.stats[name].rates_bps, oracle[name])
 
 
 def test_summary_json_contains_stats_and_d():

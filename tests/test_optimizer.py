@@ -11,11 +11,13 @@ from helpers import (
     cyclic_instance,
     edge_keys,
     enumerate_cycles,
+    exhaustive_rerank,
     graph_from,
     random_instance,
     tree_brute_force,
     utility_of,
 )
+from spinopt import optimizer
 from spinopt.optimizer import (
     CHILD_CAP,
     DP_STEP_BUDGET,
@@ -92,6 +94,34 @@ def test_exhaustive_maximizes_the_objective_it_reports():
     assert res.objective_exact == best == 11.54401887028603
     dp = mst_dp(inst, graph, maximum_spanning_tree(graph), SUM_RATE)
     assert res.objective_exact >= dp.objective_exact
+
+
+def spin_indifferent(num_links, seed):
+    """A drop whose same-end and opposite-end INRs are equal: every assignment ties."""
+    _, inst = random_instance(num_links, seed=seed)
+    inr = inst.inr.copy()
+    inr[:, :, 1, 1] = inr[:, :, 0, 1]
+    inr[:, :, 0, 0] = inr[:, :, 1, 0]
+    return build_instance(inr, snr=inst.snr.copy())
+
+
+@pytest.mark.parametrize("rerank_batch", [5, optimizer._RERANK_BATCH])
+@pytest.mark.parametrize("kind", [SUM_RATE, PF])
+def test_exhaustive_equals_per_candidate_rerank_on_ties(monkeypatch, kind, rerank_batch):
+    monkeypatch.setattr(optimizer, "_RERANK_BATCH", rerank_batch)
+    rng = np.random.default_rng(11)
+    instances = [spin_indifferent(m, seed) for m, seed in ((5, 1), (8, 2), (9, 3))]
+    instances += [
+        cyclic_instance(10.0 ** rng.uniform(-1.0, 2.0, size=(m, 2, 2)), snr=rng.uniform(1, 100))
+        for m in (3, 4, 6, 8)
+    ]
+    instances.append(build_instance(np.zeros((4, 4, 2, 2))))  # no edges: one assignment
+    for inst in instances:
+        graph = build_graph(inst, threshold=0.01)
+        res = exhaustive_search(inst, graph, kind)
+        spins, objective = exhaustive_rerank(inst, graph, kind)
+        np.testing.assert_array_equal(res.spins, spins)
+        assert res.objective_exact == objective
 
 
 def test_exhaustive_result_is_self_consistent():

@@ -4,6 +4,9 @@ Example counts are bounded and generation is derandomized, so the suite
 stays fast and every run checks the same examples.
 """
 
+import json
+from dataclasses import fields
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,13 +23,30 @@ from helpers import (
     tree_brute_force,
     utility_of,
 )
-from spinopt.channel import draw_fading
+from spinopt.channel import (
+    LinkInstance,
+    ScenarioConfig,
+    draw_fading,
+    generate_instance,
+    instance_from_json,
+    instance_to_json,
+)
+from spinopt.evaluation import ALGORITHMS, FADING_MODES, ExperimentConfig, run_experiment
 from spinopt.optimizer import exhaustive_search, mst_dp
-from spinopt.sinr import UtilityKind, network_utility, spin_selectors, two_way_rates
+from spinopt.sinr import (
+    UtilityKind,
+    network_utilities,
+    network_utility,
+    spin_selectors,
+    two_way_rates,
+)
 from spinopt.topology import build_graph, maximum_spanning_tree
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# each example starts a process pool, so this property gets few of them
+POOLED = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from(list(UtilityKind))
+SEEDS = st.integers(0, 2**64 - 1)
 
 
 @st.composite
@@ -99,6 +119,16 @@ def test_network_utility_equals_loop_oracle(net, kind, faded):
 
 
 @PROPERTY
+@given(networks(), KINDS, st.integers(0, 2**32 - 1))
+def test_batched_network_utilities_equal_loop_oracle(net, kind, seed):
+    inst, graph, _, _ = net
+    m = graph.num_vertices
+    batch = np.random.default_rng(seed).integers(0, 2, size=(9, m), dtype=np.int8)
+    oracle = [utility_of(kind, [exact_sinr(inst, graph, l, s) for l in range(m)]) for s in batch]
+    assert network_utilities(inst, graph, kind, batch) == oracle
+
+
+@PROPERTY
 @given(networks(), st.integers(0, 2**16))
 def test_two_way_rates_equal_loop_oracle(net, frame):
     inst, graph, _, spins = net
@@ -137,3 +167,43 @@ def test_exhaustive_dominates_dp(net, kind):
     inst, graph, tree, _ = net
     exhaustive = exhaustive_search(inst, graph, kind)
     assert exhaustive.objective_exact >= mst_dp(inst, graph, tree, kind).objective_exact
+
+
+@POOLED
+@given(st.integers(1, 5), SEEDS, SEEDS, KINDS, st.sampled_from(FADING_MODES))
+def test_report_is_independent_of_worker_count(m, scenario_seed, master_seed, kind, fading):
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=m, link_mix=0.5, seed=scenario_seed),
+        algorithms=ALGORITHMS,
+        num_drops=3,
+        frames_per_drop=4,
+        utility=kind,
+        master_seed=master_seed,
+        fading=fading,
+    )
+    serial = run_experiment(config, workers=1)
+    pooled = run_experiment(config, workers=2)
+    assert serial.summary_json() == pooled.summary_json()
+    for name in config.algorithms:
+        assert np.array_equal(serial.stats[name].rates_bps, pooled.stats[name].rates_bps)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 8),
+    SEEDS,
+    SEEDS,
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([0.0, 8.0, 20.0]),
+)
+def test_instance_json_round_trips_bit_for_bit(m, seed, drop_seed, link_mix, sigma):
+    config = ScenarioConfig(num_links=m, link_mix=link_mix, shadow_sigma_db=sigma, seed=seed)
+    instance = generate_instance(config, drop_seed)
+    back = instance_from_json(json.loads(json.dumps(instance_to_json(instance))))
+    for field in fields(LinkInstance):
+        value, restored = getattr(instance, field.name), getattr(back, field.name)
+        if isinstance(value, np.ndarray):
+            assert restored.dtype == value.dtype and restored.shape == value.shape
+            assert restored.tobytes() == value.tobytes()
+        else:
+            assert restored == value
