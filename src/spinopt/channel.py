@@ -47,6 +47,21 @@ _MAX_SEED = 2**64 - 1
 _INSTANCE_TAG = 0x1
 _FADING_TAG = 0x2
 
+# numpy's SeedSequence hashing (pool of 4 uint32 words) and PCG64 seeding,
+# both stream-stable under numpy's RNG policy (NEP 19); PCG64 is O'Neill,
+# "PCG", HMC-CS-2014-0905. draw_fading runs them for a chunk of frames at once.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 INSTANCE_SCHEMA = "spinopt.instance/1"
 
 
@@ -173,11 +188,15 @@ class LinkInstance:
 
 @dataclass(frozen=True)
 class FadingDraw:
-    """Instantaneous gains for one frame: long-term values times fading."""
+    """Instantaneous gains of a chunk of frames: long-term values times fading.
+
+    ``snr`` (F, M, 2) and ``inr`` (F, M, M, 2, 2) stack the frames of
+    ``frames`` along a leading axis, in order.
+    """
 
     snr: np.ndarray
     inr: np.ndarray
-    frame_index: int
+    frames: range
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr", _freeze(self.snr))
@@ -300,25 +319,117 @@ def generate_instance(config: ScenarioConfig, drop_seed: int) -> LinkInstance:
     )
 
 
-def draw_fading(instance: LinkInstance, frame_seed: int) -> FadingDraw:
-    """Instantaneous gains for one frame.
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's entropy words of an int: little-endian uint32, [0] for 0."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` for many sequences.
+
+    ``entropy`` holds the uint32 entropy words, one array per word position
+    and one array element per sequence; it has at least the pool's 4 words,
+    so no zero padding arises. Returns the 8 uint32 state words.
+    The hash constants do not depend on the data, so they are Python ints;
+    every data word is an array, whose uint32 arithmetic wraps silently.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = []
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const
+        state.append(value ^ (value >> _XSHIFT))
+    return state
+
+
+def _fading_states(seed_key: tuple[int, int], frames: range) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence((*seed_key, 2, f)))``
+    for every frame ``f`` of ``frames``, in order.
+
+    A frame index of 2**32 or more adds a second entropy word, so frames are
+    hashed in two groups by word count. The 128-bit seeding is
+    ``pcg64_set_seed``: inc = 2 * initseq + 1, then one LCG step from 0, add
+    initstate, and one more step.
+    """
+    index = np.fromiter(frames, dtype=np.uint64, count=len(frames))
+    low = (index & _M32).astype(np.uint32)
+    high = (index >> 32).astype(np.uint32)
+    prefix = [*_uint32_words(seed_key[0]), *_uint32_words(seed_key[1]), _FADING_TAG]
+    states: list[tuple[int, int]] = [(0, 0)] * len(frames)
+    for wide in (False, True):
+        rows = np.flatnonzero((high > 0) == wide)
+        if not len(rows):
+            continue
+        entropy = [np.full(len(rows), word, dtype=np.uint32) for word in prefix]
+        entropy += [low[rows], high[rows]] if wide else [low[rows]]
+        words = np.stack(_seed_state(entropy), axis=1).astype("<u4").view("<u8")
+        for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows.tolist(), words.tolist()):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+            states[row] = (((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc)
+    return states
+
+
+def draw_fading(instance: LinkInstance, frames: range) -> FadingDraw:
+    """Instantaneous gains for a chunk of frames.
 
     Every ordered node pair gets an independent unit-mean exponential
     coefficient (squared magnitude of unit-power Rayleigh fading) that
-    multiplies the corresponding long-term value. Both slots of the frame
-    share the draw. Deterministic given (instance, frame_seed).
+    multiplies the corresponding long-term value. Both slots of a frame
+    share the draw. Frame ``f`` draws its snr coefficients, then its inr
+    coefficients, from ``default_rng(SeedSequence((seed, drop_seed, 2, f)))``
+    with ``(seed, drop_seed) = instance.seed_key``, so a frame's gains do not
+    depend on the chunk it is drawn in; one frame is ``range(f, f + 1)``.
     """
-    frame_seed = _check_seed(frame_seed, "frame_seed")
-    ss = np.random.SeedSequence(
-        entropy=(instance.seed_key[0], instance.seed_key[1], _FADING_TAG, frame_seed)
-    )
-    rng = np.random.default_rng(ss)
-    snr_coef = rng.exponential(1.0, size=instance.snr.shape)
-    inr_coef = rng.exponential(1.0, size=instance.inr.shape)
+    if not isinstance(frames, range):
+        raise TypeError(f"frames must be a range, got {type(frames).__name__}")
+    if frames:
+        _check_seed(frames[0], "frame index")
+        _check_seed(frames[-1], "frame index")
+    snr_size = instance.snr.size
+    coef = np.empty((len(frames), snr_size + instance.inr.size))
+    # seeded, because an unseeded PCG64 reads OS entropy; every row sets its state
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for row, (state, inc) in zip(coef, _fading_states(instance.seed_key, frames)):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_exponential(out=row)
+    shape = (len(frames),)
     return FadingDraw(
-        snr=instance.snr * snr_coef,
-        inr=instance.inr * inr_coef,
-        frame_index=frame_seed,
+        snr=coef[:, :snr_size].reshape(shape + instance.snr.shape) * instance.snr,
+        inr=coef[:, snr_size:].reshape(shape + instance.inr.shape) * instance.inr,
+        frames=frames,
     )
 
 

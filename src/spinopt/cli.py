@@ -112,7 +112,8 @@ def _parse_algorithms(arg: str | None) -> tuple[str, ...] | None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_meta(out: Path, command: str, timing: dict) -> None:

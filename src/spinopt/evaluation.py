@@ -18,7 +18,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,8 +76,8 @@ class ExperimentConfig:
             raise ValueError(f"frames_per_drop must be >= 1, got {self.frames_per_drop}")
         if not isinstance(self.utility, UtilityKind):
             raise ValueError(f"utility must be a UtilityKind, got {self.utility!r}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz}")
         if not 0.0 < self.percentile_q < 1.0:
             raise ValueError(f"percentile_q must be in (0, 1), got {self.percentile_q}")
         if self.fading not in FADING_MODES:
@@ -197,24 +196,6 @@ def optimize(config: ExperimentConfig, algorithm, instance, graph, tree, baselin
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _frame_gains(config: ExperimentConfig, instance, frames: range) -> SimpleNamespace:
-    """``snr``/``inr`` of a chunk of frames, stacked along a leading frame axis.
-
-    Every frame keeps its own ``draw_fading(instance, f)`` stream, so a frame's
-    gains do not depend on the chunk it falls in.
-    """
-    if config.fading == "none":
-        shape = (len(frames),)
-        return SimpleNamespace(
-            snr=np.broadcast_to(instance.snr, shape + instance.snr.shape),
-            inr=np.broadcast_to(instance.inr, shape + instance.inr.shape),
-        )
-    draws = [draw_fading(instance, f) for f in frames]
-    return SimpleNamespace(
-        snr=np.stack([d.snr for d in draws]), inr=np.stack([d.inr for d in draws])
-    )
-
-
 def _run_drop(args) -> dict:
     """One drop: optimize once per algorithm, then evaluate every frame."""
     config, drop_seed, baseline_seed = args
@@ -234,12 +215,17 @@ def _run_drop(args) -> dict:
         name: np.empty((config.frames_per_drop, scenario.num_links))
         for name in config.algorithms
     }
-    chunk = max(1, FRAME_CHUNK_BUDGET // (instance.snr.nbytes + instance.inr.nbytes))
-    for start in range(0, config.frames_per_drop, chunk):
-        frames = range(start, min(start + chunk, config.frames_per_drop))
-        values = _frame_gains(config, instance, frames)
+    if config.fading == "none":
+        # every frame of the drop sees the long-term gains
         for name in config.algorithms:
-            rates[name][frames.start : frames.stop] = two_way_rates(values, selectors[name])
+            rates[name][:] = two_way_rates(instance, selectors[name])
+    else:
+        chunk = max(1, FRAME_CHUNK_BUDGET // (instance.snr.nbytes + instance.inr.nbytes))
+        for start in range(0, config.frames_per_drop, chunk):
+            frames = range(start, min(start + chunk, config.frames_per_drop))
+            draw = draw_fading(instance, frames)
+            for name in config.algorithms:
+                rates[name][start : frames.stop] = two_way_rates(draw, selectors[name])
 
     return {
         "rates": {name: config.bandwidth_hz * r for name, r in rates.items()},
@@ -253,10 +239,14 @@ def _run_drop(args) -> dict:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
     """Run the full Monte-Carlo experiment.
 
-    ``workers > 1`` dispatches drops to a process pool; per-drop seeds are
-    derived up front from the master seed and drop payloads are reduced in
-    drop order, so the report does not depend on the worker count.
+    ``workers > 1`` dispatches drops to a process pool of at most
+    ``num_drops`` workers; per-drop seeds are derived up front from the
+    master seed and drop payloads are reduced in drop order, so the report
+    does not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, config.num_drops)
     t_start = time.perf_counter()
     drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
         2 * config.num_drops, dtype=np.uint64
@@ -265,7 +255,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
         (config, int(drop_seeds[2 * d]), int(drop_seeds[2 * d + 1]))
         for d in range(config.num_drops)
     ]
-    if workers > 1 and config.num_drops > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(_run_drop, jobs))
     else:

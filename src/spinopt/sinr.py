@@ -73,8 +73,8 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins) -> f
     """Sum of link utilities under exact SINRs; the optimizers' objective.
 
     ``values`` is anything with ``snr``/``inr`` arrays in instance layout
-    (a LinkInstance for long-term gains, a FadingDraw for instantaneous
-    ones); ``spins`` holds one absolute 0/1 spin per link.
+    (a LinkInstance for long-term gains, or one frame's instantaneous
+    gains); ``spins`` holds one absolute 0/1 spin per link.
     """
     return network_utilities(values, graph, kind, check_spins(graph, spins)[None])[0]
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spinopt.channel import LinkInstance, ScenarioConfig, draw_fading, generate_instance
+from spinopt.channel import _FADING_TAG, LinkInstance, ScenarioConfig, generate_instance
 from spinopt.evaluation import optimize
 from spinopt.optimizer import OptimizationResult, network_utility
 from spinopt.sinr import link_utility, spin_selectors, two_way_rates
@@ -327,6 +327,17 @@ def exhaustive_rerank(instance: LinkInstance, graph: TopologyGraph, kind):
     return best_spins, best
 
 
+def fading_frame(instance: LinkInstance, frame: int) -> SimpleNamespace:
+    """Per-frame oracle of ``channel.draw_fading``: one frame's ``snr``/``inr``
+    from numpy's own ``SeedSequence`` and ``default_rng``."""
+    seed, drop_seed = instance.seed_key
+    rng = np.random.default_rng(np.random.SeedSequence((seed, drop_seed, _FADING_TAG, frame)))
+    return SimpleNamespace(
+        snr=instance.snr * rng.exponential(1.0, size=instance.snr.shape),
+        inr=instance.inr * rng.exponential(1.0, size=instance.inr.shape),
+    )
+
+
 def per_frame_rates(config) -> dict[str, np.ndarray]:
     """Per-frame loop oracle of ``run_experiment``'s ``rates_bps``.
 
@@ -346,7 +357,7 @@ def per_frame_rates(config) -> dict[str, np.ndarray]:
             result = optimize(config, name, instance, graph, tree, int(seeds[2 * d + 1]))
             selectors = spin_selectors(graph, result.spins)
             for f in range(config.frames_per_drop):
-                values = instance if config.fading == "none" else draw_fading(instance, f)
+                values = instance if config.fading == "none" else fading_frame(instance, f)
                 rates[name][d, f] = config.bandwidth_hz * two_way_rates(values, selectors)
     return rates
 

@@ -193,46 +193,58 @@ def test_pathloss_monotone_in_distance():
 def test_fading_is_deterministic_and_multiplicative():
     cfg = ScenarioConfig(num_links=4, seed=2)
     inst = generate_instance(cfg, drop_seed=0)
-    a = draw_fading(inst, frame_seed=7)
-    b = draw_fading(inst, frame_seed=7)
+    a = draw_fading(inst, range(7, 8))
+    b = draw_fading(inst, range(7, 8))
     np.testing.assert_array_equal(a.snr, b.snr)
     np.testing.assert_array_equal(a.inr, b.inr)
-    assert a.frame_index == 7
+    assert a.frames == range(7, 8)
+    assert a.snr.shape == (1, 4, 2) and a.inr.shape == (1, 4, 4, 2, 2)
 
-    coef = a.snr / inst.snr
+    coef = a.snr[0] / inst.snr
     assert (coef > 0).all()
     mask = inst.inr > 0
-    assert (a.inr[mask] / inst.inr[mask] > 0).all()
+    assert (a.inr[0][mask] / inst.inr[mask] > 0).all()
     # frames differ
-    c = draw_fading(inst, frame_seed=8)
+    c = draw_fading(inst, range(8, 9))
     assert not np.array_equal(a.snr, c.snr)
 
 
 def test_fading_draws_do_not_depend_on_draw_history():
     cfg = ScenarioConfig(num_links=3, seed=2)
     inst = generate_instance(cfg, drop_seed=0)
-    first = draw_fading(inst, frame_seed=5)
+    first = draw_fading(inst, range(5, 6))
     for f in range(4):
-        draw_fading(inst, frame_seed=f)
-    again = draw_fading(inst, frame_seed=5)
+        draw_fading(inst, range(f, f + 1))
+    again = draw_fading(inst, range(5, 6))
     np.testing.assert_array_equal(first.snr, again.snr)
     np.testing.assert_array_equal(first.inr, again.inr)
+    # nor on the chunk the frame is drawn in
+    chunk = draw_fading(inst, range(3, 8))
+    np.testing.assert_array_equal(chunk.snr[2], first.snr[0])
+    np.testing.assert_array_equal(chunk.inr[2], first.inr[0])
+
+
+@pytest.mark.parametrize("frames", [7, [7], range(-1, 1), range(2**64 - 1, 2**64 + 1)])
+def test_fading_rejects_bad_frames(frames):
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=2), drop_seed=0)
+    with pytest.raises((TypeError, ValueError)):
+        draw_fading(inst, frames)
 
 
 def test_identity_fading_draw_matches_long_term():
     cfg = ScenarioConfig(num_links=3, seed=4)
     inst = generate_instance(cfg, drop_seed=0)
-    identity = FadingDraw(snr=inst.snr.copy(), inr=inst.inr.copy(), frame_index=0)
-    np.testing.assert_array_equal(identity.snr, inst.snr)
-    np.testing.assert_array_equal(identity.inr, inst.inr)
+    identity = FadingDraw(snr=inst.snr[None].copy(), inr=inst.inr[None].copy(), frames=range(1))
+    np.testing.assert_array_equal(identity.snr[0], inst.snr)
+    np.testing.assert_array_equal(identity.inr[0], inst.inr)
 
 
 def test_fading_coefficients_have_unit_mean():
     cfg = ScenarioConfig(num_links=50, seed=6)
     inst = generate_instance(cfg, drop_seed=0)
     coefs = []
-    for f in range(1000):
-        draw = draw_fading(inst, frame_seed=f)
+    for start in range(0, 1000, 100):
+        draw = draw_fading(inst, range(start, start + 100))
         coefs.append(draw.snr / inst.snr)
     coefs = np.concatenate([c.ravel() for c in coefs])
     assert coefs.size == 100_000
@@ -252,7 +264,7 @@ def test_instance_json_round_trip_is_exact():
     assert back.seed_key == inst.seed_key
     # fading streams survive the round trip
     np.testing.assert_array_equal(
-        draw_fading(back, frame_seed=3).inr, draw_fading(inst, frame_seed=3).inr
+        draw_fading(back, range(3, 4)).inr, draw_fading(inst, range(3, 4)).inr
     )
 
 

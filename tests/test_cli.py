@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from spinopt.channel import load_instance
-from spinopt.cli import main
+from spinopt.cli import _write_json, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,6 +168,38 @@ def test_sweep_writes_one_plot_row_per_point_and_algorithm(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["parameter"] == "num_links"
     assert [p["scenario"]["num_links"] for p in summary["points"]] == [2, 3]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_an_error(tmp_path, capsys, command, threads):
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 2, "seed": 5},
+        experiment={"num_drops": 1, "frames_per_drop": 1},
+        sweep={"parameter": "num_links", "values": [2]},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"workers must be >= 1, got {threads}" in err
+    assert not out.exists()
+
+
+def test_non_finite_bandwidth_is_rejected(tmp_path, capsys):
+    # json.dumps writes NaN as a bare token, which json.load reads back
+    cfg = tiny_eval_config(tmp_path, bandwidth_hz=float("nan"))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bandwidth_hz" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_data_files_refuse_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "summary.json", {"mean_objective": float("-inf")})
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_rejects_unknown_scenario_key(tmp_path, capsys):

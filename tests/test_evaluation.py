@@ -74,6 +74,9 @@ def test_config_validation():
         ExperimentConfig(scenario=scenario, percentile_q=1.5)
     with pytest.raises(ValueError, match="fading"):
         ExperimentConfig(scenario=scenario, fading="rician")
+    for bandwidth in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bandwidth_hz"):
+            ExperimentConfig(scenario=scenario, bandwidth_hz=bandwidth)
     with pytest.raises(ValueError, match="infeasible"):
         ExperimentConfig(
             scenario=ScenarioConfig(num_links=30, seed=0),
@@ -180,6 +183,39 @@ def test_worker_pool_does_not_change_results():
         )
 
 
+def test_pool_gets_at_most_one_worker_per_drop(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    config = small_config(num_drops=3, frames_per_drop=2)
+    serial = run_experiment(config, workers=1)
+    assert pools == []
+    for workers in (2, 3, 64):
+        assert run_experiment(config, workers=workers).summary_json() == serial.summary_json()
+    assert pools == [2, 3, 3]
+    run_experiment(small_config(num_drops=1, frames_per_drop=2), workers=8)
+    assert pools == [2, 3, 3]
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(config, workers=workers)
+    assert pools == [2, 3, 3]
+
+
 def test_sweep_derives_distinct_seeds():
     config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=2)
     reports = sweep([config, config])
@@ -259,19 +295,31 @@ def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk
     m = config.scenario.num_links
     frame_bytes = 8 * (m * 2 + m * m * 2 * 2)  # float64 snr + inr of one frame
     monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", frames_per_chunk * frame_bytes)
-    chunks = []
-    two_way_rates = evaluation.two_way_rates
+    chunks, draws = [], []
+    two_way_rates, draw_fading = evaluation.two_way_rates, evaluation.draw_fading
 
     def recording(values, selectors):
         rates = two_way_rates(values, selectors)
-        chunks.append(rates.shape[0])
+        chunks.append(rates.shape[:-1])
         return rates
 
+    def recording_draws(instance, frames):
+        draws.append(frames)
+        return draw_fading(instance, frames)
+
     monkeypatch.setattr(evaluation, "two_way_rates", recording)
+    monkeypatch.setattr(evaluation, "draw_fading", recording_draws)
     report = run_experiment(config)
     sizes = {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[frames_per_chunk]
-    per_drop = [size for size in sizes for _ in config.algorithms]
+    if fading == "none":
+        # every frame has the long-term gains: one unstacked call per algorithm per drop
+        per_drop, drawn = [()] * len(config.algorithms), []
+    else:
+        per_drop = [(size,) for size in sizes for _ in config.algorithms]
+        starts = np.cumsum([0] + sizes).tolist()
+        drawn = [range(a, b) for a, b in zip(starts, starts[1:])]
     assert chunks == per_drop * config.num_drops
+    assert draws == drawn * config.num_drops
     oracle = per_frame_rates(config)
     for name in config.algorithms:
         assert np.array_equal(report.stats[name].rates_bps, oracle[name])

@@ -5,10 +5,14 @@ stays fast and every run checks the same examples.
 """
 
 import json
-from dataclasses import fields
+import subprocess
+import sys
+import textwrap
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,6 +20,7 @@ from helpers import (
     build_instance,
     cyclic_instance,
     exact_sinr,
+    fading_frame,
     graph_from,
     kruskal_forest,
     random_instance,
@@ -47,6 +52,8 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 POOLED = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from(list(UtilityKind))
 SEEDS = st.integers(0, 2**64 - 1)
+# a SeedSequence entropy word is a uint32: these values sit at its edges
+EDGE_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), SEEDS)
 
 
 @st.composite
@@ -111,7 +118,7 @@ def test_spanning_forest_equals_kruskal_oracle(graph_edges):
 @given(networks(), KINDS, st.booleans())
 def test_network_utility_equals_loop_oracle(net, kind, faded):
     inst, graph, _, spins = net
-    values = draw_fading(inst, 1) if faded else inst
+    values = fading_frame(inst, 1) if faded else inst
     oracle = utility_of(
         kind, [exact_sinr(values, graph, l, spins) for l in range(graph.num_vertices)]
     )
@@ -130,12 +137,31 @@ def test_batched_network_utilities_equal_loop_oracle(net, kind, seed):
 
 @PROPERTY
 @given(networks(), st.integers(0, 2**16))
-def test_two_way_rates_equal_loop_oracle(net, frame):
+def test_two_way_rates_equal_loop_oracle(net, start):
     inst, graph, _, spins = net
-    draw = draw_fading(inst, frame)
-    fast = two_way_rates(draw, spin_selectors(graph, spins))
-    slow = rates_of([exact_sinr(draw, graph, l, spins) for l in range(graph.num_vertices)])
-    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+    frames = range(start, start + 3)
+    fast = two_way_rates(draw_fading(inst, frames), spin_selectors(graph, spins))
+    for rates, f in zip(fast, frames):
+        frame = fading_frame(inst, f)
+        slow = rates_of([exact_sinr(frame, graph, l, spins) for l in range(graph.num_vertices)])
+        np.testing.assert_allclose(rates, slow, rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6))
+@example(0, 2**64 - 1, 2**32 - 3, 6)  # one chunk of frames with one and two entropy words
+def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, length):
+    _, inst = random_instance(3, 0)
+    inst = replace(inst, seed_key=(seed, drop_seed))
+    frames = range(start, min(start + length, 2**64))
+    draw = draw_fading(inst, frames)
+    assert draw.frames == frames
+    assert draw.snr.shape == (len(frames), 3, 2)
+    assert draw.inr.shape == (len(frames), 3, 3, 2, 2)
+    for j, f in enumerate(frames):
+        oracle = fading_frame(inst, f)
+        assert draw.snr[j].tobytes() == oracle.snr.tobytes()
+        assert draw.inr[j].tobytes() == oracle.inr.tobytes()
 
 
 @PROPERTY
@@ -207,3 +233,34 @@ def test_instance_json_round_trips_bit_for_bit(m, seed, drop_seed, link_mix, sig
             assert restored.tobytes() == value.tobytes()
         else:
             assert restored == value
+
+
+def test_failing_property_does_not_abort_the_session(tmp_path):
+    # one failing property and one trivial test, under this suite's pytest settings
+    (tmp_path / "test_failing_property.py").write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, settings, strategies as st
+
+            @settings(max_examples=5, derandomize=True, database=None)
+            @given(st.integers())
+            def test_fails(x):
+                assert x != 0
+
+            def test_trivial():
+                pass
+            """
+        )
+    )
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path)]
+        + ["-p", "no:cacheprovider", "-q", "test_failing_property.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1

@@ -7,6 +7,7 @@ from helpers import (
     approx_sinr,
     build_instance,
     exact_sinr,
+    fading_frame,
     graph_from,
     random_instance,
     rates_of,
@@ -228,9 +229,9 @@ def test_vectorized_rates_match_per_link_path():
         graph = build_graph(inst, threshold=0.01)
         s = np.random.default_rng(seed).integers(0, 2, size=7)
         selectors = spin_selectors(graph, s)
-        draw = draw_fading(inst, frame_seed=seed)
-        fast = two_way_rates(draw, selectors)
-        slow = rates_of([exact_sinr(draw, graph, l, s) for l in range(7)])
+        fast = two_way_rates(draw_fading(inst, range(seed, seed + 1)), selectors)[0]
+        frame = fading_frame(inst, seed)
+        slow = rates_of([exact_sinr(frame, graph, l, s) for l in range(7)])
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
