@@ -22,7 +22,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import enum
+import functools
 import json
+import math
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,6 +75,51 @@ def _check_seed(value: int, name: str) -> int:
     return int(value)
 
 
+_REALS = (int, float, np.integer, np.floating)
+# resolves the string annotations of ``from __future__ import annotations``
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def check_fields(config) -> None:
+    """Check every field of a frozen config dataclass against its annotation.
+
+    ``int``: an integer, not a bool; an integral float such as 10.0 is not
+    an int. ``float``: a finite int or float, not a bool, kept as given.
+    ``str``: a string. ``tuple[str, ...]``: a list or tuple of strings,
+    stored as a tuple. An Enum: a member or its value, stored as the
+    member. Any other class: an instance of it. Errors name the field.
+    """
+    for name, kind in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if kind is int:
+            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            want = "an integer"
+        elif kind is float:
+            ok = isinstance(value, _REALS) and not isinstance(value, bool) and _is_finite(value)
+            want = "a finite number"
+        elif kind == tuple[str, ...]:
+            ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            want = "a list of strings"
+            value = tuple(value) if ok else value
+        elif issubclass(kind, enum.Enum):
+            ok = isinstance(value, (kind, str)) and value in {*kind, *(k.value for k in kind)}
+            want = f"one of {[k.value for k in kind]}"
+            value = kind(value) if ok else value
+        else:
+            ok = isinstance(value, kind)
+            want = f"a {kind.__name__}"
+        if not ok:
+            raise ValueError(f"{name} must be {want}, got {value!r}")
+        object.__setattr__(config, name, value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=arr.dtype)
     arr.setflags(write=False)
@@ -101,6 +150,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.area_side <= 0:
             raise ValueError(f"area_side must be > 0, got {self.area_side}")
         if self.num_links < 1:
@@ -163,6 +213,8 @@ class LinkInstance:
         m = self.num_links
         if m < 1:
             raise ValueError("num_links must be >= 1")
+        seed_key = tuple(_check_seed(seed, "seed_key") for seed in self.seed_key)
+        object.__setattr__(self, "seed_key", seed_key)
         expected = {
             "positions": (m, 2, 2),
             "kinds": (m,),
@@ -437,15 +489,6 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
 
 
-def scenario_from_json(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON-compatible dict; unknown keys fail."""
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown scenario key(s): {sorted(unknown)}")
-    return ScenarioConfig(**data)
-
-
 def instance_to_json(instance: LinkInstance) -> dict:
     """JSON-compatible dict with full float fidelity (round-trips exactly)."""
     return {
@@ -461,21 +504,35 @@ def instance_to_json(instance: LinkInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> LinkInstance:
-    if data.get("schema") != INSTANCE_SCHEMA:
-        raise ValueError(f"expected schema {INSTANCE_SCHEMA!r}, got {data.get('schema')!r}")
+    """Rebuild an instance; a missing or malformed key fails with its name."""
+    schema = data.get("schema") if isinstance(data, dict) else data
+    if schema != INSTANCE_SCHEMA:
+        raise ValueError(f"expected schema {INSTANCE_SCHEMA!r}, got {schema!r}")
     try:
-        kinds = np.array([KIND_CODES[k] for k in data["kinds"]], dtype=np.int8)
-        return LinkInstance(
-            num_links=int(data["num_links"]),
-            positions=np.array(data["positions"], dtype=float),
-            kinds=kinds,
-            snr=np.array(data["snr"], dtype=float),
-            inr=np.array(data["inr"], dtype=float),
-            shadowing=np.array(data["shadowing"], dtype=float),
-            seed_key=(int(data["seed_key"][0]), int(data["seed_key"][1])),
-        )
+        num_links, kinds, seed_key = data["num_links"], data["kinds"], data["seed_key"]
+        arrays = {key: data[key] for key in ("positions", "snr", "inr", "shadowing")}
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key: {exc}") from exc
+    if not isinstance(num_links, int) or isinstance(num_links, bool):
+        raise ValueError(f"instance key 'num_links' must be an integer, got {num_links!r}")
+    named = isinstance(kinds, list) and all(isinstance(k, str) and k in KIND_CODES for k in kinds)
+    if not named:
+        raise ValueError(
+            f"instance key 'kinds' must be a list of {sorted(KIND_CODES)}, got {kinds!r}"
+        )
+    if not isinstance(seed_key, list) or len(seed_key) != 2:
+        raise ValueError(f"instance key 'seed_key' must list two seeds, got {seed_key!r}")
+    for key, value in arrays.items():
+        try:
+            arrays[key] = np.array(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"instance key {key!r}: {exc}") from None
+    return LinkInstance(
+        num_links=num_links,
+        kinds=np.array([KIND_CODES[k] for k in kinds], dtype=np.int8),
+        seed_key=tuple(seed_key),
+        **arrays,
+    )
 
 
 def load_instance(path) -> LinkInstance:

@@ -16,99 +16,77 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import channel, evaluation, optimizer, topology
-from .sinr import UtilityKind
 
 CONFIG_SCHEMA = "spinopt.config/1"
+# the config schema is the dataclasses: a section's keys are their fields
 _SECTION_KEYS = {
     "scenario": {f.name for f in fields(channel.ScenarioConfig)},
-    "experiment": {
-        "algorithms",
-        "num_drops",
-        "frames_per_drop",
-        "utility",
-        "bandwidth_hz",
-        "percentile_q",
-        "master_seed",
-        "fading",
-        "exhaustive_cap",
-    },
+    "experiment": {f.name for f in fields(evaluation.ExperimentConfig)} - {"scenario"},
     "sweep": {"parameter", "values"},
 }
 _SWEEP_PARAMETERS = ("num_links", "link_mix")
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(data, seed=None, algorithms=None, optimize=False):
+    """The one config contract of every command.
+
+    Checks a parsed config's sections and keys, lets the dataclasses check
+    every value, and returns the experiment and the experiments of its sweep
+    points (None without a ``sweep`` section). ``seed`` and ``algorithms``
+    (a comma list) are the CLI's overrides. With ``optimize``, a config
+    without ``algorithms`` runs all of them and one without ``master_seed``
+    seeds the random baseline with the scenario seed.
+    """
     if not isinstance(data, dict):
-        raise ValueError(f"config {path} must be a JSON object")
-    if data.get("schema") != CONFIG_SCHEMA:
-        raise ValueError(
-            f"config {path}: expected \"schema\": \"{CONFIG_SCHEMA}\", got {data.get('schema')!r}"
-        )
+        raise ValueError("config must be a JSON object")
+    schema = data.get("schema")
+    if schema != CONFIG_SCHEMA:
+        raise ValueError(f'config: expected "schema": "{CONFIG_SCHEMA}", got {schema!r}')
     unknown = set(data) - {"schema", *_SECTION_KEYS}
     if unknown:
-        raise ValueError(f"config {path}: unknown top-level key(s) {sorted(unknown)}")
-    # the one config contract of every command
+        raise ValueError(f"config: unknown top-level key(s) {sorted(unknown)}")
+    sections = {}
     for name, keys in _SECTION_KEYS.items():
-        section = data.get(name, {})
+        sections[name] = section = data.get(name, {})
         if not isinstance(section, dict):
-            raise ValueError(f"config {path}: section {name!r} must be a JSON object")
+            raise ValueError(f"config section {name!r} must be a JSON object")
         if set(section) - keys:
             raise ValueError(f"unknown {name} key(s) {sorted(set(section) - keys)}")
-    if "sweep" in data:
-        parameter, values = data["sweep"].get("parameter"), data["sweep"].get("values")
-        if parameter not in _SWEEP_PARAMETERS:
-            raise ValueError(
-                f"sweep key 'parameter' must be one of {_SWEEP_PARAMETERS}, got {parameter!r}"
-            )
-        if not isinstance(values, list) or not values:
-            raise ValueError("sweep key 'values' must be a non-empty list")
-    return data
 
+    scenario = channel.ScenarioConfig(**sections["scenario"])
+    experiment = dict(sections["experiment"])
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
+        experiment["master_seed"] = seed
+    if algorithms is not None:
+        experiment["algorithms"] = [name.strip() for name in algorithms.split(",") if name.strip()]
+    if optimize:
+        experiment.setdefault("algorithms", evaluation.ALGORITHMS)
+        experiment.setdefault("master_seed", scenario.seed)
+    config = evaluation.ExperimentConfig(scenario=scenario, **experiment)
+    if "sweep" not in data:
+        return config, None
 
-def _scenario_from(data: dict, seed_override: int | None) -> channel.ScenarioConfig:
-    scenario = channel.scenario_from_json(data.get("scenario", {}))
-    if seed_override is not None:
-        scenario = replace(scenario, seed=seed_override)
-    return scenario
-
-
-def _experiment_from(
-    data: dict,
-    scenario: channel.ScenarioConfig,
-    seed_override: int | None,
-    algorithms_override: tuple[str, ...] | None,
-) -> evaluation.ExperimentConfig:
-    section = dict(data.get("experiment", {}))
-    if "utility" in section:
-        try:
-            section["utility"] = UtilityKind(section["utility"])
-        except ValueError:
-            raise ValueError(
-                f"experiment key 'utility' must be one of "
-                f"{[k.value for k in UtilityKind]}, got {section['utility']!r}"
-            ) from None
-    if "algorithms" in section:
-        section["algorithms"] = tuple(section["algorithms"])
-    if seed_override is not None:
-        section["master_seed"] = seed_override
-    if algorithms_override is not None:
-        section["algorithms"] = algorithms_override
-    return evaluation.ExperimentConfig(scenario=scenario, **section)
-
-
-def _parse_algorithms(arg: str | None) -> tuple[str, ...] | None:
-    if arg is None:
-        return None
-    names = tuple(name.strip() for name in arg.split(",") if name.strip())
-    unknown = [n for n in names if n not in evaluation.ALGORITHMS]
-    if unknown:
-        raise ValueError(f"unknown algorithm(s) {unknown}; choose from {evaluation.ALGORITHMS}")
-    return names
+    parameter, values = sections["sweep"].get("parameter"), sections["sweep"].get("values")
+    if parameter not in _SWEEP_PARAMETERS:
+        raise ValueError(
+            f"sweep key 'parameter' must be one of {_SWEEP_PARAMETERS}, got {parameter!r}"
+        )
+    if not isinstance(values, list) or not values:
+        raise ValueError("sweep key 'values' must be a non-empty list")
+    try:
+        points = [replace(scenario, **{parameter: value}) for value in values]
+        return config, [replace(config, scenario=point) for point in points]
+    except ValueError as exc:
+        raise ValueError(f"sweep key 'values' (parameter {parameter!r}): {exc}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -132,8 +110,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_generate(args) -> int:
-    data = _load_config(args.config)
-    scenario = _scenario_from(data, args.seed)
+    scenario = load_config(_read_json(args.config), args.seed)[0].scenario
     out = _out_dir(args)
     t0 = time.perf_counter()
     instance = channel.generate_instance(scenario, args.drop)
@@ -156,16 +133,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    data = _load_config(args.config)
-    section = data.get("experiment", {})
-    scenario = _scenario_from(data, args.seed)
-    algorithms = _parse_algorithms(args.algorithms)
-    if algorithms is None and "algorithms" not in section:
-        algorithms = evaluation.ALGORITHMS
-    config = _experiment_from(data, scenario, args.seed, algorithms)
-    if args.seed is None and "master_seed" not in section:
-        config = replace(config, master_seed=scenario.seed)
-
+    config, _ = load_config(_read_json(args.config), args.seed, args.algorithms, optimize=True)
+    scenario = config.scenario
     if args.instance is not None:
         instance = channel.load_instance(args.instance)
     else:
@@ -207,9 +176,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    data = _load_config(args.config)
-    scenario = _scenario_from(data, args.seed)
-    config = _experiment_from(data, scenario, args.seed, _parse_algorithms(args.algorithms))
+    config, _ = load_config(_read_json(args.config), args.seed, args.algorithms)
     report = evaluation.run_experiment(config, workers=args.threads)
     out = _out_dir(args)
     if args.format in ("json", "both"):
@@ -238,16 +205,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_config(args.config)
-    if "sweep" not in data:
+    data = _read_json(args.config)
+    _, configs = load_config(data, args.seed, args.algorithms)
+    if configs is None:
         raise ValueError("sweep command needs a 'sweep' section in the config")
     parameter, values = data["sweep"]["parameter"], data["sweep"]["values"]
-
-    scenario = _scenario_from(data, args.seed)
-    base = _experiment_from(data, scenario, args.seed, _parse_algorithms(args.algorithms))
-    configs = [
-        replace(base, scenario=replace(scenario, **{parameter: value})) for value in values
-    ]
     reports = evaluation.sweep(configs, workers=args.threads)
 
     out = _out_dir(args)

@@ -21,13 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ScenarioConfig, draw_fading, generate_instance, scenario_to_json
-from .optimizer import (
-    EXHAUSTIVE_CAP_DEFAULT,
-    exhaustive_search,
-    mst_dp,
-    random_spins,
+from .channel import (
+    ScenarioConfig,
+    _check_seed,
+    check_fields,
+    draw_fading,
+    generate_instance,
+    scenario_to_json,
 )
+from .optimizer import EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
 from .sinr import UtilityKind, spin_selectors, two_way_rates
 from .topology import build_graph, maximum_spanning_tree
 
@@ -48,7 +50,10 @@ FRAME_CHUNK_BUDGET = 512 << 10
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte-Carlo experiment: scenario, algorithms, sample sizes."""
+    """One Monte-Carlo experiment: scenario, algorithms, sample sizes.
+
+    With ``ScenarioConfig``, the config schema: the CLI's keys are its fields.
+    """
 
     scenario: ScenarioConfig
     algorithms: tuple[str, ...] = ("mst_dp", "random")
@@ -59,33 +64,31 @@ class ExperimentConfig:
     percentile_q: float = 0.05
     master_seed: int = 0
     fading: str = "rayleigh"
-    exhaustive_cap: int = EXHAUSTIVE_CAP_DEFAULT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        check_fields(self)
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
-            raise ValueError(f"unknown algorithm(s) {unknown}; choose from {ALGORITHMS}")
+            raise ValueError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
-            raise ValueError("duplicate algorithm names")
+            raise ValueError(f"algorithms must not repeat a name, got {list(self.algorithms)}")
         if self.num_drops < 1:
             raise ValueError(f"num_drops must be >= 1, got {self.num_drops}")
         if self.frames_per_drop < 1:
             raise ValueError(f"frames_per_drop must be >= 1, got {self.frames_per_drop}")
-        if not isinstance(self.utility, UtilityKind):
-            raise ValueError(f"utility must be a UtilityKind, got {self.utility!r}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ValueError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz}")
+        if self.bandwidth_hz <= 0:
+            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if not 0.0 < self.percentile_q < 1.0:
             raise ValueError(f"percentile_q must be in (0, 1), got {self.percentile_q}")
+        _check_seed(self.master_seed, "master_seed")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
-        if "exhaustive" in self.algorithms and self.scenario.num_links > self.exhaustive_cap:
+        if "exhaustive" in self.algorithms and self.scenario.num_links > EXHAUSTIVE_CAP:
             raise ValueError(
-                f"exhaustive search infeasible for {self.scenario.num_links} links "
-                f"(cap {self.exhaustive_cap}); drop it from algorithms or raise the cap"
+                f"exhaustive search infeasible for num_links={self.scenario.num_links} "
+                f"(cap {EXHAUSTIVE_CAP}); drop it from algorithms"
             )
 
 
@@ -182,13 +185,13 @@ def percentile(sample: np.ndarray, q: float) -> float:
 
 
 def optimize(config: ExperimentConfig, algorithm, instance, graph, tree, baseline_seed):
-    """Run one of ``ALGORITHMS`` with the experiment's utility and caps.
+    """Run one of ``ALGORITHMS`` with the experiment's utility.
 
     The single algorithm dispatch of the package; ``baseline_seed`` seeds
     the random baseline.
     """
     if algorithm == "exhaustive":
-        return exhaustive_search(instance, graph, config.utility, cap=config.exhaustive_cap)
+        return exhaustive_search(instance, graph, config.utility)
     if algorithm == "mst_dp":
         return mst_dp(instance, graph, tree, config.utility)
     if algorithm == "random":
@@ -275,9 +278,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
         )
     if "random" in stats:
         ref = stats["random"]
+        # a gain against a zero baseline statistic is None: null in the data files
         for st in stats.values():
-            st.gain_mean_vs_random = st.mean_bps / ref.mean_bps
-            st.gain_percentile_vs_random = st.percentile_bps / ref.percentile_bps
+            st.gain_mean_vs_random = st.mean_bps / ref.mean_bps if ref.mean_bps else None
+            st.gain_percentile_vs_random = (
+                st.percentile_bps / ref.percentile_bps if ref.percentile_bps else None
+            )
 
     children_max = [p["max_children"] for p in payloads]
     return EvalReport(
@@ -349,15 +355,8 @@ def plot_rows(reports: list[EvalReport]) -> list[dict]:
 
 def write_plot_csv(reports: list[EvalReport], path) -> None:
     rows = plot_rows(reports)
-    columns = [
-        "num_links",
-        "link_mix",
-        "algorithm",
-        "mean_rate_bps",
-        "percentile_rate_bps",
-        "gain_mean_vs_random",
-        "gain_percentile_vs_random",
-    ]
+    columns = list(rows[0])
+
     def cell(value):
         if value is None:
             return ""

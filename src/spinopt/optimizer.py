@@ -27,7 +27,8 @@ from .channel import LinkInstance, end_planes
 from .sinr import UtilityKind, denominators, network_utilities, network_utility
 from .topology import RootedTree, TopologyGraph, relative_from_spins
 
-EXHAUSTIVE_CAP_DEFAULT = 20
+# Largest M exhaustive search accepts: 2**(M-1) assignments.
+EXHAUSTIVE_CAP = 20
 
 # Memory budget of one vertex's DP step. A vertex with D children ends with
 # R = 2**D child-edge spin rows. Per row, taking rates holds the (2, R, 2)
@@ -120,7 +121,6 @@ def exhaustive_search(
     instance: LinkInstance,
     graph: TopologyGraph,
     kind: UtilityKind,
-    cap: int = EXHAUSTIVE_CAP_DEFAULT,
 ) -> OptimizationResult:
     """Globally optimal spins by enumeration.
 
@@ -130,13 +130,13 @@ def exhaustive_search(
     ``_SCREEN_MARGIN`` of the best are re-ranked in batches by the exact
     objective (``network_utilities``, bit-identical to ``network_utility``),
     so the spins maximize the reported objective. Ties go to the
-    lexicographically smallest spin vector. Refuses M above ``cap``.
+    lexicographically smallest spin vector. Refuses M above ``EXHAUSTIVE_CAP``.
     """
     t_start = time.perf_counter()
     m = graph.num_vertices
-    if m > cap:
+    if m > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"exhaustive search refused: {m} links exceeds the cap of {cap} "
+            f"exhaustive search refused: {m} links exceeds the cap of {EXHAUSTIVE_CAP} "
             f"(2**(M-1) assignments)"
         )
     fixed = {comp[0] for comp in graph.components()}

@@ -1,12 +1,18 @@
 import json
+import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from spinopt.channel import load_instance
+from spinopt.channel import ScenarioConfig, load_instance
 from spinopt.cli import _write_json, main
+from spinopt.evaluation import ExperimentConfig
+from spinopt.optimizer import EXHAUSTIVE_CAP
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 
 def write_config(tmp_path, **sections):
@@ -218,27 +224,65 @@ def test_rejects_unknown_experiment_key(tmp_path, capsys):
     assert "oops" in capsys.readouterr().err
 
 
+EXHAUSTIVE_LINKS = EXHAUSTIVE_CAP + 1
+EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
+
+
 @pytest.mark.parametrize("command", ["generate", "optimize", "evaluate", "sweep"])
 @pytest.mark.parametrize(
     "sections, bad_key",
     [
         ({"experiment": {"num_dropz": 1}}, "num_dropz"),
-        ({"sweep": {"parameter": "num_links", "valuez": [2]}}, "valuez"),
-        ({"sweep": {"parameter": "area", "values": [2]}}, "area"),
+        ({"sweep": {"valuez": [2]}}, "valuez"),
+        ({"sweep": {"parameter": "area"}}, "area"),
         ({"experiment": ["num_drops"]}, "experiment"),
+        # wrong types: each once crashed with a traceback or ran silently
+        ({"scenario": {"num_links": "10"}}, "num_links"),
+        ({"scenario": {"num_links": 10.5}}, "num_links"),
+        ({"scenario": {"num_links": True}}, "num_links"),
+        ({"scenario": {"area_side": None}}, "area_side"),
+        ({"scenario": {"area_side": math.inf}}, "area_side"),
+        ({"scenario": {"pathloss_exp": True}}, "pathloss_exp"),
+        ({"scenario": {"shadow_sigma_db": math.nan}}, "shadow_sigma_db"),
+        ({"experiment": {"num_drops": "2"}}, "num_drops"),
+        ({"experiment": {"frames_per_drop": 2.5}}, "frames_per_drop"),
+        ({"experiment": {"percentile_q": "0.05"}}, "percentile_q"),
+        ({"experiment": {"bandwidth_hz": True}}, "bandwidth_hz"),
+        ({"experiment": {"master_seed": -1}}, "master_seed"),
+        ({"experiment": {"algorithms": "mst_dp"}}, "algorithms"),
+        ({"sweep": {"values": [2, "x"]}}, "values"),
+        # an integral float is not an int
+        ({"scenario": {"num_links": 4.0}}, "num_links"),
+        ({"scenario": {"seed": 1.0}}, "seed"),
+        ({"experiment": {"num_drops": 1.0}}, "num_drops"),
+        ({"experiment": {"master_seed": 2.0}}, "master_seed"),
+        # the cap is a constant, not a config key
+        ({"experiment": {"exhaustive_cap": "20"}}, "exhaustive_cap"),
+        ({"experiment": {"exhaustive_cap": 20}}, "exhaustive_cap"),
+        # every command refuses an infeasible exhaustive search
+        ({"scenario": {"num_links": EXHAUSTIVE_LINKS}, **EXHAUSTIVE_ONLY}, "infeasible"),
+        ({"sweep": {"values": [2, EXHAUSTIVE_LINKS]}, **EXHAUSTIVE_ONLY}, "values"),
     ],
 )
 def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, sections, bad_key):
-    good = {
+    config = {
+        "scenario": {"num_links": 2, "seed": 1},
         "experiment": {"num_drops": 1, "frames_per_drop": 1},
         "sweep": {"parameter": "num_links", "values": [2]},
     }
-    cfg = write_config(tmp_path, scenario={"num_links": 2, "seed": 1}, **{**good, **sections})
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    for name, section in sections.items():
+        both_objects = isinstance(section, dict) and isinstance(config[name], dict)
+        config[name] = {**config[name], **section} if both_objects else section
+    cfg = write_config(tmp_path, **config)
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", str(out)]
     if command in ("evaluate", "sweep"):
         argv += ["--threads", "1"]
     assert main(argv) == 1
-    assert bad_key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad_key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_rejects_wrong_schema_tag(tmp_path, capsys):
@@ -310,11 +354,11 @@ def test_optimize_rejects_unknown_experiment_key(tmp_path, capsys):
 def test_optimize_honours_exhaustive_cap(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
-        scenario={"num_links": 4, "seed": 1},
-        experiment={"algorithms": ["exhaustive"], "exhaustive_cap": 3},
+        scenario={"num_links": EXHAUSTIVE_LINKS, "seed": 1},
+        experiment={"algorithms": ["exhaustive"]},
     )
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "cap 3" in capsys.readouterr().err
+    assert f"cap {EXHAUSTIVE_CAP}" in capsys.readouterr().err
 
 
 def test_percentile_label_is_exact(tmp_path, capsys):
@@ -332,3 +376,70 @@ def test_percentile_label_is_exact(tmp_path, capsys):
     assert main(["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "s"), "--threads", "1"]) == 0
     out = capsys.readouterr().out
     assert "p29=" in out and "p28" not in out
+
+
+# a shadowing deviation of 800 dB leaves most links an SNR near 0 or an INR
+# near 1e157, so more than 5% of the random baseline's rates are exactly 0
+ZERO_BASELINE = {
+    "scenario": {"num_links": 4, "shadow_sigma_db": 800, "seed": 1},
+    "experiment": {"num_drops": 3, "frames_per_drop": 2, "utility": "two_way_sum_rate"},
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_gain_against_a_zero_baseline_is_null(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, **ZERO_BASELINE, sweep={"parameter": "num_links", "values": [4]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    points = summary["points"] if command == "sweep" else [summary]
+    for point in points:
+        random = point["algorithms"]["random"]
+        assert random["percentile_rate_bps"] == 0.0
+        for stats in point["algorithms"].values():
+            assert stats["gain_percentile_vs_random"] is None
+            assert math.isfinite(stats["gain_mean_vs_random"])
+    rows = (out / "plot_data.csv").read_text().splitlines()
+    assert rows[0].endswith(",gain_percentile_vs_random")
+    assert all(row.endswith(",") for row in rows[1:])
+    assert "gain" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"kinds": 5}, "kinds"),
+        ({"kinds": ["symmetric", "foo", "symmetric"]}, "foo"),
+        ({"seed_key": [1]}, "seed_key"),
+        ({"seed_key": [-1, 2]}, "seed_key"),
+        ({"seed_key": [1.5, 2]}, "seed_key"),
+        ({"num_links": 3.7}, "num_links"),
+        ({"num_links": "3"}, "num_links"),
+        ({"positions": "x"}, "positions"),
+        ({"snr": {}}, "snr"),
+    ],
+)
+def test_optimize_checks_the_instance_json(tmp_path, capsys, change, key):
+    cfg = write_config(tmp_path, scenario={"num_links": 3, "seed": 4})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+    path = tmp_path / "gen" / "instance.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    capsys.readouterr()
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", cfg, "--instance", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_readme_config_schema_matches_the_dataclasses():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config schema\n\n```jsonc\n(.*?)```", readme, re.S).group(1)
+    schema = json.loads(re.sub(r"//.*", "", block))
+    for section, cls in (("scenario", ScenarioConfig), ("experiment", ExperimentConfig)):
+        defaults = {f.name: f.default for f in fields(cls) if f.name != "scenario"}
+        documented = schema[section]
+        assert set(documented) == set(defaults)
+        for name, default in defaults.items():
+            default = getattr(default, "value", default)
+            assert documented[name] == (list(default) if isinstance(default, tuple) else default)

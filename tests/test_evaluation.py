@@ -84,6 +84,49 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        # an integral float is not an int, and a bool is not a number
+        ("scenario", "num_links", 10.0),
+        ("scenario", "num_links", True),
+        ("scenario", "seed", np.float64(1)),
+        ("scenario", "area_side", False),
+        ("scenario", "area_side", "100"),
+        ("scenario", "link_mix", math.nan),
+        ("scenario", "link_mix", np.float32("nan")),
+        ("scenario", "d_sym", -math.inf),
+        ("scenario", "snr_sym_db", 10**400),
+        ("experiment", "num_drops", 2.0),
+        ("experiment", "master_seed", 2.0),
+        ("experiment", "master_seed", -1),
+        ("experiment", "percentile_q", True),
+        ("experiment", "algorithms", "mst_dp"),
+        ("experiment", "algorithms", ["mst_dp", 1]),
+        ("experiment", "utility", "max_min"),
+        ("experiment", "utility", 1),
+        ("experiment", "fading", None),
+    ],
+)
+def test_config_fields_are_typed(section, key, value):
+    sections = {"scenario": {"num_links": 3, "seed": 1}, "experiment": {}}
+    sections[section][key] = value
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(scenario=ScenarioConfig(**sections["scenario"]), **sections["experiment"])
+
+
+def test_config_fields_keep_numbers_as_given():
+    scenario = ScenarioConfig(num_links=np.int64(3), area_side=100, seed=np.uint64(2))
+    assert type(scenario.area_side) is int  # echoed as 100, not 100.0
+    config = ExperimentConfig(
+        scenario=scenario, algorithms=["mst_dp", "random"], utility="two_way_sum_rate"
+    )
+    assert config.algorithms == ("mst_dp", "random")
+    assert config.utility is SUM_RATE
+    with pytest.raises(ValueError, match="scenario"):
+        ExperimentConfig(scenario={"num_links": 3})
+
+
 def test_single_link_single_frame_identity_fading():
     config = small_config(
         scenario_kwargs={},

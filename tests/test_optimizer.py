@@ -21,6 +21,7 @@ from spinopt import optimizer
 from spinopt.optimizer import (
     CHILD_CAP,
     DP_STEP_BUDGET,
+    EXHAUSTIVE_CAP,
     exhaustive_search,
     mst_dp,
     random_spins,
@@ -144,9 +145,10 @@ def test_tree_based_results_are_self_consistent():
 
 
 def test_exhaustive_refuses_above_cap():
-    inst, graph, _ = prepared(5, seed=0)
-    with pytest.raises(ValueError, match="cap"):
-        exhaustive_search(inst, graph, SUM_RATE, cap=4)
+    # refused before any enumeration, so the instance above the cap is cheap
+    inst, graph, _ = prepared(EXHAUSTIVE_CAP + 1, seed=0)
+    with pytest.raises(ValueError, match=f"cap of {EXHAUSTIVE_CAP}"):
+        exhaustive_search(inst, graph, SUM_RATE)
 
 
 def test_flip_invariance_of_returned_assignments():

@@ -36,6 +36,7 @@ from spinopt.channel import (
     instance_from_json,
     instance_to_json,
 )
+from spinopt.cli import CONFIG_SCHEMA, load_config
 from spinopt.evaluation import ALGORITHMS, FADING_MODES, ExperimentConfig, run_experiment
 from spinopt.optimizer import exhaustive_search, mst_dp
 from spinopt.sinr import (
@@ -233,6 +234,70 @@ def test_instance_json_round_trips_bit_for_bit(m, seed, drop_seed, link_mix, sig
             assert restored.tobytes() == value.tobytes()
         else:
             assert restored == value
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and +-inf included; json.load reads NaN and Infinity
+    st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# values of the right type, by annotation, so that some configs come out clean
+TYPED_VALUES = {
+    "int": st.integers(1, 30),
+    "float": st.floats(0.01, 0.99),
+    "str": st.sampled_from(FADING_MODES),
+    "UtilityKind": st.sampled_from([kind.value for kind in UtilityKind]),
+    "tuple[str, ...]": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True),
+}
+CONFIG_KEYS = (
+    [("scenario", f.name, TYPED_VALUES[f.type]) for f in fields(ScenarioConfig)]
+    + [
+        ("experiment", f.name, TYPED_VALUES[f.type])
+        for f in fields(ExperimentConfig)
+        if f.name != "scenario"
+    ]
+    + [
+        ("sweep", "parameter", st.sampled_from(["num_links", "link_mix"])),
+        ("sweep", "values", st.lists(st.integers(1, 5) | st.floats(0, 1), min_size=1, max_size=3)),
+    ]
+)
+
+
+@st.composite
+def config_values(draw):
+    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=3, unique=True))
+    return {(section, key): draw(typed | JSON_VALUES) for section, key, typed in keys}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config_values(), st.booleans())
+def test_config_loader_returns_configs_or_names_the_key(values, optimize):
+    # the loader only: a valid num_links of 10**6 must never be run
+    data = {
+        "schema": CONFIG_SCHEMA,
+        "scenario": {"num_links": 3},
+        "sweep": {"parameter": "num_links", "values": [2, 3]},
+    }
+    for (section, key), value in values.items():
+        data.setdefault(section, {})[key] = value
+    try:
+        config, points = load_config(data, optimize=optimize)
+    except ValueError as exc:
+        assert any(key in str(exc) for _, key in values), str(exc)
+    else:
+        assert isinstance(config, ExperimentConfig)
+        assert [p.scenario for p in points] == [
+            replace(config.scenario, **{data["sweep"]["parameter"]: v})
+            for v in data["sweep"]["values"]
+        ]
 
 
 def test_failing_property_does_not_abort_the_session(tmp_path):
