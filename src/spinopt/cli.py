@@ -94,13 +94,20 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_meta(out: Path, command: str, timing: dict) -> None:
-    meta = {
-        "command": command,
-        "finished_unix_time": time.time(),
-        "timing": timing,
-    }
+def _write_meta(out: Path, command: str, **facts) -> None:
+    meta = {"command": command, "finished_unix_time": time.time(), **facts}
     _write_json(out / "run_meta.json", meta)
+
+
+def _warn_optimizers(report, where: str = "") -> None:
+    """One stderr line per algorithm whose optimizer warned on some drop."""
+    for name, st in report.stats.items():
+        if st.warned_drops:
+            print(
+                f"warning: {where}{name} optimizer warned on {st.warned_drops} of "
+                f"{report.config.num_drops} drops; counts are in run_meta.json",
+                file=sys.stderr,
+            )
 
 
 def _out_dir(args) -> Path:
@@ -124,7 +131,7 @@ def _cmd_generate(args) -> int:
     (out / "graph_edges.txt").write_text(
         topology.graph_to_edge_list(graph), encoding="utf-8"
     )
-    _write_meta(out, "generate", {"elapsed_s": time.perf_counter() - t0})
+    _write_meta(out, "generate", timing={"elapsed_s": time.perf_counter() - t0})
     print(
         f"generated instance: links={instance.num_links} edges={len(graph.edges)} "
         f"seed={scenario.seed} drop={args.drop} -> {out}"
@@ -159,9 +166,7 @@ def _cmd_optimize(args) -> int:
             "results": {name: res.to_json(graph) for name, res in results.items()},
         },
     )
-    _write_meta(
-        out, "optimize", {name: res.elapsed_s for name, res in results.items()}
-    )
+    _write_meta(out, "optimize", timing={name: res.elapsed_s for name, res in results.items()})
 
     print(
         f"links={instance.num_links} edges={len(graph.edges)} "
@@ -184,7 +189,7 @@ def _cmd_evaluate(args) -> int:
     if args.format in ("csv", "both"):
         evaluation.write_samples_csv(report, out / "samples.csv")
         evaluation.write_plot_csv([report], out / "plot_data.csv")
-    _write_meta(out, "evaluate", report.timing_json())
+    _write_meta(out, "evaluate", **report.run_json())
     print(
         f"evaluated {config.num_drops} drops x {config.frames_per_drop} frames, "
         f"master_seed={config.master_seed}"
@@ -201,6 +206,7 @@ def _cmd_evaluate(args) -> int:
             f"  {name:<12} mean={st.mean_bps / 1e6:.3f} Mbps  "
             f"{q_label}={st.percentile_bps / 1e6:.3f} Mbps{gain}"
         )
+    _warn_optimizers(report)
     return 0
 
 
@@ -225,13 +231,10 @@ def _cmd_sweep(args) -> int:
         )
     if args.format in ("csv", "both"):
         evaluation.write_plot_csv(reports, out / "plot_data.csv")
-    _write_meta(
-        out,
-        "sweep",
-        {"points": [r.timing_json() for r in reports]},
-    )
+    _write_meta(out, "sweep", points=[r.run_json() for r in reports])
     print(f"swept {parameter} over {values}")
     for value, report in zip(values, reports):
+        _warn_optimizers(report, f"{parameter}={value} ")
         q_label = evaluation.percentile_label(report.config.percentile_q)
         for name in report.config.algorithms:
             st = report.stats[name]

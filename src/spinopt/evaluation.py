@@ -8,7 +8,9 @@ computing the mean and the lower-percentile statistics and the gain ratios
 against the random-spin baseline.
 
 Drops are independent work units with derived seeds, so results are
-bit-identical regardless of worker count.
+bit-identical regardless of worker count. With more than one worker they go
+to a process pool in chunks of ``max(1, num_drops // (4 * workers))``; a
+sweep sends the drops of all its points through one pool.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,6 +107,7 @@ class AlgorithmStats:
     optimize_time_s: float
     gain_mean_vs_random: float | None = None
     gain_percentile_vs_random: float | None = None
+    warned_drops: int = 0  # drops whose optimizer result carries a warning
 
     @property
     def sample_count(self) -> int:
@@ -120,6 +124,8 @@ class EvalReport:
     d_mean: float
     mean_edges: float
     elapsed_s: float
+    workers: int = 1  # processes the drops ran on
+    chunksize: int | None = None  # drops per pool task; None in-process
 
     def summary_json(self) -> dict:
         """Data-only summary (no timing), stable across identical runs."""
@@ -130,7 +136,8 @@ class EvalReport:
                 "percentile_rate_bps": st.percentile_bps,
                 "gain_mean_vs_random": st.gain_mean_vs_random,
                 "gain_percentile_vs_random": st.gain_percentile_vs_random,
-                "mean_objective": st.mean_objective,
+                # -inf when every assignment of a drop leaves a link at rate 0
+                "mean_objective": st.mean_objective if math.isfinite(st.mean_objective) else None,
                 "sample_count": st.sample_count,
             }
         return {
@@ -157,9 +164,17 @@ class EvalReport:
             "mean_graph_edges": self.mean_edges,
         }
 
-    def timing_json(self) -> dict:
-        timing = {name: st.optimize_time_s for name, st in self.stats.items()}
-        return {"elapsed_s": self.elapsed_s, "optimize_time_s": timing}
+    def run_json(self) -> dict:
+        """Wall-clock times, dispatch and optimizer warnings: not byte-stable."""
+        return {
+            "timing": {
+                "elapsed_s": self.elapsed_s,
+                "optimize_time_s": {name: st.optimize_time_s for name, st in self.stats.items()},
+            },
+            "workers": self.workers,
+            "chunksize": self.chunksize,
+            "optimizer_warnings": {name: st.warned_drops for name, st in self.stats.items()},
+        }
 
 
 def percentile_label(q: float) -> str:
@@ -234,18 +249,21 @@ def _run_drop(args) -> dict:
         "rates": {name: config.bandwidth_hz * r for name, r in rates.items()},
         "objective": {name: results[name].objective_exact for name in config.algorithms},
         "optimize_time": {name: results[name].elapsed_s for name in config.algorithms},
+        "warned": {name: results[name].warning is not None for name in config.algorithms},
         "max_children": tree.max_children,
         "num_edges": int(graph.adjacency.sum()) // 2,
     }
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
+def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> EvalReport:
     """Run the full Monte-Carlo experiment.
 
     ``workers > 1`` dispatches drops to a process pool of at most
-    ``num_drops`` workers; per-drop seeds are derived up front from the
-    master seed and drop payloads are reduced in drop order, so the report
-    does not depend on the worker count.
+    ``num_drops`` workers, in chunks of ``max(1, num_drops // (4 * workers))``
+    drops; ``pool``, an open pool of ``workers`` processes, is used instead
+    of starting one. Per-drop seeds are derived up front from the master seed
+    and drop payloads are reduced in drop order, so the report does not
+    depend on the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -258,9 +276,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
         (config, int(drop_seeds[2 * d]), int(drop_seeds[2 * d + 1]))
         for d in range(config.num_drops)
     ]
+    chunksize = None
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_run_drop, jobs))
+        # a chunk pickles its jobs' shared config once
+        chunksize = max(1, len(jobs) // (4 * workers))
+        with nullcontext(pool) if pool else ProcessPoolExecutor(max_workers=workers) as executor:
+            payloads = list(executor.map(_run_drop, jobs, chunksize=chunksize))
     else:
         payloads = [_run_drop(job) for job in jobs]
 
@@ -275,6 +296,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
             percentile_bps=percentile(pooled, config.percentile_q),
             mean_objective=float(np.mean([p["objective"][name] for p in payloads])),
             optimize_time_s=float(sum(p["optimize_time"][name] for p in payloads)),
+            warned_drops=sum(p["warned"][name] for p in payloads),
         )
     if "random" in stats:
         ref = stats["random"]
@@ -293,6 +315,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> EvalReport:
         d_mean=float(np.mean(children_max)),
         mean_edges=float(np.mean([p["num_edges"] for p in payloads])),
         elapsed_s=time.perf_counter() - t_start,
+        workers=workers,
+        chunksize=chunksize,
     )
 
 
@@ -301,16 +325,24 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
 
     Point ``i`` runs with a master seed derived from (its own master seed,
     i), so points never share random streams even when their configs match.
+    With ``workers > 1`` every point's drops go through one process pool of
+    at most the largest ``num_drops`` workers; its processes start at the
+    first point's first chunk.
     """
-    reports = []
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, max((config.num_drops for config in configs), default=1))
+    points = []
     for i, config in enumerate(configs):
         derived = int(
             np.random.SeedSequence(
                 entropy=(config.master_seed, i, _SWEEP_TAG)
             ).generate_state(1, dtype=np.uint64)[0]
         )
-        reports.append(run_experiment(replace(config, master_seed=derived), workers=workers))
-    return reports
+        points.append(replace(config, master_seed=derived))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # through the module global, so that wrappers of run_experiment see every point
+        return [run_experiment(point, workers, pool) for point in points]
 
 
 def write_samples_csv(report: EvalReport, path) -> None:

@@ -8,7 +8,7 @@ import pytest
 
 from spinopt.channel import ScenarioConfig, load_instance
 from spinopt.cli import _write_json, main
-from spinopt.evaluation import ExperimentConfig
+from spinopt.evaluation import ALGORITHMS, ExperimentConfig
 from spinopt.optimizer import EXHAUSTIVE_CAP
 
 REPO = Path(__file__).resolve().parent.parent
@@ -403,6 +403,64 @@ def test_gain_against_a_zero_baseline_is_null(tmp_path, capsys, command):
     assert rows[0].endswith(",gain_percentile_vs_random")
     assert all(row.endswith(",") for row in rows[1:])
     assert "gain" not in capsys.readouterr().out
+
+
+# proportional fairness on the same drops: every assignment leaves a link at
+# rate 0, so every objective is -inf and both optimizers warn on every drop
+MINUS_INF_OBJECTIVE = {
+    "scenario": ZERO_BASELINE["scenario"],
+    "experiment": {"num_drops": 3, "frames_per_drop": 2, "algorithms": list(ALGORITHMS)},
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_minus_inf_objective_is_null_and_warnings_are_counted(tmp_path, capsys, command):
+    sweep = {"parameter": "num_links", "values": [4, 4]}
+    cfg = write_config(tmp_path, **MINUS_INF_OBJECTIVE, sweep=sweep)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    meta = json.loads((out / "run_meta.json").read_text())
+    points, runs = (summary["points"], meta["points"]) if command == "sweep" else ([summary], [meta])
+    assert len(points) == len(runs) == (2 if command == "sweep" else 1)
+    expected = []
+    for point, run in zip(points, runs):
+        for stats in point["algorithms"].values():
+            assert stats["mean_objective"] is None
+        counts = run["optimizer_warnings"]
+        # the random baseline never warns; both optimizers warn on the same drops
+        assert counts["random"] == 0 and counts["exhaustive"] == counts["mst_dp"] >= 1
+        for name in ("exhaustive", "mst_dp"):
+            expected.append(f"{name} optimizer warned on {counts[name]} of 3 drops")
+    if command == "evaluate":
+        assert runs[0]["optimizer_warnings"]["mst_dp"] == 3
+    err = capsys.readouterr().err
+    assert "error" not in err
+    warned = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warned) == len(expected)
+    assert all(want in line for want, line in zip(expected, warned))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_run_meta_records_the_dispatch(tmp_path, command):
+    sweep = {"parameter": "num_links", "values": [2, 3]}
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 3, "seed": 2},
+        experiment={"num_drops": 17, "frames_per_drop": 1, "algorithms": ["mst_dp"]},
+        sweep=sweep,
+    )
+    dispatch = {}
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        runs = meta["points"] if command == "sweep" else [meta]
+        dispatch[threads] = [(run["workers"], run["chunksize"]) for run in runs]
+        assert all(set(run["optimizer_warnings"]) == {"mst_dp"} for run in runs)
+    points = 2 if command == "sweep" else 1
+    # in-process there are no chunks; on 2 workers they hold 17 // (4 * 2) drops
+    assert dispatch == {1: [(1, None)] * points, 2: [(2, 2)] * points}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,14 +227,16 @@ def test_worker_pool_does_not_change_results():
         )
 
 
-def test_pool_gets_at_most_one_worker_per_drop(monkeypatch):
-    pools = []
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Swaps the process pool for an in-process stub; logs pool sizes and chunk sizes."""
+    log = {"pools": [], "chunksizes": []}
 
     class RecordingPool:
         """Stands in for the process pool: records its size, maps in-process."""
 
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            log["pools"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -241,10 +244,16 @@ def test_pool_gets_at_most_one_worker_per_drop(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=1):
+            log["chunksizes"].append(chunksize)
             return map(fn, jobs)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    return log
+
+
+def test_pool_gets_at_most_one_worker_per_drop(pool_log):
+    pools = pool_log["pools"]
     config = small_config(num_drops=3, frames_per_drop=2)
     serial = run_experiment(config, workers=1)
     assert pools == []
@@ -257,6 +266,33 @@ def test_pool_gets_at_most_one_worker_per_drop(monkeypatch):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(config, workers=workers)
     assert pools == [2, 3, 3]
+
+
+def test_sweep_sends_every_point_through_one_pool(monkeypatch, pool_log):
+    points = []
+    unwrapped = evaluation.run_experiment
+
+    def recording_run_experiment(config, *args, **kwargs):
+        points.append(config.scenario.num_links)
+        return unwrapped(config, *args, **kwargs)
+
+    # a wrapper of the module attribute must see one call per point
+    monkeypatch.setattr(evaluation, "run_experiment", recording_run_experiment)
+    base = small_config(algorithms=("mst_dp", "random"), num_drops=17, frames_per_drop=1)
+    configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 3, 4)]
+
+    serial = sweep(configs, workers=1)
+    assert pool_log == {"pools": [], "chunksizes": []}
+    assert points == [2, 3, 4]
+    for workers, chunksize in ((2, 17 // 8), (64, 1)):
+        reports = sweep(configs, workers=workers)
+        assert [r.summary_json() for r in reports] == [r.summary_json() for r in serial]
+        assert [(r.workers, r.chunksize) for r in reports] == [(min(workers, 17), chunksize)] * 3
+    assert pool_log == {"pools": [2, 17], "chunksizes": [2, 2, 2, 1, 1, 1]}
+    assert points == [2, 3, 4] * 3
+    with pytest.raises(ValueError, match="workers"):
+        sweep(configs, workers=0)
+    assert len(pool_log["pools"]) == 2
 
 
 def test_sweep_derives_distinct_seeds():
@@ -272,8 +308,6 @@ def test_sweep_derives_distinct_seeds():
 
 def test_sweep_over_link_counts():
     base = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=2)
-    from dataclasses import replace
-
     configs = [
         replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 4)
     ]

@@ -37,7 +37,7 @@ from spinopt.channel import (
     instance_to_json,
 )
 from spinopt.cli import CONFIG_SCHEMA, load_config
-from spinopt.evaluation import ALGORITHMS, FADING_MODES, ExperimentConfig, run_experiment
+from spinopt.evaluation import ALGORITHMS, FADING_MODES, ExperimentConfig, run_experiment, sweep
 from spinopt.optimizer import exhaustive_search, mst_dp
 from spinopt.sinr import (
     UtilityKind,
@@ -213,6 +213,28 @@ def test_report_is_independent_of_worker_count(m, scenario_seed, master_seed, ki
     assert serial.summary_json() == pooled.summary_json()
     for name in config.algorithms:
         assert np.array_equal(serial.stats[name].rates_bps, pooled.stats[name].rates_bps)
+
+
+@POOLED
+@given(st.integers(1, 4), SEEDS, SEEDS, KINDS, st.sampled_from([17, 25]))
+def test_sweep_is_independent_of_worker_count(m, scenario_seed, master_seed, kind, num_drops):
+    base = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=m, link_mix=0.5, seed=scenario_seed),
+        algorithms=ALGORITHMS,
+        num_drops=num_drops,
+        frames_per_drop=2,
+        utility=kind,
+        master_seed=master_seed,
+    )
+    configs = [base, replace(base, scenario=replace(base.scenario, num_links=m + 1))]
+    serial = sweep(configs, workers=1)
+    pooled = sweep(configs, workers=2)
+    for a, b in zip(serial, pooled, strict=True):
+        # chunks of 2 or 3 drops, the last one short
+        assert b.chunksize == num_drops // 8 and num_drops % b.chunksize == 1
+        assert a.summary_json() == b.summary_json()
+        for name in ALGORITHMS:
+            assert np.array_equal(a.stats[name].rates_bps, b.stats[name].rates_bps)
 
 
 @PROPERTY
