@@ -296,10 +296,18 @@ def interference_tensor(
     at the same position are rejected: the INR between them would be infinite.
     """
     m = len(kinds)
-    nodes = np.asarray(positions, dtype=float).reshape(2 * m, 2)
-    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=2)
-    link_of = np.arange(2 * m) // 2
-    coincide = np.argwhere((dist == 0) & (link_of[:, None] < link_of[None, :]))
+    x, y = np.asarray(positions, dtype=float).reshape(2 * m, 2).T
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    # the operations of np.linalg.norm over the xy axis (squares, one add,
+    # sqrt), so the bytes match it, without a (2M, 2M, 2) temporary
+    dist = np.sqrt(dx * dx + dy * dy)
+    zero = dist == 0
+    # every node is at distance 0 from itself; only more zeros need a scan
+    coincide = ()
+    if np.count_nonzero(zero) > np.count_nonzero(zero.diagonal()):
+        link_of = np.arange(2 * m) // 2
+        coincide = np.argwhere(zero & (link_of[:, None] < link_of[None, :]))
     if len(coincide):
         a, b = coincide[0]
         raise ValueError(
@@ -314,9 +322,12 @@ def interference_tensor(
     tx_nodes = tx.reshape(-1)
     ref_nodes = np.repeat(config.nominal_distance()[kinds], 2)
 
-    ratio = np.full_like(dist, np.inf)
-    np.divide(ref_nodes[:, None], dist, out=ratio, where=dist > 0)
-    inr_nodes = tx_nodes[:, None] * ratio**config.pathloss_exp * shadowing
+    # a node's distance to itself gives inf here; the same-link block is zeroed below
+    with np.errstate(divide="ignore"):
+        inr_nodes = ref_nodes[:, None] / dist
+    inr_nodes **= config.pathloss_exp
+    inr_nodes *= tx_nodes[:, None]
+    inr_nodes *= shadowing
 
     inr = inr_nodes.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
     idx = np.arange(m)

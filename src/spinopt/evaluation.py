@@ -32,7 +32,7 @@ from .channel import (
     generate_instance,
     scenario_to_json,
 )
-from .optimizer import EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
+from .optimizer import DP_STEP_BUDGET, EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
 from .sinr import UtilityKind, spin_selectors, two_way_rates
 from .topology import build_graph, maximum_spanning_tree
 
@@ -49,6 +49,21 @@ _SWEEP_TAG = 0x3
 # Without the cap, the 10 frames of an M = 200 drop (12.8 MB of gains, plus
 # temporaries of that size) raised an evaluate run's peak RSS from 49 to 69 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
+
+# Memory budget of one run, checked by ExperimentConfig against
+# ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
+# - per link pair (M**2): a drop's (2M, 2M) node-pair arrays, its
+#   (M, M, 2, 2) INR tensor, a frame of gains and their temporaries;
+#   198 B measured at M = 200, 256 B here;
+# - per held rate sample: the drop's rates, the stacked rates and two
+#   sorted copies (one algorithm); 33.5 B measured, 40 B here;
+# - fixed: a chunk of fading frames (at most ~7 MB, at M = 1 with 10 922
+#   frames' seed states), the exhaustive screen (~10 MB at M = 18) and the
+#   DP step's own budget.
+RUN_MEMORY_BUDGET = 2 << 30
+_PAIR_BYTES = 256
+_SAMPLE_BYTES = 40
+_FIXED_BYTES = (32 << 20) + DP_STEP_BUDGET
 
 
 @dataclass(frozen=True)
@@ -93,6 +108,22 @@ class ExperimentConfig:
                 f"exhaustive search infeasible for num_links={self.scenario.num_links} "
                 f"(cap {EXHAUSTIVE_CAP}); drop it from algorithms"
             )
+        if self.peak_bytes() > RUN_MEMORY_BUDGET:
+            raise ValueError(
+                f"run needs ~{self.peak_bytes() / 2**30:.3g} GiB, above the budget of "
+                f"{RUN_MEMORY_BUDGET / 2**30:g} GiB: lower num_links (the cost grows as its "
+                "square) or num_drops * frames_per_drop * num_links * len(algorithms)"
+            )
+
+    def peak_bytes(self) -> int:
+        """Upper bound on the memory one process holds while running this experiment.
+
+        With a process pool, each worker holds a drop (the per-pair and
+        fixed terms) and the parent holds the samples.
+        """
+        m = self.scenario.num_links
+        samples = self.num_drops * self.frames_per_drop * m * len(self.algorithms)
+        return _PAIR_BYTES * m * m + _SAMPLE_BYTES * samples + _FIXED_BYTES
 
 
 @dataclass

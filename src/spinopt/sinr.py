@@ -49,6 +49,18 @@ def denominators(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.concatenate((noise, terms), axis=-3), axis=-3)
 
 
+def _spin_terms(adjacency, differ, same, opposite) -> np.ndarray:
+    """Interference each neighbour ``k`` adds at link ``l``, from broadcastable arrays.
+
+    ``opposite`` where the two spins differ, ``same`` where they agree, and
+    0 where {k, l} is no edge. Only the selected INR enters, so an
+    unselected value never reaches the sum, not even an infinite one.
+    """
+    terms = np.where(differ, opposite, same)
+    terms *= adjacency
+    return terms
+
+
 def network_utilities(values, graph: TopologyGraph, kind: UtilityKind, spins) -> list[float]:
     """``network_utility`` of every row of an (N, M) batch of absolute spins.
 
@@ -58,7 +70,7 @@ def network_utilities(values, graph: TopologyGraph, kind: UtilityKind, spins) ->
     """
     same, opposite = (np.stack(planes, axis=-1) for planes in end_planes(values.inr))
     differ = (spins[:, :, None] != spins[:, None, :])[..., None]
-    terms = np.where(differ, opposite, same) * graph.adjacency[:, :, None]
+    terms = _spin_terms(graph.adjacency[:, :, None], differ, same, opposite)
     sinr = values.snr / denominators(terms)
     return [
         sum(
@@ -80,31 +92,29 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins) -> f
 
 
 def spin_selectors(graph: TopologyGraph, spins) -> tuple[np.ndarray, np.ndarray]:
-    """(same_end, opposite_end) 0/1 masks for vectorized rate evaluation.
+    """(adjacency, differ) boolean masks for vectorized rate evaluation.
 
-    ``same_end[k, l]`` is 1 when edge {k, l} exists and the two spins agree,
-    ``opposite_end[k, l]`` when it exists and they differ; both are
-    symmetric and zero elsewhere. Precompute once per (graph, spins) pair
-    and reuse across fading draws.
+    ``adjacency[k, l]`` is the graph's edge mask and ``differ[k, l]`` is
+    True when the spins of links k and l differ; both are symmetric.
+    Precompute once per (graph, spins) pair and reuse across fading draws.
     """
     spins = check_spins(graph, spins)
-    differ = spins[:, None] != spins[None, :]
-    adjacency = graph.adjacency
-    return (adjacency & ~differ).astype(float), (adjacency & differ).astype(float)
+    return graph.adjacency, spins[:, None] != spins[None, :]
 
 
 def two_way_rates(values, selectors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-link two-way sum rates (bit/s/Hz) for all links at once.
 
-    ``values.snr``/``values.inr`` may carry leading frame axes, e.g. a
-    chunk of fading draws stacked as (F, M, 2) and (F, M, M, 2, 2); the
-    result then has shape (F, M). Each frame's rates are bit-identical to
-    evaluating that frame alone: the interferers are summed over ascending
-    k before the noise is added.
+    ``selectors`` is ``spin_selectors``' pair. ``values.snr``/``values.inr``
+    may carry leading frame axes, e.g. a chunk of fading draws stacked as
+    (F, M, 2) and (F, M, M, 2, 2); the result then has shape (F, M). Each
+    frame's rates are bit-identical to evaluating that frame alone: the
+    interferers are summed over ascending k before the noise is added.
     """
-    s0, s1 = selectors
-    (same_lr, same_rl), (opposite_lr, opposite_rl) = end_planes(values.inr)
+    adjacency, differ = selectors
     snr = values.snr
-    den_lr = 1.0 + (s0 * same_lr + s1 * opposite_lr).sum(axis=-2)
-    den_rl = 1.0 + (s0 * same_rl + s1 * opposite_rl).sum(axis=-2)
+    den_lr, den_rl = (
+        1.0 + _spin_terms(adjacency, differ, same, opposite).sum(axis=-2)
+        for same, opposite in zip(*end_planes(values.inr))
+    )
     return np.log2(1.0 + snr[..., 0] / den_lr) + np.log2(1.0 + snr[..., 1] / den_rl)

@@ -126,13 +126,15 @@ def build_graph(
     """Topology graph: edge {k, l} iff any of the 8 cross INRs exceeds threshold."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    peak = instance.inr.max(axis=(2, 3))
+    same, opposite = end_planes(instance.inr)
+    # the four end planes hold all of a pair's INRs; an elementwise max of
+    # them is exact and much faster than numpy's reduction over two length-2 axes
+    peak = np.maximum(np.maximum(*same), np.maximum(*opposite))
     edge = np.maximum(peak, peak.T) > threshold
     np.fill_diagonal(edge, False)
 
     # the largest change in interference power that flipping the pair's
     # relative spin causes in any of the four receive directions
-    same, opposite = end_planes(instance.inr)
     diff = np.maximum(*(np.abs(o - s) for s, o in zip(same, opposite)))
     return TopologyGraph(np.where(edge, np.maximum(diff, diff.T), np.nan))
 

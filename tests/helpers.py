@@ -327,6 +327,59 @@ def exhaustive_rerank(instance: LinkInstance, graph: TopologyGraph, kind):
     return best_spins, best
 
 
+def interference_tensor_norm(positions, kinds, shadowing, config) -> np.ndarray:
+    """Reference form of ``channel.interference_tensor``, which must match it
+    bit for bit: distances by ``np.linalg.norm`` over (2M, 2M, 2) coordinate
+    differences, an ``argwhere`` scan of every node pair for coincident
+    nodes, and the path-loss ratio by a ``where=`` divide into an inf array."""
+    m = len(kinds)
+    nodes = np.asarray(positions, dtype=float).reshape(2 * m, 2)
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=2)
+    link_of = np.arange(2 * m) // 2
+    coincide = np.argwhere((dist == 0) & (link_of[:, None] < link_of[None, :]))
+    if len(coincide):
+        a, b = coincide[0]
+        raise ValueError(
+            f"nodes coincide: end {a % 2} of link {a // 2} and end {b % 2} of link "
+            f"{b // 2} share a position, which makes the INR between them infinite"
+        )
+    tx_nodes = config.nominal_snr()[kinds].reshape(-1)
+    ref_nodes = np.repeat(config.nominal_distance()[kinds], 2)
+    ratio = np.full_like(dist, np.inf)
+    np.divide(ref_nodes[:, None], dist, out=ratio, where=dist > 0)
+    inr_nodes = tx_nodes[:, None] * ratio**config.pathloss_exp * shadowing
+    inr = inr_nodes.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
+    inr[np.arange(m), np.arange(m)] = 0.0
+    return inr
+
+
+def graph_weight_reduce(instance: LinkInstance, threshold: float) -> np.ndarray:
+    """Reference form of ``build_graph(instance, threshold).weight``: the
+    peak INR of each ordered pair by ``inr.max(axis=(2, 3))``."""
+    inr = instance.inr
+    peak = inr.max(axis=(2, 3))
+    edge = np.maximum(peak, peak.T) > threshold
+    np.fill_diagonal(edge, False)
+    diff = np.maximum(
+        np.abs(inr[..., 1, 1] - inr[..., 0, 1]), np.abs(inr[..., 0, 0] - inr[..., 1, 0])
+    )
+    return np.where(edge, np.maximum(diff, diff.T), np.nan)
+
+
+def two_way_rates_masks(values, graph: TopologyGraph, spins) -> np.ndarray:
+    """Reference form of ``sinr.two_way_rates``, which must match it bit for
+    bit on finite gains: 0/1 float masks ``s0`` (an edge, equal spins) and
+    ``s1`` (an edge, different spins), and each denominator
+    ``1 + sum_k (s0 * same + s1 * opposite)``."""
+    differ = spins[:, None] != spins[None, :]
+    s0 = (graph.adjacency & ~differ).astype(float)
+    s1 = (graph.adjacency & differ).astype(float)
+    inr, snr = values.inr, values.snr
+    den_lr = 1.0 + (s0 * inr[..., 0, 1] + s1 * inr[..., 1, 1]).sum(axis=-2)
+    den_rl = 1.0 + (s0 * inr[..., 1, 0] + s1 * inr[..., 0, 0]).sum(axis=-2)
+    return np.log2(1.0 + snr[..., 0] / den_lr) + np.log2(1.0 + snr[..., 1] / den_rl)
+
+
 def fading_frame(instance: LinkInstance, frame: int) -> SimpleNamespace:
     """Per-frame oracle of ``channel.draw_fading``: one frame's ``snr``/``inr``
     from numpy's own ``SeedSequence`` and ``default_rng``."""

@@ -130,6 +130,29 @@ def test_interference_rejects_coincident_nodes():
         interference_tensor(positions, kinds, np.ones((4, 4)), cfg)
 
 
+def test_coincident_nodes_name_the_first_pair_of_other_links():
+    cfg = ScenarioConfig(num_links=4, seed=0)
+    inst = generate_instance(cfg, drop_seed=3)
+    positions = inst.positions.copy()
+    positions[3, 1] = positions[2, 0]  # R3 on L2
+    positions[1, 1] = positions[3, 0]  # R1 on L3
+    with pytest.raises(ValueError) as exc:
+        interference_tensor(positions, inst.kinds, inst.shadowing, cfg)
+    assert str(exc.value) == (
+        "nodes coincide: end 1 of link 1 and end 0 of link 3 share a position, "
+        "which makes the INR between them infinite"
+    )
+
+
+def test_coincident_ends_of_one_link_are_accepted():
+    # at 1e20 m from the origin a 10 m span rounds away: both ends of every
+    # link share a position, and no pair of different links does
+    cfg = ScenarioConfig(num_links=3, area_side=1e20, seed=0)
+    inst = generate_instance(cfg, drop_seed=0)
+    np.testing.assert_array_equal(inst.positions[:, 0], inst.positions[:, 1])
+    np.testing.assert_array_equal(inst.inr[np.arange(3), np.arange(3)], 0.0)
+
+
 def test_instance_matches_formula_without_shadowing():
     cfg = ScenarioConfig(num_links=5, link_mix=0.4, shadow_sigma_db=0.0, seed=11)
     inst = generate_instance(cfg, drop_seed=2)

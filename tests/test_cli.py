@@ -262,6 +262,10 @@ EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
         # every command refuses an infeasible exhaustive search
         ({"scenario": {"num_links": EXHAUSTIVE_LINKS}, **EXHAUSTIVE_ONLY}, "infeasible"),
         ({"sweep": {"values": [2, EXHAUSTIVE_LINKS]}, **EXHAUSTIVE_ONLY}, "values"),
+        # every command refuses a run beyond the memory budget
+        ({"scenario": {"num_links": 100000}}, "num_links"),
+        ({"experiment": {"num_drops": 10**6, "frames_per_drop": 10**6}}, "frames_per_drop"),
+        ({"sweep": {"values": [2, 100000]}}, "values"),
     ],
 )
 def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, sections, bad_key):

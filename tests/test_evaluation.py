@@ -1,5 +1,9 @@
+import json
 import math
+import time
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from helpers import per_frame_rates, write_samples_csv_rows
 from spinopt import evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
+from spinopt.cli import load_config
 from spinopt.evaluation import (
     FADING_MODES,
     AlgorithmStats,
@@ -21,6 +26,7 @@ from spinopt.evaluation import (
 )
 from spinopt.sinr import UtilityKind
 
+REPO = Path(__file__).resolve().parent.parent
 SUM_RATE = UtilityKind.TWO_WAY_SUM_RATE
 PF = UtilityKind.PROPORTIONAL_FAIRNESS
 
@@ -114,6 +120,86 @@ def test_config_fields_are_typed(section, key, value):
     sections[section][key] = value
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(scenario=ScenarioConfig(**sections["scenario"]), **sections["experiment"])
+
+
+def traced_run(num_links, num_drops, frames_per_drop, algorithms):
+    """(config, tracemalloc peak of run_experiment) of a 1-worker run, traced
+    after one untraced run, so that one-off caches do not count."""
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=num_links, link_mix=0.5, seed=1),
+        algorithms=algorithms,
+        num_drops=num_drops,
+        frames_per_drop=frames_per_drop,
+    )
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return config, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        (150, 1, 1, ("mst_dp", "random")),
+        (10, 40, 100, ("random",)),
+        # at M = 1 one chunk of fading frames holds the most frames
+        (1, 1, evaluation.FRAME_CHUNK_BUDGET // 48, ("mst_dp",)),
+    ],
+    ids=["pairs", "samples", "frame-chunk"],
+)
+def test_peak_bytes_bounds_the_traced_peak(run):
+    config, peak = traced_run(*run)
+    assert peak <= config.peak_bytes()
+
+
+@pytest.mark.parametrize(
+    "small, large, unit_bytes",
+    [
+        ((60, 1, 1, ("mst_dp", "random")), (150, 1, 1, ("mst_dp", "random")), "_PAIR_BYTES"),
+        ((10, 40, 100, ("random",)), (10, 120, 100, ("random",)), "_SAMPLE_BYTES"),
+    ],
+    ids=["per-pair", "per-sample"],
+)
+def test_peak_bytes_terms_match_the_traced_growth(small, large, unit_bytes):
+    # between two runs that differ in one term, the peak grows by at most
+    # that term's bytes per unit, and by more than half of them
+    (config_a, peak_a), (config_b, peak_b) = traced_run(*small), traced_run(*large)
+    per_unit = getattr(evaluation, unit_bytes)
+    units = (config_b.peak_bytes() - config_a.peak_bytes()) / per_unit
+    assert per_unit / 2 < (peak_b - peak_a) / units <= per_unit
+
+
+@pytest.mark.parametrize(
+    "scenario, experiment",
+    [
+        ({"num_links": 100000}, {}),
+        ({"num_links": 10}, {"num_drops": 10**6, "frames_per_drop": 10**6}),
+    ],
+    ids=["num_links", "samples"],
+)
+def test_oversized_runs_are_refused_before_allocating(scenario, experiment):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="num_links.*num_drops \\* frames_per_drop"):
+            ExperimentConfig(scenario=ScenarioConfig(**scenario), **experiment)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+
+
+def test_shipped_configs_fit_the_memory_budget():
+    shipped = sorted((REPO / "configs").glob("*.json"))
+    assert shipped
+    for path in [*shipped, REPO / "bench/configs/opt_m200.json"]:
+        config, points = load_config(json.loads(path.read_text()))
+        for point in [config, *(points or [])]:
+            assert point.peak_bytes() <= evaluation.RUN_MEMORY_BUDGET
 
 
 def test_config_fields_keep_numbers_as_given():

@@ -22,10 +22,13 @@ from helpers import (
     exact_sinr,
     fading_frame,
     graph_from,
+    graph_weight_reduce,
+    interference_tensor_norm,
     kruskal_forest,
     random_instance,
     rates_of,
     tree_brute_force,
+    two_way_rates_masks,
     utility_of,
 )
 from spinopt.channel import (
@@ -35,6 +38,7 @@ from spinopt.channel import (
     generate_instance,
     instance_from_json,
     instance_to_json,
+    interference_tensor,
 )
 from spinopt.cli import CONFIG_SCHEMA, load_config
 from spinopt.evaluation import ALGORITHMS, FADING_MODES, ExperimentConfig, run_experiment, sweep
@@ -146,6 +150,97 @@ def test_two_way_rates_equal_loop_oracle(net, start):
         frame = fading_frame(inst, f)
         slow = rates_of([exact_sinr(frame, graph, l, spins) for l in range(graph.num_vertices)])
         np.testing.assert_allclose(rates, slow, rtol=1e-12, atol=0.0)
+
+
+def same_bytes(fast: np.ndarray, oracle: np.ndarray) -> bool:
+    return fast.shape == oracle.shape and fast.tobytes() == oracle.tobytes()
+
+
+@st.composite
+def node_layouts(draw, min_links=1, max_links=7):
+    """``interference_tensor``'s arguments for a random drop: M = 1 included,
+    across areas, spans, path-loss exponents and shadowing."""
+    config = ScenarioConfig(
+        num_links=draw(st.integers(min_links, max_links)),
+        area_side=draw(st.sampled_from([1.0, 100.0, 1e4])),
+        link_mix=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        d_asym=draw(st.sampled_from([0.3, 50.0])),
+        pathloss_exp=draw(st.sampled_from([2.0, 3.7, 4.0])),
+        shadow_sigma_db=draw(st.sampled_from([0.0, 8.0, 20.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    inst = generate_instance(config, drop_seed=draw(st.integers(0, 2**32 - 1)))
+    return inst.positions.copy(), inst.kinds, inst.shadowing, config
+
+
+@st.composite
+def wide_instances(draw, max_links=6):
+    """(instance, threshold): a random drop, or INRs whose opposite end is
+    the same end's value times up to 1e+-300, with some entries zero; the
+    thresholds range from every pair an edge to no edge at all."""
+    m = draw(st.integers(1, max_links))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        _, inst = random_instance(m, seed, link_mix=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    else:
+        rng = np.random.default_rng(seed)
+        same = 10.0 ** rng.uniform(-4.0, 4.0, size=(m, m, 2))
+        scale = 10.0 ** np.array(draw(st.lists(st.integers(-300, 300), min_size=2, max_size=2)))
+        inr = np.empty((m, m, 2, 2))
+        inr[..., 0, 1], inr[..., 1, 0] = same[..., 0], same[..., 1]
+        inr[..., 1, 1], inr[..., 0, 0] = same[..., 0] * scale[0], same[..., 1] * scale[1]
+        inr[rng.random((m, m, 2, 2)) < 0.2] = 0.0
+        inr[np.arange(m), np.arange(m)] = 0.0
+        inst = build_instance(inr, snr=10.0 ** rng.uniform(0.0, 3.0, size=(m, 2)))
+    return inst, draw(st.sampled_from([0.0, 1e-2, 1.0, 1e4, 1e300]))
+
+
+@PROPERTY
+@given(node_layouts())
+def test_interference_tensor_equals_norm_oracle(layout):
+    assert same_bytes(interference_tensor(*layout), interference_tensor_norm(*layout))
+
+
+@PROPERTY
+@given(node_layouts(min_links=2), st.data())
+def test_coincident_nodes_fail_as_the_norm_oracle_does(layout, data):
+    positions, kinds = layout[:2]
+    nodes = positions.reshape(-1, 2)
+    other_links = st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1))
+    moves = data.draw(
+        st.lists(other_links.filter(lambda p: p[0] // 2 != p[1] // 2), min_size=1, max_size=3)
+    )
+    for a, b in moves:
+        nodes[b] = nodes[a]
+
+    def outcome(kernel):
+        try:
+            return kernel(*layout).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(interference_tensor) == outcome(interference_tensor_norm)
+
+
+@PROPERTY
+@given(wide_instances())
+def test_build_graph_equals_reduce_oracle(case):
+    inst, threshold = case
+    assert same_bytes(build_graph(inst, threshold).weight, graph_weight_reduce(inst, threshold))
+
+
+@PROPERTY
+@given(wide_instances(), st.integers(0, 2**16), st.data())
+def test_two_way_rates_equal_mask_oracle(case, start, data):
+    inst, threshold = case
+    m = inst.num_links
+    graph = build_graph(inst, threshold)
+    spins = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    selectors = spin_selectors(graph, spins)
+    for values in (inst, draw_fading(inst, range(start, start + 3))):
+        fast = two_way_rates(values, selectors)
+        assert np.isfinite(fast).all()
+        assert same_bytes(fast, two_way_rates_masks(values, graph, spins))
 
 
 @PROPERTY

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from helpers import (
     rates_of,
     utility_of,
 )
-from spinopt.channel import draw_fading
+from spinopt.channel import ScenarioConfig, draw_fading, generate_instance
 from spinopt.optimizer import mst_dp
 from spinopt.sinr import (
     UtilityKind,
@@ -246,3 +248,24 @@ def test_approx_network_utility_sums_links():
                 kind, [approx_sinr(inst, graph, tree, l, dp.spins) for l in range(3)]
             )
             assert dp.objective_approx == pytest.approx(manual, rel=1e-15)
+
+
+def test_unselected_interferer_end_that_overflows_leaves_rates_finite():
+    # a finite long-term INR that fading lifts past the float range: with
+    # spins (0, 0) the R end of link 0 never interferes at link 1's R end
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=1), drop_seed=0)
+    inr = inst.inr.copy()
+    inr[0, 1, 1, 1] = 1e308
+    inst = replace(inst, inr=inr)
+    graph = build_graph(inst)
+    spins = np.array([0, 0])
+    with np.errstate(over="ignore"):
+        draw = draw_fading(inst, range(20))
+    overflowed = np.flatnonzero(np.isinf(draw.inr).any(axis=(1, 2, 3, 4)))
+    assert len(overflowed) == 2
+    rates = two_way_rates(draw, spin_selectors(graph, spins))
+    assert np.isfinite(rates).all()
+    for f in overflowed:
+        frame = SimpleNamespace(snr=draw.snr[f], inr=draw.inr[f])
+        slow = rates_of([exact_sinr(frame, graph, l, spins) for l in range(2)])
+        np.testing.assert_allclose(rates[f], slow, rtol=1e-12, atol=0.0)
