@@ -9,6 +9,7 @@ magnitude of unit-power Rayleigh fading).
 Conventions used throughout the package:
 
 * all power quantities are linear ratios, noise power is normalized to 1;
+  decibels appear only in configuration values;
 * link ends are indexed 0 (the "L" node) and 1 (the "R" node); the node at
   end ``x`` of link ``l`` has flat node index ``2*l + x``;
 * ``inr[l, k, x, y]`` is the interference-to-noise ratio caused by end ``x``
@@ -30,8 +31,6 @@ import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .units import db_to_linear
 
 SYMMETRIC = 0
 ASYMMETRIC = 1
@@ -67,6 +66,11 @@ _XSHIFT = 16
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 INSTANCE_SCHEMA = "spinopt.instance/1"
+
+
+def db_to_linear(x_db: float) -> float:
+    """Convert a dB value to a linear power ratio."""
+    return 10.0 ** (x_db / 10.0)
 
 
 def _check_seed(value: int, name: str) -> int:

@@ -141,17 +141,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config, _ = load_config(_read_json(args.config), args.seed, args.algorithms, optimize=True)
-    scenario = config.scenario
     if args.instance is not None:
         instance = channel.load_instance(args.instance)
     else:
-        instance = channel.generate_instance(scenario, args.drop)
-    graph = topology.build_graph(instance, scenario.inr_edge_threshold)
-    tree = topology.maximum_spanning_tree(graph)
-    results = {
-        name: evaluation.optimize(config, name, instance, graph, tree, config.master_seed)
-        for name in config.algorithms
-    }
+        instance = channel.generate_instance(config.scenario, args.drop)
+    graph, tree, results, seconds = evaluation.solve_drop(config, instance, config.master_seed)
 
     out = _out_dir(args)
     _write_json(
@@ -166,7 +160,7 @@ def _cmd_optimize(args) -> int:
             "results": {name: res.to_json(graph) for name, res in results.items()},
         },
     )
-    _write_meta(out, "optimize", timing={name: res.elapsed_s for name, res in results.items()})
+    _write_meta(out, "optimize", timing=seconds)
 
     print(
         f"links={instance.num_links} edges={len(graph.edges)} "
@@ -257,38 +251,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
+    def command(name, func, help, drop=False, algorithms=True) -> argparse.ArgumentParser:
+        """A command with the flags of its kind, one drop or a Monte-Carlo experiment."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="JSON config file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario/master seed")
+        if drop:
+            p.add_argument("--drop", type=int, default=0, help="drop index to generate (default 0)")
+        else:
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+        if algorithms:
+            names = ",".join(evaluation.ALGORITHMS)
+            p.add_argument("--algorithms", default=None, help=f"comma list: {names}")
+        return p
 
-    p_gen = sub.add_parser("generate", help="write one network drop as JSON")
-    common(p_gen)
-    p_gen.add_argument("--drop", type=int, default=0, help="drop index (default 0)")
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_opt = sub.add_parser("optimize", help="optimize spins for one drop")
-    common(p_opt)
+    command(
+        "generate", _cmd_generate, "write one network drop as JSON", drop=True, algorithms=False
+    )
+    p_opt = command("optimize", _cmd_optimize, "optimize spins for one drop", drop=True)
     p_opt.add_argument("--instance", default=None, help="optimize a saved instance JSON")
-    p_opt.add_argument("--drop", type=int, default=0, help="drop index when generating")
-    p_opt.add_argument("--algorithms", default=None, help="comma list: exhaustive,mst_dp,random")
-    p_opt.set_defaults(func=_cmd_optimize)
-
-    p_eval = sub.add_parser("evaluate", help="run the Monte-Carlo experiment")
-    common(p_eval)
-    p_eval.add_argument("--algorithms", default=None, help="comma list: exhaustive,mst_dp,random")
-    p_eval.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p_eval.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p_eval.set_defaults(func=_cmd_evaluate)
-
-    p_sweep = sub.add_parser("sweep", help="run experiments over a parameter range")
-    common(p_sweep)
-    p_sweep.add_argument("--algorithms", default=None, help="comma list: exhaustive,mst_dp,random")
-    p_sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p_sweep.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
+    command("evaluate", _cmd_evaluate, "run the Monte-Carlo experiment")
+    command("sweep", _cmd_sweep, "run experiments over a parameter range")
     return parser
 
 

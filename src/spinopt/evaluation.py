@@ -44,25 +44,28 @@ SWEEP_SCHEMA = "spinopt.sweep/1"
 
 _SWEEP_TAG = 0x3
 
-# Bytes of stacked snr + inr gains per chunk of frames whose rates are
-# evaluated at once: 100 frames (3.3 kB each) at M = 10, 1 frame at M = 200.
-# Without the cap, the 10 frames of an M = 200 drop (12.8 MB of gains, plus
-# temporaries of that size) raised an evaluate run's peak RSS from 49 to 69 MB.
+# Bytes per chunk of frames whose rates are evaluated at once: the stacked
+# snr + inr gains plus _FRAME_STATE_BYTES of fading seed state per frame;
+# 135 frames (3.9 kB each) at M = 10, 1 frame at M = 200. Without the cap,
+# the 10 frames of an M = 200 drop (12.8 MB of gains, plus temporaries of
+# that size) raised an evaluate run's peak RSS from 49 to 69 MB; without the
+# seed state, a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
+_FRAME_STATE_BYTES = 512
 
 # Memory budget of one run, checked by ExperimentConfig against
 # ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
 # - per link pair (M**2): a drop's (2M, 2M) node-pair arrays, its
 #   (M, M, 2, 2) INR tensor, a frame of gains and their temporaries;
 #   198 B measured at M = 200, 256 B here;
-# - per held rate sample: the drop's rates, the stacked rates and two
-#   sorted copies (one algorithm); 33.5 B measured, 40 B here;
-# - fixed: a chunk of fading frames (at most ~7 MB, at M = 1 with 10 922
-#   frames' seed states), the exhaustive screen (~10 MB at M = 18) and the
-#   DP step's own budget.
+# - per held rate sample: the drop's rates, the stacked rates and one
+#   sorted copy (one algorithm); 23.4 B measured, 32 B here;
+# - fixed: a chunk of fading frames (~1 MB at M <= 40, ~2.6 MB for the one
+#   frame of a chunk at M = 200), the exhaustive screen (~10 MB at M = 18)
+#   and the DP step's own budget.
 RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
-_SAMPLE_BYTES = 40
+_SAMPLE_BYTES = 32
 _FIXED_BYTES = (32 << 20) + DP_STEP_BUDGET
 
 
@@ -130,7 +133,6 @@ class ExperimentConfig:
 class AlgorithmStats:
     """Pooled per-algorithm rate statistics for one experiment."""
 
-    algorithm: str
     rates_bps: np.ndarray  # (num_drops, frames_per_drop, num_links)
     mean_bps: float
     percentile_bps: float
@@ -213,6 +215,17 @@ def percentile_label(q: float) -> str:
     return f"p{q * 100:g}"
 
 
+def _rank(size: int, q: float) -> int:
+    """Index of the lower empirical q-quantile in an ascending sample of ``size``."""
+    if size == 0:
+        raise ValueError("percentile of an empty sample")
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must be in (0, 1), got {q}")
+    qn = q * size
+    # guard against binary-float excess (e.g. 0.05 * 100 slightly above 5)
+    return max(0, math.ceil(qn - abs(qn) * 1e-12) - 1)
+
+
 def percentile(sample: np.ndarray, q: float) -> float:
     """Lower empirical quantile: ascending order statistic ceil(q*n) - 1.
 
@@ -220,29 +233,31 @@ def percentile(sample: np.ndarray, q: float) -> float:
     result is byte-stable for golden comparisons.
     """
     sample = np.asarray(sample, dtype=float).ravel()
-    if sample.size == 0:
-        raise ValueError("percentile of an empty sample")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    qn = q * sample.size
-    # guard against binary-float excess (e.g. 0.05 * 100 slightly above 5)
-    index = max(0, math.ceil(qn - abs(qn) * 1e-12) - 1)
-    return float(np.sort(sample)[index])
+    return float(np.sort(sample)[_rank(sample.size, q)])
 
 
-def optimize(config: ExperimentConfig, algorithm, instance, graph, tree, baseline_seed):
-    """Run one of ``ALGORITHMS`` with the experiment's utility.
+def solve_drop(config: ExperimentConfig, instance, baseline_seed: int):
+    """(graph, tree, results, seconds) of one drop for every algorithm of ``config``.
 
-    The single algorithm dispatch of the package; ``baseline_seed`` seeds
-    the random baseline.
+    The single algorithm dispatch of the package: builds the topology graph
+    and its maximum spanning forest, then runs each algorithm's optimizer
+    with the experiment's utility and times the call. ``results`` and
+    ``seconds`` are keyed by algorithm in config order; ``baseline_seed``
+    seeds the random baseline.
     """
-    if algorithm == "exhaustive":
-        return exhaustive_search(instance, graph, config.utility)
-    if algorithm == "mst_dp":
-        return mst_dp(instance, graph, tree, config.utility)
-    if algorithm == "random":
-        return random_spins(instance, graph, config.utility, baseline_seed)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    graph = build_graph(instance, config.scenario.inr_edge_threshold)
+    tree = maximum_spanning_tree(graph)
+    solvers = {
+        "exhaustive": lambda: exhaustive_search(instance, graph, config.utility),
+        "mst_dp": lambda: mst_dp(instance, graph, tree, config.utility),
+        "random": lambda: random_spins(instance, graph, config.utility, baseline_seed),
+    }
+    results, seconds = {}, {}
+    for name in config.algorithms:
+        start = time.perf_counter()
+        results[name] = solvers[name]()
+        seconds[name] = time.perf_counter() - start
+    return graph, tree, results, seconds
 
 
 def _run_drop(args) -> dict:
@@ -250,15 +265,8 @@ def _run_drop(args) -> dict:
     config, drop_seed, baseline_seed = args
     scenario = config.scenario
     instance = generate_instance(scenario, drop_seed)
-    graph = build_graph(instance, scenario.inr_edge_threshold)
-    tree = maximum_spanning_tree(graph)
-
-    results = {}
-    selectors = {}
-    for name in config.algorithms:
-        res = optimize(config, name, instance, graph, tree, baseline_seed)
-        results[name] = res
-        selectors[name] = spin_selectors(graph, res.spins)
+    graph, tree, results, seconds = solve_drop(config, instance, baseline_seed)
+    selectors = {name: spin_selectors(graph, res.spins) for name, res in results.items()}
 
     rates = {
         name: np.empty((config.frames_per_drop, scenario.num_links))
@@ -269,7 +277,8 @@ def _run_drop(args) -> dict:
         for name in config.algorithms:
             rates[name][:] = two_way_rates(instance, selectors[name])
     else:
-        chunk = max(1, FRAME_CHUNK_BUDGET // (instance.snr.nbytes + instance.inr.nbytes))
+        frame_bytes = instance.snr.nbytes + instance.inr.nbytes + _FRAME_STATE_BYTES
+        chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
         for start in range(0, config.frames_per_drop, chunk):
             frames = range(start, min(start + chunk, config.frames_per_drop))
             draw = draw_fading(instance, frames)
@@ -279,7 +288,7 @@ def _run_drop(args) -> dict:
     return {
         "rates": {name: config.bandwidth_hz * r for name, r in rates.items()},
         "objective": {name: results[name].objective_exact for name in config.algorithms},
-        "optimize_time": {name: results[name].elapsed_s for name in config.algorithms},
+        "optimize_time": seconds,
         "warned": {name: results[name].warning is not None for name in config.algorithms},
         "max_children": tree.max_children,
         "num_edges": int(graph.adjacency.sum()) // 2,
@@ -321,10 +330,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
         rates = np.stack([p["rates"][name] for p in payloads])
         pooled = np.sort(rates.ravel())
         stats[name] = AlgorithmStats(
-            algorithm=name,
             rates_bps=rates,
             mean_bps=float(pooled.mean()),
-            percentile_bps=percentile(pooled, config.percentile_q),
+            percentile_bps=float(pooled[_rank(pooled.size, config.percentile_q)]),
             mean_objective=float(np.mean([p["objective"][name] for p in payloads])),
             optimize_time_s=float(sum(p["optimize_time"][name] for p in payloads)),
             warned_drops=sum(p["warned"][name] for p in payloads),

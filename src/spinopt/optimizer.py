@@ -18,7 +18,6 @@ lexicographically smallest bit pattern wins.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +66,10 @@ class OptimizationResult:
     spins: np.ndarray
     objective_exact: float
     objective_approx: float | None
-    elapsed_s: float
     warning: str | None = None
 
     def to_json(self, graph: TopologyGraph) -> dict:
-        """JSON view (no timing); ``relative_spins`` is the XOR of ``spins`` per edge."""
+        """JSON view; ``relative_spins`` is the XOR of ``spins`` per edge."""
         relative = relative_from_spins(graph, self.spins)
         return {
             "algorithm": self.algorithm,
@@ -132,7 +130,6 @@ def exhaustive_search(
     so the spins maximize the reported objective. Ties go to the
     lexicographically smallest spin vector. Refuses M above ``EXHAUSTIVE_CAP``.
     """
-    t_start = time.perf_counter()
     m = graph.num_vertices
     if m > EXHAUSTIVE_CAP:
         raise ValueError(
@@ -174,7 +171,6 @@ def exhaustive_search(
         spins=best_spins,
         objective_exact=objective,
         objective_approx=None,
-        elapsed_s=time.perf_counter() - t_start,
         warning=warning,
     )
 
@@ -199,7 +195,6 @@ def mst_dp(
     Terms are selected, never reconstructed as base-plus-difference, so
     pairs whose two INR values differ by orders of magnitude stay exact.
     """
-    t_start = time.perf_counter()
     if tree.max_children > CHILD_CAP:
         raise ValueError(
             f"tree DP refused: a vertex has {tree.max_children} children, cap is "
@@ -264,7 +259,6 @@ def mst_dp(
         spins=spins,
         objective_exact=network_utility(instance, graph, kind, spins),
         objective_approx=objective_approx,
-        elapsed_s=time.perf_counter() - t_start,
         warning=warning,
     )
 
@@ -273,7 +267,6 @@ def random_spins(
     instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, seed: int
 ) -> OptimizationResult:
     """Uniform random spin baseline, evaluated exactly."""
-    t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=graph.num_vertices, dtype=np.int8)
     return OptimizationResult(
@@ -281,5 +274,4 @@ def random_spins(
         spins=spins,
         objective_exact=network_utility(instance, graph, kind, spins),
         objective_approx=None,
-        elapsed_s=time.perf_counter() - t_start,
     )

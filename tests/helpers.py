@@ -7,17 +7,16 @@ of ``channel.end_planes``.
 
 import csv
 import math
-import time
 from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 
 from spinopt.channel import _FADING_TAG, LinkInstance, ScenarioConfig, generate_instance
-from spinopt.evaluation import optimize
+from spinopt.evaluation import solve_drop
 from spinopt.optimizer import OptimizationResult, network_utility
 from spinopt.sinr import link_utility, spin_selectors, two_way_rates
-from spinopt.topology import RootedTree, TopologyGraph, build_graph, maximum_spanning_tree
+from spinopt.topology import RootedTree, TopologyGraph
 
 
 def build_instance(inr, snr=None, kinds=None) -> LinkInstance:
@@ -258,7 +257,6 @@ def tree_brute_force(
     vertices enumerate the tree-edge relative spins one to one. Ties go to
     the lexicographically smallest spin vector.
     """
-    t_start = time.perf_counter()
     m = graph.num_vertices
     free = [v for v in range(m) if tree.parent[v] >= 0]
     if len(free) > cap:
@@ -281,7 +279,6 @@ def tree_brute_force(
         spins=best_spins,
         objective_exact=network_utility(instance, graph, kind, best_spins),
         objective_approx=float(best_value),
-        elapsed_s=time.perf_counter() - t_start,
     )
 
 
@@ -404,10 +401,8 @@ def per_frame_rates(config) -> dict[str, np.ndarray]:
     rates = {name: np.empty(shape) for name in config.algorithms}
     for d in range(config.num_drops):
         instance = generate_instance(config.scenario, int(seeds[2 * d]))
-        graph = build_graph(instance, config.scenario.inr_edge_threshold)
-        tree = maximum_spanning_tree(graph)
-        for name in config.algorithms:
-            result = optimize(config, name, instance, graph, tree, int(seeds[2 * d + 1]))
+        graph, _, results, _ = solve_drop(config, instance, int(seeds[2 * d + 1]))
+        for name, result in results.items():
             selectors = spin_selectors(graph, result.spins)
             for f in range(config.frames_per_drop):
                 values = instance if config.fading == "none" else fading_frame(instance, f)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -82,6 +83,39 @@ def test_optimize_bundled_three_link_example(tmp_path, capsys):
     assert result["results"]["mst_dp"]["objective_approx"] is not None
     captured = capsys.readouterr().out
     assert "exhaustive" in captured and "mst_dp" in captured
+
+
+# SHA-256 of the data files of generate, optimize, and optimize --instance on
+# the generated instance.json, for configs/three_links.json
+THREE_LINKS_DIGESTS = {
+    "generate/graph_edges.txt": "09b0dae445667207009a93e47812fbffe185d29425ca106dd41093ef5682a3f8",
+    "generate/instance.json": "952ced8c527f7f5cb473b1249f8b524976a89b8c8d332d491e4234f93802cd9f",
+    "generate/topology.json": "7e58244156d1839f4acc1720f295d95ef9f7256db5c93ebe4e8db87d5767bdce",
+    "optimize/result.json": "dabfa834d5685c9df0f2db720d959dfb6aa6be40381a1963ac72745d46c7ccd2",
+    "optimize-instance/result.json": (
+        "dabfa834d5685c9df0f2db720d959dfb6aa6be40381a1963ac72745d46c7ccd2"
+    ),
+}
+
+
+def test_generate_and_optimize_data_files_match_golden_digests(tmp_path):
+    cfg = str(CONFIG_DIR / "three_links.json")
+    instance = str(tmp_path / "generate" / "instance.json")
+    runs = {
+        "generate": ["generate"],
+        "optimize": ["optimize"],
+        "optimize-instance": ["optimize", "--instance", instance],
+    }
+    digests = {}
+    for name, command in runs.items():
+        out = tmp_path / name
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 0
+        for file_name, data in data_files(out).items():
+            digests[f"{name}/{file_name}"] = hashlib.sha256(data).hexdigest()
+        # optimize times each algorithm of the config, generate the whole command
+        timing = json.loads((out / "run_meta.json").read_text())["timing"]
+        assert set(timing) == set(ALGORITHMS if command[0] == "optimize" else ["elapsed_s"])
+    assert digests == THREE_LINKS_DIGESTS
 
 
 def test_optimize_accepts_saved_instance(tmp_path):
@@ -462,6 +496,8 @@ def test_run_meta_records_the_dispatch(tmp_path, command):
         runs = meta["points"] if command == "sweep" else [meta]
         dispatch[threads] = [(run["workers"], run["chunksize"]) for run in runs]
         assert all(set(run["optimizer_warnings"]) == {"mst_dp"} for run in runs)
+        assert all(set(run["timing"]) == {"elapsed_s", "optimize_time_s"} for run in runs)
+        assert all(set(run["timing"]["optimize_time_s"]) == {"mst_dp"} for run in runs)
     points = 2 if command == "sweep" else 1
     # in-process there are no chunks; on 2 workers they hold 17 // (4 * 2) drops
     assert dispatch == {1: [(1, None)] * points, 2: [(2, 2)] * points}

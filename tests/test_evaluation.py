@@ -13,6 +13,7 @@ from spinopt import evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.cli import load_config
 from spinopt.evaluation import (
+    ALGORITHMS,
     FADING_MODES,
     AlgorithmStats,
     EvalReport,
@@ -24,7 +25,9 @@ from spinopt.evaluation import (
     write_plot_csv,
     write_samples_csv,
 )
+from spinopt.optimizer import exhaustive_search, mst_dp, random_spins
 from spinopt.sinr import UtilityKind
+from spinopt.topology import build_graph, maximum_spanning_tree
 
 REPO = Path(__file__).resolve().parent.parent
 SUM_RATE = UtilityKind.TWO_WAY_SUM_RATE
@@ -170,6 +173,43 @@ def test_peak_bytes_terms_match_the_traced_growth(small, large, unit_bytes):
     per_unit = getattr(evaluation, unit_bytes)
     units = (config_b.peak_bytes() - config_a.peak_bytes()) / per_unit
     assert per_unit / 2 < (peak_b - peak_a) / units <= per_unit
+
+
+def test_held_samples_grow_the_peak_by_at_most_30_bytes_each():
+    # a drop's rates, their stack and one sorted copy of it, 8 B each
+    (config_a, peak_a), (config_b, peak_b) = (
+        traced_run(10, 40, 100, ("random",)),
+        traced_run(10, 120, 100, ("random",)),
+    )
+    samples = (config_b.num_drops - config_a.num_drops) * 100 * 10
+    assert (peak_b - peak_a) / samples <= 30
+
+
+def test_a_chunk_of_fading_frames_stays_within_twice_its_budget(monkeypatch):
+    # at M = 1 a frame holds 48 B of gains and several times that in seed state
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=1, link_mix=0.5, seed=1),
+        algorithms=("mst_dp",),
+        num_drops=1,
+        frames_per_drop=evaluation.FRAME_CHUNK_BUDGET // 48,
+    )
+    draws, draw_fading = [], evaluation.draw_fading
+
+    def recording(instance, frames):
+        draws.append((instance, frames))
+        return draw_fading(instance, frames)
+
+    monkeypatch.setattr(evaluation, "draw_fading", recording)
+    run_experiment(config)
+    instance, frames = max(draws, key=lambda draw: len(draw[1]))
+    draw_fading(instance, frames)
+    tracemalloc.start()
+    try:
+        draw_fading(instance, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * evaluation.FRAME_CHUNK_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -426,7 +466,6 @@ def test_samples_csv_bytes_match_csv_writer(tmp_path):
     )
     stats = {
         name: AlgorithmStats(
-            algorithm=name,
             rates_bps=rates.reshape(2, 2, 3),
             mean_bps=0.0,
             percentile_bps=0.0,
@@ -456,7 +495,8 @@ def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk
         fading=fading,
     )
     m = config.scenario.num_links
-    frame_bytes = 8 * (m * 2 + m * m * 2 * 2)  # float64 snr + inr of one frame
+    # float64 snr + inr of one frame, plus its fading seed state
+    frame_bytes = 8 * (m * 2 + m * m * 2 * 2) + evaluation._FRAME_STATE_BYTES
     monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", frames_per_chunk * frame_bytes)
     chunks, draws = [], []
     two_way_rates, draw_fading = evaluation.two_way_rates, evaluation.draw_fading
@@ -486,6 +526,28 @@ def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk
     oracle = per_frame_rates(config)
     for name in config.algorithms:
         assert np.array_equal(report.stats[name].rates_bps, oracle[name])
+
+
+@pytest.mark.parametrize("algorithms", [ALGORITHMS, ("random", "mst_dp")])
+@pytest.mark.parametrize("utility", list(UtilityKind))
+def test_solve_drop_equals_direct_optimizer_calls(algorithms, utility):
+    config = small_config(algorithms=algorithms, utility=utility)
+    instance = generate_instance(config.scenario, 5)
+    graph, tree, results, seconds = evaluation.solve_drop(config, instance, 9)
+    direct_graph = build_graph(instance, config.scenario.inr_edge_threshold)
+    assert np.array_equal(graph.adjacency, direct_graph.adjacency)
+    assert tree == maximum_spanning_tree(direct_graph)
+    direct = {
+        "exhaustive": exhaustive_search(instance, graph, utility),
+        "mst_dp": mst_dp(instance, graph, tree, utility),
+        "random": random_spins(instance, graph, utility, 9),
+    }
+    assert list(results) == list(seconds) == list(algorithms)
+    for name, result in results.items():
+        assert np.array_equal(result.spins, direct[name].spins)
+        assert result.objective_exact == direct[name].objective_exact
+        assert result.objective_approx == direct[name].objective_approx
+        assert seconds[name] >= 0.0
 
 
 def test_summary_json_contains_stats_and_d():
