@@ -21,7 +21,6 @@ from .evaluation import (
     AlgorithmStats,
     EvalReport,
     ExperimentConfig,
-    percentile,
     run_experiment,
     sweep,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "maximum_spanning_tree",
     "mst_dp",
     "network_utility",
-    "percentile",
     "random_spins",
     "relative_from_spins",
     "run_experiment",

@@ -28,7 +28,7 @@ import functools
 import json
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -237,22 +237,17 @@ class LinkInstance:
         if np.any(self.snr < 0) or np.any(self.inr < 0):
             raise ValueError("SNR/INR values must be non-negative")
 
-    def node_positions(self) -> np.ndarray:
-        """(2M, 2) coordinates in flat node order."""
-        return self.positions.reshape(-1, 2)
-
 
 @dataclass(frozen=True)
 class FadingDraw:
     """Instantaneous gains of a chunk of frames: long-term values times fading.
 
-    ``snr`` (F, M, 2) and ``inr`` (F, M, M, 2, 2) stack the frames of
-    ``frames`` along a leading axis, in order.
+    ``snr`` (F, M, 2) and ``inr`` (F, M, M, 2, 2) stack the chunk's frames
+    along a leading axis, in order.
     """
 
     snr: np.ndarray
     inr: np.ndarray
-    frames: range
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr", _freeze(self.snr))
@@ -479,29 +474,45 @@ def draw_fading(instance: LinkInstance, frames: range) -> FadingDraw:
     if frames:
         _check_seed(frames[0], "frame index")
         _check_seed(frames[-1], "frame index")
-    snr_size = instance.snr.size
-    coef = np.empty((len(frames), snr_size + instance.inr.size))
-    # seeded, because an unseeded PCG64 reads OS entropy; every row sets its state
+    # the coefficients are drawn into the gain arrays and scaled there, so a
+    # chunk holds its gains once
+    snr = np.empty((len(frames), *instance.snr.shape))
+    inr = np.empty((len(frames), *instance.inr.shape))
+    # seeded, because an unseeded PCG64 reads OS entropy; every frame sets its state
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(coef, _fading_states(instance.seed_key, frames)):
+    states = _fading_states(instance.seed_key, frames)
+    for snr_row, inr_row, (state, inc) in zip(snr, inr, states):
         bitgen.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        rng.standard_exponential(out=row)
-    shape = (len(frames),)
-    return FadingDraw(
-        snr=coef[:, :snr_size].reshape(shape + instance.snr.shape) * instance.snr,
-        inr=coef[:, snr_size:].reshape(shape + instance.inr.shape) * instance.inr,
-        frames=frames,
-    )
+        rng.standard_exponential(out=snr_row)
+        rng.standard_exponential(out=inr_row)
+    snr *= instance.snr
+    inr *= instance.inr
+    return FadingDraw(snr=snr, inr=inr)
 
 
-def scenario_to_json(config: ScenarioConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
+def config_to_json(config) -> dict:
+    """The fields of a config dataclass, in order, as a JSON-compatible dict.
+
+    Numbers and strings are kept as given, an Enum is written as its value,
+    a tuple as a list and a nested config as its own dict.
+    """
+    data = {}
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif is_dataclass(value):
+            value = config_to_json(value)
+        data[field.name] = value
+    return data
 
 
 def instance_to_json(instance: LinkInstance) -> dict:

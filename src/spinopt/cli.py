@@ -157,7 +157,9 @@ def _cmd_optimize(args) -> int:
             "num_links": instance.num_links,
             "graph": topology.graph_to_json(graph),
             "tree": topology.tree_to_json(tree),
-            "results": {name: res.to_json(graph) for name, res in results.items()},
+            "results": {
+                name: {"algorithm": name, **res.to_json(graph)} for name, res in results.items()
+            },
         },
     )
     _write_meta(out, "optimize", timing=seconds)

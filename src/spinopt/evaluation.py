@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -28,9 +28,9 @@ from .channel import (
     ScenarioConfig,
     _check_seed,
     check_fields,
+    config_to_json,
     draw_fading,
     generate_instance,
-    scenario_to_json,
 )
 from .optimizer import DP_STEP_BUDGET, EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
 from .sinr import UtilityKind, spin_selectors, two_way_rates
@@ -46,10 +46,12 @@ _SWEEP_TAG = 0x3
 
 # Bytes per chunk of frames whose rates are evaluated at once: the stacked
 # snr + inr gains plus _FRAME_STATE_BYTES of fading seed state per frame;
-# 135 frames (3.9 kB each) at M = 10, 1 frame at M = 200. Without the cap,
-# the 10 frames of an M = 200 drop (12.8 MB of gains, plus temporaries of
-# that size) raised an evaluate run's peak RSS from 49 to 69 MB; without the
-# seed state, a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
+# 135 frames (3.9 kB each) at M = 10, 1 frame at M = 200. A chunk's
+# tracemalloc peak is its gains and seed state: 0.54 MB at M = 10, 0.45 MB at
+# M = 1, 1.29 MB for the 1.28 MB frame at M = 200. Without the cap, the 10
+# frames of an M = 200 drop (12.8 MB of gains, plus temporaries of that size)
+# raised an evaluate run's peak RSS from 49 to 69 MB; without the seed state,
+# a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
 _FRAME_STATE_BYTES = 512
 
@@ -59,8 +61,8 @@ _FRAME_STATE_BYTES = 512
 #   (M, M, 2, 2) INR tensor, a frame of gains and their temporaries;
 #   198 B measured at M = 200, 256 B here;
 # - per held rate sample: the drop's rates, the stacked rates and one
-#   sorted copy (one algorithm); 23.4 B measured, 32 B here;
-# - fixed: a chunk of fading frames (~1 MB at M <= 40, ~2.6 MB for the one
+#   sorted copy (one algorithm); 25.5 B measured, 32 B here;
+# - fixed: a chunk of fading frames (~0.55 MB at M <= 40, ~1.3 MB for the one
 #   frame of a chunk at M = 200), the exhaustive screen (~10 MB at M = 18)
 #   and the DP step's own budget.
 RUN_MEMORY_BUDGET = 2 << 30
@@ -173,24 +175,16 @@ class EvalReport:
                 "mean_objective": st.mean_objective if math.isfinite(st.mean_objective) else None,
                 "sample_count": st.sample_count,
             }
+        experiment = config_to_json(self.config)
+        scenario = experiment.pop("scenario")
+        experiment["pooling"] = "per-link per-frame rates pooled over links, frames, drops"
+        experiment["edge_threshold_note"] = (
+            f"topology edges require a cross INR above {scenario['inr_edge_threshold']} (linear)"
+        )
         return {
             "schema": SUMMARY_SCHEMA,
-            "scenario": scenario_to_json(self.config.scenario),
-            "experiment": {
-                "algorithms": list(self.config.algorithms),
-                "num_drops": self.config.num_drops,
-                "frames_per_drop": self.config.frames_per_drop,
-                "utility": self.config.utility.value,
-                "bandwidth_hz": self.config.bandwidth_hz,
-                "percentile_q": self.config.percentile_q,
-                "master_seed": self.config.master_seed,
-                "fading": self.config.fading,
-                "pooling": "per-link per-frame rates pooled over links, frames, drops",
-                "edge_threshold_note": (
-                    "topology edges require a cross INR above "
-                    f"{self.config.scenario.inr_edge_threshold} (linear)"
-                ),
-            },
+            "scenario": scenario,
+            "experiment": experiment,
             "algorithms": per_alg,
             "tree_children_max": self.d_max,
             "tree_children_mean_of_max": self.d_mean,
@@ -224,16 +218,6 @@ def _rank(size: int, q: float) -> int:
     qn = q * size
     # guard against binary-float excess (e.g. 0.05 * 100 slightly above 5)
     return max(0, math.ceil(qn - abs(qn) * 1e-12) - 1)
-
-
-def percentile(sample: np.ndarray, q: float) -> float:
-    """Lower empirical quantile: ascending order statistic ceil(q*n) - 1.
-
-    No interpolation, so the value is always an observed sample and the
-    result is byte-stable for golden comparisons.
-    """
-    sample = np.asarray(sample, dtype=float).ravel()
-    return float(np.sort(sample)[_rank(sample.size, q)])
 
 
 def solve_drop(config: ExperimentConfig, instance, baseline_seed: int):
@@ -320,7 +304,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
     if workers > 1:
         # a chunk pickles its jobs' shared config once
         chunksize = max(1, len(jobs) // (4 * workers))
-        with nullcontext(pool) if pool else ProcessPoolExecutor(max_workers=workers) as executor:
+        context = nullcontext(pool) if pool else futures.ProcessPoolExecutor(max_workers=workers)
+        with context as executor:
             payloads = list(executor.map(_run_drop, jobs, chunksize=chunksize))
     else:
         payloads = [_run_drop(job) for job in jobs]
@@ -379,7 +364,7 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
             ).generate_state(1, dtype=np.uint64)[0]
         )
         points.append(replace(config, master_seed=derived))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # through the module global, so that wrappers of run_experiment see every point
         return [run_experiment(point, workers, pool) for point in points]
 
@@ -425,16 +410,10 @@ def plot_rows(reports: list[EvalReport]) -> list[dict]:
 
 
 def write_plot_csv(reports: list[EvalReport], path) -> None:
+    """``plot_rows`` as CSV; ``csv.writer`` writes a float as its repr and None
+    as an empty cell."""
     rows = plot_rows(reports)
-    columns = list(rows[0])
-
-    def cell(value):
-        if value is None:
-            return ""
-        return repr(value) if isinstance(value, float) else value
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([cell(row[c]) for c in columns])
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)

@@ -62,7 +62,6 @@ class OptimizationResult:
     the tree-based optimizers.
     """
 
-    algorithm: str
     spins: np.ndarray
     objective_exact: float
     objective_approx: float | None
@@ -72,7 +71,6 @@ class OptimizationResult:
         """JSON view; ``relative_spins`` is the XOR of ``spins`` per edge."""
         relative = relative_from_spins(graph, self.spins)
         return {
-            "algorithm": self.algorithm,
             "spins": [int(s) for s in self.spins],
             "relative_spins": {f"{k}-{l}": b for (k, l), b in relative.items()},
             "objective_exact": self.objective_exact,
@@ -167,7 +165,6 @@ def exhaustive_search(
         objective = network_utility(instance, graph, kind, best_spins)
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
-        algorithm="exhaustive",
         spins=best_spins,
         objective_exact=objective,
         objective_approx=None,
@@ -255,7 +252,6 @@ def mst_dp(
     if objective_approx == -np.inf:
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
-        algorithm="mst_dp",
         spins=spins,
         objective_exact=network_utility(instance, graph, kind, spins),
         objective_approx=objective_approx,
@@ -270,7 +266,6 @@ def random_spins(
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=graph.num_vertices, dtype=np.int8)
     return OptimizationResult(
-        algorithm="random",
         spins=spins,
         objective_exact=network_utility(instance, graph, kind, spins),
         objective_approx=None,

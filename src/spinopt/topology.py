@@ -13,7 +13,6 @@ relative spin is the XOR of two absolute spins; it exists only as the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +113,6 @@ class RootedTree:
     def max_children(self) -> int:
         """Largest child count of any vertex; drives the DP's 2**D cost."""
         return max(len(c) for c in self.children)
-
-    def total_weight(self) -> float:
-        # fsum: correctly rounded regardless of edge order
-        return math.fsum(w for _, _, w in self.tree_edges)
 
 
 def build_graph(

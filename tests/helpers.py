@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from spinopt.channel import _FADING_TAG, LinkInstance, ScenarioConfig, generate_instance
-from spinopt.evaluation import solve_drop
+from spinopt.evaluation import _rank, plot_rows, solve_drop
 from spinopt.optimizer import OptimizationResult, network_utility
 from spinopt.sinr import link_utility, spin_selectors, two_way_rates
 from spinopt.topology import RootedTree, TopologyGraph
@@ -49,6 +49,11 @@ def cyclic_instance(shifts, snr) -> LinkInstance:
     m = len(shifts)
     offsets = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
     return build_instance(shifts[offsets], snr=np.full((m, 2), float(snr)))
+
+
+def node_positions(instance: LinkInstance) -> np.ndarray:
+    """(2M, 2) node coordinates in flat node order."""
+    return instance.positions.reshape(-1, 2)
 
 
 def random_instance(num_links, seed, link_mix=0.5, **overrides):
@@ -186,6 +191,11 @@ def cycle_parity(relative, cycle: list[int]) -> int:
     return parity
 
 
+def total_weight(tree: RootedTree) -> float:
+    """Sum of the tree-edge weights; fsum rounds it correctly in any edge order."""
+    return math.fsum(w for _, _, w in tree.tree_edges)
+
+
 def spanning_tree_weights(graph: TopologyGraph) -> list[float]:
     """Total weights of every spanning tree of a small connected graph."""
     n = graph.num_vertices
@@ -275,7 +285,6 @@ def tree_brute_force(
             best_value = value
             best_spins = spins
     return OptimizationResult(
-        algorithm="tree_brute_force",
         spins=best_spins,
         objective_exact=network_utility(instance, graph, kind, best_spins),
         objective_approx=float(best_value),
@@ -422,3 +431,31 @@ def write_samples_csv_rows(report, path) -> None:
                 for f in range(rates.shape[1]):
                     for l in range(m):
                         writer.writerow([name, m, d, f, l, repr(float(rates[d, f, l]))])
+
+
+def percentile(sample, q: float) -> float:
+    """Lower empirical quantile: the ascending order statistic ceil(q*n) - 1.
+
+    The rank is ``evaluation._rank``, the one ``run_experiment`` reports; no
+    interpolation, so the value is always an observed sample.
+    """
+    sample = np.asarray(sample, dtype=float).ravel()
+    return float(np.sort(sample)[_rank(sample.size, q)])
+
+
+def write_plot_csv_cells(reports, path) -> None:
+    """Cell-by-cell oracle of ``evaluation.write_plot_csv``: a float as its
+    repr, None as an empty cell, any other value as ``csv.writer`` writes it."""
+    rows = plot_rows(reports)
+    columns = list(rows[0])
+
+    def cell(value):
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else value
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cell(row[c]) for c in columns])

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -81,6 +84,9 @@ def test_optimize_bundled_three_link_example(tmp_path, capsys):
     assert exh >= dp
     assert exh >= rnd
     assert result["results"]["mst_dp"]["objective_approx"] is not None
+    assert {name: entry["algorithm"] for name, entry in result["results"].items()} == {
+        name: name for name in ALGORITHMS
+    }
     captured = capsys.readouterr().out
     assert "exhaustive" in captured and "mst_dp" in captured
 
@@ -116,6 +122,60 @@ def test_generate_and_optimize_data_files_match_golden_digests(tmp_path):
         timing = json.loads((out / "run_meta.json").read_text())["timing"]
         assert set(timing) == set(ALGORITHMS if command[0] == "optimize" else ["elapsed_s"])
     assert digests == THREE_LINKS_DIGESTS
+
+
+# SHA-256 of the data files of evaluate on configs/three_links.json and on
+# the zero-baseline config below (null gains, empty plot cells), and of sweep
+# on configs/sweep_links_asymmetric.json, all on one worker
+EVALUATE_SWEEP_DIGESTS = {
+    "evaluate/plot_data.csv": "b8df926661ad894fe0a68abccfda34aa296f676833e6f59887c594ed9132568f",
+    "evaluate/samples.csv": "0af90bf8852f50a06ed2f404709b4e5830ee30b2756d74e6da91ada62ef9278a",
+    "evaluate/summary.json": "4499b33cd002dc0575e160dedaffa90a060010eddd0dc028683bf19cd37e079c",
+    "evaluate-zero-baseline/plot_data.csv": (
+        "5429f347d09248931b67ab41b8bd368077dda5ca3ce398ae799c603081d0888f"
+    ),
+    "evaluate-zero-baseline/samples.csv": (
+        "98dbc6e586fd304db53499501fb481367b521dcc214c1c7b1ad7b4682f991a6a"
+    ),
+    "evaluate-zero-baseline/summary.json": (
+        "a676b682e1315a000746d6c9fe7a25199035627e4f411a2cf9e2c8bc198c24ad"
+    ),
+    "sweep/plot_data.csv": "2704fdc592d1afc8f82c15417ec604e6649be05079884fb00f6a3cf63767af8d",
+    "sweep/summary.json": "543d7237f9e70762415d5bc7f8e95da7ce51e39c4b1fe991ccb816ae467d2965",
+}
+
+
+def test_evaluate_and_sweep_data_files_match_golden_digests(tmp_path):
+    runs = {
+        "evaluate": ["evaluate", "--config", str(CONFIG_DIR / "three_links.json")],
+        "evaluate-zero-baseline": [
+            "evaluate", "--config", write_config(tmp_path, **ZERO_BASELINE)
+        ],
+        "sweep": ["sweep", "--config", str(CONFIG_DIR / "sweep_links_asymmetric.json")],
+    }
+    digests = {}
+    for name, command in runs.items():
+        out = tmp_path / name
+        assert main([*command, "--out", str(out), "--threads", "1", "--format", "both"]) == 0
+        for file_name, data in data_files(out).items():
+            digests[f"{name}/{file_name}"] = hashlib.sha256(data).hexdigest()
+    assert digests == EVALUATE_SWEEP_DIGESTS
+
+
+def test_one_worker_commands_do_not_import_multiprocessing(tmp_path):
+    # the process pool's module imports multiprocessing; only a pool needs it
+    script = (
+        "import sys\n"
+        "from spinopt.cli import main\n"
+        f"code = main(['evaluate', '--config', {tiny_eval_config(tmp_path)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}, '--threads', '1'])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_optimize_accepts_saved_instance(tmp_path):

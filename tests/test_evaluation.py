@@ -2,13 +2,13 @@ import json
 import math
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import per_frame_rates, write_samples_csv_rows
+from helpers import percentile, per_frame_rates, write_plot_csv_cells, write_samples_csv_rows
 from spinopt import evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.cli import load_config
@@ -18,7 +18,6 @@ from spinopt.evaluation import (
     AlgorithmStats,
     EvalReport,
     ExperimentConfig,
-    percentile,
     plot_rows,
     run_experiment,
     sweep,
@@ -185,13 +184,14 @@ def test_held_samples_grow_the_peak_by_at_most_30_bytes_each():
     assert (peak_b - peak_a) / samples <= 30
 
 
-def test_a_chunk_of_fading_frames_stays_within_twice_its_budget(monkeypatch):
-    # at M = 1 a frame holds 48 B of gains and several times that in seed state
+def largest_chunk_peak(monkeypatch, num_links, frames_per_drop):
+    """Tracemalloc peak of the largest fading chunk a 1-drop run draws,
+    traced after one untraced draw."""
     config = ExperimentConfig(
-        scenario=ScenarioConfig(num_links=1, link_mix=0.5, seed=1),
+        scenario=ScenarioConfig(num_links=num_links, link_mix=0.5, seed=1),
         algorithms=("mst_dp",),
         num_drops=1,
-        frames_per_drop=evaluation.FRAME_CHUNK_BUDGET // 48,
+        frames_per_drop=frames_per_drop,
     )
     draws, draw_fading = [], evaluation.draw_fading
 
@@ -206,10 +206,25 @@ def test_a_chunk_of_fading_frames_stays_within_twice_its_budget(monkeypatch):
     tracemalloc.start()
     try:
         draw_fading(instance, frames)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_chunk_of_fading_frames_stays_within_twice_its_budget(monkeypatch):
+    # at M = 1 a frame holds 48 B of gains and several times that in seed state
+    peak = largest_chunk_peak(monkeypatch, 1, evaluation.FRAME_CHUNK_BUDGET // 48)
     assert peak <= 2 * evaluation.FRAME_CHUNK_BUDGET
+
+
+@pytest.mark.parametrize("num_links", [1, 10, 20, 200])
+def test_a_chunk_of_fading_frames_peaks_near_its_cap(monkeypatch, num_links):
+    # the chunk's gains are drawn and scaled where they stay, so its peak is
+    # the cap (or the one frame a chunk holds at least) plus the seed state
+    frame_gains = 8 * (2 * num_links + 4 * num_links**2)
+    frames = evaluation.FRAME_CHUNK_BUDGET // frame_gains + 1
+    peak = largest_chunk_peak(monkeypatch, num_links, frames)
+    assert peak <= 1.25 * max(evaluation.FRAME_CHUNK_BUDGET, frame_gains)
 
 
 @pytest.mark.parametrize(
@@ -374,7 +389,7 @@ def pool_log(monkeypatch):
             log["chunksizes"].append(chunksize)
             return map(fn, jobs)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", RecordingPool)
     return log
 
 
@@ -559,3 +574,51 @@ def test_summary_json_contains_stats_and_d():
     assert data["tree_children_max"] >= 0
     assert data["experiment"]["master_seed"] == 7
     assert "elapsed" not in str(data)
+
+
+def test_summary_json_echoes_every_config_field():
+    config = small_config(
+        scenario=ScenarioConfig(num_links=3, area_side=50, inr_edge_threshold=0.5, seed=2),
+        utility=SUM_RATE,
+    )
+    data = run_experiment(config).summary_json()
+    scenario = {f.name: getattr(config.scenario, f.name) for f in fields(ScenarioConfig)}
+    assert data["scenario"] == scenario
+    assert type(data["scenario"]["area_side"]) is int  # numbers as given
+    experiment = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
+    del experiment["scenario"]
+    experiment.update(algorithms=list(config.algorithms), utility="two_way_sum_rate")
+    notes = {"pooling", "edge_threshold_note"}
+    assert set(data["experiment"]) == set(experiment) | notes
+    assert {k: v for k, v in data["experiment"].items() if k not in notes} == experiment
+    assert "above 0.5 (linear)" in data["experiment"]["edge_threshold_note"]
+
+
+def test_plot_csv_bytes_match_cell_by_cell_writer(tmp_path):
+    config = small_config(algorithms=("mst_dp", "random"))
+    values = iter([5e-324, 1e16, 0.1 + 0.2, 1e-05, 7.0, 123456789.0])
+
+    def report(link_mix, gains):
+        stats = {}
+        for name in config.algorithms:
+            stats[name] = AlgorithmStats(
+                rates_bps=np.zeros((1, 1, 3)),
+                mean_bps=next(values),
+                percentile_bps=next(values) if gains else 0.0,
+                mean_objective=0.0,
+                optimize_time_s=0.0,
+                gain_mean_vs_random=1.5 if gains else None,
+                gain_percentile_vs_random=None,
+            )
+        point = replace(config, scenario=replace(config.scenario, link_mix=link_mix))
+        return EvalReport(point, stats, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
+
+    # an integer link_mix is echoed as given, "1", not "1.0"
+    reports = [report(1, gains=True), report(0.25, gains=False)]
+    write_plot_csv(reports, tmp_path / "plot.csv")
+    write_plot_csv_cells(reports, tmp_path / "cells.csv")
+    written = (tmp_path / "plot.csv").read_bytes()
+    assert written == (tmp_path / "cells.csv").read_bytes()
+    assert b"3,1,mst_dp,5e-324,1e+16,1.5,\r\n" in written
+    assert b"3,1,random,0.30000000000000004,1e-05,1.5,\r\n" in written
+    assert b"3,0.25,random,123456789.0,0.0,,\r\n" in written

@@ -10,6 +10,7 @@ from helpers import (
     graph_from,
     random_instance,
     spanning_tree_weights,
+    total_weight,
 )
 from spinopt.optimizer import mst_dp
 from spinopt.sinr import UtilityKind
@@ -176,7 +177,7 @@ def test_mst_matches_brute_force_enumeration():
         if len(g.components()) != 1:
             continue
         t = maximum_spanning_tree(g)
-        assert t.total_weight() == pytest.approx(max(spanning_tree_weights(g)), abs=1e-12)
+        assert total_weight(t) == pytest.approx(max(spanning_tree_weights(g)), abs=1e-12)
 
 
 def test_mst_on_5_vertex_random_graph_against_enumeration():
@@ -184,7 +185,7 @@ def test_mst_on_5_vertex_random_graph_against_enumeration():
     g = build_graph(inst, threshold=0.0001)
     assert len(g.components()) == 1
     t = maximum_spanning_tree(g)
-    assert t.total_weight() == pytest.approx(max(spanning_tree_weights(g)), rel=1e-12)
+    assert total_weight(t) == pytest.approx(max(spanning_tree_weights(g)), rel=1e-12)
 
 
 def test_mst_handles_disconnected_graphs():
