@@ -458,7 +458,9 @@ def _fading_states(seed_key: tuple[int, int], frames: range) -> list[tuple[int, 
     return states
 
 
-def draw_fading(instance: LinkInstance, frames: range) -> FadingDraw:
+def draw_fading(
+    instance: LinkInstance, frames: range, states: list[tuple[int, int]] | None = None
+) -> FadingDraw:
     """Instantaneous gains for a chunk of frames.
 
     Every ordered node pair gets an independent unit-mean exponential
@@ -468,12 +470,18 @@ def draw_fading(instance: LinkInstance, frames: range) -> FadingDraw:
     coefficients, from ``default_rng(SeedSequence((seed, drop_seed, 2, f)))``
     with ``(seed, drop_seed) = instance.seed_key``, so a frame's gains do not
     depend on the chunk it is drawn in; one frame is ``range(f, f + 1)``.
+    ``states``, when given, are the frames' ``_fading_states``, hashed by
+    the caller for a larger block of frames; by default they are hashed here.
     """
     if not isinstance(frames, range):
         raise TypeError(f"frames must be a range, got {type(frames).__name__}")
     if frames:
         _check_seed(frames[0], "frame index")
         _check_seed(frames[-1], "frame index")
+    if states is None:
+        states = _fading_states(instance.seed_key, frames)
+    elif len(states) != len(frames):
+        raise ValueError(f"got {len(states)} fading states for {len(frames)} frames")
     # the coefficients are drawn into the gain arrays and scaled there, so a
     # chunk holds its gains once
     snr = np.empty((len(frames), *instance.snr.shape))
@@ -481,7 +489,6 @@ def draw_fading(instance: LinkInstance, frames: range) -> FadingDraw:
     # seeded, because an unseeded PCG64 reads OS entropy; every frame sets its state
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    states = _fading_states(instance.seed_key, frames)
     for snr_row, inr_row, (state, inc) in zip(snr, inr, states):
         bitgen.state = {
             "bit_generator": "PCG64",

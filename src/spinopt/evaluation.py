@@ -27,6 +27,7 @@ import numpy as np
 from .channel import (
     ScenarioConfig,
     _check_seed,
+    _fading_states,
     check_fields,
     config_to_json,
     draw_fading,
@@ -48,27 +49,40 @@ _SWEEP_TAG = 0x3
 # snr + inr gains plus _FRAME_STATE_BYTES of fading seed state per frame;
 # 135 frames (3.9 kB each) at M = 10, 1 frame at M = 200. A chunk's
 # tracemalloc peak is its gains and seed state: 0.54 MB at M = 10, 0.45 MB at
-# M = 1, 1.29 MB for the 1.28 MB frame at M = 200. Without the cap, the 10
-# frames of an M = 200 drop (12.8 MB of gains, plus temporaries of that size)
-# raised an evaluate run's peak RSS from 49 to 69 MB; without the seed state,
-# a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
+# M = 1, 1.29 MB for the 1.28 MB frame at M = 200. The one rate call per
+# chunk adds the (A, F, M, M) interference terms of its A algorithms, 8 B
+# per algorithm, link pair and frame: 0.42 MB for 3 algorithms at M = 10,
+# 0.71 MB for 2 at M = 200. Without the cap, the 10 frames of an M = 200
+# drop (12.8 MB of gains, plus temporaries of that size) raised an evaluate
+# run's peak RSS from 49 to 69 MB; without the seed state, a chunk of
+# 10 922 frames at M = 1 peaked at 6.0 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
 _FRAME_STATE_BYTES = 512
+# Frames whose seed states _run_drop hashes in one _fading_states call
+# (1,024): 437 B per frame at the peak of building them (0.45 MB), 101 B per
+# frame held while the block's chunks are drawn.
+_STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
 
 # Memory budget of one run, checked by ExperimentConfig against
 # ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
-# - per link pair (M**2): a drop's (2M, 2M) node-pair arrays, its
-#   (M, M, 2, 2) INR tensor, a frame of gains and their temporaries;
-#   198 B measured at M = 200, 256 B here;
+# - per link pair (M**2): a drop's (2M, 2M) node-pair arrays and its
+#   (M, M, 2, 2) INR tensor while it is generated, which outweigh a frame of
+#   gains and its rate terms (32 + 8 B per algorithm); 197 B measured from
+#   M = 100 to 200, 256 B here;
 # - per held rate sample: the drop's rates, the stacked rates and one
 #   sorted copy (one algorithm); 25.5 B measured, 32 B here;
-# - fixed: a chunk of fading frames (~0.55 MB at M <= 40, ~1.3 MB for the one
-#   frame of a chunk at M = 200), the exhaustive screen (~10 MB at M = 18)
-#   and the DP step's own budget.
+# - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
+#   ~2 MB for the one frame of a chunk at M = 200), a block of seed states
+#   (<= 0.45 MB), a block of samples.csv rows (~1 MB), the exhaustive
+#   screen (~10 MB at M = 18) and the DP step's own budget.
 RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
 _SAMPLE_BYTES = 32
 _FIXED_BYTES = (32 << 20) + DP_STEP_BUDGET
+
+# Rows of samples.csv formatted before one write: with their "frame,link,"
+# tails, a tracemalloc peak of ~1 MB, whatever the size of a drop.
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -250,27 +264,28 @@ def _run_drop(args) -> dict:
     scenario = config.scenario
     instance = generate_instance(scenario, drop_seed)
     graph, tree, results, seconds = solve_drop(config, instance, baseline_seed)
-    selectors = {name: spin_selectors(graph, res.spins) for name, res in results.items()}
-
-    rates = {
-        name: np.empty((config.frames_per_drop, scenario.num_links))
-        for name in config.algorithms
-    }
+    # one row per algorithm: a chunk's rates come from one call for all of them
+    selectors = spin_selectors(graph, np.stack([res.spins for res in results.values()]))
+    rates = np.empty((len(results), config.frames_per_drop, scenario.num_links))
     if config.fading == "none":
         # every frame of the drop sees the long-term gains
-        for name in config.algorithms:
-            rates[name][:] = two_way_rates(instance, selectors[name])
+        rates[:] = two_way_rates(instance, selectors)[:, None]
     else:
         frame_bytes = instance.snr.nbytes + instance.inr.nbytes + _FRAME_STATE_BYTES
         chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
+        # seed states are hashed once per block of whole chunks
+        block = chunk * max(1, _STATE_BLOCK // chunk)
         for start in range(0, config.frames_per_drop, chunk):
             frames = range(start, min(start + chunk, config.frames_per_drop))
-            draw = draw_fading(instance, frames)
-            for name in config.algorithms:
-                rates[name][start : frames.stop] = two_way_rates(draw, selectors[name])
+            if start % block == 0:
+                block_frames = range(start, min(start + block, config.frames_per_drop))
+                states = _fading_states(instance.seed_key, block_frames)
+            offset = start % block
+            draw = draw_fading(instance, frames, states[offset : offset + len(frames)])
+            rates[:, start : frames.stop] = two_way_rates(draw, selectors)
 
     return {
-        "rates": {name: config.bandwidth_hz * r for name, r in rates.items()},
+        "rates": {name: config.bandwidth_hz * r for name, r in zip(results, rates)},
         "objective": {name: results[name].objective_exact for name in config.algorithms},
         "optimize_time": seconds,
         "warned": {name: results[name].warning is not None for name in config.algorithms},
@@ -373,19 +388,28 @@ def write_samples_csv(report: EvalReport, path) -> None:
     """Per-sample CSV: algorithm, num_links, drop, frame, link, rate_bps.
 
     The bytes of ``csv.writer``'s default dialect (no field needs quoting,
-    rows end in CRLF), written one string per (algorithm, drop).
+    rows end in CRLF), written one string per block of a drop's frames, so
+    the rows held at once stay near ``_CSV_BLOCK_ROWS``.
     """
     m = report.config.scenario.num_links
     frames = report.config.frames_per_drop
-    tails = [f"{f},{l}," for f in range(frames) for l in range(m)]
+    step = max(1, _CSV_BLOCK_ROWS // m)
+
+    def tails(start: int) -> list[str]:
+        return [f"{f},{l}," for f in range(start, min(start + step, frames)) for l in range(m)]
+
+    # the first block's tails serve every drop; a drop of one block needs no other
+    first = tails(0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("algorithm,num_links,drop,frame,link,rate_bps\r\n")
         for name in report.config.algorithms:
             rates = report.stats[name].rates_bps
             for d in range(rates.shape[0]):
                 head = f"{name},{m},{d},"
-                rows = zip(tails, rates[d].ravel().tolist())
-                fh.write("".join([f"{head}{tail}{r!r}\r\n" for tail, r in rows]))
+                for start in range(0, frames, step):
+                    block = rates[d, start : start + step].ravel().tolist()
+                    rows = zip(first if start == 0 else tails(start), block)
+                    fh.write("".join([f"{head}{tail}{r!r}\r\n" for tail, r in rows]))
 
 
 def plot_rows(reports: list[EvalReport]) -> list[dict]:

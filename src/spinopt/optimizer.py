@@ -79,6 +79,13 @@ class OptimizationResult:
         }
 
 
+def _local_utility(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
+    """A link's utility from its (..., 2) per-direction rates; callers ignore
+    the divide warning of a zero rate under proportional fairness."""
+    local = rates[..., 0] + rates[..., 1]
+    return np.log(local) if kind is UtilityKind.PROPORTIONAL_FAIRNESS else local
+
+
 def _rates_to_utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
     """Per-assignment network utility from (N, M) per-link two-way rates."""
     if kind is UtilityKind.TWO_WAY_SUM_RATE:
@@ -185,7 +192,9 @@ def mst_dp(
     INR its edge spin selects. Leaf-to-root pass: every vertex maximizes its
     local utility plus its children's messages over all child-edge spin
     combinations, once per parent-edge spin value, and reports the two
-    maxima upward; a root does the same once. Backpropagation then walks
+    maxima upward; a root does the same once. The non-root leaves have no
+    child-edge spins, so they all take this step at once before the other
+    vertices take theirs one by one. Backpropagation then walks
     the chosen edge spins down the tree into absolute spins (roots at 0),
     and the exact objective of that assignment is evaluated for reporting.
 
@@ -214,29 +223,36 @@ def mst_dp(
     # most significant bit
     mu = np.zeros((m, 2))
     best_row = np.zeros((m, 2), dtype=np.int64)
-    root_values = []
-    for l in reversed(tree.order):
-        p = tree.parent[l]
-        # den[parent spin, row, direction]; each child doubles the rows and
-        # its edge spin becomes the lowest bit of the row index
-        den = (base[l] + pick[p, l] if p >= 0 else base[l][None])[:, None, :]
-        message_sum = np.zeros(1)
-        for k in tree.children[l]:
-            den = (den[:, :, None, :] + pick[k, l]).reshape(len(den), -1, 2)
-            message_sum = np.add.outer(message_sum, mu[k]).ravel()
-        rates = np.log2(1.0 + instance.snr[l] / den)
-        local = rates[..., 0] + rates[..., 1]
-        if kind is UtilityKind.PROPORTIONAL_FAIRNESS:
-            with np.errstate(divide="ignore"):
-                local = np.log(local)
+    # a non-root leaf has one row per parent-edge spin (best row 0), so all
+    # leaves take one step: den[leaf, parent spin, direction]
+    leaf = np.zeros(m, dtype=bool)
+    leaf[child] = True
+    leaf[parent[child]] = False
+    leaves = np.flatnonzero(leaf)
+    den = base[leaves][:, None, :] + pick[parent[leaves], leaves]
+    with np.errstate(divide="ignore"):
+        mu[leaves] = _local_utility(np.log2(1.0 + instance.snr[leaves][:, None, :] / den), kind)
 
-        total = local + message_sum
-        best = np.argmax(total, axis=1)
-        best_row[l, : len(best)] = best
-        if p < 0:
-            root_values.append(float(total[0, best[0]]))
-        else:
-            mu[l] = total[(0, 1), best]
+    root_values = []
+    with np.errstate(divide="ignore"):
+        for l in reversed(tree.order):
+            if leaf[l]:
+                continue
+            p = tree.parent[l]
+            # den[parent spin, row, direction]; each child doubles the rows and
+            # its edge spin becomes the lowest bit of the row index
+            den = (base[l] + pick[p, l] if p >= 0 else base[l][None])[:, None, :]
+            message_sum = np.zeros(1)
+            for k in tree.children[l]:
+                den = (den[:, :, None, :] + pick[k, l]).reshape(len(den), -1, 2)
+                message_sum = np.add.outer(message_sum, mu[k]).ravel()
+            total = _local_utility(np.log2(1.0 + instance.snr[l] / den), kind) + message_sum
+            best = np.argmax(total, axis=1)
+            best_row[l, : len(best)] = best
+            if p < 0:
+                root_values.append(float(total[0, best[0]]))
+            else:
+                mu[l] = total[(0, 1), best]
 
     spins = np.zeros(m, dtype=np.int8)
     edge_spin = np.zeros(m, dtype=np.int64)  # relative spin to the parent; 0 at roots

@@ -94,12 +94,16 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins) -> f
 def spin_selectors(graph: TopologyGraph, spins) -> tuple[np.ndarray, np.ndarray]:
     """(adjacency, differ) boolean masks for vectorized rate evaluation.
 
-    ``adjacency[k, l]`` is the graph's edge mask and ``differ[k, l]`` is
-    True when the spins of links k and l differ; both are symmetric.
+    ``spins`` is one absolute spin vector (M,) or a stack of them (A, M),
+    e.g. one row per algorithm of a drop; every row is checked.
+    ``adjacency[k, l]`` is the graph's edge mask and ``differ[..., k, l]``
+    is True when the spins of links k and l differ; both are symmetric.
     Precompute once per (graph, spins) pair and reuse across fading draws.
     """
-    spins = check_spins(graph, spins)
-    return graph.adjacency, spins[:, None] != spins[None, :]
+    spins = np.asarray(spins)
+    for row in spins if spins.ndim == 2 else [spins]:
+        check_spins(graph, row)
+    return graph.adjacency, spins[..., :, None] != spins[..., None, :]
 
 
 def two_way_rates(values, selectors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -107,12 +111,16 @@ def two_way_rates(values, selectors: tuple[np.ndarray, np.ndarray]) -> np.ndarra
 
     ``selectors`` is ``spin_selectors``' pair. ``values.snr``/``values.inr``
     may carry leading frame axes, e.g. a chunk of fading draws stacked as
-    (F, M, 2) and (F, M, M, 2, 2); the result then has shape (F, M). Each
-    frame's rates are bit-identical to evaluating that frame alone: the
-    interferers are summed over ascending k before the noise is added.
+    (F, M, 2) and (F, M, M, 2, 2); the result then has shape (F, M), or
+    (A, F, M) for selectors of an (A, M) spin stack, whose differ mask is
+    broadcast over the frames. Each rate is bit-identical to evaluating its
+    frame and spin vector alone: the interferers are summed over ascending
+    k, never the innermost axis, before the noise is added.
     """
     adjacency, differ = selectors
     snr = values.snr
+    frame_axes = (1,) * (snr.ndim - 2)
+    differ = differ.reshape(differ.shape[:-2] + frame_axes + differ.shape[-2:])
     den_lr, den_rl = (
         1.0 + _spin_terms(adjacency, differ, same, opposite).sum(axis=-2)
         for same, opposite in zip(*end_planes(values.inr))

@@ -188,7 +188,7 @@ def check_spins(graph: TopologyGraph, spins) -> np.ndarray:
         raise ValueError(
             f"spins must have shape ({graph.num_vertices},), got {spins.shape}"
         )
-    if not np.isin(spins, (0, 1)).all():
+    if not ((spins == 0) | (spins == 1)).all():
         raise ValueError("spins must be 0/1")
     return spins
 

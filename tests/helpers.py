@@ -12,10 +12,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spinopt.channel import _FADING_TAG, LinkInstance, ScenarioConfig, generate_instance
+from spinopt.channel import (
+    _FADING_TAG,
+    LinkInstance,
+    ScenarioConfig,
+    end_planes,
+    generate_instance,
+)
 from spinopt.evaluation import _rank, plot_rows, solve_drop
 from spinopt.optimizer import OptimizationResult, network_utility
-from spinopt.sinr import link_utility, spin_selectors, two_way_rates
+from spinopt.sinr import UtilityKind, denominators, link_utility, spin_selectors, two_way_rates
 from spinopt.topology import RootedTree, TopologyGraph
 
 
@@ -288,6 +294,64 @@ def tree_brute_force(
         spins=best_spins,
         objective_exact=network_utility(instance, graph, kind, best_spins),
         objective_approx=float(best_value),
+    )
+
+
+def mst_dp_per_vertex(
+    instance: LinkInstance, graph: TopologyGraph, tree: RootedTree, kind
+) -> OptimizationResult:
+    """Slow reference of ``optimizer.mst_dp``: its max-sum DP with every
+    vertex, leaves included, stepped one at a time in reverse BFS order.
+
+    The same arrays and operations per vertex as the package's DP, so its
+    spins and both objectives must match that DP's bit for bit.
+    """
+    m = graph.num_vertices
+    pick = np.stack([np.stack(planes, axis=-1) for planes in end_planes(instance.inr)], axis=2)
+    same, opposite = pick[:, :, 0], pick[:, :, 1]
+    parent = np.array(tree.parent)
+    child = np.flatnonzero(parent >= 0)
+    in_tree = np.zeros((m, m), dtype=bool)
+    in_tree[child, parent[child]] = True
+    in_tree[parent[child], child] = True
+    chords = (graph.adjacency & ~in_tree)[:, :, None]
+    base = denominators((same + opposite) / 2.0 * chords)
+
+    mu = np.zeros((m, 2))
+    best_row = np.zeros((m, 2), dtype=np.int64)
+    root_values = []
+    for l in reversed(tree.order):
+        p = tree.parent[l]
+        den = (base[l] + pick[p, l] if p >= 0 else base[l][None])[:, None, :]
+        message_sum = np.zeros(1)
+        for k in tree.children[l]:
+            den = (den[:, :, None, :] + pick[k, l]).reshape(len(den), -1, 2)
+            message_sum = np.add.outer(message_sum, mu[k]).ravel()
+        rates = np.log2(1.0 + instance.snr[l] / den)
+        local = rates[..., 0] + rates[..., 1]
+        if kind is UtilityKind.PROPORTIONAL_FAIRNESS:
+            with np.errstate(divide="ignore"):
+                local = np.log(local)
+        total = local + message_sum
+        best = np.argmax(total, axis=1)
+        best_row[l, : len(best)] = best
+        if p < 0:
+            root_values.append(float(total[0, best[0]]))
+        else:
+            mu[l] = total[(0, 1), best]
+
+    spins = np.zeros(m, dtype=np.int8)
+    edge_spin = np.zeros(m, dtype=np.int64)
+    for v in tree.order:
+        kids = tree.children[v]
+        row = best_row[v, edge_spin[v]]
+        for j, k in enumerate(kids):
+            edge_spin[k] = (row >> (len(kids) - 1 - j)) & 1
+            spins[k] = spins[v] ^ edge_spin[k]
+    return OptimizationResult(
+        spins=spins,
+        objective_exact=network_utility(instance, graph, kind, spins),
+        objective_approx=float(sum(root_values)),
     )
 
 

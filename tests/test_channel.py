@@ -10,6 +10,7 @@ from spinopt.channel import (
     SYMMETRIC,
     FadingDraw,
     ScenarioConfig,
+    _fading_states,
     db_to_linear,
     draw_fading,
     generate_instance,
@@ -249,6 +250,16 @@ def test_fading_rejects_bad_frames(frames):
     inst = generate_instance(ScenarioConfig(num_links=2, seed=2), drop_seed=0)
     with pytest.raises((TypeError, ValueError)):
         draw_fading(inst, frames)
+
+
+def test_fading_draw_takes_its_frames_precomputed_states():
+    inst = generate_instance(ScenarioConfig(num_links=3, seed=2), drop_seed=4)
+    states = _fading_states(inst.seed_key, range(2, 9))
+    alone, given = draw_fading(inst, range(5, 8)), draw_fading(inst, range(5, 8), states[3:6])
+    assert alone.snr.tobytes() == given.snr.tobytes()
+    assert alone.inr.tobytes() == given.inr.tobytes()
+    with pytest.raises(ValueError, match="2 fading states for 3 frames"):
+        draw_fading(inst, range(5, 8), states[3:5])
 
 
 def test_identity_fading_draw_matches_long_term():

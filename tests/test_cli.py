@@ -162,6 +162,47 @@ def test_evaluate_and_sweep_data_files_match_golden_digests(tmp_path):
     assert digests == EVALUATE_SWEEP_DIGESTS
 
 
+def test_large_m_evaluate_matches_bench_reference(tmp_path):
+    # the benchmark's M = 200 workload at its reference seed, on one worker;
+    # bench/reference.json is only read here
+    reference = json.loads((REPO / "bench" / "reference.json").read_text())["opt_m200"]
+    out = tmp_path / "out"
+    args = [
+        "evaluate", "--config", str(REPO / "bench" / "configs" / "opt_m200.json"),
+        "--out", str(out), "--seed", str(reference["seed"]),
+        "--threads", "1", "--format", "both",
+    ]
+    assert main(args) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in data_files(out).items()}
+    assert digests == reference["sha256"]
+
+
+# A sparse drop (drop 0) whose spanning forest has six roots: three isolated
+# links and trees of 2, 2 and 5 links; two graph edges are chords
+FOREST = {
+    "scenario": {
+        "num_links": 12, "area_side": 1000.0, "link_mix": 0.5,
+        "inr_edge_threshold": 1.0, "seed": 3,
+    },
+}
+
+# SHA-256 of optimize's result.json on FOREST under each utility
+FOREST_DIGESTS = {
+    "proportional_fairness": "0b3a0314c3c0b8ffcf66e16b58b24560c6f6283de9af3ec890a2addf231f43e3",
+    "two_way_sum_rate": "de75d6adebc97c50b909d30b914a64ecf49bd28da64cf09d5eb0eceda2221f83",
+}
+
+
+@pytest.mark.parametrize("utility", sorted(FOREST_DIGESTS))
+def test_optimize_on_a_forest_matches_golden_digest(tmp_path, utility):
+    cfg = write_config(tmp_path, **FOREST, experiment={"utility": utility})
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    data = (out / "result.json").read_bytes()
+    assert len(json.loads(data)["tree"]["roots"]) == 6
+    assert hashlib.sha256(data).hexdigest() == FOREST_DIGESTS[utility]
+
+
 def test_one_worker_commands_do_not_import_multiprocessing(tmp_path):
     # the process pool's module imports multiprocessing; only a pool needs it
     script = (

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import percentile, per_frame_rates, write_plot_csv_cells, write_samples_csv_rows
-from spinopt import evaluation
+from spinopt import channel, evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.cli import load_config
 from spinopt.evaluation import (
@@ -195,9 +195,9 @@ def largest_chunk_peak(monkeypatch, num_links, frames_per_drop):
     )
     draws, draw_fading = [], evaluation.draw_fading
 
-    def recording(instance, frames):
+    def recording(instance, frames, states=None):
         draws.append((instance, frames))
-        return draw_fading(instance, frames)
+        return draw_fading(instance, frames, states)
 
     monkeypatch.setattr(evaluation, "draw_fading", recording)
     run_experiment(config)
@@ -498,6 +498,94 @@ def test_samples_csv_bytes_match_csv_writer(tmp_path):
     assert b"mst_dp,3,0,1,0,5e-324\r\n" in written
 
 
+def test_samples_csv_writer_holds_a_bounded_block_of_rows(tmp_path):
+    # one drop of 100,000 samples: the writer's rows must not scale with the
+    # drop, since peak_bytes() counts only 32 B per held sample
+    config = small_config(
+        scenario=ScenarioConfig(num_links=50, seed=1),
+        algorithms=("mst_dp",),
+        num_drops=1,
+        frames_per_drop=2000,
+    )
+    rates = np.random.default_rng(3).uniform(0.0, 1e8, size=(1, 2000, 50))
+    stats = {"mst_dp": AlgorithmStats(rates, 0.0, 0.0, 0.0, 0.0)}
+    report = EvalReport(config, stats, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
+    tracemalloc.start()
+    try:
+        write_samples_csv(report, tmp_path / "fast.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    write_samples_csv_rows(report, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_samples_csv_blocks_match_csv_writer(tmp_path, monkeypatch, block_rows):
+    # blocks of one frame, of two frames with a short last one, and whole drops
+    monkeypatch.setattr(evaluation, "_CSV_BLOCK_ROWS", block_rows)
+    config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=5)
+    rng = np.random.default_rng(7)
+    stats = {
+        name: AlgorithmStats(rng.uniform(0.0, 1e8, size=(2, 5, 3)), 0.0, 0.0, 0.0, 0.0)
+        for name in config.algorithms
+    }
+    report = EvalReport(config, stats, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
+    write_samples_csv(report, tmp_path / "fast.csv")
+    write_samples_csv_rows(report, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def count_fading_states(monkeypatch) -> list[range]:
+    """Record the frames of every ``_fading_states`` call, direct or through
+    ``draw_fading``."""
+    calls, fading_states = [], channel._fading_states
+
+    def counting(seed_key, frames):
+        calls.append(frames)
+        return fading_states(seed_key, frames)
+
+    monkeypatch.setattr(channel, "_fading_states", counting)
+    monkeypatch.setattr(evaluation, "_fading_states", counting)
+    return calls
+
+
+def test_fading_states_are_hashed_once_per_drop(monkeypatch):
+    # at M = 200 a fading chunk is one frame, but a drop's seeds hash at once
+    calls = count_fading_states(monkeypatch)
+    config = small_config(
+        scenario=ScenarioConfig(num_links=200, link_mix=0.0, seed=5),
+        algorithms=("mst_dp", "random"),
+        num_drops=2,
+        frames_per_drop=4,
+    )
+    run_experiment(config)
+    assert calls == [range(0, 4)] * config.num_drops
+
+
+@pytest.mark.parametrize(
+    "state_block, blocks", [(7, [(0, 6), (6, 7)]), (2, [(0, 3), (3, 6), (6, 7)])]
+)
+def test_fading_state_blocks_hold_whole_chunks(monkeypatch, state_block, blocks):
+    # chunks of 3 frames: a block is the most whole chunks within the cap, and
+    # at least one chunk
+    calls = count_fading_states(monkeypatch)
+    config = small_config(
+        scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),
+        num_drops=2,
+        frames_per_drop=7,
+    )
+    frame_bytes = 8 * (10 * 2 + 10 * 10 * 2 * 2) + evaluation._FRAME_STATE_BYTES
+    monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", 3 * frame_bytes)
+    monkeypatch.setattr(evaluation, "_STATE_BLOCK", state_block)
+    report = run_experiment(config)
+    assert calls == [range(a, b) for a, b in blocks] * config.num_drops
+    oracle = per_frame_rates(config)
+    for name in config.algorithms:
+        assert np.array_equal(report.stats[name].rates_bps, oracle[name])
+
+
 @pytest.mark.parametrize("fading", FADING_MODES)
 @pytest.mark.parametrize("frames_per_chunk", [1, 3, 7])
 def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk):
@@ -521,19 +609,21 @@ def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk
         chunks.append(rates.shape[:-1])
         return rates
 
-    def recording_draws(instance, frames):
+    def recording_draws(instance, frames, states):
         draws.append(frames)
-        return draw_fading(instance, frames)
+        return draw_fading(instance, frames, states)
 
     monkeypatch.setattr(evaluation, "two_way_rates", recording)
     monkeypatch.setattr(evaluation, "draw_fading", recording_draws)
     report = run_experiment(config)
     sizes = {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[frames_per_chunk]
+    algorithms = len(config.algorithms)
     if fading == "none":
-        # every frame has the long-term gains: one unstacked call per algorithm per drop
-        per_drop, drawn = [()] * len(config.algorithms), []
+        # every frame has the long-term gains: one unstacked call per drop
+        per_drop, drawn = [(algorithms,)], []
     else:
-        per_drop = [(size,) for size in sizes for _ in config.algorithms]
+        # one call per chunk, for every algorithm at once
+        per_drop = [(algorithms, size) for size in sizes]
         starts = np.cumsum([0] + sizes).tolist()
         drawn = [range(a, b) for a, b in zip(starts, starts[1:])]
     assert chunks == per_drop * config.num_drops

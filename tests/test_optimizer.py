@@ -13,6 +13,7 @@ from helpers import (
     enumerate_cycles,
     exhaustive_rerank,
     graph_from,
+    mst_dp_per_vertex,
     random_instance,
     tree_brute_force,
     utility_of,
@@ -214,6 +215,40 @@ def test_dp_spin_indifferent_star():
     exh = exhaustive_search(inst, graph, SUM_RATE)
     assert dp.objective_exact == exh.objective_exact
     assert dp.objective_approx == pytest.approx(dp.objective_exact, rel=1e-12)
+
+
+def zero_snr_path():
+    # path 0 - 1 - 2 whose leaf 2 has no signal: a -inf utility under PF
+    inr = np.zeros((3, 3, 2, 2))
+    inr[0, 1] = inr[1, 0] = [[3.0, 0.5], [1.0, 7.0]]
+    inr[1, 2] = inr[2, 1] = [[0.2, 4.0], [2.0, 1.0]]
+    snr = np.array([[100.0, 50.0], [80.0, 20.0], [0.0, 0.0]])
+    inst = build_instance(inr, snr=snr)
+    graph = build_graph(inst, threshold=0.01)
+    return inst, graph, maximum_spanning_tree(graph)
+
+
+DP_CASES = {
+    "one-link": lambda: prepared(1, seed=1),
+    "two-links": lambda: prepared(2, seed=1, threshold=1e-6),
+    "two-isolated-links": lambda: prepared(2, seed=1, threshold=1e300),
+    "forest": lambda: prepared(12, seed=3, threshold=1.0, area_side=1000.0),
+    "zero-snr-leaf": zero_snr_path,
+    "m200": lambda: prepared(200, seed=5, link_mix=0.0),
+}
+
+
+@pytest.mark.parametrize("kind", [SUM_RATE, PF])
+@pytest.mark.parametrize("case", sorted(DP_CASES))
+def test_dp_equals_per_vertex_reference_bit_for_bit(case, kind):
+    inst, graph, tree = DP_CASES[case]()
+    dp, reference = mst_dp(inst, graph, tree, kind), mst_dp_per_vertex(inst, graph, tree, kind)
+    assert dp.spins.tobytes() == reference.spins.tobytes()
+    for objective in ("objective_approx", "objective_exact"):
+        values = [np.float64(getattr(result, objective)).tobytes() for result in (dp, reference)]
+        assert values[0] == values[1]
+    roots = {"two-isolated-links": 2, "forest": 3}.get(case, 1)
+    assert len(tree.roots) == roots
 
 
 def test_dp_refuses_wide_vertices():

@@ -25,6 +25,7 @@ from helpers import (
     graph_weight_reduce,
     interference_tensor_norm,
     kruskal_forest,
+    mst_dp_per_vertex,
     random_instance,
     rates_of,
     tree_brute_force,
@@ -62,11 +63,11 @@ EDGE_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), SEEDS)
 
 
 @st.composite
-def networks(draw, max_links=7):
+def networks(draw, max_links=7, min_links=2):
     """(instance, graph, tree, spins): a random drop, a hand-made instance
     whose INRs span twelve orders of magnitude, or a cyclically symmetric one
     whose assignments tie up to rounding, with random absolute spins."""
-    m = draw(st.integers(2, max_links))
+    m = draw(st.integers(min_links, max_links))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     shape = draw(st.sampled_from(["drop", "extreme", "cyclic"]))
@@ -244,6 +245,24 @@ def test_two_way_rates_equal_mask_oracle(case, start, data):
 
 
 @PROPERTY
+@given(
+    networks(max_links=10, min_links=1), st.integers(1, 3), st.integers(0, 2**16), st.booleans(),
+    st.data(),
+)
+def test_stacked_spins_give_each_rows_rates(net, rows, start, faded, data):
+    # one call for every algorithm of a drop equals one call per algorithm
+    inst, graph, _, _ = net
+    m = graph.num_vertices
+    spin_rows = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    stack = np.array(data.draw(st.lists(spin_rows, min_size=rows, max_size=rows)), dtype=np.int8)
+    values = draw_fading(inst, range(start, start + 3)) if faded else inst
+    batched = two_way_rates(values, spin_selectors(graph, stack))
+    assert batched.shape == (rows, *values.snr.shape[:-1])
+    for rates, spins in zip(batched, stack):
+        assert same_bytes(rates, two_way_rates(values, spin_selectors(graph, spins)))
+
+
+@PROPERTY
 @given(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6))
 @example(0, 2**64 - 1, 2**32 - 3, 6)  # one chunk of frames with one and two entropy words
 def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, length):
@@ -271,6 +290,18 @@ def test_dp_equals_tree_brute_force(net, kind):
         kind, [approx_sinr(inst, graph, tree, l, dp.spins) for l in range(graph.num_vertices)]
     )
     np.testing.assert_allclose(achieved, dp.objective_approx, rtol=1e-9)
+
+
+@PROPERTY
+@given(networks(max_links=12, min_links=1), KINDS)
+def test_dp_equals_per_vertex_reference(net, kind):
+    # the leaves' single step leaves every spin and objective bit-identical
+    inst, graph, tree, _ = net
+    dp, reference = mst_dp(inst, graph, tree, kind), mst_dp_per_vertex(inst, graph, tree, kind)
+    assert same_bytes(dp.spins, reference.spins)
+    for objective in ("objective_approx", "objective_exact"):
+        values = (np.float64(getattr(result, objective)) for result in (dp, reference))
+        assert same_bytes(*values)
 
 
 @PROPERTY

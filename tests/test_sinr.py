@@ -76,6 +76,16 @@ def test_exact_sinr_requires_incident_spins():
             spin_selectors(graph, bad)
 
 
+def test_spin_selectors_check_every_row_of_a_stack():
+    inst, graph = two_link_instance()
+    _, differ = spin_selectors(graph, [[0, 1], [1, 1], [0, 0]])
+    assert differ.shape == (3, 2, 2)
+    assert differ[:, 0, 1].tolist() == [True, False, False]
+    for bad in ([[0, 1], [0, 2]], [[0, 1, 0], [1, 0, 1]], [[[0, 1]]]):
+        with pytest.raises(ValueError, match="spins"):
+            spin_selectors(graph, bad)
+
+
 def test_sinr_never_exceeds_snr():
     for seed in range(5):
         _, inst = random_instance(6, seed=seed)

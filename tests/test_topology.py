@@ -17,6 +17,7 @@ from spinopt.sinr import UtilityKind
 from spinopt.topology import (
     TopologyGraph,
     build_graph,
+    check_spins,
     graph_to_edge_list,
     graph_to_json,
     maximum_spanning_tree,
@@ -288,3 +289,12 @@ def test_exports():
     assert tj["max_children"] == 1
     text = graph_to_edge_list(g)
     assert text.splitlines() == ["0 1 1.5", "1 2 2.5"]
+
+
+def test_check_spins_accepts_exactly_zero_and_one():
+    graph = graph_from(3, [])
+    for good in ([0, 1, 1], [True, False, True], [0.0, 1.0, 0.0], np.array([1, 0, 1], np.int8)):
+        assert np.array_equal(check_spins(graph, good), np.asarray(good))
+    for bad in ([0, 2, 1], [0, -1, 1], [0.5, 0, 1], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="spins must be 0/1"):
+            check_spins(graph, bad)
