@@ -52,10 +52,12 @@ _SWEEP_TAG = 0x3
 # M = 1, 1.29 MB for the 1.28 MB frame at M = 200. The one rate call per
 # chunk adds the (A, F, M, M) interference terms of its A algorithms, 8 B
 # per algorithm, link pair and frame: 0.42 MB for 3 algorithms at M = 10,
-# 0.71 MB for 2 at M = 200. Without the cap, the 10 frames of an M = 200
-# drop (12.8 MB of gains, plus temporaries of that size) raised an evaluate
-# run's peak RSS from 49 to 69 MB; without the seed state, a chunk of
-# 10 922 frames at M = 1 peaked at 6.0 MB.
+# 0.71 MB for 2 at M = 200. They stay out of the divisor: counting them would
+# split a drop of mc_m10 (M = 10, 100 frames) into chunks of 83 and 17
+# frames and make its run_experiment ~7 % slower. Without the cap, the 10
+# frames of an M = 200 drop (12.8 MB of gains, plus temporaries of that size)
+# raised an evaluate run's peak RSS from 49 to 69 MB; without the seed state,
+# a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
 _FRAME_STATE_BYTES = 512
 # Frames whose seed states _run_drop hashes in one _fading_states call
@@ -81,8 +83,9 @@ _SAMPLE_BYTES = 32
 _FIXED_BYTES = (32 << 20) + DP_STEP_BUDGET
 
 # Rows of samples.csv formatted before one write: with their "frame,link,"
-# tails, a tracemalloc peak of ~1 MB, whatever the size of a drop.
-_CSV_BLOCK_ROWS = 1 << 12
+# tails and one bytes object per cell, a tracemalloc peak of ~1 MB, whatever
+# the size of a drop. A drop of mc_m10 (M = 10, 100 frames) is one block.
+_CSV_BLOCK_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -384,32 +387,56 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
         return [run_experiment(point, workers, pool) for point in points]
 
 
+def _csv_cells(values: np.ndarray) -> list[bytes]:
+    """``repr(float(x)).encode()`` of each value of a non-empty 1-D
+    C-contiguous float64 array.
+
+    One ``orjson.dumps`` call spells the values: its shortest round-trip
+    digits equal ``repr``'s wherever ``repr`` writes them positionally, at
+    1e-4 <= |x| < 1e16 and 0. The other values, where ``repr`` uses an
+    exponent form or writes a non-finite value, take ``repr`` itself.
+    """
+    import orjson  # ~14 ms cold: only samples.csv needs it
+
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    magnitude = np.abs(values)
+    exponent_form = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0)
+    for i in np.flatnonzero(exponent_form):
+        cells[i] = repr(float(values[i])).encode()
+    return cells
+
+
 def write_samples_csv(report: EvalReport, path) -> None:
     """Per-sample CSV: algorithm, num_links, drop, frame, link, rate_bps.
 
     The bytes of ``csv.writer``'s default dialect (no field needs quoting,
-    rows end in CRLF), written one string per block of a drop's frames, so
-    the rows held at once stay near ``_CSV_BLOCK_ROWS``.
+    rows end in CRLF, a rate is its ``repr``), written one join per block
+    of a drop's frames, so the rows held at once stay near
+    ``_CSV_BLOCK_ROWS``.
     """
     m = report.config.scenario.num_links
     frames = report.config.frames_per_drop
     step = max(1, _CSV_BLOCK_ROWS // m)
 
-    def tails(start: int) -> list[str]:
-        return [f"{f},{l}," for f in range(start, min(start + step, frames)) for l in range(m)]
+    def tails(start: int) -> list[bytes]:
+        stop = min(start + step, frames)
+        return [f"{f},{l},".encode() for f in range(start, stop) for l in range(m)]
 
     # the first block's tails serve every drop; a drop of one block needs no other
     first = tails(0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("algorithm,num_links,drop,frame,link,rate_bps\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"algorithm,num_links,drop,frame,link,rate_bps\r\n")
         for name in report.config.algorithms:
             rates = report.stats[name].rates_bps
             for d in range(rates.shape[0]):
-                head = f"{name},{m},{d},"
+                head = f"{name},{m},{d},".encode()
                 for start in range(0, frames, step):
-                    block = rates[d, start : start + step].ravel().tolist()
-                    rows = zip(first if start == 0 else tails(start), block)
-                    fh.write("".join([f"{head}{tail}{r!r}\r\n" for tail, r in rows]))
+                    rows = first if start == 0 else tails(start)
+                    # row r is parts[4r : 4r + 4]: head, tail, cell, CRLF
+                    parts = [head, b"", b"", b"\r\n"] * len(rows)
+                    parts[1::4] = rows
+                    parts[2::4] = _csv_cells(rates[d, start : start + step].ravel())
+                    fh.write(b"".join(parts))
 
 
 def plot_rows(reports: list[EvalReport]) -> list[dict]:

@@ -219,6 +219,36 @@ def test_one_worker_commands_do_not_import_multiprocessing(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_only_samples_csv_imports_orjson(tmp_path):
+    # orjson formats samples.csv; a cold import costs ~14 ms, so the CLI's
+    # import, sweep and a JSON-only evaluate must not load it
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 2, "seed": 3},
+        experiment={"num_drops": 1, "frames_per_drop": 2},
+        sweep={"parameter": "num_links", "values": [2, 3]},
+    )
+    runs = [("sweep", "both"), ("evaluate", "json"), ("evaluate", "csv")]
+    commands = [
+        [command, "--config", cfg, "--out", str(tmp_path / f"out{i}"), "--format", fmt]
+        + ["--threads", "1"]
+        for i, (command, fmt) in enumerate(runs)
+    ]
+    script = (
+        "import sys\n"
+        "from spinopt.cli import main\n"
+        "print('loaded:', 'orjson' in sys.modules)\n"
+        f"for command in {commands!r}:\n"
+        "    print('loaded:', main(command), 'orjson' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: False", "loaded: 0 False", "loaded: 0 False", "loaded: 0 True"]
+
+
 def test_optimize_accepts_saved_instance(tmp_path):
     cfg = write_config(tmp_path, scenario={"num_links": 3, "seed": 4})
     gen_out = tmp_path / "gen"

@@ -184,28 +184,41 @@ def test_held_samples_grow_the_peak_by_at_most_30_bytes_each():
     assert (peak_b - peak_a) / samples <= 30
 
 
-def largest_chunk_peak(monkeypatch, num_links, frames_per_drop):
+def largest_chunk_peak(monkeypatch, num_links, frames_per_drop, algorithms=None):
     """Tracemalloc peak of the largest fading chunk a 1-drop run draws,
-    traced after one untraced draw."""
+    traced after one untraced draw. With ``algorithms``, the run optimizes
+    them and the traced chunk includes its one ``two_way_rates`` call."""
     config = ExperimentConfig(
         scenario=ScenarioConfig(num_links=num_links, link_mix=0.5, seed=1),
-        algorithms=("mst_dp",),
+        algorithms=algorithms or ("mst_dp",),
         num_drops=1,
         frames_per_drop=frames_per_drop,
     )
-    draws, draw_fading = [], evaluation.draw_fading
+    draws, selectors = [], []
+    draw_fading, two_way_rates = evaluation.draw_fading, evaluation.two_way_rates
 
     def recording(instance, frames, states=None):
         draws.append((instance, frames))
         return draw_fading(instance, frames, states)
 
+    def recording_rates(values, spin_selectors):
+        selectors.append(spin_selectors)
+        return two_way_rates(values, spin_selectors)
+
     monkeypatch.setattr(evaluation, "draw_fading", recording)
+    monkeypatch.setattr(evaluation, "two_way_rates", recording_rates)
     run_experiment(config)
     instance, frames = max(draws, key=lambda draw: len(draw[1]))
-    draw_fading(instance, frames)
+
+    def chunk():
+        draw = draw_fading(instance, frames)
+        if algorithms:
+            two_way_rates(draw, selectors[0])
+
+    chunk()
     tracemalloc.start()
     try:
-        draw_fading(instance, frames)
+        chunk()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,6 +238,20 @@ def test_a_chunk_of_fading_frames_peaks_near_its_cap(monkeypatch, num_links):
     frames = evaluation.FRAME_CHUNK_BUDGET // frame_gains + 1
     peak = largest_chunk_peak(monkeypatch, num_links, frames)
     assert peak <= 1.25 * max(evaluation.FRAME_CHUNK_BUDGET, frame_gains)
+
+
+@pytest.mark.parametrize(
+    "num_links, algorithms",
+    [(10, ("exhaustive", "mst_dp", "random")), (200, ("mst_dp", "random"))],
+)
+def test_a_chunk_and_its_rate_call_peak_near_their_terms(monkeypatch, num_links, algorithms):
+    # FRAME_CHUNK_BUDGET counts a chunk's gains and seed state; its one rate
+    # call adds the (A, F, M, M) interference terms, 8 B each, on top
+    frame_bytes = 8 * (2 * num_links + 4 * num_links**2) + evaluation._FRAME_STATE_BYTES
+    frames = max(1, evaluation.FRAME_CHUNK_BUDGET // frame_bytes)
+    peak = largest_chunk_peak(monkeypatch, num_links, frames + 1, algorithms)
+    terms = 8 * len(algorithms) * num_links**2 * frames
+    assert peak <= 1.25 * (frames * frame_bytes + terms)
 
 
 @pytest.mark.parametrize(
@@ -475,13 +502,15 @@ def test_csv_writers(tmp_path):
 
 
 def test_samples_csv_bytes_match_csv_writer(tmp_path):
-    config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=2)
+    config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=3)
+    # with the edges of repr's positional range, [1e-4, 1e16)
     values = np.array(
         [0.0, 1e-05, 1.5e16, 5e-324, 1.0 / 3.0, 2.5e-7, 123456789.0, 1e22, 0.1, 7.0, 1e-300, 9.5e6]
+        + [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 2e-4, 12345.678]
     )
     stats = {
         name: AlgorithmStats(
-            rates_bps=rates.reshape(2, 2, 3),
+            rates_bps=rates.reshape(2, 3, 3),
             mean_bps=0.0,
             percentile_bps=0.0,
             mean_objective=0.0,
@@ -494,8 +523,10 @@ def test_samples_csv_bytes_match_csv_writer(tmp_path):
     write_samples_csv_rows(report, tmp_path / "rows.csv")
     written = (tmp_path / "fast.csv").read_bytes()
     assert written == (tmp_path / "rows.csv").read_bytes()
-    assert written.count(b"\r\n") == 1 + 2 * 12
+    assert written.count(b"\r\n") == 1 + 2 * 18
     assert b"mst_dp,3,0,1,0,5e-324\r\n" in written
+    assert b"mst_dp,3,1,1,0,0.0001\r\nmst_dp,3,1,1,1,9.999999999999999e-05\r\n" in written
+    assert b"mst_dp,3,1,1,2,1e+16\r\nmst_dp,3,1,2,0,9999999999999998.0\r\n" in written
 
 
 def test_samples_csv_writer_holds_a_bounded_block_of_rows(tmp_path):

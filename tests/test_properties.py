@@ -5,6 +5,7 @@ stays fast and every run checks the same examples.
 """
 
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -42,7 +43,14 @@ from spinopt.channel import (
     interference_tensor,
 )
 from spinopt.cli import CONFIG_SCHEMA, load_config
-from spinopt.evaluation import ALGORITHMS, FADING_MODES, ExperimentConfig, run_experiment, sweep
+from spinopt.evaluation import (
+    ALGORITHMS,
+    FADING_MODES,
+    ExperimentConfig,
+    _csv_cells,
+    run_experiment,
+    sweep,
+)
 from spinopt.optimizer import exhaustive_search, mst_dp
 from spinopt.sinr import (
     UtilityKind,
@@ -60,6 +68,22 @@ KINDS = st.sampled_from(list(UtilityKind))
 SEEDS = st.integers(0, 2**64 - 1)
 # a SeedSequence entropy word is a uint32: these values sit at its edges
 EDGE_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), SEEDS)
+
+
+def ulps_from(x: float, steps: int) -> float:
+    """The float ``steps`` representable values above ``x`` (below if negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# repr writes a float in exponent form below 1e-4 and from 1e16 on
+NEAR_REPR_EDGES = st.builds(
+    lambda edge, steps, sign: sign * ulps_from(edge, steps),
+    st.sampled_from([1e-4, 1e16]),
+    st.integers(-4, 4),
+    st.sampled_from([1.0, -1.0]),
+)
 
 
 @st.composite
@@ -445,6 +469,15 @@ def test_config_loader_returns_configs_or_names_the_key(values, optimize):
             replace(config.scenario, **{data["sweep"]["parameter"]: v})
             for v in data["sweep"]["values"]
         ]
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(), NEAR_REPR_EDGES), min_size=1, max_size=20))
+@example([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308])
+@example([1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0), 1e-05, 1.5e16, 0.1])
+def test_csv_cells_are_repr_bytes(values):
+    # the samples.csv cell of a rate is its repr, whatever formats it
+    assert _csv_cells(np.array(values)) == [repr(x).encode() for x in values]
 
 
 def test_failing_property_does_not_abort_the_session(tmp_path):
