@@ -431,30 +431,49 @@ def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return state
 
 
-def _fading_states(seed_key: tuple[int, int], frames: range) -> list[tuple[int, int]]:
+def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence((*seed_key, 2, f)))``
-    for every frame ``f`` of ``frames``, in order.
+    for every frame ``f`` of every lane ``(seed_key, frames)``, lane by lane.
 
-    A frame index of 2**32 or more adds a second entropy word, so frames are
-    hashed in two groups by word count. The 128-bit seeding is
-    ``pcg64_set_seed``: inc = 2 * initseq + 1, then one LCG step from 0, add
-    initstate, and one more step.
+    A seed or a frame index of 2**32 or more takes two entropy words, so a
+    lane's frames are split where their index reaches 2**32, and the frames
+    of all lanes are hashed in one pass per entropy word count. The
+    128-bit seeding is ``pcg64_set_seed``: inc = 2 * initseq + 1, then one
+    LCG step from 0, add initstate, and one more step.
     """
-    index = np.fromiter(frames, dtype=np.uint64, count=len(frames))
-    low = (index & _M32).astype(np.uint32)
-    high = (index >> 32).astype(np.uint32)
-    prefix = [*_uint32_words(seed_key[0]), *_uint32_words(seed_key[1]), _FADING_TAG]
-    states: list[tuple[int, int]] = [(0, 0)] * len(frames)
-    for wide in (False, True):
-        rows = np.flatnonzero((high > 0) == wide)
-        if not len(rows):
-            continue
-        entropy = [np.full(len(rows), word, dtype=np.uint32) for word in prefix]
-        entropy += [low[rows], high[rows]] if wide else [low[rows]]
-        words = np.stack(_seed_state(entropy), axis=1).astype("<u4").view("<u8")
-        for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows.tolist(), words.tolist()):
+    groups: dict[int, list] = {}  # entropy word count -> (first frame, words) per part
+    total = 0
+    for (seed, drop_seed), frames in lanes:
+        prefix = [*_uint32_words(seed), *_uint32_words(drop_seed), _FADING_TAG]
+        wide_from = min(max(frames.start, 1 << 32), frames.stop)
+        parts = (range(frames.start, wide_from), 1), (range(wide_from, frames.stop), 2)
+        for part, frame_words in parts:
+            if not part:
+                continue
+            # one row per entropy word: the lane's prefix words repeated over
+            # its frames, then the frames' own words
+            words = np.empty((len(prefix) + frame_words, len(part)), dtype=np.uint32)
+            words[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+            index = np.arange(part.start, part.stop, dtype=np.uint64)
+            words[len(prefix)] = index  # the low word: assignment wraps modulo 2**32
+            if frame_words == 2:
+                words[-1] = index >> 32
+            groups.setdefault(len(words), []).append((total, words))
+            total += len(part)
+
+    states: list[tuple[int, int]] = [(0, 0)] * total
+    for parts in groups.values():
+        words = np.hstack([words for _, words in parts])
+        hashed = np.stack(_seed_state(list(words)), axis=1).astype("<u4").view("<u8")
+        group = []
+        for s_hi, s_lo, q_hi, q_lo in hashed.tolist():
             inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-            states[row] = (((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc)
+            group.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+        taken = 0
+        for first, words in parts:
+            count = words.shape[1]
+            states[first : first + count] = group[taken : taken + count]
+            taken += count
     return states
 
 
@@ -479,7 +498,7 @@ def draw_fading(
         _check_seed(frames[0], "frame index")
         _check_seed(frames[-1], "frame index")
     if states is None:
-        states = _fading_states(instance.seed_key, frames)
+        states = _fading_states([(instance.seed_key, frames)])
     elif len(states) != len(frames):
         raise ValueError(f"got {len(states)} fading states for {len(frames)} frames")
     # the coefficients are drawn into the gain arrays and scaled there, so a

@@ -145,7 +145,8 @@ def _cmd_optimize(args) -> int:
         instance = channel.load_instance(args.instance)
     else:
         instance = channel.generate_instance(config.scenario, args.drop)
-    graph, tree, results, seconds = evaluation.solve_drop(config, instance, config.master_seed)
+    graphs, trees, drops, seconds = evaluation.solve_drop(config, [instance], [config.master_seed])
+    graph, tree, results = graphs[0], trees[0], drops[0]
 
     out = _out_dir(args)
     _write_json(
@@ -162,7 +163,7 @@ def _cmd_optimize(args) -> int:
             },
         },
     )
-    _write_meta(out, "optimize", timing=seconds)
+    _write_meta(out, "optimize", timing=seconds[0])
 
     print(
         f"links={instance.num_links} edges={len(graph.edges)} "

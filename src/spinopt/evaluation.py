@@ -8,9 +8,11 @@ computing the mean and the lower-percentile statistics and the gain ratios
 against the random-spin baseline.
 
 Drops are independent work units with derived seeds, so results are
-bit-identical regardless of worker count. With more than one worker they go
-to a process pool in chunks of ``max(1, num_drops // (4 * workers))``; a
-sweep sends the drops of all its points through one pool.
+bit-identical regardless of worker count. They run in blocks of
+``max(1, min(num_drops // (4 * workers), _BLOCK_BUDGET // held bytes))``,
+each block one stage at a time, so that each stage's code and data stay in
+cache across the block's drops, and one task per block, in-process or on a
+process pool; a sweep sends the drops of all its points through one pool.
 """
 
 from __future__ import annotations
@@ -60,10 +62,21 @@ _SWEEP_TAG = 0x3
 # a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
 _FRAME_STATE_BYTES = 512
-# Frames whose seed states _run_drop hashes in one _fading_states call
-# (1,024): 437 B per frame at the peak of building them (0.45 MB), 101 B per
-# frame held while the block's chunks are drawn.
+# Frames whose seed states _run_block hashes in one _fading_states call, a
+# window of whole chunks that may span drops (1,024): 437 B per frame at the
+# peak of building them (0.45 MB), 101 B per frame held while the window's
+# chunks are drawn.
 _STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
+
+# Bytes a block of drops may hold between its stages: its instances, graphs,
+# forests, optimizer results and spin selectors, per drop _BLOCK_PAIR_BYTES
+# per link pair plus _BLOCK_DROP_BYTES. Measured per drop under tracemalloc:
+# 75.6 B per pair at M = 200, 76.6 at M = 100, 12.4 kB in all at M = 10
+# (3 algorithms), 3.6 kB at M = 1. So 25 drops of mc_m10 hold 0.31 MB, and
+# a drop at M = 200 holds 3.0 MB alone and runs as a block of one.
+_BLOCK_BUDGET = 1 << 20
+_BLOCK_PAIR_BYTES = 76
+_BLOCK_DROP_BYTES = 16 << 10
 
 # Memory budget of one run, checked by ExperimentConfig against
 # ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
@@ -74,13 +87,16 @@ _STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
 # - per held rate sample: the drop's rates, the stacked rates and one
 #   sorted copy (one algorithm); 25.5 B measured, 32 B here;
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
-#   ~2 MB for the one frame of a chunk at M = 200), a block of seed states
-#   (<= 0.45 MB), a block of samples.csv rows (~1 MB), the exhaustive
-#   screen (~10 MB at M = 18) and the DP step's own budget.
+#   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
+#   (<= 0.45 MB), a block of samples.csv rows (~1 MB) or the exhaustive
+#   screen, whichever is larger (the rest of the peak measured 10.7 MB at
+#   M = 20 with exhaustive search, 9.4 MB at M = 18, <= 0.4 MB without
+#   it), 16 MiB here; the DP step's own budget; and what a block of drops
+#   holds between its stages, _BLOCK_BUDGET.
 RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
 _SAMPLE_BYTES = 32
-_FIXED_BYTES = (32 << 20) + DP_STEP_BUDGET
+_FIXED_BYTES = (16 << 20) + DP_STEP_BUDGET + _BLOCK_BUDGET
 
 # Rows of samples.csv formatted before one write: with their "frame,link,"
 # tails and one bytes object per cell, a tracemalloc peak of ~1 MB, whatever
@@ -140,8 +156,8 @@ class ExperimentConfig:
     def peak_bytes(self) -> int:
         """Upper bound on the memory one process holds while running this experiment.
 
-        With a process pool, each worker holds a drop (the per-pair and
-        fixed terms) and the parent holds the samples.
+        With a process pool, each worker holds a block of drops (the
+        per-pair and fixed terms) and the parent holds the samples.
         """
         m = self.scenario.num_links
         samples = self.num_drops * self.frames_per_drop * m * len(self.algorithms)
@@ -177,7 +193,7 @@ class EvalReport:
     mean_edges: float
     elapsed_s: float
     workers: int = 1  # processes the drops ran on
-    chunksize: int | None = None  # drops per pool task; None in-process
+    chunksize: int | None = None  # drops per block, one task each; None if not run
 
     def summary_json(self) -> dict:
         """Data-only summary (no timing), stable across identical runs."""
@@ -237,75 +253,124 @@ def _rank(size: int, q: float) -> int:
     return max(0, math.ceil(qn - abs(qn) * 1e-12) - 1)
 
 
-def solve_drop(config: ExperimentConfig, instance, baseline_seed: int):
-    """(graph, tree, results, seconds) of one drop for every algorithm of ``config``.
+def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[int]):
+    """(graphs, trees, results, seconds) of a block of drops, one entry per drop.
 
-    The single algorithm dispatch of the package: builds the topology graph
-    and its maximum spanning forest, then runs each algorithm's optimizer
-    with the experiment's utility and times the call. ``results`` and
-    ``seconds`` are keyed by algorithm in config order; ``baseline_seed``
-    seeds the random baseline.
+    The single algorithm dispatch of the package: builds every drop's
+    topology graph, then every maximum spanning forest, then runs each
+    algorithm's optimizer over every drop in turn with the experiment's
+    utility and times each call. A drop's ``results`` and ``seconds`` are
+    dicts keyed by algorithm in config order; its ``baseline_seeds`` entry
+    seeds its random baseline.
     """
-    graph = build_graph(instance, config.scenario.inr_edge_threshold)
-    tree = maximum_spanning_tree(graph)
+    threshold, utility = config.scenario.inr_edge_threshold, config.utility
+    graphs = [build_graph(instance, threshold) for instance in instances]
+    trees = [maximum_spanning_tree(graph) for graph in graphs]
     solvers = {
-        "exhaustive": lambda: exhaustive_search(instance, graph, config.utility),
-        "mst_dp": lambda: mst_dp(instance, graph, tree, config.utility),
-        "random": lambda: random_spins(instance, graph, config.utility, baseline_seed),
+        "exhaustive": lambda inst, graph, tree, seed: exhaustive_search(inst, graph, utility),
+        "mst_dp": lambda inst, graph, tree, seed: mst_dp(inst, graph, tree, utility),
+        "random": lambda inst, graph, tree, seed: random_spins(inst, graph, utility, seed),
     }
-    results, seconds = {}, {}
+    results: list[dict] = [{} for _ in instances]
+    seconds: list[dict] = [{} for _ in instances]
     for name in config.algorithms:
-        start = time.perf_counter()
-        results[name] = solvers[name]()
-        seconds[name] = time.perf_counter() - start
-    return graph, tree, results, seconds
+        for drop, args in enumerate(zip(instances, graphs, trees, baseline_seeds)):
+            start = time.perf_counter()
+            results[drop][name] = solvers[name](*args)
+            seconds[drop][name] = time.perf_counter() - start
+    return graphs, trees, results, seconds
 
 
-def _run_drop(args) -> dict:
-    """One drop: optimize once per algorithm, then evaluate every frame."""
-    config, drop_seed, baseline_seed = args
+def _block_drops(config: ExperimentConfig, workers: int) -> int:
+    """Drops per block: at most a quarter of each worker's share, and at
+    most as many as ``_BLOCK_BUDGET`` holds; at least one."""
+    held = _BLOCK_PAIR_BYTES * config.scenario.num_links**2 + _BLOCK_DROP_BYTES
+    return max(1, min(config.num_drops // (4 * workers), _BLOCK_BUDGET // held))
+
+
+def _windows(num_drops: int, frames_per_drop: int, chunk: int):
+    """The (drop, frames) chunks of a block in order, grouped into windows of
+    at most ``_STATE_BLOCK`` frames of whole chunks (at least one chunk); a
+    window may span drops."""
+    window, size = [], 0
+    for drop in range(num_drops):
+        for start in range(0, frames_per_drop, chunk):
+            frames = range(start, min(start + chunk, frames_per_drop))
+            if window and size + len(frames) > _STATE_BLOCK:
+                yield window
+                window, size = [], 0
+            window.append((drop, frames))
+            size += len(frames)
+    yield window
+
+
+def _run_block(task) -> list[dict]:
+    """A block of drops, one stage at a time over all of them: generate every
+    instance, solve every drop, build every selector, then evaluate every
+    drop's frames, hashing the fading seed states once per window of frames.
+    Returns one payload per drop, in order."""
+    config, jobs = task
     scenario = config.scenario
-    instance = generate_instance(scenario, drop_seed)
-    graph, tree, results, seconds = solve_drop(config, instance, baseline_seed)
+    instances = [generate_instance(scenario, drop_seed) for drop_seed, _ in jobs]
+    graphs, trees, results, seconds = solve_drop(
+        config, instances, [baseline_seed for _, baseline_seed in jobs]
+    )
     # one row per algorithm: a chunk's rates come from one call for all of them
-    selectors = spin_selectors(graph, np.stack([res.spins for res in results.values()]))
-    rates = np.empty((len(results), config.frames_per_drop, scenario.num_links))
+    selectors = [
+        spin_selectors(graph, np.stack([res.spins for res in drop.values()]))
+        for graph, drop in zip(graphs, results)
+    ]
+    shape = (len(config.algorithms), config.frames_per_drop, scenario.num_links)
+    rates = [np.empty(shape) for _ in jobs]
     if config.fading == "none":
-        # every frame of the drop sees the long-term gains
-        rates[:] = two_way_rates(instance, selectors)[:, None]
+        # every frame of a drop sees the long-term gains
+        for drop_rates, instance, selector in zip(rates, instances, selectors):
+            drop_rates[:] = two_way_rates(instance, selector)[:, None]
     else:
-        frame_bytes = instance.snr.nbytes + instance.inr.nbytes + _FRAME_STATE_BYTES
+        frame_bytes = instances[0].snr.nbytes + instances[0].inr.nbytes + _FRAME_STATE_BYTES
         chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
-        # seed states are hashed once per block of whole chunks
-        block = chunk * max(1, _STATE_BLOCK // chunk)
-        for start in range(0, config.frames_per_drop, chunk):
-            frames = range(start, min(start + chunk, config.frames_per_drop))
-            if start % block == 0:
-                block_frames = range(start, min(start + block, config.frames_per_drop))
-                states = _fading_states(instance.seed_key, block_frames)
-            offset = start % block
-            draw = draw_fading(instance, frames, states[offset : offset + len(frames)])
-            rates[:, start : frames.stop] = two_way_rates(draw, selectors)
+        for window in _windows(len(jobs), config.frames_per_drop, chunk):
+            # one lane per drop: the window's chunks of a drop are contiguous
+            lanes: dict[int, range] = {}
+            for drop, frames in window:
+                lanes[drop] = range(lanes.get(drop, frames).start, frames.stop)
+            states = _fading_states(
+                [(instances[drop].seed_key, frames) for drop, frames in lanes.items()]
+            )
+            offset = 0
+            for drop, frames in window:
+                chunk_states = states[offset : offset + len(frames)]
+                offset += len(frames)
+                draw = draw_fading(instances[drop], frames, chunk_states)
+                rates[drop][:, frames.start : frames.stop] = two_way_rates(draw, selectors[drop])
 
-    return {
-        "rates": {name: config.bandwidth_hz * r for name, r in zip(results, rates)},
-        "objective": {name: results[name].objective_exact for name in config.algorithms},
-        "optimize_time": seconds,
-        "warned": {name: results[name].warning is not None for name in config.algorithms},
-        "max_children": tree.max_children,
-        "num_edges": int(graph.adjacency.sum()) // 2,
-    }
+    payloads = []
+    for drop_rates, graph, tree, drop_results, drop_seconds in zip(
+        rates, graphs, trees, results, seconds
+    ):
+        drop_rates *= config.bandwidth_hz
+        payloads.append(
+            {
+                "rates": dict(zip(config.algorithms, drop_rates)),
+                "objective": {name: res.objective_exact for name, res in drop_results.items()},
+                "optimize_time": drop_seconds,
+                "warned": {name: res.warning is not None for name, res in drop_results.items()},
+                "max_children": tree.max_children,
+                "num_edges": int(graph.adjacency.sum()) // 2,
+            }
+        )
+    return payloads
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> EvalReport:
     """Run the full Monte-Carlo experiment.
 
-    ``workers > 1`` dispatches drops to a process pool of at most
-    ``num_drops`` workers, in chunks of ``max(1, num_drops // (4 * workers))``
-    drops; ``pool``, an open pool of ``workers`` processes, is used instead
-    of starting one. Per-drop seeds are derived up front from the master seed
-    and drop payloads are reduced in drop order, so the report does not
-    depend on the worker count.
+    Drops run in blocks of ``_block_drops(config, workers)``, one task per
+    block, in-process or, with ``workers > 1``, on a process pool of at most
+    ``num_drops`` workers; ``pool``, an open pool of ``workers`` processes,
+    is used instead of starting one. Per-drop seeds are derived up front
+    from the master seed and drop payloads are reduced in drop order, so the
+    report depends on neither the worker count nor the block size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -313,20 +378,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
     t_start = time.perf_counter()
     drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
         2 * config.num_drops, dtype=np.uint64
-    )
-    jobs = [
-        (config, int(drop_seeds[2 * d]), int(drop_seeds[2 * d + 1]))
-        for d in range(config.num_drops)
-    ]
-    chunksize = None
+    ).tolist()
+    jobs = list(zip(drop_seeds[0::2], drop_seeds[1::2]))
+    block = _block_drops(config, workers)
+    # a task pickles its block's shared config once
+    tasks = [(config, jobs[start : start + block]) for start in range(0, len(jobs), block)]
     if workers > 1:
-        # a chunk pickles its jobs' shared config once
-        chunksize = max(1, len(jobs) // (4 * workers))
         context = nullcontext(pool) if pool else futures.ProcessPoolExecutor(max_workers=workers)
         with context as executor:
-            payloads = list(executor.map(_run_drop, jobs, chunksize=chunksize))
+            blocks = list(executor.map(_run_block, tasks))
     else:
-        payloads = [_run_drop(job) for job in jobs]
+        blocks = [_run_block(task) for task in tasks]
+    payloads = [payload for block_payloads in blocks for payload in block_payloads]
 
     stats: dict[str, AlgorithmStats] = {}
     for name in config.algorithms:
@@ -358,7 +421,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
         mean_edges=float(np.mean([p["num_edges"] for p in payloads])),
         elapsed_s=time.perf_counter() - t_start,
         workers=workers,
-        chunksize=chunksize,
+        chunksize=block,
     )
 
 

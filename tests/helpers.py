@@ -9,17 +9,20 @@ import csv
 import math
 from itertools import combinations
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
+from spinopt import evaluation
 from spinopt.channel import (
     _FADING_TAG,
     LinkInstance,
     ScenarioConfig,
+    draw_fading,
     end_planes,
     generate_instance,
 )
-from spinopt.evaluation import _rank, plot_rows, solve_drop
+from spinopt.evaluation import FRAME_CHUNK_BUDGET, _rank, plot_rows, solve_drop
 from spinopt.optimizer import OptimizationResult, network_utility
 from spinopt.sinr import UtilityKind, denominators, link_utility, spin_selectors, two_way_rates
 from spinopt.topology import RootedTree, TopologyGraph
@@ -461,6 +464,46 @@ def fading_frame(instance: LinkInstance, frame: int) -> SimpleNamespace:
     )
 
 
+def run_drop(config, drop_seed: int, baseline_seed: int) -> dict:
+    """Per-drop oracle of ``evaluation._run_block``: one drop through every
+    stage before the next drop starts, each chunk hashing its own fading
+    seed states. Returns the drop's payload."""
+    scenario = config.scenario
+    instance = generate_instance(scenario, drop_seed)
+    graphs, trees, results, seconds = solve_drop(config, [instance], [baseline_seed])
+    graph, tree, results = graphs[0], trees[0], results[0]
+    selectors = spin_selectors(graph, np.stack([res.spins for res in results.values()]))
+    rates = np.empty((len(results), config.frames_per_drop, scenario.num_links))
+    if config.fading == "none":
+        rates[:] = two_way_rates(instance, selectors)[:, None]
+    else:
+        frame_bytes = instance.snr.nbytes + instance.inr.nbytes + evaluation._FRAME_STATE_BYTES
+        chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
+        for start in range(0, config.frames_per_drop, chunk):
+            frames = range(start, min(start + chunk, config.frames_per_drop))
+            rates[:, start : frames.stop] = two_way_rates(draw_fading(instance, frames), selectors)
+    return {
+        "rates": {name: config.bandwidth_hz * r for name, r in zip(results, rates)},
+        "objective": {name: results[name].objective_exact for name in config.algorithms},
+        "optimize_time": seconds[0],
+        "warned": {name: results[name].warning is not None for name in config.algorithms},
+        "max_children": tree.max_children,
+        "num_edges": int(graph.adjacency.sum()) // 2,
+    }
+
+
+def per_drop_report(config):
+    """``run_experiment(config)`` in-process with every block run by the
+    per-drop oracle ``run_drop``."""
+
+    def per_drop_block(task):
+        block_config, jobs = task
+        return [run_drop(block_config, *job) for job in jobs]
+
+    with mock.patch.object(evaluation, "_run_block", per_drop_block):
+        return evaluation.run_experiment(config)
+
+
 def per_frame_rates(config) -> dict[str, np.ndarray]:
     """Per-frame loop oracle of ``run_experiment``'s ``rates_bps``.
 
@@ -474,8 +517,9 @@ def per_frame_rates(config) -> dict[str, np.ndarray]:
     rates = {name: np.empty(shape) for name in config.algorithms}
     for d in range(config.num_drops):
         instance = generate_instance(config.scenario, int(seeds[2 * d]))
-        graph, _, results, _ = solve_drop(config, instance, int(seeds[2 * d + 1]))
-        for name, result in results.items():
+        graphs, _, results, _ = solve_drop(config, [instance], [int(seeds[2 * d + 1])])
+        graph = graphs[0]
+        for name, result in results[0].items():
             selectors = spin_selectors(graph, result.spins)
             for f in range(config.frames_per_drop):
                 values = instance if config.fading == "none" else fading_frame(instance, f)

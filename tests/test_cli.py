@@ -630,8 +630,8 @@ def test_run_meta_records_the_dispatch(tmp_path, command):
         assert all(set(run["timing"]) == {"elapsed_s", "optimize_time_s"} for run in runs)
         assert all(set(run["timing"]["optimize_time_s"]) == {"mst_dp"} for run in runs)
     points = 2 if command == "sweep" else 1
-    # in-process there are no chunks; on 2 workers they hold 17 // (4 * 2) drops
-    assert dispatch == {1: [(1, None)] * points, 2: [(2, 2)] * points}
+    # in-process and on the pool alike, a block holds 17 // (4 * workers) drops
+    assert dispatch == {1: [(1, 4)] * points, 2: [(2, 2)] * points}
 
 
 @pytest.mark.parametrize(

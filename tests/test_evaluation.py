@@ -11,7 +11,7 @@ import pytest
 from helpers import percentile, per_frame_rates, write_plot_csv_cells, write_samples_csv_rows
 from spinopt import channel, evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
-from spinopt.cli import load_config
+from spinopt.cli import load_config, main
 from spinopt.evaluation import (
     ALGORITHMS,
     FADING_MODES,
@@ -254,6 +254,112 @@ def test_a_chunk_and_its_rate_call_peak_near_their_terms(monkeypatch, num_links,
     assert peak <= 1.25 * (frames * frame_bytes + terms)
 
 
+def block_held_bytes(num_links, algorithms, num_drops) -> int:
+    """Bytes a block of ``num_drops`` drops holds once every stage before the
+    frames has run (instances, graphs, forests, results, spin selectors)."""
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=num_links, link_mix=0.5, seed=1),
+        algorithms=algorithms,
+        num_drops=num_drops,
+        frames_per_drop=1,
+    )
+    tracemalloc.start()
+    try:
+        instances = [generate_instance(config.scenario, 100 + d) for d in range(num_drops)]
+        graphs, _, results, _ = evaluation.solve_drop(config, instances, list(range(num_drops)))
+        selectors = [
+            evaluation.spin_selectors(graph, np.stack([r.spins for r in drop.values()]))
+            for graph, drop in zip(graphs, results)
+        ]
+        assert len(selectors) == num_drops
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "num_links, algorithms", [(10, ALGORITHMS), (100, ("mst_dp", "random"))]
+)
+def test_a_block_holds_at_most_its_bytes_per_drop(num_links, algorithms):
+    # what one more drop adds to a block between its stages, after a warm-up
+    # block; at M = 100 the per-pair term is most of it
+    block_held_bytes(num_links, algorithms, 2)
+    four, eight = (block_held_bytes(num_links, algorithms, n) for n in (4, 8))
+    per_drop = (eight - four) / 4
+    model = evaluation._BLOCK_PAIR_BYTES * num_links**2 + evaluation._BLOCK_DROP_BYTES
+    assert per_drop <= model
+    if num_links == 100:
+        assert per_drop > 0.9 * model
+
+
+@pytest.mark.parametrize(
+    "config, workers, blocks",
+    [
+        ("configs/evaluate_m10_symmetric.json", 1, [25]),
+        ("bench/configs/opt_m200.json", 1, [1]),
+        # every point of the sweep, on the benchmark's two workers
+        ("configs/sweep_links_asymmetric.json", 2, [6, 6, 6]),
+    ],
+)
+def test_block_size_of_the_benchmark_configs(config, workers, blocks):
+    experiment, points = load_config(json.loads((REPO / config).read_text()))
+    assert [evaluation._block_drops(c, workers) for c in points or [experiment]] == blocks
+
+
+@pytest.mark.parametrize("drops", [1, 2, 3])
+def test_block_size_follows_the_budget(monkeypatch, drops):
+    config = small_config(scenario=ScenarioConfig(num_links=10, seed=1), num_drops=40)
+    held = evaluation._BLOCK_PAIR_BYTES * 10**2 + evaluation._BLOCK_DROP_BYTES
+    monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", drops * held + held - 1)
+    assert evaluation._block_drops(config, 1) == drops
+    # a quarter of each worker's share caps it too: 40 // (4 * 4) = 2
+    assert evaluation._block_drops(config, 4) == min(drops, 2)
+    # and a block holds one drop at least
+    monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", 0)
+    assert evaluation._block_drops(config, 1) == 1
+
+
+@pytest.mark.parametrize("num_links", [10, 40, 200])
+def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_links):
+    # from the block's last spin_selectors call on, the block holds its
+    # drops (at most the budget, or the one drop a block holds at least)
+    # and its rates while each chunk is drawn and rated; before it, a drop's
+    # own transients are the per-pair term of peak_bytes()
+    algorithms = ALGORITHMS if num_links <= 20 else ("mst_dp", "random")
+    frame_bytes = 8 * (2 * num_links + 4 * num_links**2) + evaluation._FRAME_STATE_BYTES
+    frames = max(1, evaluation.FRAME_CHUNK_BUDGET // frame_bytes)  # one whole chunk a drop
+    held = evaluation._BLOCK_PAIR_BYTES * num_links**2 + evaluation._BLOCK_DROP_BYTES
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=num_links, link_mix=0.5, seed=1),
+        algorithms=algorithms,
+        num_drops=4 * max(1, evaluation._BLOCK_BUDGET // held),
+        frames_per_drop=frames,
+    )
+    block = evaluation._block_drops(config, 1)
+    assert block == {10: 43, 40: 7, 200: 1}[num_links]
+    jobs = [(100 + d, d) for d in range(block)]
+    selected, spin_selectors = [], evaluation.spin_selectors
+
+    def selecting(graph, spins):
+        selected.append(graph)
+        if len(selected) == block and tracemalloc.is_tracing():
+            tracemalloc.reset_peak()
+        return spin_selectors(graph, spins)
+
+    monkeypatch.setattr(evaluation, "spin_selectors", selecting)
+    evaluation._run_block((config, jobs))
+    selected.clear()
+    tracemalloc.start()
+    try:
+        evaluation._run_block((config, jobs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_phase = frames * frame_bytes + 8 * len(algorithms) * num_links**2 * frames
+    samples = 8 * block * len(algorithms) * frames * num_links
+    assert peak <= 1.25 * (max(evaluation._BLOCK_BUDGET, held) + chunk_phase) + samples
+
+
 @pytest.mark.parametrize(
     "scenario, experiment",
     [
@@ -397,8 +503,9 @@ def test_worker_pool_does_not_change_results():
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Swaps the process pool for an in-process stub; logs pool sizes and chunk sizes."""
-    log = {"pools": [], "chunksizes": []}
+    """Swaps the process pool for an in-process stub; logs pool sizes and, per
+    map call, its chunksize and the drops of each task."""
+    log = {"pools": [], "maps": []}
 
     class RecordingPool:
         """Stands in for the process pool: records its size, maps in-process."""
@@ -412,9 +519,10 @@ def pool_log(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            log["chunksizes"].append(chunksize)
-            return map(fn, jobs)
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            log["maps"].append((chunksize, [len(jobs) for _, jobs in tasks]))
+            return map(fn, tasks)
 
     monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", RecordingPool)
     return log
@@ -450,13 +558,17 @@ def test_sweep_sends_every_point_through_one_pool(monkeypatch, pool_log):
     configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 3, 4)]
 
     serial = sweep(configs, workers=1)
-    assert pool_log == {"pools": [], "chunksizes": []}
+    assert pool_log == {"pools": [], "maps": []}
+    assert [(r.workers, r.chunksize) for r in serial] == [(1, 17 // 4)] * 3
     assert points == [2, 3, 4]
-    for workers, chunksize in ((2, 17 // 8), (64, 1)):
+    for workers, block in ((2, 17 // 8), (64, 1)):
         reports = sweep(configs, workers=workers)
         assert [r.summary_json() for r in reports] == [r.summary_json() for r in serial]
-        assert [(r.workers, r.chunksize) for r in reports] == [(min(workers, 17), chunksize)] * 3
-    assert pool_log == {"pools": [2, 17], "chunksizes": [2, 2, 2, 1, 1, 1]}
+        assert [(r.workers, r.chunksize) for r in reports] == [(min(workers, 17), block)] * 3
+    # one task per block, the last one short: no chunksize of the pool's own
+    on_two = (1, [2] * 8 + [1])
+    on_seventeen = (1, [1] * 17)
+    assert pool_log == {"pools": [2, 17], "maps": [on_two] * 3 + [on_seventeen] * 3}
     assert points == [2, 3, 4] * 3
     with pytest.raises(ValueError, match="workers"):
         sweep(configs, workers=0)
@@ -568,50 +680,134 @@ def test_samples_csv_blocks_match_csv_writer(tmp_path, monkeypatch, block_rows):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def count_fading_states(monkeypatch) -> list[range]:
-    """Record the frames of every ``_fading_states`` call, direct or through
-    ``draw_fading``."""
+def count_fading_states(monkeypatch) -> list[list[tuple[int, range]]]:
+    """Record the lanes of every ``_fading_states`` call, direct or through
+    ``draw_fading``, as (drop index, frames) in the run's drop order."""
     calls, fading_states = [], channel._fading_states
 
-    def counting(seed_key, frames):
-        calls.append(frames)
-        return fading_states(seed_key, frames)
+    def counting(lanes):
+        calls.append([(drop_index(seed_key), frames) for seed_key, frames in lanes])
+        return fading_states(lanes)
 
     monkeypatch.setattr(channel, "_fading_states", counting)
     monkeypatch.setattr(evaluation, "_fading_states", counting)
     return calls
 
 
+@pytest.mark.parametrize("fading", FADING_MODES)
+def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fading):
+    # the counts bench/probe.py traces through evaluation's module globals:
+    # an evaluate of 12 drops runs 4 blocks of 3, each drop of 7 frames in
+    # chunks of 3
+    m = 4
+    frame_bytes = 8 * (2 * m + 4 * m**2) + evaluation._FRAME_STATE_BYTES
+    monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", 3 * frame_bytes)
+    layers = (
+        "generate_instance",
+        "build_graph",
+        "maximum_spanning_tree",
+        "exhaustive_search",
+        "mst_dp",
+        "random_spins",
+        "spin_selectors",
+        "draw_fading",
+        "two_way_rates",
+    )
+    calls = dict.fromkeys(layers, 0)
+    blocks = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in layers:
+        monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
+    run_block = evaluation._run_block
+
+    def recording_block(task):
+        blocks.append(len(task[1]))
+        return run_block(task)
+
+    monkeypatch.setattr(evaluation, "_run_block", recording_block)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema": "spinopt.config/1",
+                "scenario": {"num_links": m, "seed": 3},
+                "experiment": {
+                    "algorithms": list(ALGORITHMS),
+                    "num_drops": 12,
+                    "frames_per_drop": 7,
+                    "fading": fading,
+                },
+            }
+        )
+    )
+    args = ["evaluate", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
+    assert main(args) == 0
+    assert blocks == [3, 3, 3, 3]
+    drops, chunks = 12, 12 * 3 if fading == "rayleigh" else 0
+    per_drop = dict.fromkeys(layers, drops)
+    per_drop.update(draw_fading=chunks, two_way_rates=chunks or drops)
+    assert calls == per_drop
+
+
+def drop_index(seed_key) -> int:
+    """Index of the drop whose instance has ``seed_key``, among the drops a
+    run with ``master_seed`` 7 derives (``small_config``'s master seed)."""
+    seeds = np.random.SeedSequence(7).generate_state(2 * 64, dtype=np.uint64)
+    return seeds[0::2].tolist().index(seed_key[1])
+
+
 def test_fading_states_are_hashed_once_per_drop(monkeypatch):
-    # at M = 200 a fading chunk is one frame, but a drop's seeds hash at once
+    # at M = 200 a block is one drop and a fading chunk one frame, but the
+    # drop's seeds hash at once, in one lane
     calls = count_fading_states(monkeypatch)
     config = small_config(
         scenario=ScenarioConfig(num_links=200, link_mix=0.0, seed=5),
         algorithms=("mst_dp", "random"),
-        num_drops=2,
+        num_drops=8,
         frames_per_drop=4,
     )
-    run_experiment(config)
-    assert calls == [range(0, 4)] * config.num_drops
+    assert run_experiment(config).chunksize == 1
+    assert calls == [[(d, range(0, 4))] for d in range(config.num_drops)]
 
 
 @pytest.mark.parametrize(
-    "state_block, blocks", [(7, [(0, 6), (6, 7)]), (2, [(0, 3), (3, 6), (6, 7)])]
+    "state_block, blocks",
+    [
+        # a drop's three chunks (7 frames) fill a window
+        (7, [[(0, 0, 7)], [(1, 0, 7)]]),
+        # a window holds at least one chunk
+        (2, [[(d, a, b)] for d in (0, 1) for a, b in ((0, 3), (3, 6), (6, 7))]),
+        # a window spans drops, in whole chunks
+        (10, [[(0, 0, 7), (1, 0, 3)], [(1, 3, 7)]]),
+    ],
 )
 def test_fading_state_blocks_hold_whole_chunks(monkeypatch, state_block, blocks):
-    # chunks of 3 frames: a block is the most whole chunks within the cap, and
-    # at least one chunk
+    # blocks of two drops (8 // 4) and chunks of 3 frames: one _fading_states
+    # call per window, the most whole chunks within the cap, with one lane
+    # per drop of the window; the same windows in every block
     calls = count_fading_states(monkeypatch)
     config = small_config(
         scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),
-        num_drops=2,
+        num_drops=8,
         frames_per_drop=7,
     )
     frame_bytes = 8 * (10 * 2 + 10 * 10 * 2 * 2) + evaluation._FRAME_STATE_BYTES
     monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", 3 * frame_bytes)
     monkeypatch.setattr(evaluation, "_STATE_BLOCK", state_block)
     report = run_experiment(config)
-    assert calls == [range(a, b) for a, b in blocks] * config.num_drops
+    assert report.chunksize == 2
+    assert calls == [
+        [(first + d, range(a, b)) for d, a, b in window]
+        for first in range(0, config.num_drops, 2)
+        for window in blocks
+    ]
     oracle = per_frame_rates(config)
     for name in config.algorithms:
         assert np.array_equal(report.stats[name].rates_bps, oracle[name])
@@ -667,23 +863,27 @@ def test_frame_chunks_match_per_frame_loop(monkeypatch, fading, frames_per_chunk
 @pytest.mark.parametrize("algorithms", [ALGORITHMS, ("random", "mst_dp")])
 @pytest.mark.parametrize("utility", list(UtilityKind))
 def test_solve_drop_equals_direct_optimizer_calls(algorithms, utility):
+    # a block of three drops: one entry per drop, each as if solved alone
     config = small_config(algorithms=algorithms, utility=utility)
-    instance = generate_instance(config.scenario, 5)
-    graph, tree, results, seconds = evaluation.solve_drop(config, instance, 9)
-    direct_graph = build_graph(instance, config.scenario.inr_edge_threshold)
-    assert np.array_equal(graph.adjacency, direct_graph.adjacency)
-    assert tree == maximum_spanning_tree(direct_graph)
-    direct = {
-        "exhaustive": exhaustive_search(instance, graph, utility),
-        "mst_dp": mst_dp(instance, graph, tree, utility),
-        "random": random_spins(instance, graph, utility, 9),
-    }
-    assert list(results) == list(seconds) == list(algorithms)
-    for name, result in results.items():
-        assert np.array_equal(result.spins, direct[name].spins)
-        assert result.objective_exact == direct[name].objective_exact
-        assert result.objective_approx == direct[name].objective_approx
-        assert seconds[name] >= 0.0
+    instances = [generate_instance(config.scenario, seed) for seed in (5, 6, 7)]
+    graphs, trees, results, seconds = evaluation.solve_drop(config, instances, [9, 10, 11])
+    assert len(graphs) == len(trees) == len(results) == len(seconds) == 3
+    for drop, instance in enumerate(instances):
+        graph, tree, baseline_seed = graphs[drop], trees[drop], 9 + drop
+        direct_graph = build_graph(instance, config.scenario.inr_edge_threshold)
+        assert np.array_equal(graph.adjacency, direct_graph.adjacency)
+        assert tree == maximum_spanning_tree(direct_graph)
+        direct = {
+            "exhaustive": exhaustive_search(instance, graph, utility),
+            "mst_dp": mst_dp(instance, graph, tree, utility),
+            "random": random_spins(instance, graph, utility, baseline_seed),
+        }
+        assert list(results[drop]) == list(seconds[drop]) == list(algorithms)
+        for name, result in results[drop].items():
+            assert np.array_equal(result.spins, direct[name].spins)
+            assert result.objective_exact == direct[name].objective_exact
+            assert result.objective_approx == direct[name].objective_approx
+            assert seconds[drop][name] >= 0.0
 
 
 def test_summary_json_contains_stats_and_d():

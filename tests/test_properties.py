@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import fields, replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from helpers import (
     interference_tensor_norm,
     kruskal_forest,
     mst_dp_per_vertex,
+    per_drop_report,
     random_instance,
     rates_of,
     tree_brute_force,
@@ -34,14 +36,17 @@ from helpers import (
     utility_of,
 )
 from spinopt.channel import (
+    _FADING_TAG,
     LinkInstance,
     ScenarioConfig,
+    _fading_states,
     draw_fading,
     generate_instance,
     instance_from_json,
     instance_to_json,
     interference_tensor,
 )
+from spinopt import evaluation
 from spinopt.cli import CONFIG_SCHEMA, load_config
 from spinopt.evaluation import (
     ALGORITHMS,
@@ -286,10 +291,29 @@ def test_stacked_spins_give_each_rows_rates(net, rows, start, faded, data):
         assert same_bytes(rates, two_way_rates(values, spin_selectors(graph, spins)))
 
 
+LANES = st.lists(st.tuples(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6)), max_size=3)
+
+
+def pcg64_state(seed_key, frame) -> tuple[int, int]:
+    """numpy's own PCG64 (state, inc) for one frame's fading stream."""
+    rng = np.random.default_rng(np.random.SeedSequence((*seed_key, _FADING_TAG, frame)))
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
 @PROPERTY
-@given(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6))
-@example(0, 2**64 - 1, 2**32 - 3, 6)  # one chunk of frames with one and two entropy words
-def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, length):
+@given(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6), LANES)
+# one chunk of frames with one and two entropy words, then lanes of other
+# drops whose seeds and frames take one or two words each
+@example(0, 2**64 - 1, 2**32 - 3, 6, [])
+@example(
+    0,
+    2**64 - 1,
+    2**32 - 3,
+    6,
+    [(2**32 - 1, 2**32, 2**32 - 2, 4), (2**32, 0, 0, 2), (2**64 - 1, 2**64 - 1, 2**64 - 3, 6)],
+)
+def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, length, lanes):
     _, inst = random_instance(3, 0)
     inst = replace(inst, seed_key=(seed, drop_seed))
     frames = range(start, min(start + length, 2**64))
@@ -300,6 +324,12 @@ def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, l
         oracle = fading_frame(inst, f)
         assert draw.snr[j].tobytes() == oracle.snr.tobytes()
         assert draw.inr[j].tobytes() == oracle.inr.tobytes()
+    # one call hashes the lanes of several drops, each frame as numpy would
+    lanes = [(inst.seed_key, frames)] + [
+        ((s, d), range(f, min(f + n, 2**64))) for s, d, f, n in lanes
+    ]
+    states = _fading_states(lanes)
+    assert states == [pcg64_state(key, f) for key, lane in lanes for f in lane]
 
 
 @PROPERTY
@@ -346,6 +376,42 @@ def test_exhaustive_dominates_dp(net, kind):
 
 
 @POOLED
+@given(
+    st.integers(1, 12),
+    st.integers(1, 7),
+    SEEDS,
+    KINDS,
+    st.sampled_from(FADING_MODES),
+    st.sampled_from([1, 2, 3, "all"]),
+    st.integers(1, 3),
+)
+@example(12, 7, 2**64 - 1, UtilityKind.PROPORTIONAL_FAIRNESS, "rayleigh", "all", 1)
+@example(5, 7, 3, UtilityKind.TWO_WAY_SUM_RATE, "rayleigh", 3, 2)
+@example(1, 5, 0, UtilityKind.PROPORTIONAL_FAIRNESS, "none", 2, 3)
+@example(9, 4, 2**32, UtilityKind.TWO_WAY_SUM_RATE, "rayleigh", 1, 3)
+def test_blocks_equal_the_per_drop_oracle(m, num_drops, seed, kind, fading, block, workers):
+    # however the drops are grouped into blocks and the blocks into tasks,
+    # every rate and the summary equal one drop at a time, byte for byte
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=m, link_mix=0.5, seed=seed),
+        algorithms=ALGORITHMS,
+        num_drops=num_drops,
+        frames_per_drop=3,
+        utility=kind,
+        master_seed=seed,
+        fading=fading,
+    )
+    drops = num_drops if block == "all" else block
+    with mock.patch.object(evaluation, "_block_drops", lambda config, workers: drops):
+        report = run_experiment(config, workers=workers)
+    oracle = per_drop_report(config)
+    assert report.chunksize == drops
+    assert json.dumps(report.summary_json()) == json.dumps(oracle.summary_json())
+    for name in config.algorithms:
+        assert report.stats[name].rates_bps.tobytes() == oracle.stats[name].rates_bps.tobytes()
+
+
+@POOLED
 @given(st.integers(1, 5), SEEDS, SEEDS, KINDS, st.sampled_from(FADING_MODES))
 def test_report_is_independent_of_worker_count(m, scenario_seed, master_seed, kind, fading):
     config = ExperimentConfig(
@@ -379,7 +445,7 @@ def test_sweep_is_independent_of_worker_count(m, scenario_seed, master_seed, kin
     serial = sweep(configs, workers=1)
     pooled = sweep(configs, workers=2)
     for a, b in zip(serial, pooled, strict=True):
-        # chunks of 2 or 3 drops, the last one short
+        # blocks of 2 or 3 drops, the last one short
         assert b.chunksize == num_drops // 8 and num_drops % b.chunksize == 1
         assert a.summary_json() == b.summary_json()
         for name in ALGORITHMS:
