@@ -171,6 +171,14 @@ class ScenarioConfig:
             raise ValueError(
                 f"inr_edge_threshold must be >= 0, got {self.inr_edge_threshold}"
             )
+        for name in ("snr_sym_db", "snr_asym_lr_db", "snr_asym_rl_db"):
+            try:
+                db_to_linear(getattr(self, name))
+            except OverflowError:
+                raise ValueError(
+                    f"{name} must be a dB value whose linear ratio is a finite float, "
+                    f"got {getattr(self, name)!r}"
+                ) from None
         _check_seed(self.seed, "seed")
 
     def nominal_snr(self) -> np.ndarray:
@@ -365,10 +373,19 @@ def generate_instance(config: ScenarioConfig, drop_seed: int) -> LinkInstance:
     positions[np.arange(m), first_end] = first
     positions[np.arange(m), 1 - first_end] = first + offset
 
-    shadowing = _pair_shadowing(2 * m, config.shadow_sigma_db, np.random.default_rng(shadow_ss))
-    own_pair = shadowing[2 * np.arange(m), 2 * np.arange(m) + 1]
-    snr = config.nominal_snr()[kinds] * own_pair[:, None]
-    inr = interference_tensor(positions, kinds, shadowing, config)
+    # gains beyond the float range become inf or nan here and are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        shadow_rng = np.random.default_rng(shadow_ss)
+        shadowing = _pair_shadowing(2 * m, config.shadow_sigma_db, shadow_rng)
+        own_pair = shadowing[2 * np.arange(m), 2 * np.arange(m) + 1]
+        snr = config.nominal_snr()[kinds] * own_pair[:, None]
+        inr = interference_tensor(positions, kinds, shadowing, config)
+    if not all(np.isfinite(gains).all() for gains in (shadowing, snr, inr)):
+        raise ValueError(
+            f"drop seed {drop_seed}: the SNR, INR or shadowing is not finite; its scale is "
+            "set by shadow_sigma_db, pathloss_exp, d_sym/d_asym, area_side and the SNRs "
+            "(snr_sym_db, snr_asym_lr_db, snr_asym_rl_db)"
+        )
 
     return LinkInstance(
         num_links=m,

@@ -118,11 +118,11 @@ def _out_dir(args) -> Path:
 
 def _cmd_generate(args) -> int:
     scenario = load_config(_read_json(args.config), args.seed)[0].scenario
-    out = _out_dir(args)
     t0 = time.perf_counter()
     instance = channel.generate_instance(scenario, args.drop)
     graph = topology.build_graph(instance, scenario.inr_edge_threshold)
     tree = topology.maximum_spanning_tree(graph)
+    out = _out_dir(args)
     _write_json(out / "instance.json", channel.instance_to_json(instance))
     _write_json(
         out / "topology.json",
@@ -163,7 +163,7 @@ def _cmd_optimize(args) -> int:
             },
         },
     )
-    _write_meta(out, "optimize", timing=seconds[0])
+    _write_meta(out, "optimize", timing=seconds)
 
     print(
         f"links={instance.num_links} edges={len(graph.edges)} "

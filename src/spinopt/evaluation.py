@@ -17,6 +17,7 @@ process pool; a sweep sends the drops of all its points through one pool.
 
 from __future__ import annotations
 
+import collections
 import csv
 import math
 import time
@@ -84,8 +85,8 @@ _BLOCK_DROP_BYTES = 16 << 10
 #   (M, M, 2, 2) INR tensor while it is generated, which outweigh a frame of
 #   gains and its rate terms (32 + 8 B per algorithm); 197 B measured from
 #   M = 100 to 200, 256 B here;
-# - per held rate sample: the drop's rates, the stacked rates and one
-#   sorted copy (one algorithm); 25.5 B measured, 32 B here;
+# - per held rate sample: the run's rates and one algorithm's sorted copy;
+#   15.3 B measured (one algorithm, 40 to 120 drops at M = 10), 20 B here;
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
 #   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
 #   (<= 0.45 MB), a block of samples.csv rows (~1 MB) or the exhaustive
@@ -95,7 +96,7 @@ _BLOCK_DROP_BYTES = 16 << 10
 #   holds between its stages, _BLOCK_BUDGET.
 RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
-_SAMPLE_BYTES = 32
+_SAMPLE_BYTES = 20
 _FIXED_BYTES = (16 << 20) + DP_STEP_BUDGET + _BLOCK_BUDGET
 
 # Rows of samples.csv formatted before one write: with their "frame,link,"
@@ -193,7 +194,7 @@ class EvalReport:
     mean_edges: float
     elapsed_s: float
     workers: int = 1  # processes the drops ran on
-    chunksize: int | None = None  # drops per block, one task each; None if not run
+    block_drops: int | None = None  # drops per block, one task each; None if not run
 
     def summary_json(self) -> dict:
         """Data-only summary (no timing), stable across identical runs."""
@@ -232,7 +233,7 @@ class EvalReport:
                 "optimize_time_s": {name: st.optimize_time_s for name, st in self.stats.items()},
             },
             "workers": self.workers,
-            "chunksize": self.chunksize,
+            "block_drops": self.block_drops,
             "optimizer_warnings": {name: st.warned_drops for name, st in self.stats.items()},
         }
 
@@ -259,9 +260,9 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
     The single algorithm dispatch of the package: builds every drop's
     topology graph, then every maximum spanning forest, then runs each
     algorithm's optimizer over every drop in turn with the experiment's
-    utility and times each call. A drop's ``results`` and ``seconds`` are
-    dicts keyed by algorithm in config order; its ``baseline_seeds`` entry
-    seeds its random baseline.
+    utility. A drop's ``results`` is a dict keyed by algorithm in config
+    order; ``seconds`` maps each algorithm to its time over the block. A
+    drop's ``baseline_seeds`` entry seeds its random baseline.
     """
     threshold, utility = config.scenario.inr_edge_threshold, config.utility
     graphs = [build_graph(instance, threshold) for instance in instances]
@@ -272,12 +273,12 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
         "random": lambda inst, graph, tree, seed: random_spins(inst, graph, utility, seed),
     }
     results: list[dict] = [{} for _ in instances]
-    seconds: list[dict] = [{} for _ in instances]
+    seconds: dict[str, float] = {}
     for name in config.algorithms:
-        for drop, args in enumerate(zip(instances, graphs, trees, baseline_seeds)):
-            start = time.perf_counter()
-            results[drop][name] = solvers[name](*args)
-            seconds[drop][name] = time.perf_counter() - start
+        start = time.perf_counter()
+        for drop, args in zip(results, zip(instances, graphs, trees, baseline_seeds)):
+            drop[name] = solvers[name](*args)
+        seconds[name] = time.perf_counter() - start
     return graphs, trees, results, seconds
 
 
@@ -304,11 +305,12 @@ def _windows(num_drops: int, frames_per_drop: int, chunk: int):
     yield window
 
 
-def _run_block(task) -> list[dict]:
-    """A block of drops, one stage at a time over all of them: generate every
+def _run_block(task) -> tuple:
+    """A block of B drops, one stage at a time over all of them: generate every
     instance, solve every drop, build every selector, then evaluate every
     drop's frames, hashing the fading seed states once per window of frames.
-    Returns one payload per drop, in order."""
+    Returns the (A, B, F, M) rates in bit/s, (A, B) objectives and warning
+    flags, B tree child maxima and edge counts, and solve_drop's seconds."""
     config, jobs = task
     scenario = config.scenario
     instances = [generate_instance(scenario, drop_seed) for drop_seed, _ in jobs]
@@ -320,12 +322,12 @@ def _run_block(task) -> list[dict]:
         spin_selectors(graph, np.stack([res.spins for res in drop.values()]))
         for graph, drop in zip(graphs, results)
     ]
-    shape = (len(config.algorithms), config.frames_per_drop, scenario.num_links)
-    rates = [np.empty(shape) for _ in jobs]
+    shape = (len(config.algorithms), len(jobs), config.frames_per_drop, scenario.num_links)
+    rates = np.empty(shape)
     if config.fading == "none":
         # every frame of a drop sees the long-term gains
-        for drop_rates, instance, selector in zip(rates, instances, selectors):
-            drop_rates[:] = two_way_rates(instance, selector)[:, None]
+        for drop, (instance, selector) in enumerate(zip(instances, selectors)):
+            rates[:, drop] = two_way_rates(instance, selector)[:, None]
     else:
         frame_bytes = instances[0].snr.nbytes + instances[0].inr.nbytes + _FRAME_STATE_BYTES
         chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
@@ -342,24 +344,13 @@ def _run_block(task) -> list[dict]:
                 chunk_states = states[offset : offset + len(frames)]
                 offset += len(frames)
                 draw = draw_fading(instances[drop], frames, chunk_states)
-                rates[drop][:, frames.start : frames.stop] = two_way_rates(draw, selectors[drop])
-
-    payloads = []
-    for drop_rates, graph, tree, drop_results, drop_seconds in zip(
-        rates, graphs, trees, results, seconds
-    ):
-        drop_rates *= config.bandwidth_hz
-        payloads.append(
-            {
-                "rates": dict(zip(config.algorithms, drop_rates)),
-                "objective": {name: res.objective_exact for name, res in drop_results.items()},
-                "optimize_time": drop_seconds,
-                "warned": {name: res.warning is not None for name, res in drop_results.items()},
-                "max_children": tree.max_children,
-                "num_edges": int(graph.adjacency.sum()) // 2,
-            }
-        )
-    return payloads
+                rates[:, drop, frames.start : frames.stop] = two_way_rates(draw, selectors[drop])
+    rates *= config.bandwidth_hz
+    objectives = [[drop[name].objective_exact for drop in results] for name in config.algorithms]
+    warned = [[drop[name].warning is not None for drop in results] for name in config.algorithms]
+    max_children = [tree.max_children for tree in trees]
+    num_edges = [int(graph.adjacency.sum()) // 2 for graph in graphs]
+    return rates, objectives, warned, max_children, num_edges, seconds
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> EvalReport:
@@ -369,7 +360,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
     block, in-process or, with ``workers > 1``, on a process pool of at most
     ``num_drops`` workers; ``pool``, an open pool of ``workers`` processes,
     is used instead of starting one. Per-drop seeds are derived up front
-    from the master seed and drop payloads are reduced in drop order, so the
+    from the master seed and each block is written at its drops, so the
     report depends on neither the worker count nor the block size.
     """
     if workers < 1:
@@ -383,25 +374,35 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
     block = _block_drops(config, workers)
     # a task pickles its block's shared config once
     tasks = [(config, jobs[start : start + block]) for start in range(0, len(jobs), block)]
-    if workers > 1:
-        context = nullcontext(pool) if pool else futures.ProcessPoolExecutor(max_workers=workers)
-        with context as executor:
-            blocks = list(executor.map(_run_block, tasks))
-    else:
-        blocks = [_run_block(task) for task in tasks]
-    payloads = [payload for block_payloads in blocks for payload in block_payloads]
+    algorithms, drops = config.algorithms, config.num_drops
+    rates = np.empty((len(algorithms), drops, config.frames_per_drop, config.scenario.num_links))
+    objectives = np.empty((len(algorithms), drops))
+    warned = np.empty((len(algorithms), drops), dtype=bool)
+    max_children, num_edges = np.empty(drops, dtype=np.int64), np.empty(drops, dtype=np.int64)
+    optimize_time = collections.Counter()
+    context = nullcontext(pool)
+    if workers > 1 and pool is None:
+        context = futures.ProcessPoolExecutor(max_workers=workers)
+    with context as executor:
+        blocks = (executor.map if workers > 1 else map)(_run_block, tasks)
+        for start, (block_rates, objective, warning, children, edges, seconds) in zip(
+            range(0, drops, block), blocks
+        ):
+            drop = slice(start, start + block)  # the last block may be short
+            rates[:, drop], objectives[:, drop], warned[:, drop] = block_rates, objective, warning
+            max_children[drop], num_edges[drop] = children, edges
+            optimize_time.update(seconds)
 
     stats: dict[str, AlgorithmStats] = {}
-    for name in config.algorithms:
-        rates = np.stack([p["rates"][name] for p in payloads])
-        pooled = np.sort(rates.ravel())
+    for a, name in enumerate(algorithms):
+        pooled = np.sort(rates[a].ravel())
         stats[name] = AlgorithmStats(
-            rates_bps=rates,
+            rates_bps=rates[a],
             mean_bps=float(pooled.mean()),
             percentile_bps=float(pooled[_rank(pooled.size, config.percentile_q)]),
-            mean_objective=float(np.mean([p["objective"][name] for p in payloads])),
-            optimize_time_s=float(sum(p["optimize_time"][name] for p in payloads)),
-            warned_drops=sum(p["warned"][name] for p in payloads),
+            mean_objective=float(objectives[a].mean()),
+            optimize_time_s=optimize_time[name],
+            warned_drops=int(warned[a].sum()),
         )
     if "random" in stats:
         ref = stats["random"]
@@ -412,16 +413,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
                 st.percentile_bps / ref.percentile_bps if ref.percentile_bps else None
             )
 
-    children_max = [p["max_children"] for p in payloads]
     return EvalReport(
         config=config,
         stats=stats,
-        d_max=int(max(children_max)),
-        d_mean=float(np.mean(children_max)),
-        mean_edges=float(np.mean([p["num_edges"] for p in payloads])),
+        d_max=int(max_children.max()),
+        d_mean=float(max_children.mean()),
+        mean_edges=float(num_edges.mean()),
         elapsed_s=time.perf_counter() - t_start,
         workers=workers,
-        chunksize=block,
+        block_drops=block,
     )
 
 

@@ -79,19 +79,11 @@ class OptimizationResult:
         }
 
 
-def _local_utility(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
-    """A link's utility from its (..., 2) per-direction rates; callers ignore
-    the divide warning of a zero rate under proportional fairness."""
-    local = rates[..., 0] + rates[..., 1]
-    return np.log(local) if kind is UtilityKind.PROPORTIONAL_FAIRNESS else local
-
-
-def _rates_to_utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
-    """Per-assignment network utility from (N, M) per-link two-way rates."""
-    if kind is UtilityKind.TWO_WAY_SUM_RATE:
-        return rates.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        return np.log(rates).sum(axis=1)
+def _utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
+    """Each link's utility from its two-way rates: the rates, or their log
+    under proportional fairness; callers ignore the divide warning of a zero
+    rate."""
+    return np.log(rates) if kind is UtilityKind.PROPORTIONAL_FAIRNESS else rates
 
 
 def _spin_batch_utilities(
@@ -112,7 +104,8 @@ def _spin_batch_utilities(
         when_l1 = s @ t0 + c @ t1
         den = 1.0 + np.where(spins == 0, when_l0, when_l1)
         rates = rates + np.log2(1.0 + instance.snr[:, d] / den)
-    return _rates_to_utilities(rates, kind)
+    with np.errstate(divide="ignore"):
+        return _utilities(rates, kind).sum(axis=1)
 
 
 def _screen_floor(best: float) -> float:
@@ -231,7 +224,8 @@ def mst_dp(
     leaves = np.flatnonzero(leaf)
     den = base[leaves][:, None, :] + pick[parent[leaves], leaves]
     with np.errstate(divide="ignore"):
-        mu[leaves] = _local_utility(np.log2(1.0 + instance.snr[leaves][:, None, :] / den), kind)
+        rates = np.log2(1.0 + instance.snr[leaves][:, None, :] / den)
+        mu[leaves] = _utilities(rates[..., 0] + rates[..., 1], kind)
 
     root_values = []
     with np.errstate(divide="ignore"):
@@ -246,7 +240,8 @@ def mst_dp(
             for k in tree.children[l]:
                 den = (den[:, :, None, :] + pick[k, l]).reshape(len(den), -1, 2)
                 message_sum = np.add.outer(message_sum, mu[k]).ravel()
-            total = _local_utility(np.log2(1.0 + instance.snr[l] / den), kind) + message_sum
+            rates = np.log2(1.0 + instance.snr[l] / den)
+            total = _utilities(rates[..., 0] + rates[..., 1], kind) + message_sum
             best = np.argmax(total, axis=1)
             best_row[l, : len(best)] = best
             if p < 0:

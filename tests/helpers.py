@@ -464,10 +464,10 @@ def fading_frame(instance: LinkInstance, frame: int) -> SimpleNamespace:
     )
 
 
-def run_drop(config, drop_seed: int, baseline_seed: int) -> dict:
+def run_drop(config, drop_seed: int, baseline_seed: int) -> tuple:
     """Per-drop oracle of ``evaluation._run_block``: one drop through every
     stage before the next drop starts, each chunk hashing its own fading
-    seed states. Returns the drop's payload."""
+    seed states. Returns the block tuple of that one drop."""
     scenario = config.scenario
     instance = generate_instance(scenario, drop_seed)
     graphs, trees, results, seconds = solve_drop(config, [instance], [baseline_seed])
@@ -482,25 +482,28 @@ def run_drop(config, drop_seed: int, baseline_seed: int) -> dict:
         for start in range(0, config.frames_per_drop, chunk):
             frames = range(start, min(start + chunk, config.frames_per_drop))
             rates[:, start : frames.stop] = two_way_rates(draw_fading(instance, frames), selectors)
-    return {
-        "rates": {name: config.bandwidth_hz * r for name, r in zip(results, rates)},
-        "objective": {name: results[name].objective_exact for name in config.algorithms},
-        "optimize_time": seconds[0],
-        "warned": {name: results[name].warning is not None for name in config.algorithms},
-        "max_children": tree.max_children,
-        "num_edges": int(graph.adjacency.sum()) // 2,
-    }
+    return (
+        config.bandwidth_hz * rates[:, None],
+        [[results[name].objective_exact] for name in config.algorithms],
+        [[results[name].warning is not None] for name in config.algorithms],
+        [tree.max_children],
+        [int(graph.adjacency.sum()) // 2],
+        seconds,
+    )
 
 
 def per_drop_report(config):
-    """``run_experiment(config)`` in-process with every block run by the
-    per-drop oracle ``run_drop``."""
+    """``run_experiment(config)`` in-process in blocks of one drop, each run
+    by the per-drop oracle ``run_drop``."""
 
     def per_drop_block(task):
-        block_config, jobs = task
-        return [run_drop(block_config, *job) for job in jobs]
+        block_config, [job] = task
+        return run_drop(block_config, *job)
 
-    with mock.patch.object(evaluation, "_run_block", per_drop_block):
+    with (
+        mock.patch.object(evaluation, "_block_drops", lambda config, workers: 1),
+        mock.patch.object(evaluation, "_run_block", per_drop_block),
+    ):
         return evaluation.run_experiment(config)
 
 

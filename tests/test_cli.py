@@ -409,6 +409,9 @@ EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
         ({"scenario": {"area_side": math.inf}}, "area_side"),
         ({"scenario": {"pathloss_exp": True}}, "pathloss_exp"),
         ({"scenario": {"shadow_sigma_db": math.nan}}, "shadow_sigma_db"),
+        # finite in dB, beyond the float range as a linear ratio
+        ({"scenario": {"snr_sym_db": 4000}}, "snr_sym_db"),
+        ({"scenario": {"snr_asym_rl_db": 4000}}, "snr_asym_rl_db"),
         ({"experiment": {"num_drops": "2"}}, "num_drops"),
         ({"experiment": {"frames_per_drop": 2.5}}, "frames_per_drop"),
         ({"experiment": {"percentile_q": "0.05"}}, "percentile_q"),
@@ -449,9 +452,32 @@ def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, s
         argv += ["--threads", "1"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and bad_key in err
+    assert err.startswith("error:") and err.count("\n") == 1 and bad_key in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "evaluate", "sweep"])
+@pytest.mark.parametrize("scenario", [{"d_sym": 1e300}, {"shadow_sigma_db": 5000}])
+def test_overflowing_gains_name_the_keys_that_scale_them(tmp_path, capsys, command, scenario):
+    # a valid config whose drop's gains overflow: one error line naming the
+    # drop seed and every key that scales the gains, no numpy warning and no
+    # output directory
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 3, "seed": 1, "link_mix": 1.0, **scenario},
+        experiment={"num_drops": 1, "frames_per_drop": 1},
+        sweep={"parameter": "num_links", "values": [3]},
+    )
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command in ("evaluate", "sweep"):
+        argv += ["--threads", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: drop seed ") and err.count("\n") == 1
+    keys = ("shadow_sigma_db", "pathloss_exp", "d_sym", "d_asym", "area_side", "snr_sym_db")
+    assert all(key in err for key in keys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_rejects_wrong_schema_tag(tmp_path, capsys):
@@ -625,7 +651,7 @@ def test_run_meta_records_the_dispatch(tmp_path, command):
         assert main([command, "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
         meta = json.loads((out / "run_meta.json").read_text())
         runs = meta["points"] if command == "sweep" else [meta]
-        dispatch[threads] = [(run["workers"], run["chunksize"]) for run in runs]
+        dispatch[threads] = [(run["workers"], run["block_drops"]) for run in runs]
         assert all(set(run["optimizer_warnings"]) == {"mst_dp"} for run in runs)
         assert all(set(run["timing"]) == {"elapsed_s", "optimize_time_s"} for run in runs)
         assert all(set(run["timing"]["optimize_time_s"]) == {"mst_dp"} for run in runs)

@@ -405,7 +405,7 @@ def test_blocks_equal_the_per_drop_oracle(m, num_drops, seed, kind, fading, bloc
     with mock.patch.object(evaluation, "_block_drops", lambda config, workers: drops):
         report = run_experiment(config, workers=workers)
     oracle = per_drop_report(config)
-    assert report.chunksize == drops
+    assert report.block_drops == drops
     assert json.dumps(report.summary_json()) == json.dumps(oracle.summary_json())
     for name in config.algorithms:
         assert report.stats[name].rates_bps.tobytes() == oracle.stats[name].rates_bps.tobytes()
@@ -446,7 +446,7 @@ def test_sweep_is_independent_of_worker_count(m, scenario_seed, master_seed, kin
     pooled = sweep(configs, workers=2)
     for a, b in zip(serial, pooled, strict=True):
         # blocks of 2 or 3 drops, the last one short
-        assert b.chunksize == num_drops // 8 and num_drops % b.chunksize == 1
+        assert b.block_drops == num_drops // 8 and num_drops % b.block_drops == 1
         assert a.summary_json() == b.summary_json()
         for name in ALGORITHMS:
             assert np.array_equal(a.stats[name].rates_bps, b.stats[name].rates_bps)
