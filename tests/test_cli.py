@@ -409,9 +409,6 @@ EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
         ({"scenario": {"area_side": math.inf}}, "area_side"),
         ({"scenario": {"pathloss_exp": True}}, "pathloss_exp"),
         ({"scenario": {"shadow_sigma_db": math.nan}}, "shadow_sigma_db"),
-        # finite in dB, beyond the float range as a linear ratio
-        ({"scenario": {"snr_sym_db": 4000}}, "snr_sym_db"),
-        ({"scenario": {"snr_asym_rl_db": 4000}}, "snr_asym_rl_db"),
         ({"experiment": {"num_drops": "2"}}, "num_drops"),
         ({"experiment": {"frames_per_drop": 2.5}}, "frames_per_drop"),
         ({"experiment": {"percentile_q": "0.05"}}, "percentile_q"),
@@ -434,6 +431,9 @@ EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
         ({"scenario": {"num_links": 100000}}, "num_links"),
         ({"experiment": {"num_drops": 10**6, "frames_per_drop": 10**6}}, "frames_per_drop"),
         ({"sweep": {"values": [2, 100000]}}, "values"),
+        # finite in dB, beyond the float range as a linear ratio
+        ({"scenario": {"snr_sym_db": 4000}}, "snr_sym_db"),
+        ({"scenario": {"snr_asym_rl_db": 4000}}, "snr_asym_rl_db"),
     ],
 )
 def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, sections, bad_key):
