@@ -50,11 +50,10 @@ _MAX_SEED = 2**64 - 1
 _INSTANCE_TAG = 0x1
 _FADING_TAG = 0x2
 
-# numpy's SeedSequence hashing (pool of 4 uint32 words) and PCG64 seeding,
-# both stream-stable under numpy's RNG policy (NEP 19); PCG64 is O'Neill,
-# "PCG", HMC-CS-2014-0905. draw_fading runs them for a chunk of frames at once.
+# numpy's SeedSequence hashing (pool of 4 uint32 words), stream-stable under
+# numpy's RNG policy (NEP 19), run by _fading_states for many frames at once;
+# numpy's PCG64 (O'Neill, "PCG", HMC-CS-2014-0905) seeds a frame from its words.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -63,7 +62,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 INSTANCE_SCHEMA = "spinopt.instance/1"
 
@@ -284,7 +282,8 @@ def _pair_shadowing(num_nodes: int, sigma_db: float, rng: np.random.Generator) -
     One log-normal factor per unordered node pair, reused for both
     directions; the diagonal (a node with itself) is fixed at 1 and unused.
     """
-    draws = rng.normal(0.0, sigma_db, size=(num_nodes, num_nodes))
+    # abs: numpy's normal refuses a scale of -0.0, which the config takes as 0
+    draws = rng.normal(0.0, abs(sigma_db), size=(num_nodes, num_nodes))
     upper = np.triu(draws, 1)
     return db_to_linear(upper + upper.T)
 
@@ -379,7 +378,13 @@ def generate_instance(config: ScenarioConfig, drop_seed: int) -> LinkInstance:
         shadowing = _pair_shadowing(2 * m, config.shadow_sigma_db, shadow_rng)
         own_pair = shadowing[2 * np.arange(m), 2 * np.arange(m) + 1]
         snr = config.nominal_snr()[kinds] * own_pair[:, None]
-        inr = interference_tensor(positions, kinds, shadowing, config)
+        try:
+            inr = interference_tensor(positions, kinds, shadowing, config)
+        except ValueError as exc:  # nodes of two links at one position
+            raise ValueError(
+                f"drop seed {drop_seed}: {exc}; the positions are set by area_side and "
+                "d_sym/d_asym"
+            ) from None
     if not all(np.isfinite(gains).all() for gains in (shadowing, snr, inr)):
         raise ValueError(
             f"drop seed {drop_seed}: the SNR, INR or shadowing is not finite; its scale is "
@@ -448,17 +453,16 @@ def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return state
 
 
-def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence((*seed_key, 2, f)))``
-    for every frame ``f`` of every lane ``(seed_key, frames)``, lane by lane.
+def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> np.ndarray:
+    """``SeedSequence((*seed_key, 2, f)).generate_state(4, np.uint64)`` for
+    every frame ``f`` of every lane ``(seed_key, frames)``, lane by lane, as
+    the rows of one C-contiguous (N, 4) uint64 array.
 
     A seed or a frame index of 2**32 or more takes two entropy words, so a
     lane's frames are split where their index reaches 2**32, and the frames
-    of all lanes are hashed in one pass per entropy word count. The
-    128-bit seeding is ``pcg64_set_seed``: inc = 2 * initseq + 1, then one
-    LCG step from 0, add initstate, and one more step.
+    of all lanes are hashed in one pass per entropy word count.
     """
-    groups: dict[int, list] = {}  # entropy word count -> (first frame, words) per part
+    groups: dict[int, list] = {}  # entropy word count -> (rows, words) per part
     total = 0
     for (seed, drop_seed), frames in lanes:
         prefix = [*_uint32_words(seed), *_uint32_words(drop_seed), _FADING_TAG]
@@ -475,27 +479,35 @@ def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> list[tuple[int
             words[len(prefix)] = index  # the low word: assignment wraps modulo 2**32
             if frame_words == 2:
                 words[-1] = index >> 32
-            groups.setdefault(len(words), []).append((total, words))
+            groups.setdefault(len(words), []).append((np.arange(total, total + len(part)), words))
             total += len(part)
 
-    states: list[tuple[int, int]] = [(0, 0)] * total
+    states = np.empty((total, 4), dtype=np.uint64)
     for parts in groups.values():
         words = np.hstack([words for _, words in parts])
         hashed = np.stack(_seed_state(list(words)), axis=1).astype("<u4").view("<u8")
-        group = []
-        for s_hi, s_lo, q_hi, q_lo in hashed.tolist():
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-            group.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
-        taken = 0
-        for first, words in parts:
-            count = words.shape[1]
-            states[first : first + count] = group[taken : taken + count]
-            taken += count
+        states[np.concatenate([rows for rows, _ in parts])] = hashed
     return states
 
 
+@functools.cache
+def _seed_words():
+    """A numpy ISeedSequence that hands PCG64 one ``_fading_states`` row; built
+    on first use, so importing spinopt leaves numpy.random unimported."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for generate_state(4, np.uint64)
+
+    return SeedWords
+
+
 def draw_fading(
-    instance: LinkInstance, frames: range, states: list[tuple[int, int]] | None = None
+    instance: LinkInstance, frames: range, states: np.ndarray | None = None
 ) -> FadingDraw:
     """Instantaneous gains for a chunk of frames.
 
@@ -506,7 +518,7 @@ def draw_fading(
     coefficients, from ``default_rng(SeedSequence((seed, drop_seed, 2, f)))``
     with ``(seed, drop_seed) = instance.seed_key``, so a frame's gains do not
     depend on the chunk it is drawn in; one frame is ``range(f, f + 1)``.
-    ``states``, when given, are the frames' ``_fading_states``, hashed by
+    ``states``, when given, are the frames' ``_fading_states`` rows, hashed by
     the caller for a larger block of frames; by default they are hashed here.
     """
     if not isinstance(frames, range):
@@ -518,20 +530,16 @@ def draw_fading(
         states = _fading_states([(instance.seed_key, frames)])
     elif len(states) != len(frames):
         raise ValueError(f"got {len(states)} fading states for {len(frames)} frames")
+    states = np.ascontiguousarray(states)  # PCG64 reads a row's memory as 4 uint64 words
+    if states.dtype != np.uint64 or states.shape[1:] != (4,):
+        raise ValueError(f"fading states must be (N, 4) uint64, got {states.dtype} {states.shape}")
     # the coefficients are drawn into the gain arrays and scaled there, so a
     # chunk holds its gains once
     snr = np.empty((len(frames), *instance.snr.shape))
     inr = np.empty((len(frames), *instance.inr.shape))
-    # seeded, because an unseeded PCG64 reads OS entropy; every frame sets its state
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for snr_row, inr_row, (state, inc) in zip(snr, inr, states):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    seed_words = _seed_words()
+    for snr_row, inr_row, words in zip(snr, inr, states):
+        rng = np.random.Generator(np.random.PCG64(seed_words(words)))
         rng.standard_exponential(out=snr_row)
         rng.standard_exponential(out=inr_row)
     snr *= instance.snr

@@ -50,23 +50,22 @@ _SWEEP_TAG = 0x3
 
 # Bytes per chunk of frames whose rates are evaluated at once: the stacked
 # snr + inr gains plus _FRAME_STATE_BYTES of fading seed state per frame;
-# 135 frames (3.9 kB each) at M = 10, 1 frame at M = 200. A chunk's
-# tracemalloc peak is its gains and seed state: 0.54 MB at M = 10, 0.45 MB at
-# M = 1, 1.29 MB for the 1.28 MB frame at M = 200. The one rate call per
-# chunk adds the (A, F, M, M) interference terms of its A algorithms, 8 B
-# per algorithm, link pair and frame: 0.42 MB for 3 algorithms at M = 10,
-# 0.71 MB for 2 at M = 200. They stay out of the divisor: counting them would
-# split a drop of mc_m10 (M = 10, 100 frames) into chunks of 83 and 17
-# frames and make its run_experiment ~7 % slower. Without the cap, the 10
-# frames of an M = 200 drop (12.8 MB of gains, plus temporaries of that size)
-# raised an evaluate run's peak RSS from 49 to 69 MB; without the seed state,
-# a chunk of 10 922 frames at M = 1 peaked at 6.0 MB.
+# 148 frames (3.5 kB each) at M = 10, 2,520 at M = 1, 1 at M = 200. A
+# chunk's tracemalloc peak is its gains and seed state: 0.57 MB at M = 10,
+# 0.39 MB at M = 1, 1.29 MB for the 1.28 MB frame at M = 200. The one rate
+# call per chunk adds the (A, F, M, M) interference terms of its A
+# algorithms, 8 B per algorithm, link pair and frame: 0.39 MB for 3 at
+# M = 10, 0.71 MB for 2 at M = 200. They stay out of the divisor: counting
+# them split a drop of mc_m10 (M = 10, 100 frames) into two chunks and made
+# its run_experiment ~7 % slower. Without the cap, the 10 frames of an
+# M = 200 drop (12.8 MB of gains, plus temporaries of that size) raised an
+# evaluate run's peak RSS from 49 to 69 MB; without the seed state, a
+# chunk of 10 922 frames at M = 1 peaked at 1.6 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
-_FRAME_STATE_BYTES = 512
-# Frames whose seed states _run_block hashes in one _fading_states call, a
-# window of whole chunks that may span drops (1,024): 437 B per frame at the
-# peak of building them (0.45 MB), 101 B per frame held while the window's
-# chunks are drawn.
+# A frame's seed words: 156 B at the peak of hashing 1,024 frames, 32 B held.
+# _run_block hashes windows of whole chunks, which may span drops, of at most
+# _STATE_BLOCK frames (3,276) in one _fading_states call each: one per mc_m10 block.
+_FRAME_STATE_BYTES = 160
 _STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
 
 # Bytes a block of drops may hold between its stages: its instances, graphs,
@@ -89,7 +88,7 @@ _BLOCK_DROP_BYTES = 16 << 10
 #   15.3 B measured (one algorithm, 40 to 120 drops at M = 10), 20 B here;
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
 #   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
-#   (<= 0.45 MB), a block of samples.csv rows (~1 MB) or the exhaustive
+#   (<= 0.5 MB), a block of samples.csv rows (~1 MB) or the exhaustive
 #   screen, whichever is larger (the rest of the peak measured 10.7 MB at
 #   M = 20 with exhaustive search, 9.4 MB at M = 18, <= 0.4 MB without
 #   it), 16 MiB here; the DP step's own budget; and what a block of drops
@@ -98,6 +97,10 @@ RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
 _SAMPLE_BYTES = 20
 _FIXED_BYTES = (16 << 20) + DP_STEP_BUDGET + _BLOCK_BUDGET
+
+# Bound on a two-way rate in bit/s/Hz: each of its two log2(1 + SINR) terms
+# is at most log2 of the largest float, below 1024.
+_MAX_RATE_PER_HZ = 2048
 
 # Rows of samples.csv formatted before one write: with their "frame,link,"
 # tails and one bytes object per cell, a tracemalloc peak of ~1 MB, whatever
@@ -152,6 +155,14 @@ class ExperimentConfig:
                 f"run needs ~{self.peak_bytes() / 2**30:.3g} GiB, above the budget of "
                 f"{RUN_MEMORY_BUDGET / 2**30:g} GiB: lower num_links (the cost grows as its "
                 "square) or num_drops * frames_per_drop * num_links * len(algorithms)"
+            )
+        # the mean sums an algorithm's pooled rates, each below _MAX_RATE_PER_HZ
+        pooled = float(self.num_drops * self.frames_per_drop * self.scenario.num_links)
+        if not math.isfinite(_MAX_RATE_PER_HZ * float(self.bandwidth_hz) * pooled):
+            raise ValueError(
+                f"bandwidth_hz {self.bandwidth_hz!r} lets the pooled rates overflow: "
+                f"{_MAX_RATE_PER_HZ} * bandwidth_hz * num_drops * frames_per_drop * num_links "
+                "must be a finite float"
             )
 
     def peak_bytes(self) -> int:
@@ -404,6 +415,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
             optimize_time_s=optimize_time[name],
             warned_drops=int(warned[a].sum()),
         )
+        del pooled  # so that the next sort does not hold two pools
     if "random" in stats:
         ref = stats["random"]
         # a gain against a zero baseline statistic is None: null in the data files

@@ -143,6 +143,16 @@ def test_coincident_nodes_name_the_first_pair_of_other_links():
     )
 
 
+def test_negative_zero_shadowing_deviation_draws_as_zero():
+    # -0.0 passes the config's >= 0 check, but numpy's normal refuses its sign
+    drops = [
+        generate_instance(ScenarioConfig(num_links=3, shadow_sigma_db=sigma, seed=1), 0)
+        for sigma in (0.0, -0.0)
+    ]
+    for name in ("positions", "snr", "inr", "shadowing"):
+        assert getattr(drops[0], name).tobytes() == getattr(drops[1], name).tobytes()
+
+
 def test_coincident_ends_of_one_link_are_accepted():
     # at 1e20 m from the origin a 10 m span rounds away: both ends of every
     # link share a position, and no pair of different links does
@@ -260,6 +270,10 @@ def test_fading_draw_takes_its_frames_precomputed_states():
     assert alone.inr.tobytes() == given.inr.tobytes()
     with pytest.raises(ValueError, match="2 fading states for 3 frames"):
         draw_fading(inst, range(5, 8), states[3:5])
+    # numpy's PCG64 reads each row's memory as 4 native uint64 words
+    for bad in (states[3:6, :2], states[3:6].astype(float), states[3:6].astype(">u8")):
+        with pytest.raises(ValueError, match=r"\(N, 4\) uint64"):
+            draw_fading(inst, range(5, 8), bad)
 
 
 def test_identity_fading_draw_matches_long_term():

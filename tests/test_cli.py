@@ -219,6 +219,17 @@ def test_one_worker_commands_do_not_import_multiprocessing(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy.random costs 13-22 ms to import; the fading streams' seed adapter
+    # is built on first use, so only a run that draws imports it
+    script = "import sys\nimport spinopt.cli\nprint('numpy.random' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_only_samples_csv_imports_orjson(tmp_path):
     # orjson formats samples.csv; a cold import costs ~14 ms, so the CLI's
     # import, sweep and a JSON-only evaluate must not load it
@@ -434,6 +445,9 @@ EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
         # finite in dB, beyond the float range as a linear ratio
         ({"scenario": {"snr_sym_db": 4000}}, "snr_sym_db"),
         ({"scenario": {"snr_asym_rl_db": 4000}}, "snr_asym_rl_db"),
+        # a bandwidth at which the pooled rates could overflow
+        ({"experiment": {"bandwidth_hz": 1e308}}, "bandwidth_hz"),
+        ({"experiment": {"bandwidth_hz": 1e303, "num_drops": 100}}, "bandwidth_hz"),
     ],
 )
 def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, sections, bad_key):
@@ -477,6 +491,26 @@ def test_overflowing_gains_name_the_keys_that_scale_them(tmp_path, capsys, comma
     assert err.startswith("error: drop seed ") and err.count("\n") == 1
     keys = ("shadow_sigma_db", "pathloss_exp", "d_sym", "d_asym", "area_side", "snr_sym_db")
     assert all(key in err for key in keys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize", "evaluate", "sweep"])
+def test_coincident_nodes_name_the_keys_that_place_them(tmp_path, capsys, command):
+    # nodes of two links 1e-300 m apart are at distance 0: one error line
+    # naming the drop seed and the keys that place the nodes
+    cfg = write_config(
+        tmp_path,
+        scenario={"num_links": 2, "seed": 1, "area_side": 1e-300},
+        experiment={"num_drops": 1, "frames_per_drop": 1},
+        sweep={"parameter": "num_links", "values": [2]},
+    )
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command in ("evaluate", "sweep"):
+        argv += ["--threads", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: drop seed ") and err.count("\n") == 1
+    assert all(key in err for key in ("nodes coincide", "area_side", "d_sym", "d_asym"))
     assert not (tmp_path / "o").exists()
 
 

@@ -93,6 +93,16 @@ def test_config_validation():
         )
 
 
+def test_bandwidth_bound_holds_for_the_pooled_sum():
+    # 2048 * bandwidth_hz * pooled samples is finite here, so the run is
+    # accepted; one more drop doubles the pooled count past the float range
+    scenario = ScenarioConfig(num_links=2, seed=1)
+    bound = np.finfo(float).max / (2048 * 2)
+    ExperimentConfig(scenario=scenario, num_drops=1, frames_per_drop=1, bandwidth_hz=bound)
+    with pytest.raises(ValueError, match="bandwidth_hz"):
+        ExperimentConfig(scenario=scenario, num_drops=2, frames_per_drop=1, bandwidth_hz=bound)
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -182,6 +192,35 @@ def test_held_samples_grow_the_peak_by_at_most_18_bytes_each():
     )
     samples = (config_b.num_drops - config_a.num_drops) * 100 * 10
     assert (peak_b - peak_a) / samples <= 18
+
+
+def test_each_sorted_pool_is_released_before_the_next_sort(monkeypatch):
+    # three algorithms' rates, 8 B a sample, and one algorithm's sorted pool
+    # at a time, 8 / 3 B a sample: 10.7 B; holding the previous pool through
+    # the next sort would cost 8 + 2 * 8 / 3 = 13.3 B. Blocks of one drop,
+    # as blocks of num_drops // 4 drops would grow the peak with the runs
+    monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", 0)
+    (config_a, peak_a), (config_b, peak_b) = (
+        traced_run(10, drops, 100, ALGORITHMS) for drops in (40, 120)
+    )
+    samples = (config_b.num_drops - config_a.num_drops) * 100 * 10 * len(ALGORITHMS)
+    assert (peak_b - peak_a) / samples <= 11.5
+
+
+@pytest.mark.parametrize("frames", [1024, evaluation._STATE_BLOCK])
+def test_fading_states_peak_within_their_bytes_per_frame(frames):
+    # hashing a window of frames' seed words peaks at _FRAME_STATE_BYTES per
+    # frame at most, and above half of it
+    lanes = [((1, 2**63 + 5), range(frames))]
+    channel._fading_states(lanes)
+    tracemalloc.start()
+    try:
+        states = channel._fading_states(lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (frames, 4)
+    assert evaluation._FRAME_STATE_BYTES / 2 < peak / frames <= evaluation._FRAME_STATE_BYTES
 
 
 def largest_chunk_peak(monkeypatch, num_links, frames_per_drop, algorithms=None):

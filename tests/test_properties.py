@@ -4,10 +4,13 @@ Example counts are bounded and generation is derandomized, so the suite
 stays fast and every run checks the same examples.
 """
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import fields, replace
 from unittest import mock
@@ -47,7 +50,7 @@ from spinopt.channel import (
     interference_tensor,
 )
 from spinopt import evaluation
-from spinopt.cli import CONFIG_SCHEMA, load_config
+from spinopt.cli import CONFIG_SCHEMA, load_config, main
 from spinopt.evaluation import (
     ALGORITHMS,
     FADING_MODES,
@@ -294,13 +297,6 @@ def test_stacked_spins_give_each_rows_rates(net, rows, start, faded, data):
 LANES = st.lists(st.tuples(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6)), max_size=3)
 
 
-def pcg64_state(seed_key, frame) -> tuple[int, int]:
-    """numpy's own PCG64 (state, inc) for one frame's fading stream."""
-    rng = np.random.default_rng(np.random.SeedSequence((*seed_key, _FADING_TAG, frame)))
-    state = rng.bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
 @PROPERTY
 @given(EDGE_SEEDS, EDGE_SEEDS, EDGE_SEEDS, st.integers(1, 6), LANES)
 # one chunk of frames with one and two entropy words, then lanes of other
@@ -329,7 +325,15 @@ def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, l
         ((s, d), range(f, min(f + n, 2**64))) for s, d, f, n in lanes
     ]
     states = _fading_states(lanes)
-    assert states == [pcg64_state(key, f) for key, lane in lanes for f in lane]
+    words = [
+        np.random.SeedSequence((*key, _FADING_TAG, f)).generate_state(4, np.uint64)
+        for key, lane in lanes
+        for f in lane
+    ]
+    oracle = np.array(words, dtype=np.uint64).reshape(-1, 4)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    assert states.shape == oracle.shape
+    assert states.tobytes() == oracle.tobytes()
 
 
 @PROPERTY
@@ -535,6 +539,87 @@ def test_config_loader_returns_configs_or_names_the_key(values, optimize):
             replace(config.scenario, **{data["sweep"]["parameter"]: v})
             for v in data["sweep"]["values"]
         ]
+
+
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300]),
+    st.sampled_from([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# the float keys of the config, each a number any JSON config may hold
+EXTREME_KEYS = [("scenario", f.name) for f in fields(ScenarioConfig) if f.type == "float"] + [
+    ("experiment", f.name) for f in fields(ExperimentConfig) if f.type == "float"
+]
+
+
+@st.composite
+def extreme_configs(draw):
+    """A tiny evaluate config whose 1-3 float keys take extreme finite values."""
+    scenario = {"num_links": draw(st.integers(1, 4)), "seed": draw(EDGE_SEEDS)}
+    experiment = {
+        "num_drops": draw(st.integers(1, 3)),
+        "frames_per_drop": draw(st.integers(1, 2)),
+        "master_seed": draw(EDGE_SEEDS),
+        "algorithms": draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True)),
+        "utility": draw(KINDS).value,
+        "fading": draw(st.sampled_from(FADING_MODES)),
+    }
+    sections = {"scenario": scenario, "experiment": experiment}
+    for section, key in draw(st.lists(st.sampled_from(EXTREME_KEYS), min_size=1, max_size=3)):
+        sections[section][key] = draw(EXTREME_FLOATS)
+    return sections
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(extreme_configs())
+# a bandwidth whose rates overflow the float range
+@example(
+    {
+        "scenario": {"num_links": 2, "seed": 0},
+        "experiment": {"num_drops": 1, "frames_per_drop": 1, "bandwidth_hz": 1e308},
+    }
+)
+# nodes of two links 1e-300 m apart, at distance 0
+@example(
+    {
+        "scenario": {"num_links": 2, "seed": 1, "area_side": 1e-300},
+        "experiment": {"num_drops": 1, "frames_per_drop": 1},
+    }
+)
+# a shadowing deviation of -0.0, which numpy's normal refused
+@example(
+    {
+        "scenario": {"num_links": 2, "seed": 0, "shadow_sigma_db": -0.0},
+        "experiment": {"num_drops": 1, "frames_per_drop": 1},
+    }
+)
+def test_evaluate_writes_finite_numbers_or_names_a_key(sections):
+    # the whole command, in-process: exit 0 with finite (or null) numbers in
+    # every JSON file and rate, or exit 1 with one error line naming a key
+    # the config sets; a numpy warning is an error in this suite
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps({"schema": CONFIG_SCHEMA, **sections}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--config", str(config), "--out", str(out), "--threads", "1"])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 1:
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and err.count("\n") == 1, err
+            keys = [key for section in sections.values() for key in section]
+            assert any(key in errors[0] for key in keys), err
+            return
+        assert code == 0, err
+        for name in ("summary.json", "run_meta.json"):
+            json.loads((out / name).read_text(), parse_constant=_refuse_constant)
+        rates = [line.rsplit(b",", 1)[1] for line in (out / "samples.csv").read_bytes().split()]
+        assert all(math.isfinite(float(rate)) for rate in rates[1:])
 
 
 @PROPERTY
