@@ -453,17 +453,17 @@ def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return state
 
 
-def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> np.ndarray:
+def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> list[np.ndarray]:
     """``SeedSequence((*seed_key, 2, f)).generate_state(4, np.uint64)`` for
-    every frame ``f`` of every lane ``(seed_key, frames)``, lane by lane, as
-    the rows of one C-contiguous (N, 4) uint64 array.
+    every frame ``f`` of every lane ``(seed_key, frames)``: one C-contiguous
+    (len(frames), 4) uint64 view per lane, of one array.
 
     A seed or a frame index of 2**32 or more takes two entropy words, so a
     lane's frames are split where their index reaches 2**32, and the frames
     of all lanes are hashed in one pass per entropy word count.
     """
     groups: dict[int, list] = {}  # entropy word count -> (rows, words) per part
-    total = 0
+    total, bounds = 0, []
     for (seed, drop_seed), frames in lanes:
         prefix = [*_uint32_words(seed), *_uint32_words(drop_seed), _FADING_TAG]
         wide_from = min(max(frames.start, 1 << 32), frames.stop)
@@ -481,13 +481,14 @@ def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> np.ndarray:
                 words[-1] = index >> 32
             groups.setdefault(len(words), []).append((np.arange(total, total + len(part)), words))
             total += len(part)
+        bounds.append(total)
 
     states = np.empty((total, 4), dtype=np.uint64)
     for parts in groups.values():
         words = np.hstack([words for _, words in parts])
         hashed = np.stack(_seed_state(list(words)), axis=1).astype("<u4").view("<u8")
         states[np.concatenate([rows for rows, _ in parts])] = hashed
-    return states
+    return np.split(states, bounds[:-1])
 
 
 @functools.cache
@@ -527,7 +528,7 @@ def draw_fading(
         _check_seed(frames[0], "frame index")
         _check_seed(frames[-1], "frame index")
     if states is None:
-        states = _fading_states([(instance.seed_key, frames)])
+        states = _fading_states([(instance.seed_key, frames)])[0]
     elif len(states) != len(frames):
         raise ValueError(f"got {len(states)} fading states for {len(frames)} frames")
     states = np.ascontiguousarray(states)  # PCG64 reads a row's memory as 4 uint64 words

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import itertools
 import math
 import time
 from concurrent import futures
@@ -63,8 +64,8 @@ _SWEEP_TAG = 0x3
 # chunk of 10 922 frames at M = 1 peaked at 1.6 MB.
 FRAME_CHUNK_BUDGET = 512 << 10
 # A frame's seed words: 156 B at the peak of hashing 1,024 frames, 32 B held.
-# _run_block hashes windows of whole chunks, which may span drops, of at most
-# _STATE_BLOCK frames (3,276) in one _fading_states call each: one per mc_m10 block.
+# _run_block hashes each window of _STATE_BLOCK // chunk whole chunks (at most
+# 3,276 frames), which may span drops, in one _fading_states call: one per mc_m10 block.
 _FRAME_STATE_BYTES = 160
 _STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
 
@@ -300,22 +301,6 @@ def _block_drops(config: ExperimentConfig, workers: int) -> int:
     return max(1, min(config.num_drops // (4 * workers), _BLOCK_BUDGET // held))
 
 
-def _windows(num_drops: int, frames_per_drop: int, chunk: int):
-    """The (drop, frames) chunks of a block in order, grouped into windows of
-    at most ``_STATE_BLOCK`` frames of whole chunks (at least one chunk); a
-    window may span drops."""
-    window, size = [], 0
-    for drop in range(num_drops):
-        for start in range(0, frames_per_drop, chunk):
-            frames = range(start, min(start + chunk, frames_per_drop))
-            if window and size + len(frames) > _STATE_BLOCK:
-                yield window
-                window, size = [], 0
-            window.append((drop, frames))
-            size += len(frames)
-    yield window
-
-
 def _run_block(task) -> tuple:
     """A block of B drops, one stage at a time over all of them: generate every
     instance, solve every drop, build every selector, then evaluate every
@@ -341,19 +326,17 @@ def _run_block(task) -> tuple:
             rates[:, drop] = two_way_rates(instance, selector)[:, None]
     else:
         frame_bytes = instances[0].snr.nbytes + instances[0].inr.nbytes + _FRAME_STATE_BYTES
-        chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
-        for window in _windows(len(jobs), config.frames_per_drop, chunk):
-            # one lane per drop: the window's chunks of a drop are contiguous
-            lanes: dict[int, range] = {}
-            for drop, frames in window:
-                lanes[drop] = range(lanes.get(drop, frames).start, frames.stop)
-            states = _fading_states(
-                [(instances[drop].seed_key, frames) for drop, frames in lanes.items()]
-            )
-            offset = 0
-            for drop, frames in window:
-                chunk_states = states[offset : offset + len(frames)]
-                offset += len(frames)
+        chunk, frames_per_drop = max(1, FRAME_CHUNK_BUDGET // frame_bytes), config.frames_per_drop
+        chunks = (
+            (drop, range(start, min(start + chunk, frames_per_drop)))
+            for drop in range(len(jobs))
+            for start in range(0, frames_per_drop, chunk)
+        )
+        # a window: the next chunks within _STATE_BLOCK frames (at least one), a lane each
+        per_window = max(1, _STATE_BLOCK // min(chunk, frames_per_drop))
+        while window := list(itertools.islice(chunks, per_window)):
+            states = _fading_states([(instances[drop].seed_key, frames) for drop, frames in window])
+            for (drop, frames), chunk_states in zip(window, states):
                 draw = draw_fading(instances[drop], frames, chunk_states)
                 rates[:, drop, frames.start : frames.stop] = two_way_rates(draw, selectors[drop])
     rates *= config.bandwidth_hz

@@ -264,7 +264,7 @@ def test_fading_rejects_bad_frames(frames):
 
 def test_fading_draw_takes_its_frames_precomputed_states():
     inst = generate_instance(ScenarioConfig(num_links=3, seed=2), drop_seed=4)
-    states = _fading_states([(inst.seed_key, range(2, 9))])
+    states = _fading_states([(inst.seed_key, range(2, 9))])[0]
     alone, given = draw_fading(inst, range(5, 8)), draw_fading(inst, range(5, 8), states[3:6])
     assert alone.snr.tobytes() == given.snr.tobytes()
     assert alone.inr.tobytes() == given.inr.tobytes()

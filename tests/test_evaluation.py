@@ -215,7 +215,7 @@ def test_fading_states_peak_within_their_bytes_per_frame(frames):
     channel._fading_states(lanes)
     tracemalloc.start()
     try:
-        states = channel._fading_states(lanes)
+        states = channel._fading_states(lanes)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -804,7 +804,7 @@ def drop_index(seed_key) -> int:
 
 def test_fading_states_are_hashed_once_per_drop(monkeypatch):
     # at M = 200 a block is one drop and a fading chunk one frame, but the
-    # drop's seeds hash at once, in one lane
+    # drop's seeds hash at once, one lane per chunk
     calls = count_fading_states(monkeypatch)
     config = small_config(
         scenario=ScenarioConfig(num_links=200, link_mix=0.0, seed=5),
@@ -813,24 +813,24 @@ def test_fading_states_are_hashed_once_per_drop(monkeypatch):
         frames_per_drop=4,
     )
     assert run_experiment(config).block_drops == 1
-    assert calls == [[(d, range(0, 4))] for d in range(config.num_drops)]
+    assert calls == [[(d, range(f, f + 1)) for f in range(4)] for d in range(config.num_drops)]
 
 
 @pytest.mark.parametrize(
     "state_block, blocks",
     [
-        # a drop's three chunks (7 frames) fill a window
-        (7, [[(0, 0, 7)], [(1, 0, 7)]]),
+        # two chunks (7 // 3) a window, which spans drops
+        (7, [[(0, 0, 3), (0, 3, 6)], [(0, 6, 7), (1, 0, 3)], [(1, 3, 6), (1, 6, 7)]]),
         # a window holds at least one chunk
         (2, [[(d, a, b)] for d in (0, 1) for a, b in ((0, 3), (3, 6), (6, 7))]),
-        # a window spans drops, in whole chunks
-        (10, [[(0, 0, 7), (1, 0, 3)], [(1, 3, 7)]]),
+        # three chunks (10 // 3) a window: one drop each
+        (10, [[(d, 0, 3), (d, 3, 6), (d, 6, 7)] for d in (0, 1)]),
     ],
 )
 def test_fading_state_blocks_hold_whole_chunks(monkeypatch, state_block, blocks):
     # blocks of two drops (8 // 4) and chunks of 3 frames: one _fading_states
-    # call per window, the most whole chunks within the cap, with one lane
-    # per drop of the window; the same windows in every block
+    # call per window of _STATE_BLOCK // 3 chunks (at least one), one lane
+    # per chunk; the same windows in every block
     calls = count_fading_states(monkeypatch)
     config = small_config(
         scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),

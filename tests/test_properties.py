@@ -32,6 +32,7 @@ from helpers import (
     kruskal_forest,
     mst_dp_per_vertex,
     per_drop_report,
+    per_frame_rates,
     random_instance,
     rates_of,
     tree_brute_force,
@@ -324,16 +325,15 @@ def test_batched_fading_equals_numpy_per_frame_streams(seed, drop_seed, start, l
     lanes = [(inst.seed_key, frames)] + [
         ((s, d), range(f, min(f + n, 2**64))) for s, d, f, n in lanes
     ]
-    states = _fading_states(lanes)
-    words = [
-        np.random.SeedSequence((*key, _FADING_TAG, f)).generate_state(4, np.uint64)
-        for key, lane in lanes
-        for f in lane
-    ]
-    oracle = np.array(words, dtype=np.uint64).reshape(-1, 4)
-    assert states.dtype == np.uint64 and states.flags.c_contiguous
-    assert states.shape == oracle.shape
-    assert states.tobytes() == oracle.tobytes()
+    for states, (key, lane) in zip(_fading_states(lanes), lanes, strict=True):
+        words = [
+            np.random.SeedSequence((*key, _FADING_TAG, f)).generate_state(4, np.uint64)
+            for f in lane
+        ]
+        oracle = np.array(words, dtype=np.uint64).reshape(-1, 4)
+        assert states.dtype == np.uint64 and states.flags.c_contiguous
+        assert states.shape == oracle.shape
+        assert states.tobytes() == oracle.tobytes()
 
 
 @PROPERTY
@@ -413,6 +413,51 @@ def test_blocks_equal_the_per_drop_oracle(m, num_drops, seed, kind, fading, bloc
     assert json.dumps(report.summary_json()) == json.dumps(oracle.summary_json())
     for name in config.algorithms:
         assert report.stats[name].rates_bps.tobytes() == oracle.stats[name].rates_bps.tobytes()
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4), st.integers(1, 9), st.integers(1, 4), st.integers(1, 12), st.integers(1, 4)
+)
+# a cap below a chunk; a window that spans drops and blocks of two drops
+@example(2, 7, 3, 2, 2)
+@example(4, 5, 2, 12, 2)
+def test_fading_windows_are_the_next_whole_chunks(num_drops, frames, chunk, state_block, block):
+    # whatever the chunk, cap and block sizes, the _fading_states calls take
+    # the chunks in (drop, frame) order, one lane each, at most
+    # max(_STATE_BLOCK, chunk) frames a call, and the rates are the per-frame loop's
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=2, link_mix=0.5, seed=3),
+        algorithms=("mst_dp", "random"),
+        num_drops=num_drops,
+        frames_per_drop=frames,
+        master_seed=5,
+    )
+    seeds = np.random.SeedSequence(5).generate_state(2 * num_drops, dtype=np.uint64)
+    drop_of = {seed: d for d, seed in enumerate(seeds[0::2].tolist())}
+    frame_bytes = 8 * (2 * 2 + 4 * 2**2) + evaluation._FRAME_STATE_BYTES
+    calls, fading_states = [], evaluation._fading_states
+
+    def recording(lanes):
+        calls.append([(drop_of[seed_key[1]], lane) for seed_key, lane in lanes])
+        return fading_states(lanes)
+
+    with (
+        mock.patch.object(evaluation, "FRAME_CHUNK_BUDGET", chunk * frame_bytes),
+        mock.patch.object(evaluation, "_STATE_BLOCK", state_block),
+        mock.patch.object(evaluation, "_block_drops", lambda *_: min(block, num_drops)),
+        mock.patch.object(evaluation, "_fading_states", recording),
+    ):
+        report = run_experiment(config)
+    hashed = [(d, f) for call in calls for d, lane in call for f in lane]
+    assert hashed == [(d, f) for d in range(num_drops) for f in range(frames)]
+    for call in calls:
+        for _, lane in call:
+            assert lane.start % chunk == 0 and len(lane) == min(chunk, frames - lane.start)
+        assert sum(len(lane) for _, lane in call) <= max(state_block, chunk)
+    oracle = per_frame_rates(config)
+    for name in config.algorithms:
+        assert report.stats[name].rates_bps.tobytes() == oracle[name].tobytes()
 
 
 @POOLED
