@@ -40,8 +40,8 @@ _DP_ROW_BYTES = 104
 CHILD_CAP = (DP_STEP_BUDGET // _DP_ROW_BYTES).bit_length() - 1
 
 _BATCH = 1 << 13
-# The exact re-rank holds a few (N, M, M, 2) float64 arrays per batch of N
-# candidates: ~3.3 MB each at M = 20.
+# The exact re-rank holds one (N, M, M, 2) float64 array per batch of N
+# candidates: 3.3 MB at M = 20, of a 5.0 MB tracemalloc peak.
 _RERANK_BATCH = 1 << 9
 
 # The exhaustive screen sums denominators in another order than

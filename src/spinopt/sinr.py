@@ -40,13 +40,12 @@ def link_utility(kind: UtilityKind, rate: float) -> float:
 def denominators(terms: np.ndarray) -> np.ndarray:
     """(..., M, 2) SINR denominators from (..., M, M, 2) interference terms ``[k, l, d]``.
 
-    Noise (1.0) first, then each interferer in ascending k: the same
-    accumulation order as a per-link loop, so results match it bit for bit.
-    The k axis is never the innermost one, so numpy adds its terms one by
-    one instead of pairwise.
+    Noise (the reduction's initial 1.0) first, then each interferer in
+    ascending k: the same accumulation order as a per-link loop, so results
+    match it bit for bit. The k axis is never the innermost one, so numpy
+    adds its terms one by one instead of pairwise.
     """
-    noise = np.ones(terms.shape[:-3] + (1,) + terms.shape[-2:])
-    return np.add.reduce(np.concatenate((noise, terms), axis=-3), axis=-3)
+    return np.add.reduce(terms, axis=-3, initial=1.0)
 
 
 def _spin_terms(adjacency, differ, same, opposite) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,7 +20,9 @@ from spinopt.channel import ScenarioConfig, draw_fading, generate_instance
 from spinopt.optimizer import mst_dp
 from spinopt.sinr import (
     UtilityKind,
+    denominators,
     link_utility,
+    network_utilities,
     network_utility,
     spin_selectors,
     two_way_rates,
@@ -279,3 +282,37 @@ def test_unselected_interferer_end_that_overflows_leaves_rates_finite():
         frame = SimpleNamespace(snr=draw.snr[f], inr=draw.inr[f])
         slow = rates_of([exact_sinr(frame, graph, l, spins) for l in range(2)])
         np.testing.assert_allclose(rates[f], slow, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 20, 20, 2), (20, 20, 2), (3, 9, 9, 2), (1, 1, 2)])
+def test_denominators_add_noise_then_each_interferer_in_order(shape):
+    # bit for bit a per-link loop that starts at the noise and adds k = 0, 1, ...;
+    # zeros stand for non-edges, and an infinite term makes an infinite sum
+    rng = np.random.default_rng(len(shape) * shape[-2])
+    for _ in range(20):
+        terms = np.where(rng.random(shape) < 0.3, 0.0, rng.lognormal(0.0, 6.0, size=shape))
+        terms[rng.random(shape) < 0.02] = np.inf
+        expected = np.empty(shape[:-3] + shape[-2:])
+        for index in np.ndindex(expected.shape):
+            *lead, l, d = index
+            total = 1.0
+            for k in range(shape[-3]):
+                total += float(terms[(*lead, k, l, d)])
+            expected[index] = total
+        assert denominators(terms).tobytes() == expected.tobytes()
+
+
+def test_batched_utilities_hold_one_terms_array():
+    # a 512-candidate re-rank at M = 20 holds its (N, M, M, 2) interference
+    # terms (3.3 MB) once: no noise-plane copy of them for the denominators
+    _, inst = random_instance(20, 3)
+    graph = build_graph(inst, 0.0)
+    spins = np.random.default_rng(1).integers(0, 2, size=(512, 20)).astype(np.int8)
+    network_utilities(inst, graph, PF, spins)
+    tracemalloc.start()
+    try:
+        network_utilities(inst, graph, PF, spins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * spins.size * 20 * 2 * 8
