@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -264,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if drop:
             p.add_argument("--drop", type=int, default=0, help="drop index to generate (default 0)")
         else:
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--threads", type=int, default=evaluation._cpu_count())
             p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         if algorithms:
             names = ",".join(evaluation.ALGORITHMS)

@@ -21,6 +21,7 @@ import collections
 import csv
 import itertools
 import math
+import os
 import time
 from concurrent import futures
 from contextlib import nullcontext
@@ -98,6 +99,10 @@ RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
 _SAMPLE_BYTES = 20
 _FIXED_BYTES = (16 << 20) + DP_STEP_BUDGET + _BLOCK_BUDGET
+# A sweep holds each finished point's rates until it ends: 8.13 B per sample
+# measured (M = 10, 60 drops x 100 frames, 2 algorithms), 9 B here. The
+# budget must hold a point's peak_bytes() plus the samples of the points before it.
+_HELD_SAMPLE_BYTES = 9
 
 # Bound on a two-way rate in bit/s/Hz: each of its two log2(1 + SINR) terms
 # is at most log2 of the largest float, below 1024.
@@ -173,8 +178,12 @@ class ExperimentConfig:
         per-pair and fixed terms) and the parent holds the samples.
         """
         m = self.scenario.num_links
-        samples = self.num_drops * self.frames_per_drop * m * len(self.algorithms)
-        return _PAIR_BYTES * m * m + _SAMPLE_BYTES * samples + _FIXED_BYTES
+        return _PAIR_BYTES * m * m + _SAMPLE_BYTES * self._samples() + _FIXED_BYTES
+
+    def _samples(self) -> int:
+        """Rate samples the run holds: one per algorithm, link, frame and drop."""
+        m, algorithms = self.scenario.num_links, len(self.algorithms)
+        return self.num_drops * self.frames_per_drop * m * algorithms
 
 
 @dataclass
@@ -294,6 +303,13 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
     return graphs, trees, results, seconds
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _block_drops(config: ExperimentConfig, workers: int) -> int:
     """Drops per block: at most a quarter of each worker's share, and at
     most as many as ``_BLOCK_BUDGET`` holds; at least one."""
@@ -352,14 +368,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
 
     Drops run in blocks of ``_block_drops(config, workers)``, one task per
     block, in-process or, with ``workers > 1``, on a process pool of at most
-    ``num_drops`` workers; ``pool``, an open pool of ``workers`` processes,
-    is used instead of starting one. Per-drop seeds are derived up front
+    ``num_drops`` and ``_cpu_count()`` workers; ``pool``, an open pool of
+    ``workers`` processes, is used instead of starting one. Per-drop seeds are derived up front
     from the master seed and each block is written at its drops, so the
     report depends on neither the worker count nor the block size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, config.num_drops)
+    workers = min(workers, config.num_drops, _cpu_count())
     t_start = time.perf_counter()
     drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
         2 * config.num_drops, dtype=np.uint64
@@ -426,12 +442,25 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     Point ``i`` runs with a master seed derived from (its own master seed,
     i), so points never share random streams even when their configs match.
     With ``workers > 1`` every point's drops go through one process pool of
-    at most the largest ``num_drops`` workers; its processes start at the
-    first point's first chunk.
+    at most the largest ``num_drops`` workers and ``_cpu_count()``; its
+    processes start at the first point's first chunk. Every point's rates
+    are held until the sweep ends, so a sweep whose held samples and a
+    point's ``peak_bytes()`` exceed ``RUN_MEMORY_BUDGET`` is refused before
+    any point runs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, max((config.num_drops for config in configs), default=1))
+    held = 0
+    for i, config in enumerate(configs):
+        if config.peak_bytes() + held > RUN_MEMORY_BUDGET:
+            raise ValueError(
+                f"sweep needs ~{(config.peak_bytes() + held) / 2**30:.3g} GiB at point {i}, "
+                f"above the budget of {RUN_MEMORY_BUDGET / 2**30:g} GiB, as it holds every "
+                "point's samples until it ends: lower num_drops * frames_per_drop * num_links "
+                "* len(algorithms) of its points"
+            )
+        held += _HELD_SAMPLE_BYTES * config._samples()
+    workers = min(workers, max((config.num_drops for config in configs), default=1), _cpu_count())
     points = []
     for i, config in enumerate(configs):
         derived = int(

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from spinopt import evaluation
 from spinopt.channel import ScenarioConfig, load_instance
 from spinopt.cli import _write_json, main
 from spinopt.evaluation import ALGORITHMS, ExperimentConfig
@@ -671,7 +672,8 @@ def test_minus_inf_objective_is_null_and_warnings_are_counted(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-def test_run_meta_records_the_dispatch(tmp_path, command):
+def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)  # 2 workers on any machine
     sweep = {"parameter": "num_links", "values": [2, 3]}
     cfg = write_config(
         tmp_path,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 import tracemalloc
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import percentile, per_frame_rates, write_plot_csv_cells, write_samples_csv_rows
-from spinopt import channel, evaluation
+from spinopt import channel, cli, evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.cli import load_config, main
 from spinopt.evaluation import (
@@ -543,7 +544,8 @@ def test_worker_pool_does_not_change_results():
 @pytest.fixture
 def pool_log(monkeypatch):
     """Swaps the process pool for an in-process stub; logs pool sizes and, per
-    map call, its chunksize and the drops of each task."""
+    map call, its chunksize and the drops of each task. The process may use
+    64 CPUs, so that pool sizes do not depend on the machine."""
     log = {"pools": [], "maps": []}
 
     class RecordingPool:
@@ -564,6 +566,7 @@ def pool_log(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 64)
     return log
 
 
@@ -612,6 +615,102 @@ def test_sweep_sends_every_point_through_one_pool(monkeypatch, pool_log):
     with pytest.raises(ValueError, match="workers"):
         sweep(configs, workers=0)
     assert len(pool_log["pools"]) == 2
+
+
+def test_workers_never_exceed_the_usable_cpus(tmp_path, monkeypatch, pool_log):
+    # a pool starts all its processes at once: --threads 100000 must not
+    # ask for 100,000 forks
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+    config = small_config(num_drops=5, frames_per_drop=1)
+    assert run_experiment(config, workers=100_000).workers == 2
+    assert [r.workers for r in sweep([config, config], workers=100_000)] == [2, 2]
+    assert pool_log["pools"] == [2, 2]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "spinopt.config/1", "experiment": {"num_drops": 5}}))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(path), "--out", str(out), "--threads", "100000"]) == 0
+    assert json.loads((out / "run_meta.json").read_text())["workers"] == 2
+    assert pool_log["pools"] == [2, 2, 2]
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 1)
+    assert run_experiment(config, workers=8).workers == 1
+    assert pool_log["pools"] == [2, 2, 2]
+    # --threads defaults to the same count
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 3)
+    for command in ("evaluate", "sweep"):
+        args = cli._build_parser().parse_args([command, "--config", "c", "--out", "o"])
+        assert args.threads == 3
+
+
+def test_usable_cpus_follow_the_affinity_mask():
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert evaluation._cpu_count() == expected >= 1
+
+
+def test_a_sweep_holds_at_most_its_bytes_per_earlier_sample():
+    # a finished point's rates stay held until the sweep ends: the peak of
+    # four points exceeds that of one by the first three's held samples
+    base = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),
+        algorithms=("mst_dp", "random"),
+        num_drops=60,
+        frames_per_drop=100,
+    )
+    sweep([base])
+    peaks = {}
+    for points in (1, 4):
+        tracemalloc.start()
+        try:
+            reports = sweep([base] * points)
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del reports
+    per_sample = (peaks[4] - peaks[1]) / (3 * base._samples())
+    assert evaluation._HELD_SAMPLE_BYTES / 2 < per_sample <= evaluation._HELD_SAMPLE_BYTES
+
+
+def test_sweep_refuses_what_its_points_hold_together(monkeypatch, pool_log):
+    # a point's peak_bytes() plus the samples its earlier points hold must
+    # fit the budget; a sweep over it runs no point and opens no pool
+    monkeypatch.setattr(evaluation, "run_experiment", lambda config, *_: config.num_drops)
+    first = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=1, seed=1),
+        algorithms=("mst_dp",),
+        num_drops=5 * 10**7,
+        frames_per_drop=1,
+    )
+    held = evaluation._HELD_SAMPLE_BYTES * first._samples()
+    room = evaluation.RUN_MEMORY_BUDGET - held - evaluation._PAIR_BYTES - evaluation._FIXED_BYTES
+    fits = replace(first, num_drops=room // evaluation._SAMPLE_BYTES)
+    assert fits.peak_bytes() + held <= evaluation.RUN_MEMORY_BUDGET
+    assert sweep([first, fits], workers=2) == [first.num_drops, fits.num_drops]
+    assert pool_log["pools"] == [2]
+    # alone, each point fits; the larger one also fits first
+    too_large = replace(fits, num_drops=fits.num_drops + 1)
+    assert sweep([too_large, first], workers=2) == [too_large.num_drops, first.num_drops]
+    with pytest.raises(ValueError, match=r"^sweep needs .* at point 1, .* len\(algorithms\)"):
+        sweep([first, too_large], workers=2)
+    assert pool_log["pools"] == [2, 2]
+
+
+def test_sweep_command_refuses_points_that_overflow_together(tmp_path, monkeypatch, capsys):
+    # two M = 10 points of 80 M samples each: each is accepted alone, but
+    # the second's peak plus the first's held samples exceed the budget
+    def no_point(*args, **kwargs):
+        pytest.fail("a sweep point ran")
+
+    monkeypatch.setattr(evaluation, "run_experiment", no_point)
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", no_point)
+    path = tmp_path / "config.json"
+    experiment = {"algorithms": ["mst_dp", "random"], "num_drops": 40_000, "frames_per_drop": 100}
+    config = {"schema": "spinopt.config/1", "scenario": {"num_links": 10}, "experiment": experiment}
+    path.write_text(json.dumps({**config, "sweep": {"parameter": "num_links", "values": [10, 10]}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--threads", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep needs ")
+    assert "num_drops * frames_per_drop * num_links * len(algorithms)" in err[0]
+    assert not out.exists()
 
 
 def test_sweep_derives_distinct_seeds():
