@@ -369,9 +369,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
     Drops run in blocks of ``_block_drops(config, workers)``, one task per
     block, in-process or, with ``workers > 1``, on a process pool of at most
     ``num_drops`` and ``_cpu_count()`` workers; ``pool``, an open pool of
-    ``workers`` processes, is used instead of starting one. Per-drop seeds are derived up front
-    from the master seed and each block is written at its drops, so the
-    report depends on neither the worker count nor the block size.
+    ``workers`` processes, is used instead of starting one. Per-drop seeds
+    are derived up front from the master seed and each block is written at
+    its drops, so the report depends on neither the worker count nor the
+    block size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -450,11 +451,12 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    held = 0
+    held = 0  # bytes of the earlier points' samples
     for i, config in enumerate(configs):
-        if config.peak_bytes() + held > RUN_MEMORY_BUDGET:
+        need = config.peak_bytes() + held
+        if need > RUN_MEMORY_BUDGET:
             raise ValueError(
-                f"sweep needs ~{(config.peak_bytes() + held) / 2**30:.3g} GiB at point {i}, "
+                f"sweep needs ~{need / 2**30:.3g} GiB at point {i}, "
                 f"above the budget of {RUN_MEMORY_BUDGET / 2**30:g} GiB, as it holds every "
                 "point's samples until it ends: lower num_drops * frames_per_drop * num_links "
                 "* len(algorithms) of its points"

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import time
 import tracemalloc
 from dataclasses import fields, replace
@@ -639,11 +638,6 @@ def test_workers_never_exceed_the_usable_cpus(tmp_path, monkeypatch, pool_log):
     for command in ("evaluate", "sweep"):
         args = cli._build_parser().parse_args([command, "--config", "c", "--out", "o"])
         assert args.threads == 3
-
-
-def test_usable_cpus_follow_the_affinity_mask():
-    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert evaluation._cpu_count() == expected >= 1
 
 
 def test_a_sweep_holds_at_most_its_bytes_per_earlier_sample():

@@ -419,9 +419,11 @@ def test_blocks_equal_the_per_drop_oracle(m, num_drops, seed, kind, fading, bloc
 @given(
     st.integers(1, 4), st.integers(1, 9), st.integers(1, 4), st.integers(1, 12), st.integers(1, 4)
 )
-# a cap below a chunk; a window that spans drops and blocks of two drops
+# a cap below a chunk; a window that spans drops and blocks of two drops; a
+# chunk larger than a drop, which counts as the drop's frames
 @example(2, 7, 3, 2, 2)
 @example(4, 5, 2, 12, 2)
+@example(3, 2, 4, 4, 3)
 def test_fading_windows_are_the_next_whole_chunks(num_drops, frames, chunk, state_block, block):
     # whatever the chunk, cap and block sizes, the _fading_states calls take
     # the chunks in (drop, frame) order, one lane each, at most
@@ -455,6 +457,12 @@ def test_fading_windows_are_the_next_whole_chunks(num_drops, frames, chunk, stat
         for _, lane in call:
             assert lane.start % chunk == 0 and len(lane) == min(chunk, frames - lane.start)
         assert sum(len(lane) for _, lane in call) <= max(state_block, chunk)
+    # each call takes the next max(1, _STATE_BLOCK // min(chunk, F)) chunks of its block
+    per_call, drops = max(1, state_block // min(chunk, frames)), min(block, num_drops)
+    per_block = [min(drops, num_drops - d) * -(-frames // chunk) for d in range(0, num_drops, drops)]
+    assert [len(call) for call in calls] == [
+        min(per_call, n - i) for n in per_block for i in range(0, n, per_call)
+    ]
     oracle = per_frame_rates(config)
     for name in config.algorithms:
         assert report.stats[name].rates_bps.tobytes() == oracle[name].tobytes()
