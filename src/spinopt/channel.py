@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 import typing
 from dataclasses import dataclass, fields, is_dataclass
@@ -72,7 +71,8 @@ def db_to_linear(x_db: float) -> float:
 
 
 def _check_seed(value: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _MAX_SEED:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or not 0 <= value <= _MAX_SEED:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
     return int(value)
 
@@ -611,8 +611,3 @@ def instance_from_json(data: dict) -> LinkInstance:
         seed_key=tuple(seed_key),
         **arrays,
     )
-
-
-def load_instance(path) -> LinkInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))

@@ -26,12 +26,13 @@ _SECTION_KEYS = {
 _SWEEP_PARAMETERS = ("num_links", "link_mix")
 
 
-def _read_json(path: str):
+def _read_json(path: str, what: str):
+    """The parsed JSON file ``path``; an invalid one fails naming ``what`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(data, seed=None, algorithms=None, optimize=False):
@@ -116,7 +117,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_generate(args) -> int:
-    scenario = load_config(_read_json(args.config), args.seed)[0].scenario
+    scenario = load_config(_read_json(args.config, "config"), args.seed)[0].scenario
     t0 = time.perf_counter()
     instance = channel.generate_instance(scenario, args.drop)
     graph = topology.build_graph(instance, scenario.inr_edge_threshold)
@@ -139,9 +140,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config, _ = load_config(_read_json(args.config), args.seed, args.algorithms, optimize=True)
+    data = _read_json(args.config, "config")
+    config, _ = load_config(data, args.seed, args.algorithms, optimize=True)
     if args.instance is not None:
-        instance = channel.load_instance(args.instance)
+        instance = channel.instance_from_json(_read_json(args.instance, "instance"))
     else:
         instance = channel.generate_instance(config.scenario, args.drop)
     graphs, trees, drops, seconds = evaluation.solve_drop(config, [instance], [config.master_seed])
@@ -177,7 +179,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config, _ = load_config(_read_json(args.config), args.seed, args.algorithms)
+    config, _ = load_config(_read_json(args.config, "config"), args.seed, args.algorithms)
     report = evaluation.run_experiment(config, workers=args.threads)
     out = _out_dir(args)
     if args.format in ("json", "both"):
@@ -207,7 +209,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = _read_json(args.config)
+    data = _read_json(args.config, "config")
     _, configs = load_config(data, args.seed, args.algorithms)
     if configs is None:
         raise ValueError("sweep command needs a 'sweep' section in the config")

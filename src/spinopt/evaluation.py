@@ -99,10 +99,6 @@ RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256
 _SAMPLE_BYTES = 20
 _FIXED_BYTES = (16 << 20) + DP_STEP_BUDGET + _BLOCK_BUDGET
-# A sweep holds each finished point's rates until it ends: 8.13 B per sample
-# measured (M = 10, 60 drops x 100 frames, 2 algorithms), 9 B here. The
-# budget must hold a point's peak_bytes() plus the samples of the points before it.
-_HELD_SAMPLE_BYTES = 9
 
 # Bound on a two-way rate in bit/s/Hz: each of its two log2(1 + SINR) terms
 # is at most log2 of the largest float, below 1024.
@@ -178,30 +174,23 @@ class ExperimentConfig:
         per-pair and fixed terms) and the parent holds the samples.
         """
         m = self.scenario.num_links
-        return _PAIR_BYTES * m * m + _SAMPLE_BYTES * self._samples() + _FIXED_BYTES
-
-    def _samples(self) -> int:
-        """Rate samples the run holds: one per algorithm, link, frame and drop."""
-        m, algorithms = self.scenario.num_links, len(self.algorithms)
-        return self.num_drops * self.frames_per_drop * m * algorithms
+        samples = self.num_drops * self.frames_per_drop * m * len(self.algorithms)
+        return _PAIR_BYTES * m * m + _SAMPLE_BYTES * samples + _FIXED_BYTES
 
 
 @dataclass
 class AlgorithmStats:
     """Pooled per-algorithm rate statistics for one experiment."""
 
-    rates_bps: np.ndarray  # (num_drops, frames_per_drop, num_links)
+    rates_bps: np.ndarray | None  # (num_drops, frames_per_drop, num_links); None in a sweep
     mean_bps: float
     percentile_bps: float
     mean_objective: float
     optimize_time_s: float
+    sample_count: int
     gain_mean_vs_random: float | None = None
     gain_percentile_vs_random: float | None = None
     warned_drops: int = 0  # drops whose optimizer result carries a warning
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.rates_bps.size)
 
 
 @dataclass
@@ -413,6 +402,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
             percentile_bps=float(pooled[_rank(pooled.size, config.percentile_q)]),
             mean_objective=float(objectives[a].mean()),
             optimize_time_s=optimize_time[name],
+            sample_count=pooled.size,
             warned_drops=int(warned[a].sum()),
         )
         del pooled  # so that the next sort does not hold two pools
@@ -444,24 +434,13 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     i), so points never share random streams even when their configs match.
     With ``workers > 1`` every point's drops go through one process pool of
     at most the largest ``num_drops`` workers and ``_cpu_count()``; its
-    processes start at the first point's first chunk. Every point's rates
-    are held until the sweep ends, so a sweep whose held samples and a
-    point's ``peak_bytes()`` exceed ``RUN_MEMORY_BUDGET`` is refused before
-    any point runs.
+    processes start at the first point's first block. Each point's samples
+    are released as soon as its run returns, so a sweep holds at most one
+    point's samples, each point's ``peak_bytes()`` bounds it, and its
+    reports carry statistics but no ``rates_bps``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    held = 0  # bytes of the earlier points' samples
-    for i, config in enumerate(configs):
-        need = config.peak_bytes() + held
-        if need > RUN_MEMORY_BUDGET:
-            raise ValueError(
-                f"sweep needs ~{need / 2**30:.3g} GiB at point {i}, "
-                f"above the budget of {RUN_MEMORY_BUDGET / 2**30:g} GiB, as it holds every "
-                "point's samples until it ends: lower num_drops * frames_per_drop * num_links "
-                "* len(algorithms) of its points"
-            )
-        held += _HELD_SAMPLE_BYTES * config._samples()
     workers = min(workers, max((config.num_drops for config in configs), default=1), _cpu_count())
     points = []
     for i, config in enumerate(configs):
@@ -471,9 +450,15 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
             ).generate_state(1, dtype=np.uint64)[0]
         )
         points.append(replace(config, master_seed=derived))
+    reports = []
     with futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # through the module global, so that wrappers of run_experiment see every point
-        return [run_experiment(point, workers, pool) for point in points]
+        for point in points:
+            # through the module global, so that wrappers of run_experiment see every point
+            report = run_experiment(point, workers, pool)
+            for st in report.stats.values():
+                st.rates_bps = None  # nothing reads a sweep's samples
+            reports.append(report)
+    return reports
 
 
 def _csv_cells(values: np.ndarray) -> list[bytes]:

@@ -507,6 +507,32 @@ def per_drop_report(config):
         return evaluation.run_experiment(config)
 
 
+def sweep_with_rates(configs, workers: int = 1):
+    """``evaluation.sweep(configs, workers)`` and, per point, a copy of each
+    algorithm's ``rates_bps``, taken by a wrapper of
+    ``evaluation.run_experiment`` before the sweep releases them.
+
+    Asserts that every report of the sweep carries no ``rates_bps`` and the
+    ``sample_count`` of its rates.
+    """
+    unwrapped, rates = evaluation.run_experiment, []
+
+    def copying_run_experiment(*args, **kwargs):
+        report = unwrapped(*args, **kwargs)
+        rates.append({name: st.rates_bps.copy() for name, st in report.stats.items()})
+        return report
+
+    with mock.patch.object(evaluation, "run_experiment", copying_run_experiment):
+        reports = evaluation.sweep(configs, workers)
+    for report, point in zip(reports, rates, strict=True):
+        config = report.config
+        samples = config.num_drops * config.frames_per_drop * config.scenario.num_links
+        for name, st in report.stats.items():
+            assert st.rates_bps is None
+            assert st.sample_count == point[name].size == samples
+    return reports, rates
+
+
 def per_frame_rates(config) -> dict[str, np.ndarray]:
     """Per-frame loop oracle of ``run_experiment``'s ``rates_bps``.
 

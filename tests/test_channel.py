@@ -325,6 +325,9 @@ def test_generate_rejects_bad_drop_seed():
     cfg = ScenarioConfig(num_links=2, seed=0)
     with pytest.raises(ValueError):
         generate_instance(cfg, drop_seed=-3)
+    # a bool is not a seed, though Python counts True as the integer 1
+    with pytest.raises(ValueError, match="drop_seed"):
+        generate_instance(cfg, drop_seed=True)
 
 
 def test_instances_are_read_only():

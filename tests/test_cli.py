@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from spinopt import evaluation
-from spinopt.channel import ScenarioConfig, load_instance
+from spinopt.channel import ScenarioConfig, instance_from_json
 from spinopt.cli import _write_json, main
 from spinopt.evaluation import ALGORITHMS, ExperimentConfig
 from spinopt.optimizer import EXHAUSTIVE_CAP
@@ -54,7 +54,7 @@ def test_generate_writes_instance_and_topology(tmp_path, capsys):
     cfg = write_config(tmp_path, scenario={"num_links": 4, "seed": 9})
     out = tmp_path / "out"
     assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
-    inst = load_instance(out / "instance.json")
+    inst = instance_from_json(json.loads((out / "instance.json").read_text()))
     assert inst.num_links == 4
     topo = json.loads((out / "topology.json").read_text())
     assert topo["graph"]["num_vertices"] == 4
@@ -708,6 +708,7 @@ def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
         ({"num_links": "3"}, "num_links"),
         ({"positions": "x"}, "positions"),
         ({"snr": {}}, "snr"),
+        ({"seed_key": [True, False]}, "seed_key"),
     ],
 )
 def test_optimize_checks_the_instance_json(tmp_path, capsys, change, key):
@@ -720,6 +721,17 @@ def test_optimize_checks_the_instance_json(tmp_path, capsys, change, key):
     assert main(["optimize", "--config", cfg, "--instance", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_optimize_names_an_instance_file_that_is_not_json(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario={"num_links": 3, "seed": 4})
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", cfg, "--instance", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: instance {path} is not valid JSON")
     assert not out.exists()
 
 

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import percentile, per_frame_rates, write_plot_csv_cells, write_samples_csv_rows
+from helpers import (
+    percentile,
+    per_frame_rates,
+    sweep_with_rates,
+    write_plot_csv_cells,
+    write_samples_csv_rows,
+)
 from spinopt import channel, cli, evaluation
 from spinopt.channel import ScenarioConfig, generate_instance
 from spinopt.cli import load_config, main
@@ -640,9 +646,9 @@ def test_workers_never_exceed_the_usable_cpus(tmp_path, monkeypatch, pool_log):
         assert args.threads == 3
 
 
-def test_a_sweep_holds_at_most_its_bytes_per_earlier_sample():
-    # a finished point's rates stay held until the sweep ends: the peak of
-    # four points exceeds that of one by the first three's held samples
+def test_a_sweep_holds_one_point_at_a_time():
+    # a point's rates are released when its run returns: what four points
+    # hold after the sweep, and their peak, stay near those of one
     base = ExperimentConfig(
         scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),
         algorithms=("mst_dp", "random"),
@@ -650,72 +656,44 @@ def test_a_sweep_holds_at_most_its_bytes_per_earlier_sample():
         frames_per_drop=100,
     )
     sweep([base])
-    peaks = {}
+    held, peaks = {}, {}
     for points in (1, 4):
         tracemalloc.start()
         try:
             reports = sweep([base] * points)
-            peaks[points] = tracemalloc.get_traced_memory()[1]
+            held[points], peaks[points] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         del reports
-    per_sample = (peaks[4] - peaks[1]) / (3 * base._samples())
-    assert evaluation._HELD_SAMPLE_BYTES / 2 < per_sample <= evaluation._HELD_SAMPLE_BYTES
+    samples = base.num_drops * base.frames_per_drop * base.scenario.num_links * 2
+    assert held[4] - held[1] <= 3 * samples  # 1 B per sample of the earlier points
+    assert peaks[4] <= 1.25 * peaks[1]
 
 
-def test_sweep_refuses_what_its_points_hold_together(monkeypatch, pool_log):
-    # a point's peak_bytes() plus the samples its earlier points hold must
-    # fit the budget; a sweep over it runs no point and opens no pool
-    monkeypatch.setattr(evaluation, "run_experiment", lambda config, *_: config.num_drops)
-    first = ExperimentConfig(
-        scenario=ScenarioConfig(num_links=1, seed=1),
-        algorithms=("mst_dp",),
-        num_drops=5 * 10**7,
-        frames_per_drop=1,
-    )
-    held = evaluation._HELD_SAMPLE_BYTES * first._samples()
-    room = evaluation.RUN_MEMORY_BUDGET - held - evaluation._PAIR_BYTES - evaluation._FIXED_BYTES
-    fits = replace(first, num_drops=room // evaluation._SAMPLE_BYTES)
-    assert fits.peak_bytes() + held <= evaluation.RUN_MEMORY_BUDGET
-    assert sweep([first, fits], workers=2) == [first.num_drops, fits.num_drops]
+def test_sweep_runs_points_that_each_fit_the_budget(monkeypatch, pool_log):
+    # two equal points at the largest num_drops one run may hold: a sweep
+    # holds one point's samples at a time, so it runs both
+    def stub_run_experiment(config, *args):
+        return EvalReport(config, {}, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
+
+    monkeypatch.setattr(evaluation, "run_experiment", stub_run_experiment)
+    scenario = ScenarioConfig(num_links=10, seed=1)
+    room = evaluation.RUN_MEMORY_BUDGET - evaluation._PAIR_BYTES * 100 - evaluation._FIXED_BYTES
+    drops = room // (evaluation._SAMPLE_BYTES * 100 * 10 * 2)
+    point = ExperimentConfig(scenario, ("mst_dp", "random"), drops, frames_per_drop=100)
+    with pytest.raises(ValueError, match="above the budget"):
+        replace(point, num_drops=drops + 1)
+    assert [r.config.num_drops for r in sweep([point, point], workers=2)] == [drops] * 2
     assert pool_log["pools"] == [2]
-    # alone, each point fits; the larger one also fits first
-    too_large = replace(fits, num_drops=fits.num_drops + 1)
-    assert sweep([too_large, first], workers=2) == [too_large.num_drops, first.num_drops]
-    with pytest.raises(ValueError, match=r"^sweep needs .* at point 1, .* len\(algorithms\)"):
-        sweep([first, too_large], workers=2)
-    assert pool_log["pools"] == [2, 2]
-
-
-def test_sweep_command_refuses_points_that_overflow_together(tmp_path, monkeypatch, capsys):
-    # two M = 10 points of 80 M samples each: each is accepted alone, but
-    # the second's peak plus the first's held samples exceed the budget
-    def no_point(*args, **kwargs):
-        pytest.fail("a sweep point ran")
-
-    monkeypatch.setattr(evaluation, "run_experiment", no_point)
-    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", no_point)
-    path = tmp_path / "config.json"
-    experiment = {"algorithms": ["mst_dp", "random"], "num_drops": 40_000, "frames_per_drop": 100}
-    config = {"schema": "spinopt.config/1", "scenario": {"num_links": 10}, "experiment": experiment}
-    path.write_text(json.dumps({**config, "sweep": {"parameter": "num_links", "values": [10, 10]}}))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--out", str(out), "--threads", "2"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: sweep needs ")
-    assert "num_drops * frames_per_drop * num_links * len(algorithms)" in err[0]
-    assert not out.exists()
 
 
 def test_sweep_derives_distinct_seeds():
     config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=2)
-    reports = sweep([config, config])
+    reports, rates = sweep_with_rates([config, config])
     assert len(reports) == 2
     a, b = reports
     assert a.config.master_seed != b.config.master_seed
-    assert not np.array_equal(
-        a.stats["mst_dp"].rates_bps, b.stats["mst_dp"].rates_bps
-    )
+    assert not np.array_equal(rates[0]["mst_dp"], rates[1]["mst_dp"])
 
 
 def test_sweep_over_link_counts():
@@ -759,6 +737,7 @@ def test_samples_csv_bytes_match_csv_writer(tmp_path):
             percentile_bps=0.0,
             mean_objective=0.0,
             optimize_time_s=0.0,
+            sample_count=rates.size,
         )
         for name, rates in zip(config.algorithms, (values, values[::-1]))
     }
@@ -775,7 +754,7 @@ def test_samples_csv_bytes_match_csv_writer(tmp_path):
 
 def test_samples_csv_writer_holds_a_bounded_block_of_rows(tmp_path):
     # one drop of 100,000 samples: the writer's rows must not scale with the
-    # drop, since peak_bytes() counts only 32 B per held sample
+    # drop, since peak_bytes() counts only 20 B per held sample
     config = small_config(
         scenario=ScenarioConfig(num_links=50, seed=1),
         algorithms=("mst_dp",),
@@ -783,7 +762,7 @@ def test_samples_csv_writer_holds_a_bounded_block_of_rows(tmp_path):
         frames_per_drop=2000,
     )
     rates = np.random.default_rng(3).uniform(0.0, 1e8, size=(1, 2000, 50))
-    stats = {"mst_dp": AlgorithmStats(rates, 0.0, 0.0, 0.0, 0.0)}
+    stats = {"mst_dp": AlgorithmStats(rates, 0.0, 0.0, 0.0, 0.0, sample_count=rates.size)}
     report = EvalReport(config, stats, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
     tracemalloc.start()
     try:
@@ -803,7 +782,9 @@ def test_samples_csv_blocks_match_csv_writer(tmp_path, monkeypatch, block_rows):
     config = small_config(algorithms=("mst_dp", "random"), num_drops=2, frames_per_drop=5)
     rng = np.random.default_rng(7)
     stats = {
-        name: AlgorithmStats(rng.uniform(0.0, 1e8, size=(2, 5, 3)), 0.0, 0.0, 0.0, 0.0)
+        name: AlgorithmStats(
+            rng.uniform(0.0, 1e8, size=(2, 5, 3)), 0.0, 0.0, 0.0, 0.0, sample_count=30
+        )
         for name in config.algorithms
     }
     report = EvalReport(config, stats, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
@@ -1062,6 +1043,7 @@ def test_plot_csv_bytes_match_cell_by_cell_writer(tmp_path):
                 percentile_bps=next(values) if gains else 0.0,
                 mean_objective=0.0,
                 optimize_time_s=0.0,
+                sample_count=3,
                 gain_mean_vs_random=1.5 if gains else None,
                 gain_percentile_vs_random=None,
             )

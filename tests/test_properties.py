@@ -35,6 +35,7 @@ from helpers import (
     per_frame_rates,
     random_instance,
     rates_of,
+    sweep_with_rates,
     tree_brute_force,
     two_way_rates_masks,
     utility_of,
@@ -58,7 +59,6 @@ from spinopt.evaluation import (
     ExperimentConfig,
     _csv_cells,
     run_experiment,
-    sweep,
 )
 from spinopt.optimizer import exhaustive_search, mst_dp
 from spinopt.sinr import (
@@ -499,14 +499,14 @@ def test_sweep_is_independent_of_worker_count(m, scenario_seed, master_seed, kin
         master_seed=master_seed,
     )
     configs = [base, replace(base, scenario=replace(base.scenario, num_links=m + 1))]
-    serial = sweep(configs, workers=1)
-    pooled = sweep(configs, workers=2)
-    for a, b in zip(serial, pooled, strict=True):
+    serial, serial_rates = sweep_with_rates(configs, workers=1)
+    pooled, pooled_rates = sweep_with_rates(configs, workers=2)
+    for a, b, a_rates, b_rates in zip(serial, pooled, serial_rates, pooled_rates, strict=True):
         # blocks of 2 or 3 drops, the last one short
         assert b.block_drops == num_drops // 8 and num_drops % b.block_drops == 1
         assert a.summary_json() == b.summary_json()
         for name in ALGORITHMS:
-            assert np.array_equal(a.stats[name].rates_bps, b.stats[name].rates_bps)
+            assert a_rates[name].tobytes() == b_rates[name].tobytes()
 
 
 @PROPERTY
