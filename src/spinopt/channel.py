@@ -458,29 +458,21 @@ def _fading_states(lanes: list[tuple[tuple[int, int], range]]) -> list[np.ndarra
     every frame ``f`` of every lane ``(seed_key, frames)``: one C-contiguous
     (len(frames), 4) uint64 view per lane, of one array.
 
-    A seed or a frame index of 2**32 or more takes two entropy words, so a
-    lane's frames are split where their index reaches 2**32, and the frames
-    of all lanes are hashed in one pass per entropy word count.
+    ``frames`` are consecutive indices ``0 <= f < 2**32``, one entropy word
+    each; a seed of 2**32 or more takes two words, so the frames of all
+    lanes are hashed in one pass per entropy word count.
     """
-    groups: dict[int, list] = {}  # entropy word count -> (rows, words) per part
+    groups: dict[int, list] = {}  # entropy word count -> (rows, words) per lane
     total, bounds = 0, []
     for (seed, drop_seed), frames in lanes:
         prefix = [*_uint32_words(seed), *_uint32_words(drop_seed), _FADING_TAG]
-        wide_from = min(max(frames.start, 1 << 32), frames.stop)
-        parts = (range(frames.start, wide_from), 1), (range(wide_from, frames.stop), 2)
-        for part, frame_words in parts:
-            if not part:
-                continue
-            # one row per entropy word: the lane's prefix words repeated over
-            # its frames, then the frames' own words
-            words = np.empty((len(prefix) + frame_words, len(part)), dtype=np.uint32)
-            words[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-            index = np.arange(part.start, part.stop, dtype=np.uint64)
-            words[len(prefix)] = index  # the low word: assignment wraps modulo 2**32
-            if frame_words == 2:
-                words[-1] = index >> 32
-            groups.setdefault(len(words), []).append((np.arange(total, total + len(part)), words))
-            total += len(part)
+        # one row per entropy word: the lane's prefix words repeated over
+        # its frames, then the frame indices
+        words = np.empty((len(prefix) + 1, len(frames)), dtype=np.uint32)
+        words[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+        words[-1] = np.arange(frames.start, frames.stop)
+        groups.setdefault(len(words), []).append((np.arange(total, total + len(frames)), words))
+        total += len(frames)
         bounds.append(total)
 
     states = np.empty((total, 4), dtype=np.uint64)
@@ -518,15 +510,17 @@ def draw_fading(
     share the draw. Frame ``f`` draws its snr coefficients, then its inr
     coefficients, from ``default_rng(SeedSequence((seed, drop_seed, 2, f)))``
     with ``(seed, drop_seed) = instance.seed_key``, so a frame's gains do not
-    depend on the chunk it is drawn in; one frame is ``range(f, f + 1)``.
+    depend on the chunk it is drawn in. ``frames`` is ``range(start, stop)``
+    of consecutive indices ``0 <= f < 2**32``; one frame is ``range(f, f + 1)``.
     ``states``, when given, are the frames' ``_fading_states`` rows, hashed by
     the caller for a larger block of frames; by default they are hashed here.
     """
     if not isinstance(frames, range):
         raise TypeError(f"frames must be a range, got {type(frames).__name__}")
-    if frames:
-        _check_seed(frames[0], "frame index")
-        _check_seed(frames[-1], "frame index")
+    if frames.step != 1 or not 0 <= frames.start <= frames.stop <= 2**32:
+        raise ValueError(
+            f"frames must be range(start, stop) with 0 <= start <= stop <= 2**32, got {frames!r}"
+        )
     if states is None:
         states = _fading_states([(instance.seed_key, frames)])[0]
     elif len(states) != len(frames):

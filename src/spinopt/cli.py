@@ -27,12 +27,17 @@ _SWEEP_PARAMETERS = ("num_links", "link_mix")
 
 
 def _read_json(path: str, what: str):
-    """The parsed JSON file ``path``; an invalid one fails naming ``what`` and the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """The parsed JSON file ``path``; an invalid one fails naming ``what`` and the path.
+
+    A file that is not UTF-8, nests deeper than the parser recurses or holds
+    an integer beyond Python's digit limit is invalid.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(data, seed=None, algorithms=None, optimize=False):

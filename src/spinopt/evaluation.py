@@ -488,6 +488,8 @@ def write_samples_csv(report: EvalReport, path) -> None:
     of a drop's frames, so the rows held at once stay near
     ``_CSV_BLOCK_ROWS``.
     """
+    if any(st.rates_bps is None for st in report.stats.values()):
+        raise ValueError("the report holds no samples: a sweep() report keeps no rates_bps")
     m = report.config.scenario.num_links
     frames = report.config.frames_per_drop
     step = max(1, _CSV_BLOCK_ROWS // m)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import node_positions
+from helpers import fading_frame, node_positions
 from spinopt.channel import (
     ASYMMETRIC,
     SYMMETRIC,
@@ -260,6 +260,23 @@ def test_fading_rejects_bad_frames(frames):
     inst = generate_instance(ScenarioConfig(num_links=2, seed=2), drop_seed=0)
     with pytest.raises((TypeError, ValueError)):
         draw_fading(inst, frames)
+
+
+def test_fading_takes_consecutive_frames_below_2_to_the_32():
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=2), drop_seed=0)
+    # the hash reads only a range's start and stop, one entropy word per frame
+    for frames in (range(0, 6, 2), range(3, 0, -1), range(2**32 - 1, 2**32 + 1)):
+        with pytest.raises(ValueError, match="frames must be range"):
+            draw_fading(inst, frames)
+    # the last valid frames, with seeds of two entropy words, are numpy's streams
+    inst = dataclasses.replace(inst, seed_key=(2**64 - 1, 2**64 - 1))
+    frames = range(2**32 - 3, 2**32)
+    draw = draw_fading(inst, frames)
+    assert len(draw.snr) == len(frames)
+    for j, f in enumerate(frames):
+        oracle = fading_frame(inst, f)
+        assert draw.snr[j].tobytes() == oracle.snr.tobytes()
+        assert draw.inr[j].tobytes() == oracle.inr.tobytes()
 
 
 def test_fading_draw_takes_its_frames_precomputed_states():

@@ -735,6 +735,27 @@ def test_optimize_names_an_instance_file_that_is_not_json(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000, "{}".encode("utf-16"), b"[" + b"1" * 5000 + b"]"],
+    ids=["nested", "utf16", "long_int"],
+)
+@pytest.mark.parametrize("flag", ["--config", "--instance"])
+def test_a_json_file_python_cannot_parse_fails_naming_its_path(tmp_path, capsys, flag, content):
+    cfg = write_config(tmp_path, scenario={"num_links": 3, "seed": 4})
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    if flag == "--config":
+        argv = ["evaluate", "--config", str(path)]
+    else:
+        argv = ["optimize", "--config", cfg, "--instance", str(path)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag[2:]} {path} is not valid JSON: ")
+    assert not out.exists()
+
+
 def test_readme_config_schema_matches_the_dataclasses():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = re.search(r"### Config schema\n\n```jsonc\n(.*?)```", readme, re.S).group(1)

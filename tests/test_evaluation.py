@@ -190,6 +190,18 @@ def test_peak_bytes_terms_match_the_traced_growth(small, large, unit_bytes):
     assert per_unit / 2 < (peak_b - peak_a) / units <= per_unit
 
 
+def test_the_run_budget_keeps_every_frame_index_below_2_to_the_32():
+    # draw_fading takes frame indices below 2**32; a run's frames_per_drop is
+    # largest at M = 1 with one drop and one algorithm
+    largest = (
+        evaluation.RUN_MEMORY_BUDGET - evaluation._FIXED_BYTES - evaluation._PAIR_BYTES
+    ) // evaluation._SAMPLE_BYTES
+    assert largest < 2**32
+    config = ExperimentConfig(ScenarioConfig(num_links=1), ("random",), 1, largest)
+    with pytest.raises(ValueError, match="above the budget"):
+        replace(config, frames_per_drop=largest + 1)
+
+
 def test_held_samples_grow_the_peak_by_at_most_18_bytes_each():
     # the run's one rate array and one sorted copy of it, 8 B each
     (config_a, peak_a), (config_b, peak_b) = (
@@ -705,6 +717,15 @@ def test_sweep_over_link_counts():
     rows = plot_rows(reports)
     assert [r["num_links"] for r in rows] == [2, 2, 4, 4]
     assert {r["algorithm"] for r in rows} == {"mst_dp", "random"}
+
+
+def test_samples_csv_refuses_a_sweep_report(tmp_path):
+    # a sweep's reports keep no rates: no file, not a header and a traceback
+    (report,) = sweep([small_config(num_drops=1, frames_per_drop=2)])
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match="no samples"):
+        write_samples_csv(report, path)
+    assert not path.exists()
 
 
 def test_csv_writers(tmp_path):
