@@ -276,16 +276,72 @@ def end_planes(inr: np.ndarray):
     return same, opposite
 
 
-def _pair_shadowing(num_nodes: int, sigma_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric (num_nodes, num_nodes) linear shadow factors.
+def _unchecked(cls, **attrs):
+    """A frozen dataclass ``cls`` holding ``attrs`` as given, without its
+    ``__post_init__`` checks: for arrays this package built and checked a
+    block of drops at a time."""
+    obj = object.__new__(cls)
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
-    One log-normal factor per unordered node pair, reused for both
-    directions; the diagonal (a node with itself) is fixed at 1 and unused.
-    """
-    # abs: numpy's normal refuses a scale of -0.0, which the config takes as 0
-    draws = rng.normal(0.0, abs(sigma_db), size=(num_nodes, num_nodes))
-    upper = np.triu(draws, 1)
-    return db_to_linear(upper + upper.T)
+
+def _node_distances(positions: np.ndarray) -> np.ndarray:
+    """(B, 2M, 2M) distances between the nodes of a (B, M, 2, 2) position stack."""
+    nodes = positions.reshape(len(positions), -1, 2)
+    x, y = nodes[..., 0], nodes[..., 1]
+    dx = x[:, :, None] - x[:, None, :]
+    dy = y[:, :, None] - y[:, None, :]
+    # the operations of np.linalg.norm over the xy axis (squares, one add,
+    # sqrt), so the bytes match it, in place in two (B, 2M, 2M) arrays
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _coincident_nodes(dist: np.ndarray) -> dict[int, str]:
+    """The drops of a (B, 2M, 2M) distance stack in which nodes of two links
+    share a position, each mapped to a message naming its first such pair."""
+    zero = dist == 0
+    # every node is at distance 0 from itself; only more zeros need a scan
+    if np.count_nonzero(zero) == np.count_nonzero(np.diagonal(zero, axis1=1, axis2=2)):
+        return {}
+    link_of = np.arange(dist.shape[-1]) // 2
+    found: dict[int, str] = {}
+    # argwhere's rows run in (drop, a, b) order: a drop's first row is its first pair
+    for drop, a, b in np.argwhere(zero & (link_of[:, None] < link_of[None, :])).tolist():
+        found.setdefault(
+            drop,
+            f"nodes coincide: end {a % 2} of link {a // 2} and end {b % 2} of link "
+            f"{b // 2} share a position, which makes the INR between them infinite",
+        )
+    return found
+
+
+def _interference(
+    dist: np.ndarray, kinds: np.ndarray, shadowing: np.ndarray, config: ScenarioConfig
+) -> np.ndarray:
+    """(B, M, M, 2, 2) INR tensors of a block from its node distances, kinds
+    and shadowing; see :func:`interference_tensor`."""
+    b, m = kinds.shape
+    nominal = config.nominal_snr()
+    # transmit "power" of node (l, x): the nominal SNR it produces on its own
+    # link in the direction it transmits (x=L sends L->R, x=R sends R->L)
+    tx_nodes = nominal[kinds].reshape(b, 2 * m)  # columns already ordered (L sends, R sends)
+    ref_nodes = np.repeat(config.nominal_distance()[kinds], 2, axis=-1)
+
+    # a node's distance to itself gives inf here; the same-link block is zeroed below
+    with np.errstate(divide="ignore"):
+        inr_nodes = ref_nodes[..., None] / dist
+    inr_nodes **= config.pathloss_exp
+    inr_nodes *= tx_nodes[..., None]
+    inr_nodes *= shadowing
+
+    inr = inr_nodes.reshape(b, m, 2, m, 2).transpose(0, 1, 3, 2, 4).copy()
+    idx = np.arange(m)
+    inr[:, idx, idx] = 0.0
+    return inr
 
 
 def interference_tensor(
@@ -301,106 +357,107 @@ def interference_tensor(
     pair's shadow factor. Same-link entries are zeroed. Nodes of two links
     at the same position are rejected: the INR between them would be infinite.
     """
-    m = len(kinds)
-    x, y = np.asarray(positions, dtype=float).reshape(2 * m, 2).T
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    # the operations of np.linalg.norm over the xy axis (squares, one add,
-    # sqrt), so the bytes match it, without a (2M, 2M, 2) temporary
-    dist = np.sqrt(dx * dx + dy * dy)
-    zero = dist == 0
-    # every node is at distance 0 from itself; only more zeros need a scan
-    coincide = ()
-    if np.count_nonzero(zero) > np.count_nonzero(zero.diagonal()):
-        link_of = np.arange(2 * m) // 2
-        coincide = np.argwhere(zero & (link_of[:, None] < link_of[None, :]))
-    if len(coincide):
-        a, b = coincide[0]
-        raise ValueError(
-            f"nodes coincide: end {a % 2} of link {a // 2} and end {b % 2} of link "
-            f"{b // 2} share a position, which makes the INR between them infinite"
-        )
-
-    nominal = config.nominal_snr()
-    # transmit "power" of node (l, x): the nominal SNR it produces on its own
-    # link in the direction it transmits (x=L sends L->R, x=R sends R->L)
-    tx = nominal[kinds]  # (M, 2): columns already ordered (L sends, R sends)
-    tx_nodes = tx.reshape(-1)
-    ref_nodes = np.repeat(config.nominal_distance()[kinds], 2)
-
-    # a node's distance to itself gives inf here; the same-link block is zeroed below
-    with np.errstate(divide="ignore"):
-        inr_nodes = ref_nodes[:, None] / dist
-    inr_nodes **= config.pathloss_exp
-    inr_nodes *= tx_nodes[:, None]
-    inr_nodes *= shadowing
-
-    inr = inr_nodes.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
-    idx = np.arange(m)
-    inr[idx, idx] = 0.0
-    return inr
+    dist = _node_distances(np.asarray(positions, dtype=float)[None])
+    coincident = _coincident_nodes(dist)
+    if coincident:
+        raise ValueError(coincident[0])
+    return _interference(dist, np.asarray(kinds)[None], np.asarray(shadowing)[None], config)[0]
 
 
-def generate_instance(config: ScenarioConfig, drop_seed: int) -> LinkInstance:
-    """Generate one random drop.
+def generate_instances(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]:
+    """Generate a block of random drops, one per drop seed, in order.
 
     First-end nodes are placed uniformly in the square and labeled L or R
     equiprobably; the opposite end sits at the kind's nominal distance in a
-    uniformly random direction and may fall outside the square. Direct SNRs
-    are the nominal values times the link's own node-pair shadow factor;
-    cross-link INRs follow :func:`interference_tensor`.
+    uniformly random direction and may fall outside the square. Each node
+    pair draws one log-normal shadow factor, shared by both directions.
+    Direct SNRs are the nominal values times the link's own node-pair shadow
+    factor; cross-link INRs follow :func:`interference_tensor`.
 
-    Deterministic: identical (config, drop_seed) yields a bit-identical
-    instance regardless of how many fading draws are taken from it.
+    Every drop makes its own random draws, in order, then the arithmetic
+    runs once over the block's stacked arrays, whose per-drop views the
+    instances hold. Deterministic: identical (config, drop seed) yields a
+    bit-identical instance whatever the block and however many fading draws
+    are taken from it. A ValueError names the first failing drop's seed.
     """
-    drop_seed = _check_seed(drop_seed, "drop_seed")
-    m = config.num_links
-    root = np.random.SeedSequence(entropy=(config.seed, drop_seed, _INSTANCE_TAG))
-    placement_ss, shadow_ss = root.spawn(2)
-    rng = np.random.default_rng(placement_ss)
-
-    first = rng.uniform(0.0, config.area_side, size=(m, 2))
-    first_end = rng.integers(0, 2, size=m)
-    kinds = np.full(m, ASYMMETRIC, dtype=np.int8)
+    drop_seeds = [_check_seed(drop_seed, "drop_seed") for drop_seed in drop_seeds]
+    b, m = len(drop_seeds), config.num_links
+    first = np.empty((b, m, 2))
+    first_end = np.empty((b, m), dtype=np.int64)
+    kinds = np.full((b, m), ASYMMETRIC, dtype=np.int8)
+    angle = np.empty((b, m))
+    shadow_db = np.empty((b, 2 * m, 2 * m))
     num_sym = int(round(config.link_mix * m))
-    kinds[rng.permutation(m)[:num_sym]] = SYMMETRIC
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    for drop, drop_seed in enumerate(drop_seeds):
+        root = np.random.SeedSequence(entropy=(config.seed, drop_seed, _INSTANCE_TAG))
+        placement_ss, shadow_ss = root.spawn(2)
+        rng = np.random.default_rng(placement_ss)
+        first[drop] = rng.uniform(0.0, config.area_side, size=(m, 2))
+        first_end[drop] = rng.integers(0, 2, size=m)
+        kinds[drop, rng.permutation(m)[:num_sym]] = SYMMETRIC
+        angle[drop] = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        np.random.default_rng(shadow_ss).standard_normal(out=shadow_db[drop])
 
     span = config.nominal_distance()[kinds]
-    offset = span[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    positions = np.empty((m, 2, 2))
-    positions[np.arange(m), first_end] = first
-    positions[np.arange(m), 1 - first_end] = first + offset
+    offset = span[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    positions = np.empty((b, m, 2, 2))
+    rows, links = np.ogrid[:b, :m]
+    positions[rows, links, first_end] = first
+    positions[rows, links, 1 - first_end] = first + offset
 
-    # gains beyond the float range become inf or nan here and are refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        shadow_rng = np.random.default_rng(shadow_ss)
-        shadowing = _pair_shadowing(2 * m, config.shadow_sigma_db, shadow_rng)
-        own_pair = shadowing[2 * np.arange(m), 2 * np.arange(m) + 1]
-        snr = config.nominal_snr()[kinds] * own_pair[:, None]
-        try:
-            inr = interference_tensor(positions, kinds, shadowing, config)
-        except ValueError as exc:  # nodes of two links at one position
+    # gains beyond the float range become inf or nan here and are refused below;
+    # so are the infinite INRs between coincident nodes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dist = _node_distances(positions)
+        coincident = _coincident_nodes(dist)
+        # numpy's normal(0, sigma) is 0 + sigma * standard_normal: the same
+        # factors once the mirroring below adds 0 to every entry. One factor
+        # per unordered node pair; the diagonal is fixed at 1 and unused
+        shadow_db *= config.shadow_sigma_db
+        upper = np.triu(shadow_db, 1)
+        del shadow_db  # the block's (B, 2M, 2M) temporaries die as soon as they are used
+        shadowing = db_to_linear(upper + upper.swapaxes(1, 2))
+        del upper
+        own = 2 * np.arange(m)
+        snr = config.nominal_snr()[kinds] * shadowing[:, own, own + 1][..., None]
+        inr = _interference(dist, kinds, shadowing, config)
+        del dist
+    finite = np.logical_and.reduce(
+        [np.isfinite(gains).reshape(b, -1).all(axis=1) for gains in (shadowing, snr, inr)]
+    )
+    failed = {*coincident, *np.flatnonzero(~finite).tolist()}
+    if failed:
+        drop = min(failed)
+        if drop in coincident:
             raise ValueError(
-                f"drop seed {drop_seed}: {exc}; the positions are set by area_side and "
-                "d_sym/d_asym"
-            ) from None
-    if not all(np.isfinite(gains).all() for gains in (shadowing, snr, inr)):
+                f"drop seed {drop_seeds[drop]}: {coincident[drop]}; the positions are set by "
+                "area_side and d_sym/d_asym"
+            )
         raise ValueError(
-            f"drop seed {drop_seed}: the SNR, INR or shadowing is not finite; its scale is "
-            "set by shadow_sigma_db, pathloss_exp, d_sym/d_asym, area_side and the SNRs "
+            f"drop seed {drop_seeds[drop]}: the SNR, INR or shadowing is not finite; its scale "
+            "is set by shadow_sigma_db, pathloss_exp, d_sym/d_asym, area_side and the SNRs "
             "(snr_sym_db, snr_asym_lr_db, snr_asym_rl_db)"
         )
 
-    return LinkInstance(
-        num_links=m,
-        positions=positions,
-        kinds=kinds,
-        snr=snr,
-        inr=inr,
-        shadowing=shadowing,
-        seed_key=(int(config.seed), drop_seed),
-    )
+    positions, kinds, snr, inr, shadowing = map(_freeze, (positions, kinds, snr, inr, shadowing))
+    return [
+        _unchecked(
+            LinkInstance,
+            num_links=m,
+            positions=positions[drop],
+            kinds=kinds[drop],
+            snr=snr[drop],
+            inr=inr[drop],
+            shadowing=shadowing[drop],
+            seed_key=(int(config.seed), drop_seed),
+        )
+        for drop, drop_seed in enumerate(drop_seeds)
+    ]
+
+
+def generate_instance(config: ScenarioConfig, drop_seed: int) -> LinkInstance:
+    """Generate one random drop: :func:`generate_instances` of a block of one."""
+    return generate_instances(config, [drop_seed])[0]
 
 
 def _uint32_words(value: int) -> list[int]:

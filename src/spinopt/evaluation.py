@@ -13,6 +13,9 @@ bit-identical regardless of worker count. They run in blocks of
 each block one stage at a time, so that each stage's code and data stay in
 cache across the block's drops, and one task per block, in-process or on a
 process pool; a sweep sends the drops of all its points through one pool.
+Instance generation, topology graphs and spanning forests each run as one
+pass over the block's stacked arrays; a block of one calls the per-drop
+``generate_instance``, ``build_graph`` and ``maximum_spanning_tree``.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from .channel import (
     config_to_json,
     draw_fading,
     generate_instance,
+    generate_instances,
 )
 from .optimizer import DP_STEP_BUDGET, EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
 from .sinr import UtilityKind, spin_selectors, two_way_rates
-from .topology import build_graph, maximum_spanning_tree
+from .topology import build_graph, build_graphs, maximum_spanning_forests, maximum_spanning_tree
 
 ALGORITHMS = ("exhaustive", "mst_dp", "random")
 FADING_MODES = ("rayleigh", "none")
@@ -84,14 +88,20 @@ _BLOCK_DROP_BYTES = 16 << 10
 # ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
 # - per link pair (M**2): a drop's (2M, 2M) node-pair arrays and its
 #   (M, M, 2, 2) INR tensor while it is generated, which outweigh a frame of
-#   gains and its rate terms (32 + 8 B per algorithm); 197 B measured from
-#   M = 100 to 200, 256 B here;
+#   gains and its rate terms (32 + 8 B per algorithm); 159 B measured from
+#   M = 100 to 200, 256 B here. A block generates its B drops in one pass,
+#   which peaks at 170 B per link pair of its drops at M = 10 (B = 43) and
+#   163 B at M = 40 (B = 7), within this term per drop; blocks of two or
+#   more drops exist only within _BLOCK_BUDGET at _BLOCK_PAIR_BYTES per
+#   pair, so their pass peaks below _PAIR_BYTES / _BLOCK_PAIR_BYTES MiB
+#   (3.4 MiB), one of the phases of the fixed term;
 # - per held rate sample: the run's rates and one algorithm's sorted copy;
 #   15.3 B measured (one algorithm, 40 to 120 drops at M = 10), 20 B here;
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
 #   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
-#   (<= 0.5 MB), a block of samples.csv rows (~1 MB) or the exhaustive
-#   screen, whichever is larger (the rest of the peak measured 10.7 MB at
+#   (<= 0.5 MB), a block of samples.csv rows (~1 MB), a block's generation
+#   pass (< 3.4 MiB) or the exhaustive screen, which never overlap,
+#   whichever is larger (the rest of the peak measured 10.7 MB at
 #   M = 20 with exhaustive search, 9.4 MB at M = 18, <= 0.4 MB without
 #   it), 16 MiB here; the DP step's own budget; and what a block of drops
 #   holds between its stages, _BLOCK_BUDGET.
@@ -267,16 +277,22 @@ def _rank(size: int, q: float) -> int:
 def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[int]):
     """(graphs, trees, results, seconds) of a block of drops, one entry per drop.
 
-    The single algorithm dispatch of the package: builds every drop's
-    topology graph, then every maximum spanning forest, then runs each
-    algorithm's optimizer over every drop in turn with the experiment's
-    utility. A drop's ``results`` is a dict keyed by algorithm in config
-    order; ``seconds`` maps each algorithm to its time over the block. A
-    drop's ``baseline_seeds`` entry seeds its random baseline.
+    The single algorithm dispatch of the package: builds the block's
+    topology graphs in one pass, then its maximum spanning forests in one
+    Prim, then runs each algorithm's optimizer over every drop in turn with
+    the experiment's utility. A block of one takes the per-drop
+    ``build_graph`` and ``maximum_spanning_tree``, whose one-graph Prim is
+    the faster there. A drop's ``results`` is a dict keyed by algorithm in
+    config order; ``seconds`` maps each algorithm to its time over the
+    block. A drop's ``baseline_seeds`` entry seeds its random baseline.
     """
     threshold, utility = config.scenario.inr_edge_threshold, config.utility
-    graphs = [build_graph(instance, threshold) for instance in instances]
-    trees = [maximum_spanning_tree(graph) for graph in graphs]
+    if len(instances) == 1:
+        graphs = [build_graph(instances[0], threshold)]
+        trees = [maximum_spanning_tree(graphs[0])]
+    else:
+        graphs = build_graphs(np.stack([instance.inr for instance in instances]), threshold)
+        trees = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
     solvers = {
         "exhaustive": lambda inst, graph, tree, seed: exhaustive_search(inst, graph, utility),
         "mst_dp": lambda inst, graph, tree, seed: mst_dp(inst, graph, tree, utility),
@@ -307,14 +323,19 @@ def _block_drops(config: ExperimentConfig, workers: int) -> int:
 
 
 def _run_block(task) -> tuple:
-    """A block of B drops, one stage at a time over all of them: generate every
-    instance, solve every drop, build every selector, then evaluate every
-    drop's frames, hashing the fading seed states once per window of frames.
+    """A block of B drops, one stage at a time over all of them: generate the
+    instances in one pass (a block of one through ``generate_instance``),
+    solve every drop, build every selector, then evaluate every drop's
+    frames, hashing the fading seed states once per window of frames.
     Returns the (A, B, F, M) rates in bit/s, (A, B) objectives and warning
     flags, B tree child maxima and edge counts, and solve_drop's seconds."""
     config, jobs = task
     scenario = config.scenario
-    instances = [generate_instance(scenario, drop_seed) for drop_seed, _ in jobs]
+    drop_seeds = [drop_seed for drop_seed, _ in jobs]
+    if len(jobs) == 1:
+        instances = [generate_instance(scenario, drop_seeds[0])]
+    else:
+        instances = generate_instances(scenario, drop_seeds)
     graphs, trees, results, seconds = solve_drop(
         config, instances, [baseline_seed for _, baseline_seed in jobs]
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, end_planes
+from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, _unchecked, end_planes
 
 Edge = tuple[int, int, float]
 
@@ -115,23 +115,82 @@ class RootedTree:
         return max(len(c) for c in self.children)
 
 
-def build_graph(
-    instance: LinkInstance, threshold: float = DEFAULT_INR_EDGE_THRESHOLD
-) -> TopologyGraph:
-    """Topology graph: edge {k, l} iff any of the 8 cross INRs exceeds threshold."""
+def build_graphs(
+    inr: np.ndarray, threshold: float = DEFAULT_INR_EDGE_THRESHOLD
+) -> list[TopologyGraph]:
+    """Topology graphs of a block of drops from their stacked (B, M, M, 2, 2)
+    INR tensors: edge {k, l} iff any of the 8 cross INRs exceeds threshold.
+
+    The INRs are finite and non-negative, as every ``LinkInstance`` holds
+    them, so each weight matrix meets ``TopologyGraph``'s checks by
+    construction; the graphs hold read-only views of one (B, M, M) stack.
+    """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    same, opposite = end_planes(instance.inr)
+    same, opposite = end_planes(inr)
     # the four end planes hold all of a pair's INRs; an elementwise max of
     # them is exact and much faster than numpy's reduction over two length-2 axes
     peak = np.maximum(np.maximum(*same), np.maximum(*opposite))
-    edge = np.maximum(peak, peak.T) > threshold
-    np.fill_diagonal(edge, False)
+    edge = np.maximum(peak, peak.swapaxes(1, 2)) > threshold
+    vertices = np.arange(edge.shape[-1])
+    edge[:, vertices, vertices] = False
 
     # the largest change in interference power that flipping the pair's
     # relative spin causes in any of the four receive directions
     diff = np.maximum(*(np.abs(o - s) for s, o in zip(same, opposite)))
-    return TopologyGraph(np.where(edge, np.maximum(diff, diff.T), np.nan))
+    weight = np.where(edge, np.maximum(diff, diff.swapaxes(1, 2)), np.nan)
+    weight.setflags(write=False)
+    edge.setflags(write=False)
+    return [
+        _unchecked(TopologyGraph, weight=w, adjacency=a) for w, a in zip(weight, edge)
+    ]
+
+
+def build_graph(
+    instance: LinkInstance, threshold: float = DEFAULT_INR_EDGE_THRESHOLD
+) -> TopologyGraph:
+    """Topology graph of one drop: :func:`build_graphs` of a block of one."""
+    return build_graphs(instance.inr[None], threshold)[0]
+
+
+def maximum_spanning_forests(weight: np.ndarray) -> list[RootedTree]:
+    """Maximum-weight spanning forests of a block of graphs, from their
+    stacked (B, M, M) weight matrices; one Prim over the whole block.
+
+    Edges rank by descending weight, then ascending (k, l), as in
+    :func:`maximum_spanning_tree`: a stable sort of each graph's upper
+    triangle numbers its edges in that order, and Prim then grows every
+    forest of the block at once over these distinct ranks, so the parents
+    and tree edges equal that function's.
+    """
+    b, m, _ = weight.shape
+    k, l = np.triu_indices(m, 1)
+    upper = weight[:, k, l]
+    pairs = upper.shape[1]
+    ranks = np.empty((b, pairs), dtype=np.int64)
+    np.put_along_axis(ranks, np.argsort(-upper, axis=1, kind="stable"), np.arange(pairs), axis=1)
+    # no edge ranks `absent`; a tree vertex's column and best edge rank `joined`
+    absent, joined = pairs, pairs + 1
+    ranks[np.isnan(upper)] = absent
+    rank = np.full((b, m, m), absent)
+    rank[:, k, l] = rank[:, l, k] = ranks
+    # per outside vertex: the rank of its best edge into the tree and that edge's tree end
+    best = np.full((b, m), absent)
+    via = np.full((b, m), -1)
+    parent = np.empty((b, m), dtype=np.int64)
+    rows = np.arange(b)
+    for _ in range(m):
+        # the best-ranked edge into the tree; with none, the first outside
+        # vertex, which is its component's lowest, roots the next tree (via -1)
+        v = best.argmin(axis=1)
+        parent[rows, v] = via[rows, v]
+        best[rows, v] = joined
+        rank[rows, :, v] = joined
+        offer = rank[rows, v]
+        better = offer < best
+        np.copyto(best, offer, where=better)
+        np.copyto(via, v[:, None], where=better)
+    return _rooted_trees(weight, parent)
 
 
 def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
@@ -142,6 +201,10 @@ def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
     equal-weight choices are deterministic. Each component grows from its
     lowest unvisited vertex, which is its root; a vertex's parent is the
     tree vertex it joins through, so children come out ascending.
+
+    One graph's Prim, for a block of one: on one graph of M = 200 it takes
+    about half the time of :func:`maximum_spanning_forests`, whose ranking
+    sort and fancy indexing pay off only across a block.
     """
     m = graph.num_vertices
     # a vertex's column is blanked when it joins, so no later row offers an edge to it
@@ -168,11 +231,25 @@ def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
         better = (w > best) | ((w == best) & (v < via))
         np.copyto(best, w, where=better)
         np.copyto(via, v, where=better)
+    return _rooted_trees(graph.weight[None], parent[None])[0]
 
-    child = np.flatnonzero(parent >= 0)
-    kept = np.zeros((m, m), dtype=bool)
-    kept[child, parent[child]] = kept[parent[child], child] = True
-    return RootedTree(tuple(parent.tolist()), _edge_list(graph.weight, kept))
+
+def _rooted_trees(weight: np.ndarray, parent: np.ndarray) -> list[RootedTree]:
+    """The RootedTree of each row of a (B, M) parent stack, its tree edges
+    weighted from the (B, M, M) weight stack."""
+    b, m = parent.shape
+    drop, child = np.nonzero(parent >= 0)
+    via = parent[drop, child]
+    k, l = np.minimum(child, via), np.maximum(child, via)
+    # one edge per child: sorted by drop, then (k, l)
+    order = np.argsort((drop * m + k) * m + l)
+    drop, k, l = drop[order], k[order], l[order]
+    edges = list(zip(k.tolist(), l.tolist(), weight[drop, k, l].tolist()))
+    stops = np.cumsum(np.bincount(drop, minlength=b)).tolist()
+    return [
+        RootedTree(tuple(row), tuple(edges[start:stop]))
+        for row, start, stop in zip(parent.tolist(), [0, *stops], stops)
+    ]
 
 
 def _edge_list(weight: np.ndarray, mask: np.ndarray) -> tuple[Edge, ...]:

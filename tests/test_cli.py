@@ -8,10 +8,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinopt import evaluation
-from spinopt.channel import ScenarioConfig, instance_from_json
+from spinopt.channel import ScenarioConfig, generate_instance, instance_from_json
 from spinopt.cli import _write_json, main
 from spinopt.evaluation import ALGORITHMS, ExperimentConfig
 from spinopt.optimizer import EXHAUSTIVE_CAP
@@ -512,6 +513,52 @@ def test_coincident_nodes_name_the_keys_that_place_them(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: drop seed ") and err.count("\n") == 1
     assert all(key in err for key in ("nodes coincide", "area_side", "d_sym", "d_asym"))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "scenario",
+    # some drops' gains overflow; at 1e-161 m every drop fails, some with
+    # coincident nodes and some with gains that overflow
+    [{"shadow_sigma_db": 2000}, {"area_side": 1e-161}],
+    ids=["overflow", "coincide-or-overflow"],
+)
+def test_a_block_names_its_first_failing_drop(tmp_path, capsys, command, scenario):
+    # 12 drops run in blocks of 3, each block generated in one pass: the one
+    # error line is the one the first failing drop raises alone
+    scenario = {"num_links": 3, "seed": 1, **scenario}
+    config = ExperimentConfig(ScenarioConfig(**scenario), num_drops=12, frames_per_drop=1)
+    assert evaluation._block_drops(config, 1) == 3
+    cfg = write_config(
+        tmp_path,
+        scenario=scenario,
+        experiment={"num_drops": 12, "frames_per_drop": 1, "master_seed": 9},
+        sweep={"parameter": "num_links", "values": [3]},
+    )
+    master_seed = 9
+    if command == "sweep":  # the master seed sweep() derives for point 0
+        entropy = (master_seed, 0, evaluation._SWEEP_TAG)
+        master_seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    seeds = np.random.SeedSequence(master_seed).generate_state(24, np.uint64)[0::2].tolist()
+    errors = []
+    for drop_seed in seeds:
+        try:
+            generate_instance(ScenarioConfig(**scenario), drop_seed)
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    failed = [error is not None for error in errors]
+    first = failed.index(True)
+    if "shadow_sigma_db" in scenario:
+        # the first failing drop is inside its block, and a later one of the block fails too
+        assert first % 3 and any(failed[first + 1 : first // 3 * 3 + 3])
+    else:
+        assert all(failed) and len({"coincide" in error for error in errors}) == 2
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {errors[first]}\n"
+    assert errors[first].startswith(f"drop seed {seeds[first]}: ")
     assert not (tmp_path / "o").exists()
 
 

@@ -16,7 +16,7 @@ from helpers import (
     write_samples_csv_rows,
 )
 from spinopt import channel, cli, evaluation
-from spinopt.channel import ScenarioConfig, generate_instance
+from spinopt.channel import ScenarioConfig, generate_instance, generate_instances
 from spinopt.cli import load_config, main
 from spinopt.evaluation import (
     ALGORITHMS,
@@ -380,8 +380,9 @@ def test_block_size_follows_the_budget(monkeypatch, drops):
 def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_links):
     # from the block's last spin_selectors call on, the block holds its
     # drops (at most the budget, or the one drop a block holds at least)
-    # and its rates while each chunk is drawn and rated; before it, a drop's
-    # own transients are the per-pair term of peak_bytes()
+    # and its rates while each chunk is drawn and rated; before it, the
+    # block's generation pass peaks within the per-pair term of peak_bytes()
+    # for each of its drops (test_a_blocks_generation_pass_peaks_...)
     algorithms = ALGORITHMS if num_links <= 20 else ("mst_dp", "random")
     frame_bytes = 8 * (2 * num_links + 4 * num_links**2) + evaluation._FRAME_STATE_BYTES
     frames = max(1, evaluation.FRAME_CHUNK_BUDGET // frame_bytes)  # one whole chunk a drop
@@ -415,6 +416,36 @@ def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_li
     chunk_phase = frames * frame_bytes + 8 * len(algorithms) * num_links**2 * frames
     samples = 8 * block * len(algorithms) * frames * num_links
     assert peak <= 1.25 * (max(evaluation._BLOCK_BUDGET, held) + chunk_phase) + samples
+
+
+@pytest.mark.parametrize("num_links", [10, 40])
+def test_a_blocks_generation_pass_peaks_within_the_per_pair_term_of_its_drops(num_links):
+    # the largest block the budget allows generates its drops in one pass:
+    # it peaks at more than half and at most all of peak_bytes()'s per-pair
+    # term for each of its drops, and as blocks of two or more drops hold at
+    # most _BLOCK_BUDGET at _BLOCK_PAIR_BYTES per pair, that stays within
+    # the fixed term's phases
+    held = evaluation._BLOCK_PAIR_BYTES * num_links**2 + evaluation._BLOCK_DROP_BYTES
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=num_links, link_mix=0.5, seed=1),
+        num_drops=4 * (evaluation._BLOCK_BUDGET // held),
+    )
+    block = evaluation._block_drops(config, 1)
+    assert block == {10: 43, 40: 7}[num_links]
+    drop_seeds = list(range(100, 100 + block))
+    generate_instances(config.scenario, drop_seeds)
+    tracemalloc.start()
+    try:
+        instances = generate_instances(config.scenario, drop_seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(instances) == block
+    model = evaluation._PAIR_BYTES * block * num_links**2
+    assert model / 2 < peak <= model
+    phases = evaluation._FIXED_BYTES - evaluation.DP_STEP_BUDGET - evaluation._BLOCK_BUDGET
+    most = evaluation._PAIR_BYTES / evaluation._BLOCK_PAIR_BYTES * evaluation._BLOCK_BUDGET
+    assert model <= most < phases
 
 
 @pytest.mark.parametrize(
@@ -828,18 +859,27 @@ def count_fading_states(monkeypatch) -> list[list[tuple[int, range]]]:
     return calls
 
 
-@pytest.mark.parametrize("fading", FADING_MODES)
-def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fading):
+@pytest.mark.parametrize(
+    "fading, block",
+    [(fading, block) for block in (3, 1) for fading in FADING_MODES],
+    ids=[*FADING_MODES, *(f"{fading}-blocks-of-one" for fading in FADING_MODES)],
+)
+def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fading, block):
     # the counts bench/probe.py traces through evaluation's module globals:
-    # an evaluate of 12 drops runs 4 blocks of 3, each drop of 7 frames in
-    # chunks of 3
+    # an evaluate of 12 drops runs 4 blocks of 3, or with no block budget 12
+    # blocks of one, each drop of 7 frames in chunks of 3. A block of 3
+    # generates its instances, graphs and forests in one call each; a block
+    # of one calls the per-drop functions, the ones the probe wraps
     m = 4
     frame_bytes = 8 * (2 * m + 4 * m**2) + evaluation._FRAME_STATE_BYTES
     monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", 3 * frame_bytes)
+    if block == 1:
+        monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", 0)
+    per_drop_stages = ("generate_instance", "build_graph", "maximum_spanning_tree")
+    block_stages = ("generate_instances", "build_graphs", "maximum_spanning_forests")
     layers = (
-        "generate_instance",
-        "build_graph",
-        "maximum_spanning_tree",
+        *per_drop_stages,
+        *block_stages,
         "exhaustive_search",
         "mst_dp",
         "random_spins",
@@ -883,11 +923,16 @@ def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fad
     )
     args = ["evaluate", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
     assert main(args) == 0
-    assert blocks == [3, 3, 3, 3]
     drops, chunks = 12, 12 * 3 if fading == "rayleigh" else 0
-    per_drop = dict.fromkeys(layers, drops)
-    per_drop.update(draw_fading=chunks, two_way_rates=chunks or drops)
-    assert calls == per_drop
+    assert blocks == [block] * (drops // block)
+    expected = dict.fromkeys(layers, drops)
+    expected.update(draw_fading=chunks, two_way_rates=chunks or drops)
+    if block == 1:
+        expected.update(dict.fromkeys(block_stages, 0))
+    else:
+        expected.update(dict.fromkeys(block_stages, drops // block))
+        expected.update(dict.fromkeys(per_drop_stages, 0))
+    assert calls == expected
 
 
 def drop_index(seed_key) -> int:

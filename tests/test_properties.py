@@ -47,6 +47,7 @@ from spinopt.channel import (
     _fading_states,
     draw_fading,
     generate_instance,
+    generate_instances,
     instance_from_json,
     instance_to_json,
     interference_tensor,
@@ -68,7 +69,12 @@ from spinopt.sinr import (
     spin_selectors,
     two_way_rates,
 )
-from spinopt.topology import build_graph, maximum_spanning_tree
+from spinopt.topology import (
+    build_graph,
+    build_graphs,
+    maximum_spanning_forests,
+    maximum_spanning_tree,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 # each example starts a process pool, so this property gets few of them
@@ -151,6 +157,102 @@ def test_spanning_forest_equals_kruskal_oracle(graph_edges):
     assert tree.children == oracle.children
     assert tree.order == oracle.order
     assert tree.tree_edges == oracle.tree_edges
+
+
+@st.composite
+def weighted_graph_blocks(draw, max_vertices=10, max_block=6):
+    """(num_vertices, edge lists): a block of graphs on one vertex count, each
+    drawn as ``weighted_graphs`` draws one, so ties and disconnected graphs
+    are common."""
+    m = draw(st.integers(1, max_vertices))
+    block = []
+    for _ in range(draw(st.integers(1, max_block))):
+        levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=3))
+        density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        block.append(
+            [
+                (k, l, float(rng.choice(levels)))
+                for k in range(m)
+                for l in range(k + 1, m)
+                if rng.random() < density
+            ]
+        )
+    return m, block
+
+
+@PROPERTY
+@given(weighted_graph_blocks())
+# one vertex; equal weights everywhere beside a disconnected graph; a
+# weighted triangle whose ties break on (k, l)
+@example((1, [[], []]))
+@example((4, [[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)], []]))
+@example((3, [[(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)], [(0, 2, 2.5), (1, 2, 0.0)]]))
+def test_forest_blocks_equal_one_graph_prim(graph_block):
+    # the block Prim over ranked edges equals the one-graph Prim graph by graph
+    m, block = graph_block
+    graphs = [graph_from(m, edges) for edges in block]
+    forests = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
+    assert len(forests) == len(graphs)
+    for forest, graph in zip(forests, graphs):
+        tree = maximum_spanning_tree(graph)
+        assert forest.parent == tree.parent
+        assert forest.tree_edges == tree.tree_edges
+        assert (forest.roots, forest.children, forest.order) == (
+            tree.roots,
+            tree.children,
+            tree.order,
+        )
+
+
+@PROPERTY
+@given(
+    st.integers(1, 40),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, -0.0, 8.0, 30.0]),
+    EDGE_SEEDS,
+    st.lists(EDGE_SEEDS, min_size=1, max_size=8),
+)
+@example(1, 0.5, -0.0, 0, [2**64 - 1, 0])
+@example(40, 0.5, 8.0, 2**32, [2**32 - 1] * 8)
+def test_instance_blocks_equal_one_drop_at_a_time(m, link_mix, sigma, seed, drop_seeds):
+    config = ScenarioConfig(num_links=m, link_mix=link_mix, shadow_sigma_db=sigma, seed=seed)
+    block = generate_instances(config, drop_seeds)
+    assert len(block) == len(drop_seeds)
+    for inst, drop_seed in zip(block, drop_seeds):
+        alone = generate_instance(config, drop_seed)
+        for name in ("positions", "kinds", "snr", "inr", "shadowing"):
+            assert same_bytes(getattr(inst, name), getattr(alone, name))
+            assert not getattr(inst, name).flags.writeable
+        assert inst.seed_key == alone.seed_key == (seed, drop_seed)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 12),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    st.sampled_from([0.0, 1e-2, 1.0, 1e4, 1e300]),
+    st.booleans(),
+)
+def test_graph_blocks_equal_one_graph_at_a_time(m, seeds, threshold, extreme):
+    # random drops, or INRs over twelve orders of magnitude with zeros
+    if extreme:
+        instances = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            inr = 10.0 ** rng.uniform(-4.0, 8.0, size=(m, m, 2, 2))
+            inr[rng.random((m, m, 2, 2)) < 0.2] = 0.0
+            inr[np.arange(m), np.arange(m)] = 0.0
+            instances.append(build_instance(inr))
+    else:
+        instances = [random_instance(m, seed)[1] for seed in seeds]
+    graphs = build_graphs(np.stack([inst.inr for inst in instances]), threshold)
+    assert len(graphs) == len(instances)
+    for graph, inst in zip(graphs, instances):
+        alone = build_graph(inst, threshold)
+        assert same_bytes(graph.weight, alone.weight)
+        assert same_bytes(graph.adjacency, alone.adjacency)
+        assert not graph.weight.flags.writeable and not graph.adjacency.flags.writeable
 
 
 @PROPERTY
