@@ -594,8 +594,9 @@ def draw_fading(
         rng = np.random.Generator(np.random.PCG64(seed_words(words)))
         rng.standard_exponential(out=snr_row)
         rng.standard_exponential(out=inr_row)
-    snr *= instance.snr
-    inr *= instance.inr
+    with np.errstate(over="ignore"):  # a gain beyond the float range becomes inf
+        snr *= instance.snr
+        inr *= instance.inr
     return FadingDraw(snr=snr, inr=inr)
 
 

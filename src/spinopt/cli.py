@@ -151,8 +151,8 @@ def _cmd_optimize(args) -> int:
         instance = channel.instance_from_json(_read_json(args.instance, "instance"))
     else:
         instance = channel.generate_instance(config.scenario, args.drop)
-    graphs, trees, drops, seconds = evaluation.solve_drop(config, [instance], [config.master_seed])
-    graph, tree, results = graphs[0], trees[0], drops[0]
+    solved = evaluation.solve_drop(config, [instance], [config.master_seed])
+    (graph,), (tree,), _, (results,), seconds = solved
 
     out = _out_dir(args)
     _write_json(

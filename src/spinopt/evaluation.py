@@ -41,9 +41,10 @@ from .channel import (
     draw_fading,
     generate_instance,
     generate_instances,
+    _unchecked,
 )
 from .optimizer import DP_STEP_BUDGET, EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
-from .sinr import UtilityKind, spin_selectors, two_way_rates
+from .sinr import UtilityKind, spin_planes, spin_selectors, two_way_rates
 from .topology import build_graph, build_graphs, maximum_spanning_forests, maximum_spanning_tree
 
 ALGORITHMS = ("exhaustive", "mst_dp", "random")
@@ -59,9 +60,9 @@ _SWEEP_TAG = 0x3
 # 148 frames (3.5 kB each) at M = 10, 2,520 at M = 1, 1 at M = 200. A
 # chunk's tracemalloc peak is its gains and seed state: 0.57 MB at M = 10,
 # 0.39 MB at M = 1, 1.29 MB for the 1.28 MB frame at M = 200. The one rate
-# call per chunk adds the (A, F, M, M) interference terms of its A
-# algorithms, 8 B per algorithm, link pair and frame: 0.39 MB for 3 at
-# M = 10, 0.71 MB for 2 at M = 200. They stay out of the divisor: counting
+# call per chunk adds the (A, F, M, M) selected INRs of one direction at a
+# time, 8 B per algorithm, link pair and frame: 0.36 MB for 3 algorithms at
+# M = 10, 0.65 MB for 2 at M = 200. They stay out of the divisor: counting
 # them split a drop of mc_m10 (M = 10, 100 frames) into two chunks and made
 # its run_experiment ~7 % slower. Without the cap, the 10 frames of an
 # M = 200 drop (12.8 MB of gains, plus temporaries of that size) raised an
@@ -74,33 +75,33 @@ FRAME_CHUNK_BUDGET = 512 << 10
 _FRAME_STATE_BYTES = 160
 _STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
 
-# Bytes a block of drops may hold between its stages: its instances, graphs,
-# forests, optimizer results and spin selectors, per drop _BLOCK_PAIR_BYTES
-# per link pair plus _BLOCK_DROP_BYTES. Measured per drop under tracemalloc:
-# 75.6 B per pair at M = 200, 76.6 at M = 100, 12.4 kB in all at M = 10
-# (3 algorithms), 3.6 kB at M = 1. So 25 drops of mc_m10 hold 0.31 MB, and
-# a drop at M = 200 holds 3.0 MB alone and runs as a block of one.
+# Bytes a block of drops may hold between its stages (instances, graphs,
+# forests, spin planes, optimizer results, spin selectors): per drop
+# _BLOCK_PAIR_BYTES per link pair plus _BLOCK_DROP_BYTES. Measured per drop
+# under tracemalloc: 107.8 B per pair at M = 200, 108.2 at M = 100, 15.0 kB in
+# all at M = 10 (3 algorithms), 2.8 kB at M = 1. So a block holds at most 38
+# drops at M = 10 and 5 at M = 40, and a drop at M = 200 (4.3 MB) runs alone.
 _BLOCK_BUDGET = 1 << 20
-_BLOCK_PAIR_BYTES = 76
+_BLOCK_PAIR_BYTES = 108
 _BLOCK_DROP_BYTES = 16 << 10
 
 # Memory budget of one run, checked by ExperimentConfig against
 # ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
 # - per link pair (M**2): a drop's (2M, 2M) node-pair arrays and its
 #   (M, M, 2, 2) INR tensor while it is generated, which outweigh a frame of
-#   gains and its rate terms (32 + 8 B per algorithm); 159 B measured from
+#   gains and its rate terms (32 + 8 B per algorithm); 160 B measured from
 #   M = 100 to 200, 256 B here. A block generates its B drops in one pass,
-#   which peaks at 170 B per link pair of its drops at M = 10 (B = 43) and
-#   163 B at M = 40 (B = 7), within this term per drop; blocks of two or
+#   which peaks at 170 B per link pair of its drops at M = 10 (B = 38) and
+#   163 B at M = 40 (B = 5), within this term per drop; blocks of two or
 #   more drops exist only within _BLOCK_BUDGET at _BLOCK_PAIR_BYTES per
 #   pair, so their pass peaks below _PAIR_BYTES / _BLOCK_PAIR_BYTES MiB
-#   (3.4 MiB), one of the phases of the fixed term;
+#   (2.4 MiB), one of the phases of the fixed term;
 # - per held rate sample: the run's rates and one algorithm's sorted copy;
 #   15.3 B measured (one algorithm, 40 to 120 drops at M = 10), 20 B here;
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
 #   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
 #   (<= 0.5 MB), a block of samples.csv rows (~1 MB), a block's generation
-#   pass (< 3.4 MiB) or the exhaustive screen, which never overlap,
+#   pass (< 2.4 MiB) or the exhaustive screen, which never overlap,
 #   whichever is larger (the rest of the peak measured 10.7 MB at
 #   M = 20 with exhaustive search, 9.4 MB at M = 18, <= 0.4 MB without
 #   it), 16 MiB here; the DP step's own budget; and what a block of drops
@@ -275,37 +276,39 @@ def _rank(size: int, q: float) -> int:
 
 
 def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[int]):
-    """(graphs, trees, results, seconds) of a block of drops, one entry per drop.
+    """(graphs, trees, planes, results, seconds) of a block of drops, one entry per drop.
 
     The single algorithm dispatch of the package: builds the block's
-    topology graphs in one pass, then its maximum spanning forests in one
-    Prim, then runs each algorithm's optimizer over every drop in turn with
-    the experiment's utility. A block of one takes the per-drop
+    topology graphs, maximum spanning forests (one Prim) and spin planes in
+    one pass each, then runs each algorithm's optimizer over every drop in
+    turn with the experiment's utility. A block of one takes the per-drop
     ``build_graph`` and ``maximum_spanning_tree``, whose one-graph Prim is
     the faster there. A drop's ``results`` is a dict keyed by algorithm in
     config order; ``seconds`` maps each algorithm to its time over the
     block. A drop's ``baseline_seeds`` entry seeds its random baseline.
     """
     threshold, utility = config.scenario.inr_edge_threshold, config.utility
+    inr = [instance.inr for instance in instances]
     if len(instances) == 1:
         graphs = [build_graph(instances[0], threshold)]
         trees = [maximum_spanning_tree(graphs[0])]
     else:
-        graphs = build_graphs(np.stack([instance.inr for instance in instances]), threshold)
+        graphs = build_graphs(np.stack(inr), threshold)
         trees = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
+    planes = spin_planes(inr, np.stack([graph.adjacency for graph in graphs]))
     solvers = {
-        "exhaustive": lambda inst, graph, tree, seed: exhaustive_search(inst, graph, utility),
-        "mst_dp": lambda inst, graph, tree, seed: mst_dp(inst, graph, tree, utility),
-        "random": lambda inst, graph, tree, seed: random_spins(inst, graph, utility, seed),
+        "exhaustive": lambda inst, g, tree, p, seed: exhaustive_search(inst, g, utility, p),
+        "mst_dp": lambda inst, g, tree, p, seed: mst_dp(inst, g, tree, utility, p),
+        "random": lambda inst, g, tree, p, seed: random_spins(inst, g, utility, seed, p),
     }
     results: list[dict] = [{} for _ in instances]
     seconds: dict[str, float] = {}
     for name in config.algorithms:
         start = time.perf_counter()
-        for drop, args in zip(results, zip(instances, graphs, trees, baseline_seeds)):
+        for drop, args in zip(results, zip(instances, graphs, trees, planes, baseline_seeds)):
             drop[name] = solvers[name](*args)
         seconds[name] = time.perf_counter() - start
-    return graphs, trees, results, seconds
+    return graphs, trees, planes, results, seconds
 
 
 def _cpu_count() -> int:
@@ -326,7 +329,8 @@ def _run_block(task) -> tuple:
     """A block of B drops, one stage at a time over all of them: generate the
     instances in one pass (a block of one through ``generate_instance``),
     solve every drop, build every selector, then evaluate every drop's
-    frames, hashing the fading seed states once per window of frames.
+    frames, hashing the fading seed states once per window of frames and
+    refusing, by drop seed, a faded SNR beyond the float range (a non-finite rate).
     Returns the (A, B, F, M) rates in bit/s, (A, B) objectives and warning
     flags, B tree child maxima and edge counts, and solve_drop's seconds."""
     config, jobs = task
@@ -336,9 +340,11 @@ def _run_block(task) -> tuple:
         instances = [generate_instance(scenario, drop_seeds[0])]
     else:
         instances = generate_instances(scenario, drop_seeds)
-    graphs, trees, results, seconds = solve_drop(
+    graphs, trees, planes, results, seconds = solve_drop(
         config, instances, [baseline_seed for _, baseline_seed in jobs]
     )
+    # each drop with its planes as INR: the rates' long-term gains, which its fading scales
+    instances = [_unchecked(type(i), **{**vars(i), "inr": p}) for i, p in zip(instances, planes)]
     # one row per algorithm: a chunk's rates come from one call for all of them
     selectors = [
         spin_selectors(graph, np.stack([res.spins for res in drop.values()]))
@@ -364,6 +370,12 @@ def _run_block(task) -> tuple:
             states = _fading_states([(instances[drop].seed_key, frames) for drop, frames in window])
             for (drop, frames), chunk_states in zip(window, states):
                 draw = draw_fading(instances[drop], frames, chunk_states)
+                if not np.isfinite(draw.snr).all():
+                    raise ValueError(
+                        f"drop seed {drop_seeds[drop]}: a faded SNR is not finite; its scale is "
+                        "set by shadow_sigma_db and the SNRs (snr_sym_db, snr_asym_lr_db, "
+                        "snr_asym_rl_db)"
+                    )
                 rates[:, drop, frames.start : frames.stop] = two_way_rates(draw, selectors[drop])
     rates *= config.bandwidth_hz
     objectives = [[drop[name].objective_exact for drop in results] for name in config.algorithms]

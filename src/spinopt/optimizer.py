@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkInstance, end_planes
-from .sinr import UtilityKind, denominators, network_utilities, network_utility
+from .sinr import UtilityKind, denominators, network_utilities, network_utility, spin_planes
 from .topology import RootedTree, TopologyGraph, relative_from_spins
 
 # Largest M exhaustive search accepts: 2**(M-1) assignments.
@@ -40,8 +40,8 @@ _DP_ROW_BYTES = 104
 CHILD_CAP = (DP_STEP_BUDGET // _DP_ROW_BYTES).bit_length() - 1
 
 _BATCH = 1 << 13
-# The exact re-rank holds one (N, M, M, 2) float64 array per batch of N
-# candidates: 3.3 MB at M = 20, of a 5.0 MB tracemalloc peak.
+# The exact re-rank holds one direction's (N, M, M) float64 terms at a time
+# per batch of N candidates: 1.6 MB at M = 20, of a 2.3 MB tracemalloc peak.
 _RERANK_BATCH = 1 << 9
 
 # The exhaustive screen sums denominators in another order than
@@ -87,23 +87,20 @@ def _utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
 
 
 def _spin_batch_utilities(
-    instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, spins: np.ndarray
+    snr: np.ndarray, planes: np.ndarray, kind: UtilityKind, spins: np.ndarray
 ) -> np.ndarray:
     """Exact network utility for a batch of absolute spin vectors (N, M)."""
-    mask = graph.adjacency.astype(float)
     s = spins.astype(float)
     c = 1.0 - s
     rates = 0.0
-    for d, (same, opposite) in enumerate(zip(*end_planes(instance.inr))):
-        t0 = same * mask
-        t1 = opposite * mask
-        # neighbor k contributes t1 when s_k XOR s_l = 1, else t0; summing
-        # selected non-negative terms (never t0 + diff) avoids cancellation
+    for d, (same, opposite) in enumerate(zip(*end_planes(planes))):
+        # neighbor k contributes opposite when s_k XOR s_l = 1, else same; summing
+        # selected non-negative terms (never same + diff) avoids cancellation
         # when the two INR values differ by orders of magnitude
-        when_l0 = s @ t1 + c @ t0
-        when_l1 = s @ t0 + c @ t1
+        when_l0 = s @ opposite + c @ same
+        when_l1 = s @ same + c @ opposite
         den = 1.0 + np.where(spins == 0, when_l0, when_l1)
-        rates = rates + np.log2(1.0 + instance.snr[:, d] / den)
+        rates = rates + np.log2(1.0 + snr[:, d] / den)
     with np.errstate(divide="ignore"):
         return _utilities(rates, kind).sum(axis=1)
 
@@ -114,9 +111,7 @@ def _screen_floor(best: float) -> float:
 
 
 def exhaustive_search(
-    instance: LinkInstance,
-    graph: TopologyGraph,
-    kind: UtilityKind,
+    instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, planes=None
 ) -> OptimizationResult:
     """Globally optimal spins by enumeration.
 
@@ -134,6 +129,7 @@ def exhaustive_search(
             f"exhaustive search refused: {m} links exceeds the cap of {EXHAUSTIVE_CAP} "
             f"(2**(M-1) assignments)"
         )
+    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
     fixed = {comp[0] for comp in graph.components()}
     free = [v for v in range(m) if v not in fixed]
     nbits = len(free)
@@ -146,7 +142,7 @@ def exhaustive_search(
         batch = np.zeros((count, m), dtype=np.int8)
         for j, v in enumerate(free):
             batch[:, v] = (codes >> (nbits - 1 - j)) & 1
-        utilities = _spin_batch_utilities(instance, graph, kind, batch)
+        utilities = _spin_batch_utilities(instance.snr, planes, kind, batch)
         top = max(top, float(utilities.max()))
         near = utilities >= _screen_floor(top)
         screened.append(utilities[near])
@@ -157,12 +153,12 @@ def exhaustive_search(
     exact = []
     for start in range(0, len(candidates), _RERANK_BATCH):
         batch = candidates[start : start + _RERANK_BATCH]
-        exact += network_utilities(instance, graph, kind, batch)
+        exact += network_utilities(instance, graph, kind, batch, planes)
     if exact:
         best_spins, objective, warning = candidates[np.argmax(exact)], max(exact), None
     else:
         best_spins = np.zeros(m, dtype=np.int8)
-        objective = network_utility(instance, graph, kind, best_spins)
+        objective = network_utility(instance, graph, kind, best_spins, planes)
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
         spins=best_spins,
@@ -173,10 +169,7 @@ def exhaustive_search(
 
 
 def mst_dp(
-    instance: LinkInstance,
-    graph: TopologyGraph,
-    tree: RootedTree,
-    kind: UtilityKind,
+    instance: LinkInstance, graph: TopologyGraph, tree: RootedTree, kind: UtilityKind, planes=None
 ) -> OptimizationResult:
     """Spanning-forest pruning plus max-sum dynamic programming.
 
@@ -200,16 +193,16 @@ def mst_dp(
             f"{CHILD_CAP} (2**children combinations per vertex)"
         )
     m = graph.num_vertices
-    # pick[k, l, edge spin, direction]: the INR k adds at l's receivers
-    pick = np.stack([np.stack(planes, axis=-1) for planes in end_planes(instance.inr)], axis=2)
-    same, opposite = pick[:, :, 0], pick[:, :, 1]
+    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
     parent = np.array(tree.parent)
     child = np.flatnonzero(parent >= 0)
-    in_tree = np.zeros((m, m), dtype=bool)
-    in_tree[child, parent[child]] = True
-    in_tree[parent[child], child] = True
-    chords = (graph.adjacency & ~in_tree)[:, :, None]
-    base = denominators((same + opposite) / 2.0 * chords)  # (M, 2): noise + chords
+    # up[v] / down[v], [edge spin, direction]: the INR v's parent adds at v / v at it; roots unread
+    pairs = (planes[parent, np.arange(m)], planes[np.arange(m), parent])
+    up, down = (np.stack([np.stack(e, axis=-1) for e in end_planes(p)], axis=1) for p in pairs)
+    # chords[direction, k, l]: a non-tree neighbour at the average of its two INRs
+    chords = np.stack([same + opposite for same, opposite in zip(*end_planes(planes))]) / 2.0
+    chords[:, child, parent[child]] = chords[:, parent[child], child] = 0.0
+    base = denominators(chords).T  # (M, 2): noise + chords
 
     # mu[v, b]: best subtree utility of v given its parent-edge spin b;
     # best_row[v, b]: the child-edge spins achieving it, first child in the
@@ -222,7 +215,7 @@ def mst_dp(
     leaf[child] = True
     leaf[parent[child]] = False
     leaves = np.flatnonzero(leaf)
-    den = base[leaves][:, None, :] + pick[parent[leaves], leaves]
+    den = base[leaves][:, None, :] + up[leaves]
     with np.errstate(divide="ignore"):
         rates = np.log2(1.0 + instance.snr[leaves][:, None, :] / den)
         mu[leaves] = _utilities(rates[..., 0] + rates[..., 1], kind)
@@ -235,10 +228,10 @@ def mst_dp(
             p = tree.parent[l]
             # den[parent spin, row, direction]; each child doubles the rows and
             # its edge spin becomes the lowest bit of the row index
-            den = (base[l] + pick[p, l] if p >= 0 else base[l][None])[:, None, :]
+            den = (base[l] + up[l] if p >= 0 else base[l][None])[:, None, :]
             message_sum = np.zeros(1)
             for k in tree.children[l]:
-                den = (den[:, :, None, :] + pick[k, l]).reshape(len(den), -1, 2)
+                den = (den[:, :, None, :] + down[k]).reshape(len(den), -1, 2)
                 message_sum = np.add.outer(message_sum, mu[k]).ravel()
             rates = np.log2(1.0 + instance.snr[l] / den)
             total = _utilities(rates[..., 0] + rates[..., 1], kind) + message_sum
@@ -264,20 +257,20 @@ def mst_dp(
         warning = "all assignments have -inf utility; returning the all-zero spins"
     return OptimizationResult(
         spins=spins,
-        objective_exact=network_utility(instance, graph, kind, spins),
+        objective_exact=network_utility(instance, graph, kind, spins, planes),
         objective_approx=objective_approx,
         warning=warning,
     )
 
 
 def random_spins(
-    instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, seed: int
+    instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, seed: int, planes=None
 ) -> OptimizationResult:
     """Uniform random spin baseline, evaluated exactly."""
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=graph.num_vertices, dtype=np.int8)
     return OptimizationResult(
         spins=spins,
-        objective_exact=network_utility(instance, graph, kind, spins),
+        objective_exact=network_utility(instance, graph, kind, spins, planes),
         objective_approx=None,
     )

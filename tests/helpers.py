@@ -24,7 +24,7 @@ from spinopt.channel import (
 )
 from spinopt.evaluation import FRAME_CHUNK_BUDGET, _rank, plot_rows, solve_drop
 from spinopt.optimizer import OptimizationResult, network_utility
-from spinopt.sinr import UtilityKind, denominators, link_utility, spin_selectors, two_way_rates
+from spinopt.sinr import UtilityKind, link_utility, spin_planes, spin_selectors, two_way_rates
 from spinopt.topology import RootedTree, TopologyGraph
 
 
@@ -68,6 +68,12 @@ def node_positions(instance: LinkInstance) -> np.ndarray:
 def random_instance(num_links, seed, link_mix=0.5, **overrides):
     cfg = ScenarioConfig(num_links=num_links, link_mix=link_mix, seed=seed, **overrides)
     return cfg, generate_instance(cfg, drop_seed=seed)
+
+
+def on_graph(values, graph: TopologyGraph) -> SimpleNamespace:
+    """``values``' snr and, as ``two_way_rates`` reads them, its INR on the
+    graph's edges: ``spin_planes(values.inr, graph.adjacency)``."""
+    return SimpleNamespace(snr=values.snr, inr=spin_planes(values.inr, graph.adjacency))
 
 
 def graph_from(num_vertices, edges) -> TopologyGraph:
@@ -318,7 +324,8 @@ def mst_dp_per_vertex(
     in_tree[child, parent[child]] = True
     in_tree[parent[child], child] = True
     chords = (graph.adjacency & ~in_tree)[:, :, None]
-    base = denominators((same + opposite) / 2.0 * chords)
+    # noise first, then each chord in ascending k, per direction
+    base = np.add.reduce((same + opposite) / 2.0 * chords, axis=0, initial=1.0)
 
     mu = np.zeros((m, 2))
     best_row = np.zeros((m, 2), dtype=np.int64)
@@ -439,18 +446,20 @@ def graph_weight_reduce(instance: LinkInstance, threshold: float) -> np.ndarray:
     return np.where(edge, np.maximum(diff, diff.T), np.nan)
 
 
-def two_way_rates_masks(values, graph: TopologyGraph, spins) -> np.ndarray:
-    """Reference form of ``sinr.two_way_rates``, which must match it bit for
-    bit on finite gains: 0/1 float masks ``s0`` (an edge, equal spins) and
-    ``s1`` (an edge, different spins), and each denominator
-    ``1 + sum_k (s0 * same + s1 * opposite)``."""
-    differ = spins[:, None] != spins[None, :]
-    s0 = (graph.adjacency & ~differ).astype(float)
-    s1 = (graph.adjacency & differ).astype(float)
-    inr, snr = values.inr, values.snr
-    den_lr = 1.0 + (s0 * inr[..., 0, 1] + s1 * inr[..., 1, 1]).sum(axis=-2)
-    den_rl = 1.0 + (s0 * inr[..., 1, 0] + s1 * inr[..., 0, 0]).sum(axis=-2)
-    return np.log2(1.0 + snr[..., 0] / den_lr) + np.log2(1.0 + snr[..., 1] / den_rl)
+def two_way_rates_loop(values, graph: TopologyGraph, spins) -> np.ndarray:
+    """Per-link loop oracle of ``sinr.two_way_rates`` on one frame, which
+    must match it bit for bit: each direction sums the INR its graph
+    neighbours select in ascending order, then adds the noise, as the kernel
+    does, and takes numpy's log2. Non-neighbours are never read."""
+    rates = np.empty(graph.num_vertices)
+    for l in range(graph.num_vertices):
+        den = [0.0, 0.0]
+        for k in neighbors(graph, l):
+            for d, inr in enumerate(_interference(values.inr, k, l, spins[k] ^ spins[l])):
+                den[d] += inr
+        lr, rl = (np.log2(1.0 + values.snr[l, d] / (1.0 + den[d])) for d in (0, 1))
+        rates[l] = lr + rl
+    return rates
 
 
 def fading_frame(instance: LinkInstance, frame: int) -> SimpleNamespace:
@@ -458,10 +467,11 @@ def fading_frame(instance: LinkInstance, frame: int) -> SimpleNamespace:
     from numpy's own ``SeedSequence`` and ``default_rng``."""
     seed, drop_seed = instance.seed_key
     rng = np.random.default_rng(np.random.SeedSequence((seed, drop_seed, _FADING_TAG, frame)))
-    return SimpleNamespace(
-        snr=instance.snr * rng.exponential(1.0, size=instance.snr.shape),
-        inr=instance.inr * rng.exponential(1.0, size=instance.inr.shape),
-    )
+    with np.errstate(over="ignore"):  # as in draw_fading, a gain may overflow to inf
+        return SimpleNamespace(
+            snr=instance.snr * rng.exponential(1.0, size=instance.snr.shape),
+            inr=instance.inr * rng.exponential(1.0, size=instance.inr.shape),
+        )
 
 
 def run_drop(config, drop_seed: int, baseline_seed: int) -> tuple:
@@ -470,18 +480,19 @@ def run_drop(config, drop_seed: int, baseline_seed: int) -> tuple:
     seed states. Returns the block tuple of that one drop."""
     scenario = config.scenario
     instance = generate_instance(scenario, drop_seed)
-    graphs, trees, results, seconds = solve_drop(config, [instance], [baseline_seed])
+    graphs, trees, _, results, seconds = solve_drop(config, [instance], [baseline_seed])
     graph, tree, results = graphs[0], trees[0], results[0]
     selectors = spin_selectors(graph, np.stack([res.spins for res in results.values()]))
     rates = np.empty((len(results), config.frames_per_drop, scenario.num_links))
     if config.fading == "none":
-        rates[:] = two_way_rates(instance, selectors)[:, None]
+        rates[:] = two_way_rates(on_graph(instance, graph), selectors)[:, None]
     else:
         frame_bytes = instance.snr.nbytes + instance.inr.nbytes + evaluation._FRAME_STATE_BYTES
         chunk = max(1, FRAME_CHUNK_BUDGET // frame_bytes)
         for start in range(0, config.frames_per_drop, chunk):
             frames = range(start, min(start + chunk, config.frames_per_drop))
-            rates[:, start : frames.stop] = two_way_rates(draw_fading(instance, frames), selectors)
+            draw = on_graph(draw_fading(instance, frames), graph)
+            rates[:, start : frames.stop] = two_way_rates(draw, selectors)
     return (
         config.bandwidth_hz * rates[:, None],
         [[results[name].objective_exact] for name in config.algorithms],
@@ -546,12 +557,13 @@ def per_frame_rates(config) -> dict[str, np.ndarray]:
     rates = {name: np.empty(shape) for name in config.algorithms}
     for d in range(config.num_drops):
         instance = generate_instance(config.scenario, int(seeds[2 * d]))
-        graphs, _, results, _ = solve_drop(config, [instance], [int(seeds[2 * d + 1])])
+        graphs, _, _, results, _ = solve_drop(config, [instance], [int(seeds[2 * d + 1])])
         graph = graphs[0]
         for name, result in results[0].items():
             selectors = spin_selectors(graph, result.spins)
             for f in range(config.frames_per_drop):
                 values = instance if config.fading == "none" else fading_frame(instance, f)
+                values = on_graph(values, graph)
                 rates[name][d, f] = config.bandwidth_hz * two_way_rates(values, selectors)
     return rates
 

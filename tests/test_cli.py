@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -494,6 +495,61 @@ def test_overflowing_gains_name_the_keys_that_scale_them(tmp_path, capsys, comma
     keys = ("shadow_sigma_db", "pathloss_exp", "d_sym", "d_asym", "area_side", "snr_sym_db")
     assert all(key in err for key in keys)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_faded_snr_that_overflows_names_the_keys_that_scale_it(tmp_path, capsys, command):
+    # valid long-term gains whose fading lifts the SNR of 1e308 past the
+    # float range: one error line naming the drop seed and the keys that
+    # scale the SNR, no numpy warning (pytest turns one into an error) and
+    # no output directory
+    cfg = write_config(
+        tmp_path,
+        scenario={
+            "num_links": 1, "link_mix": 1.0, "snr_sym_db": 3080, "shadow_sigma_db": 0, "seed": 3
+        },
+        experiment={
+            "algorithms": ["mst_dp", "random"], "num_drops": 5, "frames_per_drop": 20,
+            "master_seed": 1,
+        },
+        sweep={"parameter": "num_links", "values": [1]},
+    )
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: drop seed ") and err.count("\n") == 1
+    keys = ("shadow_sigma_db", "snr_sym_db", "snr_asym_lr_db", "snr_asym_rl_db")
+    assert "faded SNR" in err and all(key in err for key in keys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_overflowing_inr_off_the_graph_leaves_the_rates_finite(tmp_path):
+    # INRs near 1e304 with an edge threshold of 1e308: the graph has no edge,
+    # so fading that lifts a long-term INR past the float range selects
+    # nothing; the run writes finite rates, and with no edge every spin
+    # assignment gives mst_dp the rates of the random baseline
+    cfg = write_config(
+        tmp_path,
+        scenario={
+            "num_links": 3, "link_mix": 1.0, "snr_sym_db": 3040, "shadow_sigma_db": 0,
+            "inr_edge_threshold": 1e308, "seed": 3,
+        },
+        experiment={
+            "algorithms": ["mst_dp", "random"], "num_drops": 50, "frames_per_drop": 100,
+            "master_seed": 1,
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mean_graph_edges"] == 0
+    rates = {}
+    with open(out / "samples.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            rates.setdefault(row["algorithm"], []).append(row["rate_bps"])
+    assert len(rates["mst_dp"]) == 50 * 100 * 3
+    assert rates["mst_dp"] == rates["random"]
+    assert all(math.isfinite(float(rate)) for rate in rates["mst_dp"])
 
 
 @pytest.mark.parametrize("command", ["generate", "optimize", "evaluate", "sweep"])

@@ -31,7 +31,7 @@ from spinopt.evaluation import (
     write_samples_csv,
 )
 from spinopt.optimizer import exhaustive_search, mst_dp, random_spins
-from spinopt.sinr import UtilityKind
+from spinopt.sinr import UtilityKind, spin_planes
 from spinopt.topology import build_graph, maximum_spanning_tree
 
 REPO = Path(__file__).resolve().parent.parent
@@ -303,12 +303,13 @@ def test_a_chunk_of_fading_frames_peaks_near_its_cap(monkeypatch, num_links):
 )
 def test_a_chunk_and_its_rate_call_peak_near_their_terms(monkeypatch, num_links, algorithms):
     # FRAME_CHUNK_BUDGET counts a chunk's gains and seed state; its one rate
-    # call adds the (A, F, M, M) interference terms, 8 B each, on top
+    # call adds one direction's (A, F, M, M) selected INRs, 8 B each, on top:
+    # measured 1.06 (M = 10) and 1.005 (M = 200) times their sum
     frame_bytes = 8 * (2 * num_links + 4 * num_links**2) + evaluation._FRAME_STATE_BYTES
     frames = max(1, evaluation.FRAME_CHUNK_BUDGET // frame_bytes)
     peak = largest_chunk_peak(monkeypatch, num_links, frames + 1, algorithms)
     terms = 8 * len(algorithms) * num_links**2 * frames
-    assert peak <= 1.25 * (frames * frame_bytes + terms)
+    assert peak <= 1.1 * (frames * frame_bytes + terms)
 
 
 def block_held_bytes(num_links, algorithms, num_drops) -> int:
@@ -323,12 +324,14 @@ def block_held_bytes(num_links, algorithms, num_drops) -> int:
     tracemalloc.start()
     try:
         instances = [generate_instance(config.scenario, 100 + d) for d in range(num_drops)]
-        graphs, _, results, _ = evaluation.solve_drop(config, instances, list(range(num_drops)))
+        graphs, _, planes, results, _ = evaluation.solve_drop(
+            config, instances, list(range(num_drops))
+        )
         selectors = [
             evaluation.spin_selectors(graph, np.stack([r.spins for r in drop.values()]))
             for graph, drop in zip(graphs, results)
         ]
-        assert len(selectors) == num_drops
+        assert len(selectors) == len(planes) == num_drops
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -355,7 +358,7 @@ def test_a_block_holds_at_most_its_bytes_per_drop(num_links, algorithms):
         ("configs/evaluate_m10_symmetric.json", 1, [25]),
         ("bench/configs/opt_m200.json", 1, [1]),
         # every point of the sweep, on the benchmark's two workers
-        ("configs/sweep_links_asymmetric.json", 2, [6, 6, 6]),
+        ("configs/sweep_links_asymmetric.json", 2, [6, 6, 5]),
     ],
 )
 def test_block_size_of_the_benchmark_configs(config, workers, blocks):
@@ -394,7 +397,7 @@ def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_li
         frames_per_drop=frames,
     )
     block = evaluation._block_drops(config, 1)
-    assert block == {10: 43, 40: 7, 200: 1}[num_links]
+    assert block == {10: 38, 40: 5, 200: 1}[num_links]
     jobs = [(100 + d, d) for d in range(block)]
     selected, spin_selectors = [], evaluation.spin_selectors
 
@@ -415,7 +418,8 @@ def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_li
         tracemalloc.stop()
     chunk_phase = frames * frame_bytes + 8 * len(algorithms) * num_links**2 * frames
     samples = 8 * block * len(algorithms) * frames * num_links
-    assert peak <= 1.25 * (max(evaluation._BLOCK_BUDGET, held) + chunk_phase) + samples
+    # measured 0.82, 0.92 and 0.79 times the first term at M = 10, 40 and 200
+    assert peak <= 1.1 * (max(evaluation._BLOCK_BUDGET, held) + chunk_phase) + samples
 
 
 @pytest.mark.parametrize("num_links", [10, 40])
@@ -431,7 +435,7 @@ def test_a_blocks_generation_pass_peaks_within_the_per_pair_term_of_its_drops(nu
         num_drops=4 * (evaluation._BLOCK_BUDGET // held),
     )
     block = evaluation._block_drops(config, 1)
-    assert block == {10: 43, 40: 7}[num_links]
+    assert block == {10: 38, 40: 5}[num_links]
     drop_seeds = list(range(100, 100 + block))
     generate_instances(config.scenario, drop_seeds)
     tracemalloc.start()
@@ -1045,8 +1049,8 @@ def test_solve_drop_equals_direct_optimizer_calls(algorithms, utility):
     # a block of three drops: one entry per drop, each as if solved alone
     config = small_config(algorithms=algorithms, utility=utility)
     instances = [generate_instance(config.scenario, seed) for seed in (5, 6, 7)]
-    graphs, trees, results, seconds = evaluation.solve_drop(config, instances, [9, 10, 11])
-    assert len(graphs) == len(trees) == len(results) == 3
+    graphs, trees, planes, results, seconds = evaluation.solve_drop(config, instances, [9, 10, 11])
+    assert len(graphs) == len(trees) == len(planes) == len(results) == 3
     # one time per algorithm, over the whole block
     assert list(seconds) == list(algorithms)
     assert all(s >= 0.0 for s in seconds.values())
@@ -1055,6 +1059,8 @@ def test_solve_drop_equals_direct_optimizer_calls(algorithms, utility):
         direct_graph = build_graph(instance, config.scenario.inr_edge_threshold)
         assert np.array_equal(graph.adjacency, direct_graph.adjacency)
         assert tree == maximum_spanning_tree(direct_graph)
+        direct_planes = spin_planes(instance.inr, direct_graph.adjacency)
+        assert planes[drop].tobytes() == direct_planes.tobytes()
         direct = {
             "exhaustive": exhaustive_search(instance, graph, utility),
             "mst_dp": mst_dp(instance, graph, tree, utility),

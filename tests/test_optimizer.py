@@ -27,7 +27,7 @@ from spinopt.optimizer import (
     mst_dp,
     random_spins,
 )
-from spinopt.sinr import UtilityKind, network_utility
+from spinopt.sinr import UtilityKind, network_utility, spin_planes
 from spinopt.topology import (
     build_graph,
     maximum_spanning_tree,
@@ -308,7 +308,7 @@ def test_batch_utilities_are_exact_under_extreme_inr_asymmetry():
     batch = np.array(
         [[(code >> (2 - j)) & 1 for j in range(3)] for code in range(8)], dtype=np.int8
     )
-    fast = _spin_batch_utilities(inst, graph, PF, batch)
+    fast = _spin_batch_utilities(inst.snr, spin_planes(inst.inr, graph.adjacency), PF, batch)
     slow = [network_utility(inst, graph, PF, s) for s in batch]
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 

@@ -31,13 +31,13 @@ from helpers import (
     interference_tensor_norm,
     kruskal_forest,
     mst_dp_per_vertex,
+    on_graph,
     per_drop_report,
     per_frame_rates,
     random_instance,
-    rates_of,
     sweep_with_rates,
     tree_brute_force,
-    two_way_rates_masks,
+    two_way_rates_loop,
     utility_of,
 )
 from spinopt.channel import (
@@ -46,6 +46,7 @@ from spinopt.channel import (
     ScenarioConfig,
     _fading_states,
     draw_fading,
+    end_planes,
     generate_instance,
     generate_instances,
     instance_from_json,
@@ -66,6 +67,7 @@ from spinopt.sinr import (
     UtilityKind,
     network_utilities,
     network_utility,
+    spin_planes,
     spin_selectors,
     two_way_rates,
 )
@@ -281,11 +283,9 @@ def test_batched_network_utilities_equal_loop_oracle(net, kind, seed):
 def test_two_way_rates_equal_loop_oracle(net, start):
     inst, graph, _, spins = net
     frames = range(start, start + 3)
-    fast = two_way_rates(draw_fading(inst, frames), spin_selectors(graph, spins))
+    fast = two_way_rates(on_graph(draw_fading(inst, frames), graph), spin_selectors(graph, spins))
     for rates, f in zip(fast, frames):
-        frame = fading_frame(inst, f)
-        slow = rates_of([exact_sinr(frame, graph, l, spins) for l in range(graph.num_vertices)])
-        np.testing.assert_allclose(rates, slow, rtol=1e-12, atol=0.0)
+        assert same_bytes(rates, two_way_rates_loop(fading_frame(inst, f), graph, spins))
 
 
 def same_bytes(fast: np.ndarray, oracle: np.ndarray) -> bool:
@@ -312,8 +312,9 @@ def node_layouts(draw, min_links=1, max_links=7):
 @st.composite
 def wide_instances(draw, max_links=6):
     """(instance, threshold): a random drop, or INRs whose opposite end is
-    the same end's value times up to 1e+-300, with some entries zero; the
-    thresholds range from every pair an edge to no edge at all."""
+    the same end's value times up to 1e+-300, with some entries zero and
+    some up to 1e308, which fading may lift to inf; the thresholds range
+    from every pair an edge to no edge at all."""
     m = draw(st.integers(1, max_links))
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
@@ -326,9 +327,11 @@ def wide_instances(draw, max_links=6):
         inr[..., 0, 1], inr[..., 1, 0] = same[..., 0], same[..., 1]
         inr[..., 1, 1], inr[..., 0, 0] = same[..., 0] * scale[0], same[..., 1] * scale[1]
         inr[rng.random((m, m, 2, 2)) < 0.2] = 0.0
+        huge = rng.random((m, m, 2, 2)) < 0.1
+        inr[huge] = 10.0 ** rng.uniform(300.0, 308.0, size=np.count_nonzero(huge))
         inr[np.arange(m), np.arange(m)] = 0.0
         inst = build_instance(inr, snr=10.0 ** rng.uniform(0.0, 3.0, size=(m, 2)))
-    return inst, draw(st.sampled_from([0.0, 1e-2, 1.0, 1e4, 1e300]))
+    return inst, draw(st.sampled_from([0.0, 1e-2, 1.0, 1e4, 1e300, 1e308]))
 
 
 @PROPERTY
@@ -366,17 +369,32 @@ def test_build_graph_equals_reduce_oracle(case):
 
 
 @PROPERTY
-@given(wide_instances(), st.integers(0, 2**16), st.data())
-def test_two_way_rates_equal_mask_oracle(case, start, data):
+@given(wide_instances(), st.integers(0, 2**16), st.integers(1, 3), KINDS, st.data())
+def test_spin_planes_and_their_kernels_equal_loop_oracles(case, start, rows, kind, data):
+    # the planes are end_planes' selection times the adjacency; for an (A, M)
+    # spin stack, the network utilities and the rates of the long-term gains
+    # and of fading draws that scale the planes equal the per-link loops,
+    # which never read a non-edge's INR, not even one that fading lifts to inf
     inst, threshold = case
     m = inst.num_links
     graph = build_graph(inst, threshold)
-    spins = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
-    selectors = spin_selectors(graph, spins)
-    for values in (inst, draw_fading(inst, range(start, start + 3))):
-        fast = two_way_rates(values, selectors)
-        assert np.isfinite(fast).all()
-        assert same_bytes(fast, two_way_rates_masks(values, graph, spins))
+    planes = spin_planes(inst.inr, graph.adjacency)
+    for kept, given in zip(sum(end_planes(planes), ()), sum(end_planes(inst.inr), ())):
+        assert same_bytes(kept, given * graph.adjacency)
+    spin_rows = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    stack = np.array(data.draw(st.lists(spin_rows, min_size=rows, max_size=rows)), dtype=np.int8)
+    oracle = [utility_of(kind, [exact_sinr(inst, graph, l, s) for l in range(m)]) for s in stack]
+    assert network_utilities(inst, graph, kind, stack) == oracle
+    frames = range(start, start + 3)
+    on_graph_inst = replace(inst, inr=planes)
+    differ = spin_selectors(graph, stack)
+    long_term = two_way_rates(on_graph_inst, differ)
+    faded = two_way_rates(draw_fading(on_graph_inst, frames), differ)
+    assert np.isfinite(faded).all()
+    for spins, rates, frame_rates in zip(stack, long_term, faded, strict=True):
+        assert same_bytes(rates, two_way_rates_loop(inst, graph, spins))
+        for f, fast in zip(frames, frame_rates, strict=True):
+            assert same_bytes(fast, two_way_rates_loop(fading_frame(inst, f), graph, spins))
 
 
 @PROPERTY
@@ -390,7 +408,7 @@ def test_stacked_spins_give_each_rows_rates(net, rows, start, faded, data):
     m = graph.num_vertices
     spin_rows = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     stack = np.array(data.draw(st.lists(spin_rows, min_size=rows, max_size=rows)), dtype=np.int8)
-    values = draw_fading(inst, range(start, start + 3)) if faded else inst
+    values = on_graph(draw_fading(inst, range(start, start + 3)) if faded else inst, graph)
     batched = two_way_rates(values, spin_selectors(graph, stack))
     assert batched.shape == (rows, *values.snr.shape[:-1])
     for rates, spins in zip(batched, stack):
