@@ -13,9 +13,10 @@ bit-identical regardless of worker count. They run in blocks of
 each block one stage at a time, so that each stage's code and data stay in
 cache across the block's drops, and one task per block, in-process or on a
 process pool; a sweep sends the drops of all its points through one pool.
-Instance generation, topology graphs and spanning forests each run as one
-pass over the block's stacked arrays; a block of one calls the per-drop
-``generate_instance``, ``build_graph`` and ``maximum_spanning_tree``.
+Instance generation, topology graphs, spanning forests, spin planes and
+each optimizer run as one pass over the block's stacked arrays; a block of
+one calls the per-drop ``generate_instance``, ``build_graph``,
+``maximum_spanning_tree`` and optimizers.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .channel import (
     _unchecked,
 )
 from .optimizer import DP_STEP_BUDGET, EXHAUSTIVE_CAP, exhaustive_search, mst_dp, random_spins
+from .optimizer import exhaustive_search_block, mst_dp_block, random_spins_block
 from .sinr import UtilityKind, spin_planes, spin_selectors, two_way_rates
 from .topology import build_graph, build_graphs, maximum_spanning_forests, maximum_spanning_tree
 
@@ -280,12 +282,12 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
 
     The single algorithm dispatch of the package: builds the block's
     topology graphs, maximum spanning forests (one Prim) and spin planes in
-    one pass each, then runs each algorithm's optimizer over every drop in
-    turn with the experiment's utility. A block of one takes the per-drop
-    ``build_graph`` and ``maximum_spanning_tree``, whose one-graph Prim is
-    the faster there. A drop's ``results`` is a dict keyed by algorithm in
-    config order; ``seconds`` maps each algorithm to its time over the
-    block. A drop's ``baseline_seeds`` entry seeds its random baseline.
+    one pass each, then runs each algorithm's block optimizer once over the
+    block with the experiment's utility. A block of one takes the per-drop
+    ``build_graph``, ``maximum_spanning_tree`` (whose one-graph Prim is the
+    faster there) and optimizers. A drop's ``results`` is a dict keyed by
+    algorithm in config order; ``seconds`` maps each algorithm to its time
+    over the block. A drop's ``baseline_seeds`` entry seeds its random baseline.
     """
     threshold, utility = config.scenario.inr_edge_threshold, config.utility
     inr = [instance.inr for instance in instances]
@@ -296,17 +298,26 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
         graphs = build_graphs(np.stack(inr), threshold)
         trees = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
     planes = spin_planes(inr, np.stack([graph.adjacency for graph in graphs]))
-    solvers = {
-        "exhaustive": lambda inst, g, tree, p, seed: exhaustive_search(inst, g, utility, p),
-        "mst_dp": lambda inst, g, tree, p, seed: mst_dp(inst, g, tree, utility, p),
-        "random": lambda inst, g, tree, p, seed: random_spins(inst, g, utility, seed, p),
-    }
+    if len(instances) == 1:
+        args = (instances[0], graphs[0])
+        solvers = {
+            "exhaustive": lambda: [exhaustive_search(*args, utility, planes[0])],
+            "mst_dp": lambda: [mst_dp(*args, trees[0], utility, planes[0])],
+            "random": lambda: [random_spins(*args, utility, baseline_seeds[0], planes[0])],
+        }
+    else:
+        snr, roots = np.stack([instance.snr for instance in instances]), [t.roots for t in trees]
+        solvers = {
+            "exhaustive": lambda: exhaustive_search_block(snr, planes, roots, utility),
+            "mst_dp": lambda: mst_dp_block(snr, planes, trees, utility),
+            "random": lambda: random_spins_block(snr, planes, baseline_seeds, utility),
+        }
     results: list[dict] = [{} for _ in instances]
     seconds: dict[str, float] = {}
     for name in config.algorithms:
         start = time.perf_counter()
-        for drop, args in zip(results, zip(instances, graphs, trees, planes, baseline_seeds)):
-            drop[name] = solvers[name](*args)
+        for drop, result in zip(results, solvers[name]()):
+            drop[name] = result
         seconds[name] = time.perf_counter() - start
     return graphs, trees, planes, results, seconds
 

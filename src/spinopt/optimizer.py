@@ -23,18 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkInstance, end_planes
-from .sinr import UtilityKind, denominators, network_utilities, network_utility, spin_planes
+from .sinr import (
+    UtilityKind, denominators, left_sum, network_utilities, network_utility, spin_planes
+)
 from .topology import RootedTree, TopologyGraph, relative_from_spins
 
 # Largest M exhaustive search accepts: 2**(M-1) assignments.
 EXHAUSTIVE_CAP = 20
 
-# Memory budget of one vertex's DP step. A vertex with D children ends with
-# R = 2**D child-edge spin rows. Per row, taking rates holds the (2, R, 2)
-# float64 denominators (32 B), the 1 + snr/den temporary and the log2 rates
-# of the same shape (64 B) and the message sums (8 B); a doubling holds
-# at most 60 B (old and new denominators and message sums). The child cap is
-# the largest D whose rows fit the budget.
+# Memory budget of one DP step. A vertex with D children ends with R = 2**D
+# child-edge spin rows. Per row, taking rates holds the (2, R, 2) float64
+# denominators (32 B), the 1 + snr/den temporary and the log2 rates of the
+# same shape (64 B) and the message sums (8 B); a doubling holds at most 60 B.
+# A step takes the vertices whose rows fit; CHILD_CAP is the largest D that fits.
 DP_STEP_BUDGET = 64 << 20
 _DP_ROW_BYTES = 104
 CHILD_CAP = (DP_STEP_BUDGET // _DP_ROW_BYTES).bit_length() - 1
@@ -51,6 +52,7 @@ _RERANK_BATCH = 1 << 9
 _SCREEN_MARGIN = 1e-9
 
 RESULT_SCHEMA = "spinopt.result/1"
+_ALL_INF = "all assignments have -inf utility; returning the all-zero spins"
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,11 @@ def _utilities(rates: np.ndarray, kind: UtilityKind) -> np.ndarray:
 
 
 def _spin_batch_utilities(
-    snr: np.ndarray, planes: np.ndarray, kind: UtilityKind, spins: np.ndarray
+    snr: np.ndarray, planes: np.ndarray, kind: UtilityKind, floats: tuple
 ) -> np.ndarray:
-    """Exact network utility for a batch of absolute spin vectors (N, M)."""
-    s = spins.astype(float)
-    c = 1.0 - s
+    """Screened network utility of each row of an (N, M) batch of absolute
+    spins, given as where they are 0, and as floats and their complements."""
+    zero, s, c = floats
     rates = 0.0
     for d, (same, opposite) in enumerate(zip(*end_planes(planes))):
         # neighbor k contributes opposite when s_k XOR s_l = 1, else same; summing
@@ -99,7 +101,7 @@ def _spin_batch_utilities(
         # when the two INR values differ by orders of magnitude
         when_l0 = s @ opposite + c @ same
         when_l1 = s @ same + c @ opposite
-        den = 1.0 + np.where(spins == 0, when_l0, when_l1)
+        den = 1.0 + np.where(zero, when_l0, when_l1)
         rates = rates + np.log2(1.0 + snr[:, d] / den)
     with np.errstate(divide="ignore"):
         return _utilities(rates, kind).sum(axis=1)
@@ -113,164 +115,204 @@ def _screen_floor(best: float) -> float:
 def exhaustive_search(
     instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, planes=None
 ) -> OptimizationResult:
-    """Globally optimal spins by enumeration.
+    """Globally optimal spins by enumeration: ``exhaustive_search_block`` of one
+    drop, its roots the lowest vertex of each connected component."""
+    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
+    roots = tuple(component[0] for component in graph.components())
+    return exhaustive_search_block(instance.snr[None], planes[None], [roots], kind)[0]
 
-    Fixes the lowest-index vertex of every connected component to spin 0 and
-    enumerates all remaining assignments, so a connected graph costs
-    2**(M-1) evaluations. A batched kernel screens them; the ones within
-    ``_SCREEN_MARGIN`` of the best are re-ranked in batches by the exact
-    objective (``network_utilities``, bit-identical to ``network_utility``),
-    so the spins maximize the reported objective. Ties go to the
-    lexicographically smallest spin vector. Refuses M above ``EXHAUSTIVE_CAP``.
+
+def exhaustive_search_block(snr, planes, roots, kind: UtilityKind) -> list[OptimizationResult]:
+    """Globally optimal spins of each drop of a block, by enumeration.
+
+    ``snr`` (B, M, 2) and ``planes`` (B, M, M, 2, 2) stack the drops' gains
+    and ``spin_planes``; ``roots`` lists each drop's tree roots as a tuple,
+    the lowest vertex of each connected component, fixed to spin 0. The
+    other assignments are enumerated, so a connected graph costs 2**(M-1)
+    evaluations; drops with equal roots share an enumeration of one batch. A
+    batched kernel screens them per drop; the ones within ``_SCREEN_MARGIN``
+    of the best are re-ranked in batches by the exact objective
+    (``network_utilities``, bit-identical to ``network_utility``), so the
+    spins maximize the reported objective. Ties go to the lexicographically
+    smallest spin vector. Refuses M above ``EXHAUSTIVE_CAP``.
     """
-    m = graph.num_vertices
+    m = snr.shape[1]
     if m > EXHAUSTIVE_CAP:
         raise ValueError(
             f"exhaustive search refused: {m} links exceeds the cap of {EXHAUSTIVE_CAP} "
             f"(2**(M-1) assignments)"
         )
-    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
-    fixed = {comp[0] for comp in graph.components()}
-    free = [v for v in range(m) if v not in fixed]
-    nbits = len(free)
+    # drops share an enumeration of one batch only, so that the near-best rows they hold
+    # together stay within _BATCH rows a drop (27 drops of 8,192 at M = 14: 4.9 MB)
+    keys = [r if (1 << m - len(r)) <= _BATCH else d for d, r in enumerate(roots)]
+    results = [None] * len(roots)
+    for key in dict.fromkeys(keys):
+        drops = [drop for drop, drop_key in enumerate(keys) if drop_key == key]
+        free = [v for v in range(m) if v not in roots[drops[0]]]
+        nbits = len(free)
+        top = [-np.inf] * len(drops)
+        screened, near_spins = [[] for _ in drops], [[] for _ in drops]
+        for start in range(0, 1 << nbits, _BATCH):
+            count = min(_BATCH, (1 << nbits) - start)
+            codes = np.arange(start, start + count, dtype=np.int64)
+            batch = np.zeros((count, m), dtype=np.int8)
+            for j, v in enumerate(free):
+                batch[:, v] = (codes >> (nbits - 1 - j)) & 1
+            floats = batch == 0, (s := batch.astype(float)), 1.0 - s
+            for i, drop in enumerate(drops):
+                utilities = _spin_batch_utilities(snr[drop], planes[drop], kind, floats)
+                top[i] = max(top[i], float(utilities.max()))
+                near = utilities >= _screen_floor(top[i])
+                screened[i].append(utilities[near])
+                near_spins[i].append(batch[near])
 
-    top = -np.inf
-    screened, near_spins = [], []
-    for start in range(0, 1 << nbits, _BATCH):
-        count = min(_BATCH, (1 << nbits) - start)
-        codes = np.arange(start, start + count, dtype=np.int64)
-        batch = np.zeros((count, m), dtype=np.int8)
-        for j, v in enumerate(free):
-            batch[:, v] = (codes >> (nbits - 1 - j)) & 1
-        utilities = _spin_batch_utilities(instance.snr, planes, kind, batch)
-        top = max(top, float(utilities.max()))
-        near = utilities >= _screen_floor(top)
-        screened.append(utilities[near])
-        near_spins.append(batch[near])
+        # re-rank the near-best assignments by the objective that is reported
+        for i, drop in enumerate(drops):
+            floor = _screen_floor(top[i])
+            candidates = np.concatenate(near_spins[i])[np.concatenate(screened[i]) >= floor]
+            exact = []
+            for start in range(0, len(candidates), _RERANK_BATCH):
+                batch = candidates[start : start + _RERANK_BATCH]
+                exact += network_utilities(snr[drop], planes[drop], kind, batch)
+            warning = None if exact else _ALL_INF
+            if not exact:
+                candidates = np.zeros((1, m), dtype=np.int8)
+                exact = network_utilities(snr[drop], planes[drop], kind, candidates)
+            # a copy of the best row: a view would keep all of the drop's candidates alive
+            best_spins = candidates[np.argmax(exact)].copy()
+            results[drop] = OptimizationResult(best_spins, max(exact), None, warning)
+    return results
 
-    # re-rank the near-best assignments by the objective that is reported
-    candidates = np.concatenate(near_spins)[np.concatenate(screened) >= _screen_floor(top)]
-    exact = []
-    for start in range(0, len(candidates), _RERANK_BATCH):
-        batch = candidates[start : start + _RERANK_BATCH]
-        exact += network_utilities(instance, graph, kind, batch, planes)
-    if exact:
-        best_spins, objective, warning = candidates[np.argmax(exact)], max(exact), None
-    else:
-        best_spins = np.zeros(m, dtype=np.int8)
-        objective = network_utility(instance, graph, kind, best_spins, planes)
-        warning = "all assignments have -inf utility; returning the all-zero spins"
-    return OptimizationResult(
-        spins=best_spins,
-        objective_exact=objective,
-        objective_approx=None,
-        warning=warning,
-    )
+
+def _dp_step(first_den, snr, children, down, mu, kind: UtilityKind) -> tuple:
+    """The best child-edge spin row and its value, per vertex and parent-edge
+    spin, of G vertices of D children: ``first_den`` (G, 2, 2) holds their noise,
+    chords and parent-edge INR and ``children`` (D, G) their children, whose
+    messages ``mu`` holds. Freed on return, its arrays peak at ``_DP_ROW_BYTES`` a row."""
+    size = len(first_den)
+    # den[vertex, parent spin, row, direction]; each child doubles the rows
+    # and its edge spin becomes the lowest bit of the row index
+    den = first_den[:, :, None, :]
+    message_sum = np.zeros((size, 1))
+    for k in children:
+        den = (den[:, :, :, None, :] + down[k][:, None, None]).reshape(size, 2, -1, 2)
+        message_sum = (message_sum[:, :, None] + mu[k][:, None]).reshape(size, -1)
+    with np.errstate(divide="ignore"):
+        rates = np.log2(1.0 + snr[:, None, None, :] / den)
+        total = _utilities(rates[..., 0] + rates[..., 1], kind) + message_sum[:, None]
+    total = total.reshape(2 * size, -1)
+    best = total.argmax(axis=1)
+    return best.reshape(size, 2), total[np.arange(2 * size), best].reshape(size, 2)
 
 
 def mst_dp(
     instance: LinkInstance, graph: TopologyGraph, tree: RootedTree, kind: UtilityKind, planes=None
 ) -> OptimizationResult:
-    """Spanning-forest pruning plus max-sum dynamic programming.
+    """Spanning-forest pruning plus max-sum dynamic programming:
+    ``mst_dp_block`` of one drop, its exact objective from ``network_utility``."""
+    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
+    exact = lambda spins: [network_utility(instance, graph, kind, spins[0], planes)]
+    return mst_dp_block(instance.snr[None], planes[None], [tree], kind, exact)[0]
 
-    A vertex's approximate utility counts every non-tree neighbour as the
-    average of its two possible INR values, and every tree neighbour by the
-    INR its edge spin selects. Leaf-to-root pass: every vertex maximizes its
-    local utility plus its children's messages over all child-edge spin
-    combinations, once per parent-edge spin value, and reports the two
-    maxima upward; a root does the same once. The non-root leaves have no
-    child-edge spins, so they all take this step at once before the other
-    vertices take theirs one by one. Backpropagation then walks
-    the chosen edge spins down the tree into absolute spins (roots at 0),
-    and the exact objective of that assignment is evaluated for reporting.
 
-    Terms are selected, never reconstructed as base-plus-difference, so
-    pairs whose two INR values differ by orders of magnitude stay exact.
+def mst_dp_block(snr, planes, trees, kind: UtilityKind, exact=None) -> list[OptimizationResult]:
+    """``mst_dp`` of each drop of a block, from its (B, M, 2) ``snr`` and
+    (B, M, M, 2, 2) ``planes`` stacks, by one DP over its forests as one forest.
+
+    A vertex's approximate utility counts every non-tree neighbour at the
+    average of its two possible INRs, every tree neighbour at the INR its
+    edge spin selects. Leaf to root, each vertex maximizes its local utility
+    plus its children's messages over its child-edge spins, once per
+    parent-edge spin, and passes the two maxima up; vertices of equal height
+    (0 at a leaf, else one above the highest child) and child count step
+    together, as many as ``DP_STEP_BUDGET`` holds, and a root reads its
+    zero-diagonal plane as a parent edge (base + 0.0 is the base). The chosen
+    edge spins then walk down each tree into absolute spins (roots at 0),
+    whose objectives ``exact`` gives (default: one ``network_utilities``
+    pass). Terms are selected, never reconstructed as base-plus-difference,
+    so pairs whose two INRs differ by orders of magnitude stay exact.
     """
-    if tree.max_children > CHILD_CAP:
+    if (widest := max(tree.max_children for tree in trees)) > CHILD_CAP:
         raise ValueError(
-            f"tree DP refused: a vertex has {tree.max_children} children, cap is "
+            f"tree DP refused: a vertex has {widest} children, cap is "
             f"{CHILD_CAP} (2**children combinations per vertex)"
         )
-    m = graph.num_vertices
-    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
-    parent = np.array(tree.parent)
-    child = np.flatnonzero(parent >= 0)
-    # up[v] / down[v], [edge spin, direction]: the INR v's parent adds at v / v at it; roots unread
-    pairs = (planes[parent, np.arange(m)], planes[np.arange(m), parent])
-    up, down = (np.stack([np.stack(e, axis=-1) for e in end_planes(p)], axis=1) for p in pairs)
-    # chords[direction, k, l]: a non-tree neighbour at the average of its two INRs
+    b, m = snr.shape[:2]
+    n = b * m
+    parent = np.array([tree.parent for tree in trees])
+    own = np.where(parent >= 0, parent, np.arange(m))
+    drops, vertices = np.arange(b)[:, None], np.arange(m)
+    # up[v] / down[v], [edge spin, direction]: the INR v's parent adds at v / v at it
+    pairs = np.stack((planes[drops, own, vertices], planes[drops, vertices, own]))
+    pick = np.stack([np.stack(e, axis=-1) for e in end_planes(pairs)], axis=-2)
+    up, down = pick.reshape(2, n, 2, 2)
+    # chords[direction, drop, k, l]: a non-tree neighbour at the average of its two INRs
     chords = np.stack([same + opposite for same, opposite in zip(*end_planes(planes))]) / 2.0
-    chords[:, child, parent[child]] = chords[:, parent[child], child] = 0.0
-    base = denominators(chords).T  # (M, 2): noise + chords
+    drop, child = np.nonzero(parent >= 0)
+    above = parent[drop, child]
+    chords[:, drop, child, above] = chords[:, drop, above, child] = 0.0
+    # first_den[v, parent spin, direction]: noise, chords, then the parent edge's INR
+    first_den = denominators(chords).transpose(1, 2, 0).reshape(n, 2)[:, None] + up
 
-    # mu[v, b]: best subtree utility of v given its parent-edge spin b;
-    # best_row[v, b]: the child-edge spins achieving it, first child in the
-    # most significant bit
-    mu = np.zeros((m, 2))
-    best_row = np.zeros((m, 2), dtype=np.int64)
-    # a non-root leaf has one row per parent-edge spin (best row 0), so all
-    # leaves take one step: den[leaf, parent spin, direction]
-    leaf = np.zeros(m, dtype=bool)
-    leaf[child] = True
-    leaf[parent[child]] = False
-    leaves = np.flatnonzero(leaf)
-    den = base[leaves][:, None, :] + up[leaves]
-    with np.errstate(divide="ignore"):
-        rates = np.log2(1.0 + instance.snr[leaves][:, None, :] / den)
-        mu[leaves] = _utilities(rates[..., 0] + rates[..., 1], kind)
+    # flat vertex b * M + v: its children, ascending, are by_parent[first[v]:][:count[v]]
+    above = drop * m + above
+    by_parent = (drop * m + child)[np.argsort(above, kind="stable")]
+    count = np.bincount(above, minlength=n)
+    first = np.cumsum(count) - count
+    height = []
+    for tree in trees:
+        h = [0] * m
+        for v in reversed(tree.order):
+            if (p := tree.parent[v]) >= 0 and h[p] <= h[v]:
+                h[p] = h[v] + 1
+        height += h
+    key = np.array(height) * (CHILD_CAP + 1) + count
+    order = np.argsort(key, kind="stable")
 
-    root_values = []
-    with np.errstate(divide="ignore"):
-        for l in reversed(tree.order):
-            if leaf[l]:
-                continue
-            p = tree.parent[l]
-            # den[parent spin, row, direction]; each child doubles the rows and
-            # its edge spin becomes the lowest bit of the row index
-            den = (base[l] + up[l] if p >= 0 else base[l][None])[:, None, :]
-            message_sum = np.zeros(1)
-            for k in tree.children[l]:
-                den = (den[:, :, None, :] + down[k]).reshape(len(den), -1, 2)
-                message_sum = np.add.outer(message_sum, mu[k]).ravel()
-            rates = np.log2(1.0 + instance.snr[l] / den)
-            total = _utilities(rates[..., 0] + rates[..., 1], kind) + message_sum
-            best = np.argmax(total, axis=1)
-            best_row[l, : len(best)] = best
-            if p < 0:
-                root_values.append(float(total[0, best[0]]))
-            else:
-                mu[l] = total[(0, 1), best]
+    # mu[v, b]: best subtree utility of v given its parent-edge spin b; best_row[v, b]:
+    # the child-edge spins achieving it, first child in the most significant bit
+    mu = np.zeros((n, 2))
+    best_row = np.zeros((n, 2), dtype=np.int64)
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        d = int(count[group[0]])
+        step = (DP_STEP_BUDGET // _DP_ROW_BYTES) >> d
+        for start in range(0, len(group), step):
+            g = group[start : start + step]
+            kids = by_parent[first[g][:, None] + np.arange(d)].T
+            best_row[g], mu[g] = _dp_step(first_den[g], snr.reshape(n, 2)[g], kids, down, mu, kind)
 
-    spins = np.zeros(m, dtype=np.int8)
-    edge_spin = np.zeros(m, dtype=np.int64)  # relative spin to the parent; 0 at roots
-    for v in tree.order:
-        kids = tree.children[v]
-        row = best_row[v, edge_spin[v]]
-        for j, k in enumerate(kids):
-            edge_spin[k] = (row >> (len(kids) - 1 - j)) & 1
-            spins[k] = spins[v] ^ edge_spin[k]
-
-    objective_approx = float(sum(root_values))
-    warning = None
-    if objective_approx == -np.inf:
-        warning = "all assignments have -inf utility; returning the all-zero spins"
-    return OptimizationResult(
-        spins=spins,
-        objective_exact=network_utility(instance, graph, kind, spins, planes),
-        objective_approx=objective_approx,
-        warning=warning,
-    )
+    spins = np.zeros((b, m), dtype=np.int8)
+    for tree, best, out in zip(trees, best_row.reshape(b, m, 2).tolist(), spins):
+        edge, spin = [0] * m, [0] * m
+        for v in tree.order:
+            kids, row = tree.children[v], best[v][edge[v]]
+            for j, k in enumerate(kids, 1):
+                edge[k] = bit = (row >> (len(kids) - j)) & 1
+                spin[k] = spin[v] ^ bit
+        out[:] = spin
+    exact = network_utilities(snr, planes, kind, spins) if exact is None else exact(spins)
+    # a root's message at parent spin 0 is its tree's value; roots summed last to first
+    values = mu[:, 0].reshape(b, m).tolist()
+    approx = [left_sum(v[r] for r in reversed(t.roots)) for v, t in zip(values, trees)]
+    return [
+        OptimizationResult(*result, _ALL_INF if result[2] == -np.inf else None)
+        for result in zip(spins, exact, approx)
+    ]
 
 
 def random_spins(
     instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, seed: int, planes=None
 ) -> OptimizationResult:
-    """Uniform random spin baseline, evaluated exactly."""
-    rng = np.random.default_rng(seed)
-    spins = rng.integers(0, 2, size=graph.num_vertices, dtype=np.int8)
-    return OptimizationResult(
-        spins=spins,
-        objective_exact=network_utility(instance, graph, kind, spins, planes),
-        objective_approx=None,
-    )
+    """Uniform random spin baseline, evaluated exactly: ``random_spins_block`` of one drop."""
+    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
+    exact = lambda spins: [network_utility(instance, graph, kind, spins[0], planes)]
+    return random_spins_block(instance.snr[None], planes[None], [seed], kind, exact)[0]
+
+
+def random_spins_block(snr, planes, seeds, kind: UtilityKind, exact=None) -> list:
+    """``random_spins`` of each drop of a block, each drawn from its own seed
+    in order; ``exact`` as in ``mst_dp_block``."""
+    rngs = map(np.random.default_rng, seeds)
+    spins = np.stack([rng.integers(0, 2, size=snr.shape[1], dtype=np.int8) for rng in rngs])
+    exact = network_utilities(snr, planes, kind, spins) if exact is None else exact(spins)
+    return [OptimizationResult(*result, None) for result in zip(spins, exact)]

@@ -14,7 +14,9 @@ a mask.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -58,24 +60,28 @@ def denominators(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=-2, initial=1.0)
 
 
-def network_utilities(
-    values, graph: TopologyGraph, kind: UtilityKind, spins, planes=None
-) -> list[float]:
+def left_sum(values) -> float:
+    """``values`` added left to right from 0.0; ``sum`` compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def network_utilities(snr, planes, kind: UtilityKind, spins) -> list[float]:
     """``network_utility`` of every row of an (N, M) batch of absolute spins.
 
-    The batch shares one dense denominator computation per direction; each
-    utility is then summed in Python exactly as ``network_utility`` sums it,
-    so every value equals that function's result for its row bit for bit.
-    """
-    planes = spin_planes(values.inr, graph.adjacency) if planes is None else planes
-    differ = spins[:, :, None] != spins[:, None, :]
+    ``snr`` (M, 2) and ``planes`` (M, M, 2, 2), a drop's ``spin_planes``,
+    serve every row, or are stacked (N, M, 2) and (N, M, M, 2, 2), a drop
+    per row. One dense denominator pass per direction; then libm's
+    ``math.log2`` per link and a ``left_sum`` per row, so every value equals
+    ``network_utility`` of its row alone bit for bit."""
+    differ = spins[..., :, None] != spins[..., None, :]
     lr, rl = (
-        (values.snr[:, d] / denominators(np.where(differ, opposite, same))).tolist()
+        (1.0 + snr[..., d] / denominators(np.where(differ, opposite, same))).tolist()
         for d, (same, opposite) in enumerate(zip(*end_planes(planes)))
     )
+    utility, log2 = functools.partial(link_utility, kind), math.log2
     return [
-        sum(link_utility(kind, math.log2(1.0 + a) + math.log2(1.0 + b)) for a, b in zip(*rows))
-        for rows in zip(lr, rl)
+        left_sum(map(utility, map(operator.add, map(log2, a), map(log2, b))))
+        for a, b in zip(lr, rl)
     ]
 
 
@@ -86,7 +92,8 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins, plan
     (a LinkInstance for long-term gains, or one frame's instantaneous
     gains); ``spins`` holds one absolute 0/1 spin per link, and ``planes``
     the ``spin_planes`` of ``values`` and ``graph``, built here when not given."""
-    return network_utilities(values, graph, kind, check_spins(graph, spins)[None], planes)[0]
+    planes = spin_planes(values.inr, graph.adjacency) if planes is None else planes
+    return network_utilities(values.snr, planes, kind, check_spins(graph, spins)[None])[0]
 
 
 def spin_selectors(graph: TopologyGraph, spins) -> np.ndarray:

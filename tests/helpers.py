@@ -24,7 +24,14 @@ from spinopt.channel import (
 )
 from spinopt.evaluation import FRAME_CHUNK_BUDGET, _rank, plot_rows, solve_drop
 from spinopt.optimizer import OptimizationResult, network_utility
-from spinopt.sinr import UtilityKind, link_utility, spin_planes, spin_selectors, two_way_rates
+from spinopt.sinr import (
+    UtilityKind,
+    left_sum,
+    link_utility,
+    spin_planes,
+    spin_selectors,
+    two_way_rates,
+)
 from spinopt.topology import RootedTree, TopologyGraph
 
 
@@ -265,8 +272,8 @@ def rates_of(sinrs):
 
 
 def utility_of(kind, sinrs):
-    """Network utility from per-link (L->R, R->L) SINRs, summed in link order."""
-    return sum(link_utility(kind, rate) for rate in rates_of(sinrs))
+    """Network utility from per-link (L->R, R->L) SINRs, summed left to right in link order."""
+    return left_sum(link_utility(kind, rate) for rate in rates_of(sinrs))
 
 
 def tree_brute_force(
@@ -361,7 +368,7 @@ def mst_dp_per_vertex(
     return OptimizationResult(
         spins=spins,
         objective_exact=network_utility(instance, graph, kind, spins),
-        objective_approx=float(sum(root_values)),
+        objective_approx=left_sum(root_values),
     )
 
 

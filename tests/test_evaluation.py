@@ -872,21 +872,33 @@ def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fad
     # the counts bench/probe.py traces through evaluation's module globals:
     # an evaluate of 12 drops runs 4 blocks of 3, or with no block budget 12
     # blocks of one, each drop of 7 frames in chunks of 3. A block of 3
-    # generates its instances, graphs and forests in one call each; a block
-    # of one calls the per-drop functions, the ones the probe wraps
+    # generates its instances, graphs and forests and runs each optimizer in
+    # one call each; a block of one calls the per-drop functions, the ones
+    # the probe wraps
     m = 4
     frame_bytes = 8 * (2 * m + 4 * m**2) + evaluation._FRAME_STATE_BYTES
     monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", 3 * frame_bytes)
     if block == 1:
         monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", 0)
-    per_drop_stages = ("generate_instance", "build_graph", "maximum_spanning_tree")
-    block_stages = ("generate_instances", "build_graphs", "maximum_spanning_forests")
-    layers = (
-        *per_drop_stages,
-        *block_stages,
+    per_drop_stages = (
+        "generate_instance",
+        "build_graph",
+        "maximum_spanning_tree",
         "exhaustive_search",
         "mst_dp",
         "random_spins",
+    )
+    block_stages = (
+        "generate_instances",
+        "build_graphs",
+        "maximum_spanning_forests",
+        "exhaustive_search_block",
+        "mst_dp_block",
+        "random_spins_block",
+    )
+    layers = (
+        *per_drop_stages,
+        *block_stages,
         "spin_selectors",
         "draw_fading",
         "two_way_rates",

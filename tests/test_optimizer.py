@@ -1,3 +1,4 @@
+import builtins
 import math
 import tracemalloc
 
@@ -24,7 +25,9 @@ from spinopt.optimizer import (
     DP_STEP_BUDGET,
     EXHAUSTIVE_CAP,
     exhaustive_search,
+    exhaustive_search_block,
     mst_dp,
+    mst_dp_block,
     random_spins,
 )
 from spinopt.sinr import UtilityKind, network_utility, spin_planes
@@ -124,6 +127,34 @@ def test_exhaustive_equals_per_candidate_rerank_on_ties(monkeypatch, kind, reran
         spins, objective = exhaustive_rerank(inst, graph, kind)
         np.testing.assert_array_equal(res.spins, spins)
         assert res.objective_exact == objective
+
+
+def test_exhaustive_blocks_hold_near_best_rows_of_one_drop(monkeypatch):
+    # at SNRs of 1e-40 every assignment is within the screen's margin of the
+    # best, so all 2**(M-1) assignments of a drop are near-best rows. Drops
+    # whose enumeration spans several batches do not share it, and a result
+    # holds a copy of its best row, not a view of its drop's rows, so a block
+    # of six holds one drop's rows at a time
+    monkeypatch.setattr(optimizer, "_BATCH", 1 << 6)
+    monkeypatch.setattr(optimizer, "_RERANK_BATCH", 1 << 4)
+    m = 12
+    drops = [random_instance(m, seed=seed)[1] for seed in range(6)]
+    drops = [build_instance(inst.inr.copy(), snr=np.full((m, 2), 1e-40)) for inst in drops]
+    graphs = [build_graph(inst, threshold=0.0) for inst in drops]
+    snr = np.stack([inst.snr for inst in drops])
+    planes = np.stack([spin_planes(i.inr, g.adjacency) for i, g in zip(drops, graphs)])
+    roots = [maximum_spanning_tree(graph).roots for graph in graphs]
+    assert roots == [(0,)] * len(drops)
+
+    def peak(block):
+        tracemalloc.start()
+        try:
+            exhaustive_search_block(snr[:block], planes[:block], roots[:block], SUM_RATE)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(len(drops)) <= 1.5 * peak(1)
 
 
 def test_exhaustive_result_is_self_consistent():
@@ -278,6 +309,63 @@ def test_dp_step_at_cap_fits_memory_budget():
     assert peak <= DP_STEP_BUDGET
 
 
+def test_dp_block_steps_at_cap_fit_memory_budget():
+    # two broom drops put two vertices of CHILD_CAP children in one group
+    # (height 1, CHILD_CAP children): twice the rows the budget admits, so
+    # the group steps one vertex at a time
+    m = CHILD_CAP + 2
+    broom = graph_from(m, [(0, 1, 2.0)] + [(1, leaf, 1.0) for leaf in range(2, m)])
+    tree = maximum_spanning_tree(broom)
+    assert 2 * 2**CHILD_CAP * optimizer._DP_ROW_BYTES > DP_STEP_BUDGET
+    inst = build_instance(np.full((m, m, 2, 2), 0.5))
+    planes = np.stack([spin_planes(inst.inr, broom.adjacency)] * 2)
+    snr = np.stack([inst.snr] * 2)
+    tracemalloc.start()
+    try:
+        block = mst_dp_block(snr, planes, [tree, tree], PF)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= DP_STEP_BUDGET
+    alone = mst_dp(inst, broom, tree, PF)
+    for result in block:
+        assert result.spins.tobytes() == alone.spins.tobytes()
+        assert result.objective_approx == alone.objective_approx
+
+
+def neumaier_sum(values, start=0):
+    """Compensated summation, as the builtin ``sum`` of floats does from Python 3.12."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_objectives_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the objectives add their floats left to right on every Python, so a
+    # sum compensated as Python 3.12's is leaves every one of them unchanged
+    rng = np.random.default_rng(5)
+    drops = [prepared(20, seed=seed, threshold=(0.01, 1.0)[seed % 2]) for seed in range(8)]
+    spins = rng.integers(0, 2, size=(len(drops), 20), dtype=np.int8)
+
+    def objectives():
+        return [
+            (network_utility(inst, g, kind, s), mst_dp(inst, g, tree, kind).objective_approx)
+            for (inst, g, tree), s in zip(drops, spins)
+            for kind in (SUM_RATE, PF)
+        ]
+
+    expected = objectives()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert sum([0.1] * 10) == 1.0  # added left to right: 0.9999999999999999
+    assert objectives() == expected
+
+
 def test_dp_value_is_exact_under_extreme_inr_asymmetry():
     # close-range interferer: one end hits at ~1e8, the other near 1; a
     # base-plus-difference denominator would lose ~8 digits here
@@ -308,7 +396,8 @@ def test_batch_utilities_are_exact_under_extreme_inr_asymmetry():
     batch = np.array(
         [[(code >> (2 - j)) & 1 for j in range(3)] for code in range(8)], dtype=np.int8
     )
-    fast = _spin_batch_utilities(inst.snr, spin_planes(inst.inr, graph.adjacency), PF, batch)
+    planes, s = spin_planes(inst.inr, graph.adjacency), batch.astype(float)
+    fast = _spin_batch_utilities(inst.snr, planes, PF, (batch == 0, s, 1.0 - s))
     slow = [network_utility(inst, graph, PF, s) for s in batch]
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 

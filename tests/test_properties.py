@@ -62,7 +62,14 @@ from spinopt.evaluation import (
     _csv_cells,
     run_experiment,
 )
-from spinopt.optimizer import exhaustive_search, mst_dp
+from spinopt.optimizer import (
+    exhaustive_search,
+    exhaustive_search_block,
+    mst_dp,
+    mst_dp_block,
+    random_spins,
+    random_spins_block,
+)
 from spinopt.sinr import (
     UtilityKind,
     network_utilities,
@@ -154,6 +161,8 @@ def test_spanning_forest_equals_kruskal_oracle(graph_edges):
     oracle = kruskal_forest(m, edges)
     assert graph.edges == tuple(sorted(edges))
     assert graph.components() == oracle.components
+    # the block optimizers read a forest's roots as the components' lowest vertices
+    assert tree.roots == tuple(component[0] for component in graph.components())
     assert tree.parent == oracle.parent
     assert tree.roots == oracle.roots
     assert tree.children == oracle.children
@@ -200,6 +209,7 @@ def test_forest_blocks_equal_one_graph_prim(graph_block):
         tree = maximum_spanning_tree(graph)
         assert forest.parent == tree.parent
         assert forest.tree_edges == tree.tree_edges
+        assert forest.roots == tuple(component[0] for component in graph.components())
         assert (forest.roots, forest.children, forest.order) == (
             tree.roots,
             tree.children,
@@ -275,7 +285,8 @@ def test_batched_network_utilities_equal_loop_oracle(net, kind, seed):
     m = graph.num_vertices
     batch = np.random.default_rng(seed).integers(0, 2, size=(9, m), dtype=np.int8)
     oracle = [utility_of(kind, [exact_sinr(inst, graph, l, s) for l in range(m)]) for s in batch]
-    assert network_utilities(inst, graph, kind, batch) == oracle
+    planes = spin_planes(inst.inr, graph.adjacency)
+    assert network_utilities(inst.snr, planes, kind, batch) == oracle
 
 
 @PROPERTY
@@ -384,7 +395,7 @@ def test_spin_planes_and_their_kernels_equal_loop_oracles(case, start, rows, kin
     spin_rows = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     stack = np.array(data.draw(st.lists(spin_rows, min_size=rows, max_size=rows)), dtype=np.int8)
     oracle = [utility_of(kind, [exact_sinr(inst, graph, l, s) for l in range(m)]) for s in stack]
-    assert network_utilities(inst, graph, kind, stack) == oracle
+    assert network_utilities(inst.snr, planes, kind, stack) == oracle
     frames = range(start, start + 3)
     on_graph_inst = replace(inst, inr=planes)
     differ = spin_selectors(graph, stack)
@@ -472,16 +483,86 @@ def test_dp_equals_tree_brute_force(net, kind):
     np.testing.assert_allclose(achieved, dp.objective_approx, rtol=1e-9)
 
 
+BLOCK_VARIANTS = ("drawn", "forest", "no edge", "dead link")
+
+
+@st.composite
+def network_blocks(draw, max_links=7):
+    """A block of (instance, graph, tree) drops of one size M, one link
+    included, in random order: one of each ``BLOCK_VARIANTS`` and up to two
+    more. Each is drawn by ``networks``, then kept, thinned to a forest of at
+    most M edges by a threshold among its largest INRs, stripped of every
+    edge (every vertex a root), or given a link of zero SNR, whose rate 0
+    makes every assignment -inf under proportional fairness."""
+    m = draw(st.integers(1, max_links))
+    extra = draw(st.lists(st.sampled_from(BLOCK_VARIANTS), max_size=2))
+    block = []
+    for variant in draw(st.permutations(BLOCK_VARIANTS + tuple(extra))):
+        inst, graph, _, _ = draw(networks(min_links=m, max_links=m))
+        if variant == "forest":
+            # at most `kept` INRs exceed the threshold, so at most `kept` edges remain
+            kept = draw(st.integers(1, m))
+            threshold = np.sort(inst.inr, axis=None)[-1 - kept]
+            graph = build_graph(inst, threshold=float(threshold))
+        elif variant == "no edge":
+            graph = build_graph(inst, threshold=1e300)
+        elif variant == "dead link":
+            snr = inst.snr.copy()
+            snr[draw(st.integers(0, m - 1))] = 0.0
+            inst = replace(inst, snr=snr)
+        block.append((inst, graph, maximum_spanning_tree(graph)))
+    return block
+
+
+def stacked(block):
+    """The (B, M, 2) snr and (B, M, M, 2, 2) spin planes of a block's drops,
+    and their trees, as ``solve_drop`` hands them to the block optimizers."""
+    instances, graphs, trees = zip(*block)
+    adjacency = np.stack([graph.adjacency for graph in graphs])
+    planes = spin_planes([instance.inr for instance in instances], adjacency)
+    return np.stack([instance.snr for instance in instances]), planes, list(trees)
+
+
+def same_result(result, oracle) -> bool:
+    """Equal spins, objectives and warning, the floats byte for byte."""
+    return (
+        same_bytes(result.spins, oracle.spins)
+        and same_bytes(np.float64(result.objective_exact), np.float64(oracle.objective_exact))
+        and repr(result.objective_approx) == repr(oracle.objective_approx)
+        and result.warning == oracle.warning
+    )
+
+
 @PROPERTY
-@given(networks(max_links=12, min_links=1), KINDS)
-def test_dp_equals_per_vertex_reference(net, kind):
-    # the leaves' single step leaves every spin and objective bit-identical
-    inst, graph, tree, _ = net
-    dp, reference = mst_dp(inst, graph, tree, kind), mst_dp_per_vertex(inst, graph, tree, kind)
-    assert same_bytes(dp.spins, reference.spins)
-    for objective in ("objective_approx", "objective_exact"):
-        values = (np.float64(getattr(result, objective)) for result in (dp, reference))
-        assert same_bytes(*values)
+@given(network_blocks(max_links=12))
+def test_dp_equals_per_vertex_reference(block):
+    # one DP over a block's forests, stepping vertices of equal height and
+    # child count together, leaves every drop's spins and objectives under
+    # either utility bit-identical to the reference that steps one vertex at a time
+    snr, planes, trees = stacked(block)
+    for kind in UtilityKind:
+        for (inst, graph, tree), dp in zip(block, mst_dp_block(snr, planes, trees, kind)):
+            reference = mst_dp_per_vertex(inst, graph, tree, kind)
+            assert same_result(dp, mst_dp(inst, graph, tree, kind))
+            assert same_bytes(dp.spins, reference.spins)
+            for objective in ("objective_approx", "objective_exact"):
+                values = (np.float64(getattr(result, objective)) for result in (dp, reference))
+                assert same_bytes(*values)
+
+
+@PROPERTY
+@given(network_blocks(), st.lists(SEEDS, min_size=6, max_size=6))
+def test_block_searches_equal_one_drop_at_a_time(block, seeds):
+    # drops with equal roots share a one-batch enumeration; under either
+    # utility every drop's exhaustive and random results equal its own calls
+    snr, planes, trees = stacked(block)
+    roots = [tree.roots for tree in trees]
+    for kind in UtilityKind:
+        searched = exhaustive_search_block(snr, planes, roots, kind)
+        drawn = random_spins_block(snr, planes, seeds[: len(block)], kind)
+        for (inst, graph, _), seed, found, baseline in zip(block, seeds, searched, drawn):
+            assert same_result(found, exhaustive_search(inst, graph, kind))
+            assert same_result(baseline, random_spins(inst, graph, kind, seed))
 
 
 @PROPERTY

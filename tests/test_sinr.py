@@ -26,6 +26,7 @@ from spinopt.sinr import (
     link_utility,
     network_utilities,
     network_utility,
+    spin_planes,
     spin_selectors,
     two_way_rates,
 )
@@ -333,10 +334,11 @@ def test_batched_utilities_hold_one_terms_array():
     _, inst = random_instance(20, 3)
     graph = build_graph(inst, 0.0)
     spins = np.random.default_rng(1).integers(0, 2, size=(512, 20)).astype(np.int8)
-    network_utilities(inst, graph, PF, spins)
+    planes = spin_planes(inst.inr, graph.adjacency)
+    network_utilities(inst.snr, planes, PF, spins)
     tracemalloc.start()
     try:
-        network_utilities(inst, graph, PF, spins)
+        network_utilities(inst.snr, planes, PF, spins)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
