@@ -106,7 +106,9 @@ _BLOCK_DROP_BYTES = 16 << 10
 #   pass (< 2.4 MiB) or the exhaustive screen, which never overlap,
 #   whichever is larger (the rest of the peak measured 10.7 MB at
 #   M = 20 with exhaustive search, 9.4 MB at M = 18, <= 0.4 MB without
-#   it), 16 MiB here; the DP step's own budget; and what a block of drops
+#   it; the screen holds one batch and its re-rank however many
+#   assignments tie: 11.2 MB for one M = 20 drop whose every SNR is
+#   1e-40), 16 MiB here; the DP step's own budget; and what a block of drops
 #   holds between its stages, _BLOCK_BUDGET.
 RUN_MEMORY_BUDGET = 2 << 30
 _PAIR_BYTES = 256

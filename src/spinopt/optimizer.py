@@ -129,12 +129,14 @@ def exhaustive_search_block(snr, planes, roots, kind: UtilityKind) -> list[Optim
     and ``spin_planes``; ``roots`` lists each drop's tree roots as a tuple,
     the lowest vertex of each connected component, fixed to spin 0. The
     other assignments are enumerated, so a connected graph costs 2**(M-1)
-    evaluations; drops with equal roots share an enumeration of one batch. A
-    batched kernel screens them per drop; the ones within ``_SCREEN_MARGIN``
-    of the best are re-ranked in batches by the exact objective
-    (``network_utilities``, bit-identical to ``network_utility``), so the
-    spins maximize the reported objective. Ties go to the lexicographically
-    smallest spin vector. Refuses M above ``EXHAUSTIVE_CAP``.
+    evaluations; drops with equal roots share the enumeration. A batched
+    kernel screens each batch of it per drop, and the rows within
+    ``_SCREEN_MARGIN`` of the best screened so far are re-ranked at once by
+    the exact objective (``network_utilities``, bit-identical to
+    ``network_utility``), so the spins maximize the reported objective. A
+    drop keeps only its exact best so far, so the search holds one batch
+    however many assignments tie. Ties go to the lexicographically smallest
+    spin vector. Refuses M above ``EXHAUSTIVE_CAP``.
     """
     m = snr.shape[1]
     if m > EXHAUSTIVE_CAP:
@@ -142,16 +144,12 @@ def exhaustive_search_block(snr, planes, roots, kind: UtilityKind) -> list[Optim
             f"exhaustive search refused: {m} links exceeds the cap of {EXHAUSTIVE_CAP} "
             f"(2**(M-1) assignments)"
         )
-    # drops share an enumeration of one batch only, so that the near-best rows they hold
-    # together stay within _BATCH rows a drop (27 drops of 8,192 at M = 14: 4.9 MB)
-    keys = [r if (1 << m - len(r)) <= _BATCH else d for d, r in enumerate(roots)]
     results = [None] * len(roots)
-    for key in dict.fromkeys(keys):
-        drops = [drop for drop, drop_key in enumerate(keys) if drop_key == key]
-        free = [v for v in range(m) if v not in roots[drops[0]]]
+    for fixed in dict.fromkeys(roots):
+        drops = [drop for drop, drop_roots in enumerate(roots) if drop_roots == fixed]
+        free = [v for v in range(m) if v not in fixed]
         nbits = len(free)
         top = [-np.inf] * len(drops)
-        screened, near_spins = [[] for _ in drops], [[] for _ in drops]
         for start in range(0, 1 << nbits, _BATCH):
             count = min(_BATCH, (1 << nbits) - start)
             codes = np.arange(start, start + count, dtype=np.int64)
@@ -162,25 +160,20 @@ def exhaustive_search_block(snr, planes, roots, kind: UtilityKind) -> list[Optim
             for i, drop in enumerate(drops):
                 utilities = _spin_batch_utilities(snr[drop], planes[drop], kind, floats)
                 top[i] = max(top[i], float(utilities.max()))
-                near = utilities >= _screen_floor(top[i])
-                screened[i].append(utilities[near])
-                near_spins[i].append(batch[near])
-
-        # re-rank the near-best assignments by the objective that is reported
-        for i, drop in enumerate(drops):
-            floor = _screen_floor(top[i])
-            candidates = np.concatenate(near_spins[i])[np.concatenate(screened[i]) >= floor]
-            exact = []
-            for start in range(0, len(candidates), _RERANK_BATCH):
-                batch = candidates[start : start + _RERANK_BATCH]
-                exact += network_utilities(snr[drop], planes[drop], kind, batch)
-            warning = None if exact else _ALL_INF
-            if not exact:
-                candidates = np.zeros((1, m), dtype=np.int8)
-                exact = network_utilities(snr[drop], planes[drop], kind, candidates)
-            # a copy of the best row: a view would keep all of the drop's candidates alive
-            best_spins = candidates[np.argmax(exact)].copy()
-            results[drop] = OptimizationResult(best_spins, max(exact), None, warning)
+                # re-rank the near-best assignments by the objective that is reported
+                near = batch[utilities >= _screen_floor(top[i])]
+                for first in range(0, len(near), _RERANK_BATCH):
+                    rows = near[first : first + _RERANK_BATCH]
+                    exact = network_utilities(snr[drop], planes[drop], kind, rows)
+                    best = int(np.argmax(exact))
+                    if results[drop] is None or exact[best] > results[drop].objective_exact:
+                        # a copy: a view would keep the batch's near-best rows alive
+                        results[drop] = OptimizationResult(rows[best].copy(), exact[best], None)
+    for drop, result in enumerate(results):
+        if result is None:
+            spins = np.zeros(m, dtype=np.int8)
+            exact = network_utilities(snr[drop], planes[drop], kind, spins[None])[0]
+            results[drop] = OptimizationResult(spins, exact, None, _ALL_INF)
     return results
 
 

@@ -110,9 +110,12 @@ def spin_indifferent(num_links, seed):
     return build_instance(inr, snr=inst.snr.copy())
 
 
+@pytest.mark.parametrize("batch", [1 << 3, optimizer._BATCH])
 @pytest.mark.parametrize("rerank_batch", [5, optimizer._RERANK_BATCH])
 @pytest.mark.parametrize("kind", [SUM_RATE, PF])
-def test_exhaustive_equals_per_candidate_rerank_on_ties(monkeypatch, kind, rerank_batch):
+def test_exhaustive_equals_per_candidate_rerank_on_ties(monkeypatch, kind, rerank_batch, batch):
+    # with batches of 8 assignments, the ties of the larger drops straddle batches
+    monkeypatch.setattr(optimizer, "_BATCH", batch)
     monkeypatch.setattr(optimizer, "_RERANK_BATCH", rerank_batch)
     rng = np.random.default_rng(11)
     instances = [spin_indifferent(m, seed) for m, seed in ((5, 1), (8, 2), (9, 3))]
@@ -129,32 +132,48 @@ def test_exhaustive_equals_per_candidate_rerank_on_ties(monkeypatch, kind, reran
         assert res.objective_exact == objective
 
 
-def test_exhaustive_blocks_hold_near_best_rows_of_one_drop(monkeypatch):
-    # at SNRs of 1e-40 every assignment is within the screen's margin of the
-    # best, so all 2**(M-1) assignments of a drop are near-best rows. Drops
-    # whose enumeration spans several batches do not share it, and a result
-    # holds a copy of its best row, not a view of its drop's rows, so a block
-    # of six holds one drop's rows at a time
-    monkeypatch.setattr(optimizer, "_BATCH", 1 << 6)
-    monkeypatch.setattr(optimizer, "_RERANK_BATCH", 1 << 4)
-    m = 12
-    drops = [random_instance(m, seed=seed)[1] for seed in range(6)]
+def all_tie_drops(m, count):
+    """``count`` connected drops at SNRs of 1e-40: every assignment is within the
+    screen's margin of the best, so all 2**(M-1) of a drop are near-best rows.
+    Returns the block's SNR and spin-plane stacks and its drops' roots."""
+    drops = [random_instance(m, seed=seed)[1] for seed in range(count)]
     drops = [build_instance(inst.inr.copy(), snr=np.full((m, 2), 1e-40)) for inst in drops]
     graphs = [build_graph(inst, threshold=0.0) for inst in drops]
     snr = np.stack([inst.snr for inst in drops])
     planes = np.stack([spin_planes(i.inr, g.adjacency) for i, g in zip(drops, graphs)])
     roots = [maximum_spanning_tree(graph).roots for graph in graphs]
-    assert roots == [(0,)] * len(drops)
+    assert roots == [(0,)] * count
+    return snr, planes, roots
 
-    def peak(block):
-        tracemalloc.start()
-        try:
-            exhaustive_search_block(snr[:block], planes[:block], roots[:block], SUM_RATE)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(len(drops)) <= 1.5 * peak(1)
+def exhaustive_peak(snr, planes, roots) -> int:
+    tracemalloc.start()
+    try:
+        exhaustive_search_block(snr, planes, roots, SUM_RATE)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exhaustive_blocks_hold_near_best_rows_of_one_drop(monkeypatch):
+    # drops with equal roots share every batch of the enumeration, each
+    # batch's near-best rows are re-ranked before the next is built, and a
+    # result holds a copy of its best row, not a view of the batch's rows, so
+    # a block of six holds one batch at a time
+    monkeypatch.setattr(optimizer, "_BATCH", 1 << 6)
+    monkeypatch.setattr(optimizer, "_RERANK_BATCH", 1 << 4)
+    snr, planes, roots = all_tie_drops(12, 6)
+    assert exhaustive_peak(snr, planes, roots) <= 1.5 * exhaustive_peak(*all_tie_drops(12, 1))
+
+
+def test_exhaustive_memory_does_not_grow_with_ties(monkeypatch):
+    # with every assignment tied, a search that held its near-best rows until
+    # the enumeration ends would grow as 2**(M-1); one batch at a time grows
+    # only with a row's M**2 terms
+    monkeypatch.setattr(optimizer, "_BATCH", 1 << 6)
+    monkeypatch.setattr(optimizer, "_RERANK_BATCH", 1 << 4)
+    small, large = (exhaustive_peak(*all_tie_drops(m, 1)) for m in (10, 14))
+    assert large <= (14 / 10) ** 2 * small
 
 
 def test_exhaustive_result_is_self_consistent():

@@ -1,9 +1,8 @@
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,7 +21,6 @@ def third_party_imports(package: Path) -> set[str]:
 
 
 def test_every_imported_package_is_a_declared_dependency():
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {
         re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")

@@ -25,6 +25,7 @@ from helpers import (
     build_instance,
     cyclic_instance,
     exact_sinr,
+    exhaustive_rerank,
     fading_frame,
     graph_from,
     graph_weight_reduce,
@@ -53,7 +54,7 @@ from spinopt.channel import (
     instance_to_json,
     interference_tensor,
 )
-from spinopt import evaluation
+from spinopt import evaluation, optimizer
 from spinopt.cli import CONFIG_SCHEMA, load_config, main
 from spinopt.evaluation import (
     ALGORITHMS,
@@ -553,16 +554,25 @@ def test_dp_equals_per_vertex_reference(block):
 @PROPERTY
 @given(network_blocks(), st.lists(SEEDS, min_size=6, max_size=6))
 def test_block_searches_equal_one_drop_at_a_time(block, seeds):
-    # drops with equal roots share a one-batch enumeration; under either
-    # utility every drop's exhaustive and random results equal its own calls
+    # drops with equal roots share the enumeration; under either utility every
+    # drop's exhaustive and random results equal its own calls, and with
+    # batches of 8 assignments, re-ranked one batch at a time, the exhaustive
+    # results still equal the per-candidate oracle's first maximum
     snr, planes, trees = stacked(block)
     roots = [tree.roots for tree in trees]
     for kind in UtilityKind:
         searched = exhaustive_search_block(snr, planes, roots, kind)
+        with mock.patch.object(optimizer, "_BATCH", 1 << 3):
+            small_batches = exhaustive_search_block(snr, planes, roots, kind)
         drawn = random_spins_block(snr, planes, seeds[: len(block)], kind)
-        for (inst, graph, _), seed, found, baseline in zip(block, seeds, searched, drawn):
+        for (inst, graph, _), seed, found, batched, baseline in zip(
+            block, seeds, searched, small_batches, drawn
+        ):
             assert same_result(found, exhaustive_search(inst, graph, kind))
             assert same_result(baseline, random_spins(inst, graph, kind, seed))
+            spins, objective = exhaustive_rerank(inst, graph, kind)
+            assert same_bytes(batched.spins, spins)
+            assert same_bytes(np.float64(batched.objective_exact), np.float64(objective))
 
 
 @PROPERTY
