@@ -283,11 +283,11 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
     """(graphs, trees, planes, results, seconds) of a block of drops, one entry per drop.
 
     The single algorithm dispatch of the package: builds the block's
-    topology graphs, maximum spanning forests (one Prim) and spin planes in
+    topology graphs, maximum spanning forests (one Borůvka) and spin planes in
     one pass each, then runs each algorithm's block optimizer once over the
     block with the experiment's utility. A block of one takes the per-drop
-    ``build_graph``, ``maximum_spanning_tree`` (whose one-graph Prim is the
-    faster there) and optimizers. A drop's ``results`` is a dict keyed by
+    ``build_graph``, ``maximum_spanning_tree`` and optimizers, which the
+    benchmark probe wraps by name. A drop's ``results`` is a dict keyed by
     algorithm in config order; ``seconds`` maps each algorithm to its time
     over the block. A drop's ``baseline_seeds`` entry seeds its random baseline.
     """

@@ -18,6 +18,7 @@ lexicographically smallest bit pattern wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,15 @@ class OptimizationResult:
     warning: str | None = None
 
     def to_json(self, graph: TopologyGraph) -> dict:
-        """JSON view; ``relative_spins`` is the XOR of ``spins`` per edge."""
+        """JSON view; ``relative_spins`` is the XOR of ``spins`` per edge,
+        and an objective that is not finite (``-inf``) is None, null in JSON."""
         relative = relative_from_spins(graph, self.spins)
+        exact, approx = self.objective_exact, self.objective_approx
         return {
             "spins": [int(s) for s in self.spins],
             "relative_spins": {f"{k}-{l}": b for (k, l), b in relative.items()},
-            "objective_exact": self.objective_exact,
-            "objective_approx": self.objective_approx,
+            "objective_exact": exact if math.isfinite(exact) else None,
+            "objective_approx": approx if approx is not None and math.isfinite(approx) else None,
             "warning": self.warning,
         }
 

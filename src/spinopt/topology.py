@@ -155,83 +155,68 @@ def build_graph(
 
 def maximum_spanning_forests(weight: np.ndarray) -> list[RootedTree]:
     """Maximum-weight spanning forests of a block of graphs, from their
-    stacked (B, M, M) weight matrices; one Prim over the whole block.
+    stacked (B, M, M) weight matrices; one Borůvka over the whole block.
 
-    Edges rank by descending weight, then ascending (k, l), as in
-    :func:`maximum_spanning_tree`: a stable sort of each graph's upper
-    triangle numbers its edges in that order, and Prim then grows every
-    forest of the block at once over these distinct ranks, so the parents
-    and tree edges equal that function's.
+    Edges rank by descending weight, then ascending (k, l), a strict order,
+    so each forest is the unique maximum under it. Each round, every
+    component keeps the best-ranked edge out of it (a vertex's best is the
+    first maximum of its row, absent and same-component entries excluded),
+    and components joined by kept edges merge, until none has an edge out.
+    Each tree is rooted at its lowest vertex; a vertex's parent is its
+    neighbour towards the root, the tree vertex Prim would join it through.
     """
     b, m, _ = weight.shape
-    k, l = np.triu_indices(m, 1)
-    upper = weight[:, k, l]
-    pairs = upper.shape[1]
-    ranks = np.empty((b, pairs), dtype=np.int64)
-    np.put_along_axis(ranks, np.argsort(-upper, axis=1, kind="stable"), np.arange(pairs), axis=1)
-    # no edge ranks `absent`; a tree vertex's column and best edge rank `joined`
-    absent, joined = pairs, pairs + 1
-    ranks[np.isnan(upper)] = absent
-    rank = np.full((b, m, m), absent)
-    rank[:, k, l] = rank[:, l, k] = ranks
-    # per outside vertex: the rank of its best edge into the tree and that edge's tree end
-    best = np.full((b, m), absent)
-    via = np.full((b, m), -1)
-    parent = np.empty((b, m), dtype=np.int64)
-    rows = np.arange(b)
-    for _ in range(m):
-        # the best-ranked edge into the tree; with none, the first outside
-        # vertex, which is its component's lowest, roots the next tree (via -1)
-        v = best.argmin(axis=1)
-        parent[rows, v] = via[rows, v]
-        best[rows, v] = joined
-        rank[rows, :, v] = joined
-        offer = rank[rows, v]
-        better = offer < best
-        np.copyto(best, offer, where=better)
-        np.copyto(via, v[:, None], where=better)
-    return _rooted_trees(weight, parent)
+    n = b * m
+    # one row per vertex of the block: vertex v of drop d is d * m + v
+    w = np.where(np.isnan(weight), -np.inf, weight)
+    rows = w.reshape(n, m)
+    vertex = np.arange(n)
+    offset = vertex - vertex % m
+    label = vertex  # each component is labelled by one of its vertices
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    while True:
+        to = rows.argmax(axis=1)
+        best = rows[vertex, to]
+        if best.max() == -np.inf:
+            break
+        to += offset
+        # a component keeps its vertices' heaviest edge with the lowest lower end;
+        # two such edges share that end outside it, so the vertex, the higher, decides
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, label, best)
+        rank = np.where(best == top[label], np.minimum(vertex, to) * n + vertex, n * n)
+        first = np.full(n, n * n)
+        np.minimum.at(first, label, rank)
+        keep = first[top > -np.inf] % n
+        c, t = label[keep], label[to[keep]]
+        succ = vertex.copy()
+        succ[c] = t
+        # two components that keep each other's edge keep one edge; the lower labels both
+        lower = (succ[t] == c) & (c < t)
+        succ[c[lower]] = c[lower]
+        keep = keep[~lower]
+        for v, u in zip(keep.tolist(), to[keep].tolist()):
+            neighbours[v].append(u)
+            neighbours[u].append(v)
+        jumped = succ[succ]
+        while (jumped != succ).any():
+            succ, jumped = jumped, jumped[jumped]
+        label = succ[label]
+        np.copyto(w, -np.inf, where=label.reshape(b, m, 1) == label.reshape(b, 1, m))
+    parent = [-1] * n
+    tree = np.unique(label, return_index=True)[1].tolist()  # the roots: each label's lowest vertex
+    for v in tree:
+        for u in neighbours[v]:
+            if u != parent[v]:
+                parent[u] = v
+                tree.append(u)
+    parent = np.fromiter(parent, np.int64, n)
+    return _rooted_trees(weight, np.where(parent < 0, -1, parent - offset).reshape(b, m))
 
 
 def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
-    """Maximum-weight spanning forest, rooted per component.
-
-    Dense Prim. Edges rank by descending weight, then ascending (k, l); the
-    ranking is strict, so the forest is the unique maximum under it and
-    equal-weight choices are deterministic. Each component grows from its
-    lowest unvisited vertex, which is its root; a vertex's parent is the
-    tree vertex it joins through, so children come out ascending.
-
-    One graph's Prim, for a block of one: on one graph of M = 200 it takes
-    about half the time of :func:`maximum_spanning_forests`, whose ranking
-    sort and fancy indexing pay off only across a block.
-    """
-    m = graph.num_vertices
-    # a vertex's column is blanked when it joins, so no later row offers an edge to it
-    weight = np.array(graph.weight)
-    parent = np.full(m, -1)
-    unvisited = np.ones(m, dtype=bool)
-    # per outside vertex: the weight of its best edge into the tree and that edge's tree end
-    best = np.full(m, -np.inf)
-    via = np.full(m, -1)
-    for _ in range(m):
-        v = np.argmax(best)
-        if best[v] == -np.inf:
-            v = np.argmax(unvisited)  # component done: its lowest vertex roots the next
-        else:
-            top = np.flatnonzero(best == best[v])
-            if len(top) > 1:  # equal weights: the edge with the smallest (k, l)
-                lo, hi = np.minimum(top, via[top]), np.maximum(top, via[top])
-                v = top[np.argmin(lo * m + hi)]
-            parent[v], best[v] = via[v], -np.inf
-        unvisited[v] = False
-        weight[:, v] = np.nan
-        # equal weights into one vertex: the lower tree end has the smaller (k, l)
-        w = weight[v]
-        better = (w > best) | ((w == best) & (v < via))
-        np.copyto(best, w, where=better)
-        np.copyto(via, v, where=better)
-    return _rooted_trees(graph.weight[None], parent[None])[0]
+    """Maximum spanning forest of one graph: :func:`maximum_spanning_forests` of a block of one."""
+    return maximum_spanning_forests(graph.weight[None])[0]
 
 
 def _rooted_trees(weight: np.ndarray, parent: np.ndarray) -> list[RootedTree]:

@@ -127,7 +127,7 @@ class _DisjointSet:
 
 
 def kruskal_forest(num_vertices, edges) -> SimpleNamespace:
-    """Per-edge oracle for ``maximum_spanning_tree`` and ``components``.
+    """Per-edge oracle for ``maximum_spanning_forests`` and ``components``.
 
     Kruskal with union-find over (k, l, weight) edges sorted by descending
     weight, then ascending (k, l); each component is rooted at its lowest

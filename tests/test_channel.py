@@ -338,6 +338,13 @@ def test_instance_json_rejects_wrong_schema():
         instance_from_json(data)
 
 
+def test_instance_json_names_a_missing_key():
+    data = instance_to_json(generate_instance(ScenarioConfig(num_links=2, seed=0), 0))
+    del data["shadowing"]
+    with pytest.raises(ValueError, match="instance JSON missing key: 'shadowing'"):
+        instance_from_json(data)
+
+
 def test_generate_rejects_bad_drop_seed():
     cfg = ScenarioConfig(num_links=2, seed=0)
     with pytest.raises(ValueError):

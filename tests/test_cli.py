@@ -451,6 +451,8 @@ EXHAUSTIVE_ONLY = {"experiment": {"algorithms": ["exhaustive"]}}
         # a bandwidth at which the pooled rates could overflow
         ({"experiment": {"bandwidth_hz": 1e308}}, "bandwidth_hz"),
         ({"experiment": {"bandwidth_hz": 1e303, "num_drops": 100}}, "bandwidth_hz"),
+        # a top-level key outside the sections
+        ({"sweeps": {}}, "unknown top-level key(s) ['sweeps']"),
     ],
 )
 def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, sections, bad_key):
@@ -460,7 +462,7 @@ def test_every_command_enforces_one_config_contract(tmp_path, capsys, command, s
         "sweep": {"parameter": "num_links", "values": [2]},
     }
     for name, section in sections.items():
-        both_objects = isinstance(section, dict) and isinstance(config[name], dict)
+        both_objects = isinstance(section, dict) and isinstance(config.get(name), dict)
         config[name] = {**config[name], **section} if both_objects else section
     cfg = write_config(tmp_path, **config)
     out = tmp_path / "o"
@@ -625,6 +627,20 @@ def test_rejects_wrong_schema_tag(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def test_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[]")
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+def test_sweep_needs_a_sweep_section(tmp_path, capsys):
+    cfg = tiny_eval_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "sweep command needs a 'sweep' section" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_rejects_invalid_json(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -774,6 +790,22 @@ def test_minus_inf_objective_is_null_and_warnings_are_counted(tmp_path, capsys, 
     assert all(want in line for want, line in zip(expected, warned))
 
 
+def test_optimize_writes_a_minus_inf_objective_as_null(tmp_path, capsys):
+    # under the default proportional fairness every assignment has utility -inf
+    cfg = write_config(tmp_path, scenario=MINUS_INF_OBJECTIVE["scenario"])
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    results = json.loads((out / "result.json").read_text())["results"]
+    assert set(results) == set(ALGORITHMS)
+    for result in results.values():
+        assert result["objective_exact"] is None
+    assert results["mst_dp"]["objective_approx"] is None
+    warning = "all assignments have -inf utility; returning the all-zero spins"
+    assert results["exhaustive"]["warning"] == results["mst_dp"]["warning"] == warning
+    assert results["random"]["warning"] is None
+    assert "-inf" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
     monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)  # 2 workers on any machine
@@ -812,6 +844,9 @@ def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
         ({"positions": "x"}, "positions"),
         ({"snr": {}}, "snr"),
         ({"seed_key": [True, False]}, "seed_key"),
+        ({"num_links": 0}, "num_links must be >= 1"),
+        ({"snr": [[1.0, 1.0]]}, "snr must have shape (3, 2), got (1, 2)"),
+        ({"snr": [[1.0, -1.0]] * 3}, "SNR/INR values must be non-negative"),
     ],
 )
 def test_optimize_checks_the_instance_json(tmp_path, capsys, change, key):

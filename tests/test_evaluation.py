@@ -85,6 +85,12 @@ def test_config_validation():
         ExperimentConfig(scenario=scenario, algorithms=("nope",))
     with pytest.raises(ValueError, match="num_drops"):
         ExperimentConfig(scenario=scenario, num_drops=0)
+    with pytest.raises(ValueError, match="algorithms must not be empty"):
+        ExperimentConfig(scenario=scenario, algorithms=())
+    with pytest.raises(ValueError, match="algorithms must not repeat a name"):
+        ExperimentConfig(scenario=scenario, algorithms=("random", "mst_dp", "random"))
+    with pytest.raises(ValueError, match="frames_per_drop must be >= 1, got 0"):
+        ExperimentConfig(scenario=scenario, frames_per_drop=0)
     with pytest.raises(ValueError, match="percentile_q"):
         ExperimentConfig(scenario=scenario, percentile_q=1.5)
     with pytest.raises(ValueError, match="fading"):

@@ -196,26 +196,26 @@ def weighted_graph_blocks(draw, max_vertices=10, max_block=6):
 @PROPERTY
 @given(weighted_graph_blocks())
 # one vertex; equal weights everywhere beside a disconnected graph; a
-# weighted triangle whose ties break on (k, l)
+# weighted triangle whose ties break on (k, l); a block of one graph of one
+# vertex; an isolated vertex between two trees
 @example((1, [[], []]))
 @example((4, [[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)], []]))
 @example((3, [[(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)], [(0, 2, 2.5), (1, 2, 0.0)]]))
-def test_forest_blocks_equal_one_graph_prim(graph_block):
-    # the block Prim over ranked edges equals the one-graph Prim graph by graph
+@example((1, [[]]))
+@example((5, [[(0, 3, 1.0), (1, 4, 0.5)], [(0, 1, 2.5), (3, 4, 0.0), (1, 3, 2.5)]]))
+def test_forest_blocks_equal_kruskal_oracle(graph_block):
+    # the block Borůvka equals the per-edge Kruskal oracle graph by graph
     m, block = graph_block
     graphs = [graph_from(m, edges) for edges in block]
     forests = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
     assert len(forests) == len(graphs)
-    for forest, graph in zip(forests, graphs):
-        tree = maximum_spanning_tree(graph)
-        assert forest.parent == tree.parent
-        assert forest.tree_edges == tree.tree_edges
-        assert forest.roots == tuple(component[0] for component in graph.components())
-        assert (forest.roots, forest.children, forest.order) == (
-            tree.roots,
-            tree.children,
-            tree.order,
-        )
+    for forest, edges in zip(forests, block):
+        oracle = kruskal_forest(m, edges)
+        assert forest.parent == oracle.parent
+        assert forest.roots == oracle.roots
+        assert forest.children == oracle.children
+        assert forest.order == oracle.order
+        assert forest.tree_edges == oracle.tree_edges
 
 
 @PROPERTY

@@ -15,6 +15,7 @@ from helpers import (
 from spinopt.optimizer import mst_dp
 from spinopt.sinr import UtilityKind
 from spinopt.topology import (
+    RootedTree,
     TopologyGraph,
     build_graph,
     check_spins,
@@ -117,6 +118,20 @@ def test_threshold_monotonicity():
     mid = set(edge_keys(build_graph(inst, threshold=0.01)))
     high = set(edge_keys(build_graph(inst, threshold=1.0)))
     assert high <= mid <= low
+
+
+def test_rooted_tree_rejects_a_parent_out_of_range_or_an_unreached_vertex():
+    with pytest.raises(ValueError, match=r"parent of 1 is 2, outside \[-1, 2\)"):
+        RootedTree(parent=(-1, 2), tree_edges=())
+    # 1 and 2 are each other's parent, so no root reaches them
+    with pytest.raises(ValueError, match="tree does not reach every vertex"):
+        RootedTree(parent=(-1, 2, 1), tree_edges=())
+
+
+def test_build_graph_rejects_a_negative_threshold():
+    _, inst = random_instance(3, seed=1)
+    with pytest.raises(ValueError, match="threshold must be >= 0, got -1.0"):
+        build_graph(inst, threshold=-1.0)
 
 
 def test_edge_weight_examples():
