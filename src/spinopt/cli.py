@@ -8,6 +8,7 @@ a separate ``run_meta.json`` so golden comparisons can ignore it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -89,9 +90,20 @@ def load_config(data, seed=None, algorithms=None, optimize=False):
         raise ValueError("sweep key 'values' must be a non-empty list")
     try:
         points = [replace(scenario, **{parameter: value}) for value in values]
-        return config, [replace(config, scenario=point) for point in points]
+        points = [replace(config, scenario=point) for point in points]
     except ValueError as exc:
         raise ValueError(f"sweep key 'values' (parameter {parameter!r}): {exc}") from None
+    # a point's run holds its samples while the next point's block results arrive
+    for (point, value), (following, next_value) in itertools.pairwise(zip(points, values)):
+        if point.peak_bytes(following) > evaluation.RUN_MEMORY_BUDGET:
+            raise ValueError(
+                f"sweep values {value!r} and {next_value!r} of {parameter!r} need "
+                f"~{point.peak_bytes(following) / 2**30:.3g} GiB together, above the budget of "
+                f"{evaluation.RUN_MEMORY_BUDGET / 2**30:g} GiB: a sweep holds one point's samples "
+                "and the next point's block results; lower num_drops * frames_per_drop"
+                " or the points' num_links"
+            )
+    return config, points
 
 
 def _write_json(path: Path, obj) -> None:
@@ -180,6 +192,10 @@ def _cmd_optimize(args) -> int:
     for name, res in results.items():
         approx = "-" if res.objective_approx is None else f"{res.objective_approx:.6f}"
         print(f"{name:<16}{res.objective_exact:>18.6f}{approx:>18}")
+    for name, res in results.items():
+        if res.warning is not None:
+            warning = f"{name} optimizer warned: {res.warning}; it is in result.json"
+            print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 

@@ -9,10 +9,12 @@ against the random-spin baseline.
 
 Drops are independent work units with derived seeds, so results are
 bit-identical regardless of worker count. They run in blocks of
-``max(1, min(num_drops // (4 * workers), _BLOCK_BUDGET // held bytes))``,
+``max(1, min(num_drops // (2 * workers), _BLOCK_BUDGET // held bytes))``,
 each block one stage at a time, so that each stage's code and data stay in
 cache across the block's drops, and one task per block, in-process or on a
-process pool; a sweep sends the drops of all its points through one pool.
+process pool. A sweep sends the blocks of all its points through one pool
+as one stream: each point's blocks are queued before the previous point's
+last block is read, so the workers do not idle at a point's end.
 Instance generation, topology graphs, spanning forests, spin planes and
 each optimizer run as one pass over the block's stacked arrays; a block of
 one calls the per-drop ``generate_instance``, ``build_graph``,
@@ -99,7 +101,10 @@ _BLOCK_DROP_BYTES = 16 << 10
 #   pair, so their pass peaks below _PAIR_BYTES / _BLOCK_PAIR_BYTES MiB
 #   (2.4 MiB), one of the phases of the fixed term;
 # - per held rate sample: the run's rates and one algorithm's sorted copy;
-#   15.3 B measured (one algorithm, 40 to 120 drops at M = 10), 20 B here;
+#   14.4 B measured (one algorithm, 40 to 120 drops at M = 10, in blocks of
+#   20 and 38; 15.3 B in blocks of 10 and 30), 20 B here. In a sweep on a
+#   pool the parent also holds the next point's block results as they
+#   arrive, which peak_bytes(following) counts at the same 20 B a sample;
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
 #   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
 #   (<= 0.5 MB), a block of samples.csv rows (~1 MB), a block's generation
@@ -182,14 +187,20 @@ class ExperimentConfig:
                 "must be a finite float"
             )
 
-    def peak_bytes(self) -> int:
+    def peak_bytes(self, following: ExperimentConfig | None = None) -> int:
         """Upper bound on the memory one process holds while running this experiment.
 
         With a process pool, each worker holds a block of drops (the
-        per-pair and fixed terms) and the parent holds the samples.
+        per-pair and fixed terms) and the parent holds the samples. In a
+        sweep, the parent also holds the block results of ``following``,
+        the next point, whose blocks are queued behind this one's.
         """
-        m = self.scenario.num_links
-        samples = self.num_drops * self.frames_per_drop * m * len(self.algorithms)
+        points = (self,) if following is None else (self, following)
+        m = max(point.scenario.num_links for point in points)
+        samples = sum(
+            p.num_drops * p.frames_per_drop * p.scenario.num_links * len(p.algorithms)
+            for p in points
+        )
         return _PAIR_BYTES * m * m + _SAMPLE_BYTES * samples + _FIXED_BYTES
 
 
@@ -332,10 +343,26 @@ def _cpu_count() -> int:
 
 
 def _block_drops(config: ExperimentConfig, workers: int) -> int:
-    """Drops per block: at most a quarter of each worker's share, and at
-    most as many as ``_BLOCK_BUDGET`` holds; at least one."""
+    """Drops per block: at most half of each worker's share, and at most as
+    many as ``_BLOCK_BUDGET`` holds; at least one. Half shares suffice since
+    a sweep's blocks are one stream, so workers balance over the whole sweep."""
     held = _BLOCK_PAIR_BYTES * config.scenario.num_links**2 + _BLOCK_DROP_BYTES
-    return max(1, min(config.num_drops // (4 * workers), _BLOCK_BUDGET // held))
+    return max(1, min(config.num_drops // (2 * workers), _BLOCK_BUDGET // held))
+
+
+def _plan(config: ExperimentConfig, workers: int) -> tuple[int, int, list]:
+    """(workers, drops per block, tasks) of a run on at most ``workers``:
+    at most ``num_drops`` and ``_cpu_count()`` workers, and one task per
+    block of (drop seed, baseline seed) pairs derived from the master seed."""
+    workers = min(workers, config.num_drops, _cpu_count())
+    drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
+        2 * config.num_drops, dtype=np.uint64
+    ).tolist()
+    jobs = list(zip(drop_seeds[0::2], drop_seeds[1::2]))
+    block = _block_drops(config, workers)
+    # a task pickles its block's shared config once
+    tasks = [(config, jobs[start : start + block]) for start in range(0, len(jobs), block)]
+    return workers, block, tasks
 
 
 def _run_block(task) -> tuple:
@@ -398,28 +425,32 @@ def _run_block(task) -> tuple:
     return rates, objectives, warned, max_children, num_edges, seconds
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> EvalReport:
+def run_experiment(
+    config: ExperimentConfig, workers: int = 1, pool=None, queued=None, following=None
+) -> EvalReport:
     """Run the full Monte-Carlo experiment.
 
     Drops run in blocks of ``_block_drops(config, workers)``, one task per
     block, in-process or, with ``workers > 1``, on a process pool of at most
     ``num_drops`` and ``_cpu_count()`` workers; ``pool``, an open pool of
-    ``workers`` processes, is used instead of starting one. Per-drop seeds
-    are derived up front from the master seed and each block is written at
-    its drops, so the report depends on neither the worker count nor the
+    ``workers`` processes, runs every block instead of starting one. Per-drop
+    seeds are derived up front from the master seed and each block is written
+    at its drops, so the report depends on neither the worker count nor the
     block size.
+
+    With ``pool``, a sweep hands its block stream from call to call:
+    ``queued`` is a deque of the block futures its earlier calls submitted,
+    one deque per point, and ``following`` the next point, whose blocks this
+    call submits behind its own before it reads any, so that the workers go
+    on to them while this call collects its last blocks. If a block fails,
+    every queued block that the pool has not yet handed to a worker is
+    cancelled.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, config.num_drops, _cpu_count())
     t_start = time.perf_counter()
-    drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
-        2 * config.num_drops, dtype=np.uint64
-    ).tolist()
-    jobs = list(zip(drop_seeds[0::2], drop_seeds[1::2]))
-    block = _block_drops(config, workers)
-    # a task pickles its block's shared config once
-    tasks = [(config, jobs[start : start + block]) for start in range(0, len(jobs), block)]
+    pool_workers = workers
+    workers, block, tasks = _plan(config, workers)
     algorithms, drops = config.algorithms, config.num_drops
     rates = np.empty((len(algorithms), drops, config.frames_per_drop, config.scenario.num_links))
     objectives = np.empty((len(algorithms), drops))
@@ -430,14 +461,32 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None) -> Eva
     if workers > 1 and pool is None:
         context = futures.ProcessPoolExecutor(max_workers=workers)
     with context as executor:
-        blocks = (executor.map if workers > 1 else map)(_run_block, tasks)
-        for start, (block_rates, objective, warning, children, edges, seconds) in zip(
-            range(0, drops, block), blocks
-        ):
-            drop = slice(start, start + block)  # the last block may be short
-            rates[:, drop], objectives[:, drop], warned[:, drop] = block_rates, objective, warning
-            max_children[drop], num_edges[drop] = children, edges
-            optimize_time.update(seconds)
+        if executor is None:
+            blocks = map(_run_block, tasks)
+        else:
+            queued = collections.deque() if queued is None else queued
+
+            def submit(tasks):
+                return collections.deque(executor.submit(_run_block, task) for task in tasks)
+
+            own = queued.popleft() if queued else submit(tasks)
+            if following is not None:
+                queued.append(submit(_plan(following, pool_workers)[2]))
+            # each future is dropped as it is read, and its block's arrays with it
+            blocks = (own.popleft().result() for _ in tasks)
+        try:
+            for start, (block_rates, objective, warning, children, edges, seconds) in zip(
+                range(0, drops, block), blocks
+            ):
+                drop = slice(start, start + block)  # the last block may be short
+                rates[:, drop], objectives[:, drop] = block_rates, objective
+                warned[:, drop], max_children[drop], num_edges[drop] = warning, children, edges
+                optimize_time.update(seconds)
+        except BaseException:
+            if executor is not None:
+                for future in itertools.chain(own, *queued):
+                    future.cancel()
+            raise
 
     stats: dict[str, AlgorithmStats] = {}
     for a, name in enumerate(algorithms):
@@ -478,12 +527,15 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
 
     Point ``i`` runs with a master seed derived from (its own master seed,
     i), so points never share random streams even when their configs match.
-    With ``workers > 1`` every point's drops go through one process pool of
-    at most the largest ``num_drops`` workers and ``_cpu_count()``; its
-    processes start at the first point's first block. Each point's samples
-    are released as soon as its run returns, so a sweep holds at most one
-    point's samples, each point's ``peak_bytes()`` bounds it, and its
-    reports carry statistics but no ``rates_bps``.
+    With ``workers > 1`` every point's blocks go through one process pool of
+    at most the largest ``num_drops`` workers and ``_cpu_count()``, as one
+    stream: each point's call queues the next point's blocks behind its own,
+    and the processes start at the first point's first block. Each point's
+    samples are released as soon as its run returns, so a sweep holds at most
+    one point's samples and the next point's block results, within
+    ``peak_bytes(following)`` of each point (``cli.load_config`` refuses a
+    sweep above the budget), and its reports carry statistics but no
+    ``rates_bps``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -497,10 +549,11 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
         )
         points.append(replace(config, master_seed=derived))
     reports = []
+    queued = collections.deque()  # the next point's block futures, submitted by this point's call
     with futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for point in points:
+        for point, following in itertools.zip_longest(points, points[1:]):
             # through the module global, so that wrappers of run_experiment see every point
-            report = run_experiment(point, workers, pool)
+            report = run_experiment(point, workers, pool, queued, following)
             for st in report.stats.values():
                 st.rates_bps = None  # nothing reads a sweep's samples
             reports.append(report)

@@ -583,11 +583,11 @@ def test_coincident_nodes_name_the_keys_that_place_them(tmp_path, capsys, comman
     ids=["overflow", "coincide-or-overflow"],
 )
 def test_a_block_names_its_first_failing_drop(tmp_path, capsys, command, scenario):
-    # 12 drops run in blocks of 3, each block generated in one pass: the one
+    # 12 drops run in blocks of 6, each block generated in one pass: the one
     # error line is the one the first failing drop raises alone
     scenario = {"num_links": 3, "seed": 1, **scenario}
     config = ExperimentConfig(ScenarioConfig(**scenario), num_drops=12, frames_per_drop=1)
-    assert evaluation._block_drops(config, 1) == 3
+    assert evaluation._block_drops(config, 1) == 6
     cfg = write_config(
         tmp_path,
         scenario=scenario,
@@ -610,7 +610,7 @@ def test_a_block_names_its_first_failing_drop(tmp_path, capsys, command, scenari
     first = failed.index(True)
     if "shadow_sigma_db" in scenario:
         # the first failing drop is inside its block, and a later one of the block fails too
-        assert first % 3 and any(failed[first + 1 : first // 3 * 3 + 3])
+        assert first % 6 and any(failed[first + 1 : first // 6 * 6 + 6])
     else:
         assert all(failed) and len({"coincide" in error for error in errors}) == 2
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]
@@ -806,6 +806,19 @@ def test_optimize_writes_a_minus_inf_objective_as_null(tmp_path, capsys):
     assert "-inf" in capsys.readouterr().out
 
 
+def test_optimize_reports_optimizer_warnings_on_stderr(tmp_path, capsys):
+    # one warning line per warning algorithm, as evaluate and sweep print;
+    # the exit code stays 0
+    cfg = write_config(tmp_path, scenario=MINUS_INF_OBJECTIVE["scenario"])
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    warning = "all assignments have -inf utility; returning the all-zero spins"
+    assert err.splitlines() == [
+        f"warning: {name} optimizer warned: {warning}; it is in result.json"
+        for name in ("exhaustive", "mst_dp")
+    ]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
     monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)  # 2 workers on any machine
@@ -827,8 +840,8 @@ def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
         assert all(set(run["timing"]) == {"elapsed_s", "optimize_time_s"} for run in runs)
         assert all(set(run["timing"]["optimize_time_s"]) == {"mst_dp"} for run in runs)
     points = 2 if command == "sweep" else 1
-    # in-process and on the pool alike, a block holds 17 // (4 * workers) drops
-    assert dispatch == {1: [(1, 4)] * points, 2: [(2, 2)] * points}
+    # in-process and on the pool alike, a block holds 17 // (2 * workers) drops
+    assert dispatch == {1: [(1, 8)] * points, 2: [(2, 4)] * points}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from concurrent import futures
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -222,7 +223,7 @@ def test_each_sorted_pool_is_released_before_the_next_sort(monkeypatch):
     # three algorithms' rates, 8 B a sample, and one algorithm's sorted pool
     # at a time, 8 / 3 B a sample: 10.7 B; holding the previous pool through
     # the next sort would cost 8 + 2 * 8 / 3 = 13.3 B. Blocks of one drop,
-    # as blocks of num_drops // 4 drops would grow the peak with the runs
+    # as blocks of num_drops // 2 drops would grow the peak with the runs
     monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", 0)
     (config_a, peak_a), (config_b, peak_b) = (
         traced_run(10, drops, 100, ALGORITHMS) for drops in (40, 120)
@@ -361,10 +362,12 @@ def test_a_block_holds_at_most_its_bytes_per_drop(num_links, algorithms):
 @pytest.mark.parametrize(
     "config, workers, blocks",
     [
-        ("configs/evaluate_m10_symmetric.json", 1, [25]),
+        # 100 // 2 drops, capped by the budget: blocks of 38, 38 and 24
+        ("configs/evaluate_m10_symmetric.json", 1, [38]),
         ("bench/configs/opt_m200.json", 1, [1]),
-        # every point of the sweep, on the benchmark's two workers
-        ("configs/sweep_links_asymmetric.json", 2, [6, 6, 5]),
+        # every point of the sweep, on the benchmark's two workers: 50 // 4
+        # drops, and the budget's 5 at M = 40
+        ("configs/sweep_links_asymmetric.json", 2, [12, 12, 5]),
     ],
 )
 def test_block_size_of_the_benchmark_configs(config, workers, blocks):
@@ -378,8 +381,8 @@ def test_block_size_follows_the_budget(monkeypatch, drops):
     held = evaluation._BLOCK_PAIR_BYTES * 10**2 + evaluation._BLOCK_DROP_BYTES
     monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", drops * held + held - 1)
     assert evaluation._block_drops(config, 1) == drops
-    # a quarter of each worker's share caps it too: 40 // (4 * 4) = 2
-    assert evaluation._block_drops(config, 4) == min(drops, 2)
+    # half of each worker's share caps it too: 40 // (2 * 8) = 2
+    assert evaluation._block_drops(config, 8) == min(drops, 2)
     # and a block holds one drop at least
     monkeypatch.setattr(evaluation, "_BLOCK_BUDGET", 0)
     assert evaluation._block_drops(config, 1) == 1
@@ -601,13 +604,35 @@ def test_worker_pool_does_not_change_results():
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Swaps the process pool for an in-process stub; logs pool sizes and, per
-    map call, its chunksize and the drops of each task. The process may use
-    64 CPUs, so that pool sizes do not depend on the machine."""
-    log = {"pools": [], "maps": []}
+    """Swaps the process pool for an in-process stub; logs pool sizes, the
+    futures of every submitted task and, in order, each submission and each
+    read of a result as (event, the block's num_links, its drops). A block
+    runs when its result is first read, so a cancelled block never runs. The
+    process may use 64 CPUs, so that pool sizes do not depend on the machine."""
+    log = {"pools": [], "futures": [], "events": []}
+
+    def event(kind, task):
+        config, jobs = task
+        log["events"].append((kind, config.scenario.num_links, len(jobs)))
+
+    class LazyFuture(futures.Future):
+        """A block's future that runs the block in-process when first read."""
+
+        def __init__(self, fn, task):
+            super().__init__()
+            self.fn, self.task = fn, task
+
+        def result(self, timeout=None):
+            event("read", self.task)
+            if not self.done():
+                try:
+                    self.set_result(self.fn(self.task))
+                except Exception as exc:
+                    self.set_exception(exc)
+            return super().result(timeout)
 
     class RecordingPool:
-        """Stands in for the process pool: records its size, maps in-process."""
+        """Stands in for the process pool: records its size and submissions."""
 
         def __init__(self, max_workers):
             log["pools"].append(max_workers)
@@ -618,10 +643,10 @@ def pool_log(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            log["maps"].append((chunksize, [len(jobs) for _, jobs in tasks]))
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            event("submit", task)
+            log["futures"].append(LazyFuture(fn, task))
+            return log["futures"][-1]
 
     monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(evaluation, "_cpu_count", lambda: 64)
@@ -658,21 +683,58 @@ def test_sweep_sends_every_point_through_one_pool(monkeypatch, pool_log):
     configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 3, 4)]
 
     serial = sweep(configs, workers=1)
-    assert pool_log == {"pools": [], "maps": []}
-    assert [(r.workers, r.block_drops) for r in serial] == [(1, 17 // 4)] * 3
+    assert pool_log == {"pools": [], "futures": [], "events": []}
+    assert [(r.workers, r.block_drops) for r in serial] == [(1, 17 // 2)] * 3
     assert points == [2, 3, 4]
-    for workers, block in ((2, 17 // 8), (64, 1)):
+    for workers, block in ((2, 17 // 4), (64, 1)):
         reports = sweep(configs, workers=workers)
         assert [r.summary_json() for r in reports] == [r.summary_json() for r in serial]
         assert [(r.workers, r.block_drops) for r in reports] == [(min(workers, 17), block)] * 3
-    # one task per block, the last one short: no chunksize of the pool's own
-    on_two = (1, [2] * 8 + [1])
-    on_seventeen = (1, [1] * 17)
-    assert pool_log == {"pools": [2, 17], "maps": [on_two] * 3 + [on_seventeen] * 3}
+    # one task per block, the last one short, in point order; each read once, in order
+    on_two, on_seventeen = [4] * 4 + [1], [1] * 17
+    blocks = [(m, b) for run in (on_two, on_seventeen) for m in (2, 3, 4) for b in run]
+    assert pool_log["pools"] == [2, 17]
+    for kind in ("submit", "read"):
+        assert [(m, b) for event, m, b in pool_log["events"] if event == kind] == blocks
     assert points == [2, 3, 4] * 3
     with pytest.raises(ValueError, match="workers"):
         sweep(configs, workers=0)
     assert len(pool_log["pools"]) == 2
+
+
+def test_a_sweep_queues_the_next_point_before_its_last_read(pool_log):
+    # one point of lookahead: each point's blocks are submitted before the
+    # previous point's last result is read, but not before the point ahead
+    # of it has read any
+    base = small_config(algorithms=("mst_dp", "random"), num_drops=9, frames_per_drop=1)
+    configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 3, 4)]
+    sweep(configs, workers=2)
+    events = pool_log["events"]
+
+    def at(kind, m):
+        return [i for i, (event, links, _) in enumerate(events) if (event, links) == (kind, m)]
+
+    # blocks of 9 // 4 drops, the last one short
+    assert len(at("submit", 2)) == len(at("read", 2)) == 5
+    for current, following in ((2, 3), (3, 4)):
+        assert max(at("submit", following)) < max(at("read", current))
+    assert min(at("submit", 4)) > max(at("read", 2))
+
+
+def test_a_failing_point_cancels_the_queued_blocks(pool_log):
+    # every drop of the first point fails: its first block's error stops the
+    # sweep, and every other submitted block, its own and the next point's,
+    # is cancelled before it runs; the point after next is never submitted
+    scenario = ScenarioConfig(num_links=3, area_side=1e-161, seed=1)
+    failing = small_config(scenario=scenario, num_drops=8, frames_per_drop=1)
+    fine = replace(failing, scenario=replace(scenario, area_side=100.0, num_links=4))
+    with pytest.raises(ValueError, match="^drop seed "):
+        sweep([failing, fine, fine], workers=2)
+    first, *rest = pool_log["futures"]
+    assert isinstance(first.exception(), ValueError)
+    assert len(rest) == 3 + 4 and all(future.cancelled() for future in rest)
+    assert [event for event in pool_log["events"] if event[0] == "read"] == [("read", 3, 2)]
+    assert {m for _, m, _ in pool_log["events"]} == {3, 4}
 
 
 def test_workers_never_exceed_the_usable_cpus(tmp_path, monkeypatch, pool_log):
@@ -724,8 +786,9 @@ def test_a_sweep_holds_one_point_at_a_time():
 
 
 def test_sweep_runs_points_that_each_fit_the_budget(monkeypatch, pool_log):
-    # two equal points at the largest num_drops one run may hold: a sweep
-    # holds one point's samples at a time, so it runs both
+    # two equal points at the largest num_drops one run may hold: sweep()
+    # checks no more than each point's config; refusing a pair whose samples
+    # the stream holds together is load_config's (the test below)
     def stub_run_experiment(config, *args):
         return EvalReport(config, {}, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
 
@@ -738,6 +801,29 @@ def test_sweep_runs_points_that_each_fit_the_budget(monkeypatch, pool_log):
         replace(point, num_drops=drops + 1)
     assert [r.config.num_drops for r in sweep([point, point], workers=2)] == [drops] * 2
     assert pool_log["pools"] == [2]
+
+
+def test_load_config_refuses_consecutive_points_above_the_budget():
+    # each point fits on its own, but a sweep holds one point's samples and
+    # the next point's block results: the M = 10 point at the largest
+    # num_drops one run may hold leaves no room for the M = 2 point's
+    room = evaluation.RUN_MEMORY_BUDGET - evaluation._PAIR_BYTES * 100 - evaluation._FIXED_BYTES
+    drops = room // (evaluation._SAMPLE_BYTES * 100 * 10 * 2)
+
+    def config(values):
+        return {
+            "schema": cli.CONFIG_SCHEMA,
+            "scenario": {"num_links": 10, "seed": 1},
+            "experiment": {"num_drops": drops, "frames_per_drop": 100},
+            "sweep": {"parameter": "num_links", "values": values},
+        }
+
+    for value in (2, 10):
+        assert [p.scenario.num_links for p in load_config(config([value]))[1]] == [value]
+    assert len(load_config(config([2, 2, 2]))[1]) == 3
+    for values in ([2, 10], [10, 2], [2, 2, 10]):
+        with pytest.raises(ValueError, match=r"sweep values (2 and 10|10 and 2) of 'num_links'"):
+            load_config(config(values))
 
 
 def test_sweep_derives_distinct_seeds():
@@ -871,13 +957,13 @@ def count_fading_states(monkeypatch) -> list[list[tuple[int, range]]]:
 
 @pytest.mark.parametrize(
     "fading, block",
-    [(fading, block) for block in (3, 1) for fading in FADING_MODES],
+    [(fading, block) for block in (6, 1) for fading in FADING_MODES],
     ids=[*FADING_MODES, *(f"{fading}-blocks-of-one" for fading in FADING_MODES)],
 )
 def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fading, block):
     # the counts bench/probe.py traces through evaluation's module globals:
-    # an evaluate of 12 drops runs 4 blocks of 3, or with no block budget 12
-    # blocks of one, each drop of 7 frames in chunks of 3. A block of 3
+    # an evaluate of 12 drops runs 2 blocks of 6, or with no block budget 12
+    # blocks of one, each drop of 7 frames in chunks of 3. A block of 6
     # generates its instances, graphs and forests and runs each optimizer in
     # one call each; a block of one calls the per-drop functions, the ones
     # the probe wraps
@@ -990,13 +1076,13 @@ def test_fading_states_are_hashed_once_per_drop(monkeypatch):
     ],
 )
 def test_fading_state_blocks_hold_whole_chunks(monkeypatch, state_block, blocks):
-    # blocks of two drops (8 // 4) and chunks of 3 frames: one _fading_states
+    # blocks of two drops (4 // 2) and chunks of 3 frames: one _fading_states
     # call per window of _STATE_BLOCK // 3 chunks (at least one), one lane
     # per chunk; the same windows in every block
     calls = count_fading_states(monkeypatch)
     config = small_config(
         scenario=ScenarioConfig(num_links=10, link_mix=0.5, seed=1),
-        num_drops=8,
+        num_drops=4,
         frames_per_drop=7,
     )
     frame_bytes = 8 * (10 * 2 + 10 * 10 * 2 * 2) + evaluation._FRAME_STATE_BYTES

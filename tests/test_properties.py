@@ -715,8 +715,46 @@ def test_sweep_is_independent_of_worker_count(m, scenario_seed, master_seed, kin
     serial, serial_rates = sweep_with_rates(configs, workers=1)
     pooled, pooled_rates = sweep_with_rates(configs, workers=2)
     for a, b, a_rates, b_rates in zip(serial, pooled, serial_rates, pooled_rates, strict=True):
-        # blocks of 2 or 3 drops, the last one short
-        assert b.block_drops == num_drops // 8 and num_drops % b.block_drops == 1
+        # blocks of 4 or 6 drops, the last one short
+        assert b.block_drops == num_drops // 4 and num_drops % b.block_drops == 1
+        assert a.summary_json() == b.summary_json()
+        for name in ALGORITHMS:
+            assert a_rates[name].tobytes() == b_rates[name].tobytes()
+
+
+@POOLED
+@given(
+    st.lists(st.integers(1, 5), min_size=3, max_size=4, unique=True),
+    # a point of one drop runs on one worker of the two; another, on both
+    st.lists(st.sampled_from([1, 2, 5, 9]), min_size=4, max_size=4).filter(
+        lambda d: min(d[:3]) == 1 < max(d[:3])
+    ),
+    SEEDS,
+    SEEDS,
+    KINDS,
+)
+def test_a_sweep_stream_is_independent_of_worker_count(
+    links, drops, scenario_seed, master_seed, kind
+):
+    # 3 or 4 points of their own num_links and drop counts: on two workers
+    # each point's blocks are queued behind the previous point's, so the
+    # stream crosses 2 or 3 point boundaries
+    base = ExperimentConfig(
+        scenario=ScenarioConfig(num_links=1, link_mix=0.5, seed=scenario_seed),
+        algorithms=ALGORITHMS,
+        frames_per_drop=2,
+        utility=kind,
+        master_seed=master_seed,
+    )
+    configs = [
+        replace(base, scenario=replace(base.scenario, num_links=m), num_drops=d)
+        for m, d in zip(links, drops)
+    ]
+    serial, serial_rates = sweep_with_rates(configs, workers=1)
+    pooled, pooled_rates = sweep_with_rates(configs, workers=2)
+    for a, b, a_rates, b_rates in zip(serial, pooled, serial_rates, pooled_rates, strict=True):
+        workers = min(2, b.config.num_drops)
+        assert (b.workers, b.block_drops) == (workers, max(1, b.config.num_drops // (2 * workers)))
         assert a.summary_json() == b.summary_json()
         for name in ALGORITHMS:
             assert a_rates[name].tobytes() == b_rates[name].tobytes()
