@@ -8,7 +8,6 @@ a separate ``run_meta.json`` so golden comparisons can ignore it.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -93,16 +92,9 @@ def load_config(data, seed=None, algorithms=None, optimize=False):
         points = [replace(config, scenario=point) for point in points]
     except ValueError as exc:
         raise ValueError(f"sweep key 'values' (parameter {parameter!r}): {exc}") from None
-    # a point's run holds its samples while the next point's block results arrive
-    for (point, value), (following, next_value) in itertools.pairwise(zip(points, values)):
-        if point.peak_bytes(following) > evaluation.RUN_MEMORY_BUDGET:
-            raise ValueError(
-                f"sweep values {value!r} and {next_value!r} of {parameter!r} need "
-                f"~{point.peak_bytes(following) / 2**30:.3g} GiB together, above the budget of "
-                f"{evaluation.RUN_MEMORY_BUDGET / 2**30:g} GiB: a sweep holds one point's samples "
-                "and the next point's block results; lower num_drops * frames_per_drop"
-                " or the points' num_links"
-            )
+    evaluation.check_sweep_budget(
+        points, lambda i: f"values {values[i]!r} and {values[i + 1]!r} of {parameter!r}"
+    )
     return config, points
 
 
@@ -143,7 +135,7 @@ def _cmd_generate(args) -> int:
     _write_json(out / "instance.json", channel.instance_to_json(instance))
     _write_json(
         out / "topology.json",
-        {"graph": topology.graph_to_json(graph), "tree": topology.tree_to_json(tree)},
+        {"graph": topology.graph_to_json(graph), "tree": topology.tree_to_json(graph, tree)},
     )
     (out / "graph_edges.txt").write_text(
         topology.graph_to_edge_list(graph), encoding="utf-8"
@@ -175,7 +167,7 @@ def _cmd_optimize(args) -> int:
             "master_seed": config.master_seed,
             "num_links": instance.num_links,
             "graph": topology.graph_to_json(graph),
-            "tree": topology.tree_to_json(tree),
+            "tree": topology.tree_to_json(graph, tree),
             "results": {
                 name: {"algorithm": name, **res.to_json(graph)} for name, res in results.items()
             },
@@ -185,7 +177,7 @@ def _cmd_optimize(args) -> int:
 
     print(
         f"links={instance.num_links} edges={len(graph.edges)} "
-        f"tree_edges={len(tree.tree_edges)} max_children={tree.max_children} "
+        f"tree_edges={len(tree.parent) - len(tree.roots)} max_children={tree.max_children} "
         f"utility={config.utility.value} master_seed={config.master_seed}"
     )
     print(f"{'algorithm':<16}{'objective_exact':>18}{'objective_approx':>18}")

@@ -443,8 +443,8 @@ def run_experiment(
     one deque per point, and ``following`` the next point, whose blocks this
     call submits behind its own before it reads any, so that the workers go
     on to them while this call collects its last blocks. If a block fails,
-    every queued block that the pool has not yet handed to a worker is
-    cancelled.
+    every queued block is cancelled but the up to ``workers + 1`` that the
+    pool has moved into its call queue: those run, as ``Future.cancel`` cannot stop them.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -522,6 +522,20 @@ def run_experiment(
     )
 
 
+def check_sweep_budget(points: list[ExperimentConfig], pair_name) -> None:
+    """Refuse sweep points of which two consecutive ones, whose samples and
+    block results a sweep on a pool holds together, exceed RUN_MEMORY_BUDGET;
+    the error names the first such pair as ``pair_name(i)``, i its first index."""
+    for i, (point, following) in enumerate(itertools.pairwise(points)):
+        if point.peak_bytes(following) > RUN_MEMORY_BUDGET:
+            raise ValueError(
+                f"sweep {pair_name(i)} need ~{point.peak_bytes(following) / 2**30:.3g} GiB "
+                f"together, above the budget of {RUN_MEMORY_BUDGET / 2**30:g} GiB: a sweep holds "
+                "one point's samples and the next point's block results; lower "
+                "num_drops * frames_per_drop or the points' num_links"
+            )
+
+
 def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]:
     """Run one experiment per config with per-point derived seeds.
 
@@ -533,13 +547,16 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     and the processes start at the first point's first block. Each point's
     samples are released as soon as its run returns, so a sweep holds at most
     one point's samples and the next point's block results, within
-    ``peak_bytes(following)`` of each point (``cli.load_config`` refuses a
-    sweep above the budget), and its reports carry statistics but no
-    ``rates_bps``.
+    ``peak_bytes(following)`` of each point: on a pool, a sweep with a pair
+    of points above the budget is refused before any process starts. Its
+    reports carry statistics but no ``rates_bps``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, max((config.num_drops for config in configs), default=1), _cpu_count())
+    if workers > 1:  # in-process, a point's run holds only its own samples
+        m = [config.scenario.num_links for config in configs]
+        check_sweep_budget(configs, lambda i: f"points {i}, {i + 1} (num_links {m[i]}, {m[i + 1]})")
     points = []
     for i, config in enumerate(configs):
         derived = int(

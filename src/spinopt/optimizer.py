@@ -27,7 +27,7 @@ from .channel import LinkInstance, end_planes
 from .sinr import (
     UtilityKind, denominators, left_sum, network_utilities, network_utility, spin_planes
 )
-from .topology import RootedTree, TopologyGraph, relative_from_spins
+from .topology import RootedTree, TopologyGraph, maximum_spanning_tree, relative_from_spins
 
 # Largest M exhaustive search accepts: 2**(M-1) assignments.
 EXHAUSTIVE_CAP = 20
@@ -121,7 +121,7 @@ def exhaustive_search(
     """Globally optimal spins by enumeration: ``exhaustive_search_block`` of one
     drop, its roots the lowest vertex of each connected component."""
     planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
-    roots = tuple(component[0] for component in graph.components())
+    roots = maximum_spanning_tree(graph).roots
     return exhaustive_search_block(instance.snr[None], planes[None], [roots], kind)[0]
 
 

@@ -63,22 +63,17 @@ class TopologyGraph:
         return _edge_list(self.weight, self.adjacency)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        unseen = np.ones(self.num_vertices, dtype=bool)
-        groups = []
-        while unseen.any():
-            member = frontier = np.arange(self.num_vertices) == np.argmax(unseen)
-            while frontier.any():
-                frontier = self.adjacency[frontier].any(axis=0) & ~member
-                member = member | frontier
-            unseen &= ~member
-            groups.append(tuple(np.flatnonzero(member).tolist()))
-        return tuple(groups)
+        """Connected components, the trees of the maximum spanning forest, as
+        sorted vertex tuples ordered by minimum vertex."""
+        tree = maximum_spanning_tree(self)
+        order = np.array(tree.order)  # each tree is one segment of it, led by its root
+        starts = np.flatnonzero(np.array(tree.parent)[order] < 0)
+        return tuple(tuple(np.sort(s).tolist()) for s in np.split(order, starts[1:]))
 
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Rooted maximum spanning forest of a topology graph.
+    """Rooted maximum spanning forest of a topology graph, stored as its parent row.
 
     ``parent[v]`` is -1 for roots, one per connected component (its
     lowest-index vertex). Derived from it: ``roots`` ascending, ``children``
@@ -87,7 +82,6 @@ class RootedTree:
     """
 
     parent: tuple[int, ...]
-    tree_edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         m = len(self.parent)
@@ -210,8 +204,8 @@ def maximum_spanning_forests(weight: np.ndarray) -> list[RootedTree]:
             if u != parent[v]:
                 parent[u] = v
                 tree.append(u)
-    parent = np.fromiter(parent, np.int64, n)
-    return _rooted_trees(weight, np.where(parent < 0, -1, parent - offset).reshape(b, m))
+    parent = np.fromiter(parent, np.int64, n).reshape(b, m)
+    return [RootedTree(tuple(row)) for row in np.where(parent < 0, -1, parent % m).tolist()]
 
 
 def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
@@ -219,22 +213,18 @@ def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
     return maximum_spanning_forests(graph.weight[None])[0]
 
 
-def _rooted_trees(weight: np.ndarray, parent: np.ndarray) -> list[RootedTree]:
-    """The RootedTree of each row of a (B, M) parent stack, its tree edges
-    weighted from the (B, M, M) weight stack."""
-    b, m = parent.shape
-    drop, child = np.nonzero(parent >= 0)
-    via = parent[drop, child]
-    k, l = np.minimum(child, via), np.maximum(child, via)
-    # one edge per child: sorted by drop, then (k, l)
-    order = np.argsort((drop * m + k) * m + l)
-    drop, k, l = drop[order], k[order], l[order]
-    edges = list(zip(k.tolist(), l.tolist(), weight[drop, k, l].tolist()))
-    stops = np.cumsum(np.bincount(drop, minlength=b)).tolist()
-    return [
-        RootedTree(tuple(row), tuple(edges[start:stop]))
-        for row, start, stop in zip(parent.tolist(), [0, *stops], stops)
-    ]
+def tree_edges(graph: TopologyGraph, tree: RootedTree) -> tuple[Edge, ...]:
+    """The forest's edges as (k, l, weight), k < l in (k, l) order, weighted from the graph."""
+    parent = np.array(tree.parent, dtype=np.int64)
+    if parent.shape != (graph.num_vertices,):
+        raise ValueError(f"tree has {parent.size} vertices, the graph {graph.num_vertices}")
+    child = np.flatnonzero(parent >= 0)
+    mask = np.zeros_like(graph.adjacency)
+    mask[child, parent[child]] = mask[parent[child], child] = True
+    stray = np.argwhere(np.triu(mask & ~graph.adjacency))
+    if stray.size:
+        raise ValueError(f"tree edge {tuple(stray[0].tolist())} is not a graph edge")
+    return _edge_list(graph.weight, mask)
 
 
 def _edge_list(weight: np.ndarray, mask: np.ndarray) -> tuple[Edge, ...]:
@@ -271,13 +261,13 @@ def graph_to_json(graph: TopologyGraph) -> dict:
     }
 
 
-def tree_to_json(tree: RootedTree) -> dict:
+def tree_to_json(graph: TopologyGraph, tree: RootedTree) -> dict:
     return {
         "schema": TREE_SCHEMA,
         "num_vertices": len(tree.parent),
         "roots": list(tree.roots),
         "parent": list(tree.parent),
-        "edges": list(map(list, tree.tree_edges)),
+        "edges": list(map(list, tree_edges(graph, tree))),
         "max_children": tree.max_children,
     }
 

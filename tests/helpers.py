@@ -32,7 +32,7 @@ from spinopt.sinr import (
     spin_selectors,
     two_way_rates,
 )
-from spinopt.topology import RootedTree, TopologyGraph
+from spinopt.topology import RootedTree, TopologyGraph, tree_edges
 
 
 def build_instance(inr, snr=None, kinds=None) -> LinkInstance:
@@ -213,9 +213,9 @@ def cycle_parity(relative, cycle: list[int]) -> int:
     return parity
 
 
-def total_weight(tree: RootedTree) -> float:
+def total_weight(graph: TopologyGraph, tree: RootedTree) -> float:
     """Sum of the tree-edge weights; fsum rounds it correctly in any edge order."""
-    return math.fsum(w for _, _, w in tree.tree_edges)
+    return math.fsum(w for _, _, w in tree_edges(graph, tree))
 
 
 def spanning_tree_weights(graph: TopologyGraph) -> list[float]:

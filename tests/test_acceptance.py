@@ -241,7 +241,7 @@ def test_acceptance_8_spanning_tree_weight_optimal():
             continue
         tree = maximum_spanning_tree(graph)
         best = max(spanning_tree_weights(graph))
-        assert total_weight(tree) == best  # fsum on both sides: order-independent
+        assert total_weight(graph, tree) == best  # fsum on both sides: order-independent
         checked += 1
     elapsed = time.perf_counter() - t0
     print(

@@ -786,9 +786,10 @@ def test_a_sweep_holds_one_point_at_a_time():
 
 
 def test_sweep_runs_points_that_each_fit_the_budget(monkeypatch, pool_log):
-    # two equal points at the largest num_drops one run may hold: sweep()
-    # checks no more than each point's config; refusing a pair whose samples
-    # the stream holds together is load_config's (the test below)
+    # two equal points at the largest num_drops one run may hold: in-process a
+    # sweep holds one point at a time and runs them; on a pool it holds one
+    # point's samples and the next point's block results, so it refuses the
+    # pair before it starts a process
     def stub_run_experiment(config, *args):
         return EvalReport(config, {}, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
 
@@ -799,8 +800,12 @@ def test_sweep_runs_points_that_each_fit_the_budget(monkeypatch, pool_log):
     point = ExperimentConfig(scenario, ("mst_dp", "random"), drops, frames_per_drop=100)
     with pytest.raises(ValueError, match="above the budget"):
         replace(point, num_drops=drops + 1)
-    assert [r.config.num_drops for r in sweep([point, point], workers=2)] == [drops] * 2
-    assert pool_log["pools"] == [2]
+    small = replace(point, num_drops=1, frames_per_drop=1)
+    assert small.peak_bytes(point) <= evaluation.RUN_MEMORY_BUDGET < point.peak_bytes(point)
+    assert [r.config.num_drops for r in sweep([point, point], workers=1)] == [drops] * 2
+    with pytest.raises(ValueError, match=r"sweep points 1, 2 \(num_links 10, 10\) need"):
+        sweep([small, point, point], workers=2)
+    assert pool_log["pools"] == []
 
 
 def test_load_config_refuses_consecutive_points_above_the_budget():

@@ -35,6 +35,7 @@ from spinopt.topology import (
     build_graph,
     maximum_spanning_tree,
     relative_from_spins,
+    tree_edges,
 )
 
 SUM_RATE = UtilityKind.TWO_WAY_SUM_RATE
@@ -237,7 +238,7 @@ def test_dp_exact_when_graph_is_tree():
     # prune every chord from a random instance so the graph equals its tree
     for seed in range(6):
         inst, graph, tree = prepared(7, seed=seed)
-        keep = {(k, l) for k, l, _ in tree.tree_edges}
+        keep = {(k, l) for k, l, _ in tree_edges(graph, tree)}
         pruned_inr = inst.inr.copy()
         for k, l in edge_keys(graph):
             if (k, l) not in keep:

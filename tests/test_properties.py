@@ -84,6 +84,7 @@ from spinopt.topology import (
     build_graphs,
     maximum_spanning_forests,
     maximum_spanning_tree,
+    tree_edges,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -155,6 +156,9 @@ def weighted_graphs(draw, max_vertices=10):
 
 @PROPERTY
 @given(weighted_graphs())
+# isolated vertices beside an edge; two trees of more than one vertex each
+@example((5, [(1, 3, 0.5)]))
+@example((6, [(0, 4, 1.0), (4, 5, 0.5), (1, 2, 2.5), (2, 3, 0.0), (1, 3, 2.5)]))
 def test_spanning_forest_equals_kruskal_oracle(graph_edges):
     m, edges = graph_edges
     graph = graph_from(m, edges)
@@ -168,7 +172,7 @@ def test_spanning_forest_equals_kruskal_oracle(graph_edges):
     assert tree.roots == oracle.roots
     assert tree.children == oracle.children
     assert tree.order == oracle.order
-    assert tree.tree_edges == oracle.tree_edges
+    assert tree_edges(graph, tree) == oracle.tree_edges
 
 
 @st.composite
@@ -209,13 +213,13 @@ def test_forest_blocks_equal_kruskal_oracle(graph_block):
     graphs = [graph_from(m, edges) for edges in block]
     forests = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
     assert len(forests) == len(graphs)
-    for forest, edges in zip(forests, block):
+    for graph, forest, edges in zip(graphs, forests, block):
         oracle = kruskal_forest(m, edges)
         assert forest.parent == oracle.parent
         assert forest.roots == oracle.roots
         assert forest.children == oracle.children
         assert forest.order == oracle.order
-        assert forest.tree_edges == oracle.tree_edges
+        assert tree_edges(graph, forest) == oracle.tree_edges
 
 
 @PROPERTY

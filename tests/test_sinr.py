@@ -33,6 +33,7 @@ from spinopt.sinr import (
 from spinopt.topology import (
     build_graph,
     maximum_spanning_tree,
+    tree_edges,
 )
 
 SUM_RATE = UtilityKind.TWO_WAY_SUM_RATE
@@ -140,7 +141,7 @@ def test_approx_sinr_uses_exact_terms_for_tree_neighbors():
     inst = build_instance(inr)
     graph = graph_from(3, ((0, 1, 5.0), (0, 2, 1.0), (1, 2, 0.5)))
     tree = maximum_spanning_tree(graph)
-    assert [(k, l) for k, l, _ in tree.tree_edges] == [(0, 1), (0, 2)]
+    assert [(k, l) for k, l, _ in tree_edges(graph, tree)] == [(0, 1), (0, 2)]
     # vertex 1: edge to 0 is tree, edge to 2 is the pruned chord
     s = approx_sinr(inst, graph, tree, 0, np.array([0, 0, 0]))
     expected_lr = 100.0 / (1.0 + 4.0 + 1.0)
@@ -169,7 +170,7 @@ def test_approx_equals_exact_when_graph_is_tree():
     inst = build_instance(inr)
     graph = build_graph(inst, threshold=0.01)
     tree = maximum_spanning_tree(graph)
-    assert tree.tree_edges == graph.edges
+    assert tree_edges(graph, tree) == graph.edges
     for trial in range(8):
         spins = np.random.default_rng(trial).integers(0, 2, 4)
         for l in range(4):

@@ -23,12 +23,13 @@ from spinopt.topology import (
     graph_to_json,
     maximum_spanning_tree,
     relative_from_spins,
+    tree_edges,
     tree_to_json,
 )
 
 
-def tree_keys(tree):
-    return tuple((k, l) for k, l, _ in tree.tree_edges)
+def tree_keys(graph, tree):
+    return tuple((k, l) for k, l, _ in tree_edges(graph, tree))
 
 
 def dp_with_tree_spins(num_links, tree_spins, chords=()):
@@ -52,7 +53,7 @@ def dp_with_tree_spins(num_links, tree_spins, chords=()):
     inst = build_instance(inr)
     graph = build_graph(inst, threshold=0.01)
     tree = maximum_spanning_tree(graph)
-    assert set(tree_keys(tree)) == set(tree_spins)
+    assert set(tree_keys(graph, tree)) == set(tree_spins)
     return graph, tree, mst_dp(inst, graph, tree, UtilityKind.TWO_WAY_SUM_RATE)
 
 
@@ -122,10 +123,20 @@ def test_threshold_monotonicity():
 
 def test_rooted_tree_rejects_a_parent_out_of_range_or_an_unreached_vertex():
     with pytest.raises(ValueError, match=r"parent of 1 is 2, outside \[-1, 2\)"):
-        RootedTree(parent=(-1, 2), tree_edges=())
+        RootedTree(parent=(-1, 2))
     # 1 and 2 are each other's parent, so no root reaches them
     with pytest.raises(ValueError, match="tree does not reach every vertex"):
-        RootedTree(parent=(-1, 2, 1), tree_edges=())
+        RootedTree(parent=(-1, 2, 1))
+
+
+def test_tree_edges_refuses_a_tree_that_is_not_a_forest_of_the_graph():
+    g = graph_from(3, [(0, 1, 1.5), (1, 2, 2.5)])
+    assert tree_edges(g, RootedTree((-1, 0, 1))) == g.edges
+    with pytest.raises(ValueError, match="tree has 2 vertices, the graph 3"):
+        tree_edges(g, RootedTree((-1, 0)))
+    # (0, 2) has no weight, so its NaN must not reach an output file
+    with pytest.raises(ValueError, match=r"tree edge \(0, 2\) is not a graph edge"):
+        tree_edges(g, RootedTree((-1, 2, 0)))
 
 
 def test_build_graph_rejects_a_negative_threshold():
@@ -160,7 +171,7 @@ def test_build_graph_weights_match_edge_weight():
 def test_mst_keeps_tree_input_unchanged():
     g = graph_from(4, [(0, 1, 3.0), (1, 2, 1.0), (1, 3, 2.0)])
     t = maximum_spanning_tree(g)
-    assert t.tree_edges == g.edges
+    assert tree_edges(g, t) == g.edges
     assert t.roots == (0,)
     assert t.parent == (-1, 0, 1, 1)
     assert t.children == ((1,), (2, 3), (), ())
@@ -170,14 +181,14 @@ def test_mst_keeps_tree_input_unchanged():
 def test_mst_triangle_drops_lightest_edge():
     g = graph_from(3, [(0, 1, 3.0), (0, 2, 2.0), (1, 2, 1.0)])
     t = maximum_spanning_tree(g)
-    assert {w for _, _, w in t.tree_edges} == {3.0, 2.0}
+    assert {w for _, _, w in tree_edges(g, t)} == {3.0, 2.0}
 
 
 def test_mst_tie_break_is_lexicographic():
     # all weights equal: Kruskal must prefer (0,1) then (0,2) then (0,3)
     g = graph_from(4, [(2, 3, 1.0), (0, 3, 1.0), (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = maximum_spanning_tree(g)
-    assert tree_keys(t) == ((0, 1), (0, 2), (0, 3))
+    assert tree_keys(g, t) == ((0, 1), (0, 2), (0, 3))
 
 
 def test_mst_matches_brute_force_enumeration():
@@ -193,7 +204,7 @@ def test_mst_matches_brute_force_enumeration():
         if len(g.components()) != 1:
             continue
         t = maximum_spanning_tree(g)
-        assert total_weight(t) == pytest.approx(max(spanning_tree_weights(g)), abs=1e-12)
+        assert total_weight(g, t) == pytest.approx(max(spanning_tree_weights(g)), abs=1e-12)
 
 
 def test_mst_on_5_vertex_random_graph_against_enumeration():
@@ -201,7 +212,7 @@ def test_mst_on_5_vertex_random_graph_against_enumeration():
     g = build_graph(inst, threshold=0.0001)
     assert len(g.components()) == 1
     t = maximum_spanning_tree(g)
-    assert total_weight(t) == pytest.approx(max(spanning_tree_weights(g)), rel=1e-12)
+    assert total_weight(g, t) == pytest.approx(max(spanning_tree_weights(g)), rel=1e-12)
 
 
 def test_mst_handles_disconnected_graphs():
@@ -209,7 +220,7 @@ def test_mst_handles_disconnected_graphs():
     t = maximum_spanning_tree(g)
     assert t.roots == (0, 2, 3)
     assert t.parent == (-1, 0, -1, -1, 3)
-    assert len(t.tree_edges) == 2
+    assert len(tree_edges(g, t)) == 2
 
 
 def test_mst_determinism():
@@ -299,7 +310,7 @@ def test_exports():
     t = maximum_spanning_tree(g)
     gj = graph_to_json(g)
     assert gj["num_vertices"] == 3 and gj["edges"] == [[0, 1, 1.5], [1, 2, 2.5]]
-    tj = tree_to_json(t)
+    tj = tree_to_json(g, t)
     assert tj["parent"] == [-1, 0, 1]
     assert tj["max_children"] == 1
     text = graph_to_edge_list(g)
