@@ -11,10 +11,10 @@ Drops are independent work units with derived seeds, so results are
 bit-identical regardless of worker count. They run in blocks of
 ``max(1, min(num_drops // (2 * workers), _BLOCK_BUDGET // held bytes))``,
 each block one stage at a time, so that each stage's code and data stay in
-cache across the block's drops, and one task per block, in-process or on a
-process pool. A sweep sends the blocks of all its points through one pool
-as one stream: each point's blocks are queued before the previous point's
-last block is read, so the workers do not idle at a point's end.
+cache across the block's drops, and one task per block, read from one
+``_stream`` in-process or on a process pool. A sweep's points share one
+stream, which queues each point's blocks before the previous point's last
+block is read, so the workers do not idle at a point's end.
 Instance generation, topology graphs, spanning forests, spin planes and
 each optimizer run as one pass over the block's stacked arrays; a block of
 one calls the per-drop ``generate_instance``, ``build_graph``,
@@ -30,7 +30,7 @@ import math
 import os
 import time
 from concurrent import futures
-from contextlib import nullcontext
+from contextlib import ExitStack, closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,7 +75,7 @@ _SWEEP_TAG = 0x3
 FRAME_CHUNK_BUDGET = 512 << 10
 # A frame's seed words: 156 B at the peak of hashing 1,024 frames, 32 B held.
 # _run_block hashes each window of _STATE_BLOCK // chunk whole chunks (at most
-# 3,276 frames), which may span drops, in one _fading_states call: one per mc_m10 block.
+# 3,276 frames), which may span drops, in one _fading_states call: 5 for mc_m10 at 1 worker, 4 at 2.
 _FRAME_STATE_BYTES = 160
 _STATE_BLOCK = FRAME_CHUNK_BUDGET // _FRAME_STATE_BYTES
 
@@ -425,31 +425,48 @@ def _run_block(task) -> tuple:
     return rates, objectives, warned, max_children, num_edges, seconds
 
 
-def run_experiment(
-    config: ExperimentConfig, workers: int = 1, pool=None, queued=None, following=None
-) -> EvalReport:
+def _stream(pool, plans):
+    """The block results of each task list of ``plans`` in turn, in order.
+
+    With ``pool`` None, each block runs in-process as it is read. On
+    ``pool``, a list's blocks are already submitted when its first result is
+    asked for, and that request submits the next list's blocks behind them,
+    so the workers go on to them while the parent reads this list's tail.
+    Closing the stream cancels every queued block but the up to
+    ``workers + 1`` in the pool's call queue, which ``Future.cancel`` cannot stop.
+    """
+    if pool is None:
+        for tasks in plans:
+            yield from map(_run_block, tasks)
+        return
+    queued, reading = collections.deque(), 0  # futures not yet read; blocks of the list being read
+    try:
+        # a last, empty list submits nothing and reads the last list's blocks
+        for tasks in itertools.chain(plans, [()]):
+            queued.extend(pool.submit(_run_block, task) for task in tasks)
+            for _ in range(reading):
+                # each future is dropped as it is read, and its block's arrays with it
+                yield queued.popleft().result()
+            reading = len(tasks)
+    finally:
+        for future in queued:
+            future.cancel()
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> EvalReport:
     """Run the full Monte-Carlo experiment.
 
     Drops run in blocks of ``_block_drops(config, workers)``, one task per
-    block, in-process or, with ``workers > 1``, on a process pool of at most
-    ``num_drops`` and ``_cpu_count()`` workers; ``pool``, an open pool of
-    ``workers`` processes, runs every block instead of starting one. Per-drop
-    seeds are derived up front from the master seed and each block is written
-    at its drops, so the report depends on neither the worker count nor the
-    block size.
-
-    With ``pool``, a sweep hands its block stream from call to call:
-    ``queued`` is a deque of the block futures its earlier calls submitted,
-    one deque per point, and ``following`` the next point, whose blocks this
-    call submits behind its own before it reads any, so that the workers go
-    on to them while this call collects its last blocks. If a block fails,
-    every queued block is cancelled but the up to ``workers + 1`` that the
-    pool has moved into its call queue: those run, as ``Future.cancel`` cannot stop them.
+    block, read from ``blocks``, a sweep's ``_stream`` that holds this run's
+    blocks next, or else from a stream of this run's own: in-process or,
+    with ``workers > 1``, on a process pool of at most ``num_drops`` and
+    ``_cpu_count()`` workers. Per-drop seeds are derived up front from the
+    master seed and each block is written at its drops, so the report
+    depends on neither the worker count nor the block size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
-    pool_workers = workers
     workers, block, tasks = _plan(config, workers)
     algorithms, drops = config.algorithms, config.num_drops
     rates = np.empty((len(algorithms), drops, config.frames_per_drop, config.scenario.num_links))
@@ -457,36 +474,18 @@ def run_experiment(
     warned = np.empty((len(algorithms), drops), dtype=bool)
     max_children, num_edges = np.empty(drops, dtype=np.int64), np.empty(drops, dtype=np.int64)
     optimize_time = collections.Counter()
-    context = nullcontext(pool)
-    if workers > 1 and pool is None:
-        context = futures.ProcessPoolExecutor(max_workers=workers)
-    with context as executor:
-        if executor is None:
-            blocks = map(_run_block, tasks)
-        else:
-            queued = collections.deque() if queued is None else queued
-
-            def submit(tasks):
-                return collections.deque(executor.submit(_run_block, task) for task in tasks)
-
-            own = queued.popleft() if queued else submit(tasks)
-            if following is not None:
-                queued.append(submit(_plan(following, pool_workers)[2]))
-            # each future is dropped as it is read, and its block's arrays with it
-            blocks = (own.popleft().result() for _ in tasks)
-        try:
-            for start, (block_rates, objective, warning, children, edges, seconds) in zip(
-                range(0, drops, block), blocks
-            ):
-                drop = slice(start, start + block)  # the last block may be short
-                rates[:, drop], objectives[:, drop] = block_rates, objective
-                warned[:, drop], max_children[drop], num_edges[drop] = warning, children, edges
-                optimize_time.update(seconds)
-        except BaseException:
-            if executor is not None:
-                for future in itertools.chain(own, *queued):
-                    future.cancel()
-            raise
+    with ExitStack() as stack:
+        if blocks is None:  # a run of its own: its pool and its stream close with it
+            pool = futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+            blocks = stack.enter_context(closing(_stream(stack.enter_context(pool), [tasks])))
+        # zip asks the range first, so it reads exactly this run's blocks from a sweep's stream
+        for start, (block_rates, objective, warning, children, edges, seconds) in zip(
+            range(0, drops, block), blocks
+        ):
+            drop = slice(start, start + block)  # the last block may be short
+            rates[:, drop], objectives[:, drop] = block_rates, objective
+            warned[:, drop], max_children[drop], num_edges[drop] = warning, children, edges
+            optimize_time.update(seconds)
 
     stats: dict[str, AlgorithmStats] = {}
     for a, name in enumerate(algorithms):
@@ -541,15 +540,15 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
 
     Point ``i`` runs with a master seed derived from (its own master seed,
     i), so points never share random streams even when their configs match.
-    With ``workers > 1`` every point's blocks go through one process pool of
-    at most the largest ``num_drops`` workers and ``_cpu_count()``, as one
-    stream: each point's call queues the next point's blocks behind its own,
-    and the processes start at the first point's first block. Each point's
-    samples are released as soon as its run returns, so a sweep holds at most
-    one point's samples and the next point's block results, within
-    ``peak_bytes(following)`` of each point: on a pool, a sweep with a pair
-    of points above the budget is refused before any process starts. Its
-    reports carry statistics but no ``rates_bps``.
+    Every point's run reads its blocks from one ``_stream``, in-process or,
+    with ``workers > 1``, on one pool of at most the largest ``num_drops`` and
+    ``_cpu_count()`` workers: a point's blocks are queued at the previous
+    point's first read, and an error in any point cancels the queued blocks.
+    Each point's samples are released as its run returns, so a sweep holds at
+    most one point's samples and the next point's block results, within
+    ``peak_bytes(following)`` of each point: on a pool, a sweep with a pair of
+    points above the budget is refused before any process starts. Its reports
+    carry statistics but no ``rates_bps``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -566,14 +565,15 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
         )
         points.append(replace(config, master_seed=derived))
     reports = []
-    queued = collections.deque()  # the next point's block futures, submitted by this point's call
+    plans = (_plan(point, workers)[2] for point in points)  # each planned as its stream reaches it
     with futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for point, following in itertools.zip_longest(points, points[1:]):
-            # through the module global, so that wrappers of run_experiment see every point
-            report = run_experiment(point, workers, pool, queued, following)
-            for st in report.stats.values():
-                st.rates_bps = None  # nothing reads a sweep's samples
-            reports.append(report)
+        with closing(_stream(pool, plans)) as blocks:
+            for point in points:
+                # through the module global, so that wrappers of run_experiment see every point
+                report = run_experiment(point, workers, blocks)
+                for st in report.stats.values():
+                    st.rates_bps = None  # nothing reads a sweep's samples
+                reports.append(report)
     return reports
 
 

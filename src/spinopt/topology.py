@@ -88,6 +88,8 @@ class RootedTree:
         children: list[list[int]] = [[] for _ in range(m)]
         roots = []
         for v, p in enumerate(self.parent):
+            if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+                raise ValueError(f"parent of {v} must be an integer, got {p!r}")
             if not -1 <= p < m:
                 raise ValueError(f"parent of {v} is {p}, outside [-1, {m})")
             (roots if p < 0 else children[p]).append(v)
@@ -99,6 +101,7 @@ class RootedTree:
                 level = [k for v in level for k in children[v]]
         if len(order) != m:
             raise ValueError("tree does not reach every vertex exactly once")
+        object.__setattr__(self, "parent", tuple(map(int, self.parent)))
         object.__setattr__(self, "roots", tuple(roots))
         object.__setattr__(self, "children", tuple(map(tuple, children)))
         object.__setattr__(self, "order", tuple(order))

@@ -737,6 +737,56 @@ def test_a_failing_point_cancels_the_queued_blocks(pool_log):
     assert {m for _, m, _ in pool_log["events"]} == {3, 4}
 
 
+def test_an_error_after_a_points_reads_cancels_the_next_points_blocks(monkeypatch, pool_log):
+    # the first point reads all its blocks, then its statistics fail: the
+    # sweep stops, and the next point's queued blocks are cancelled, not run
+    def failing_rank(size, q):
+        raise MemoryError
+
+    monkeypatch.setattr(evaluation, "_rank", failing_rank)
+    base = small_config(num_drops=8, frames_per_drop=1)
+    configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (3, 4)]
+    with pytest.raises(MemoryError):
+        sweep(configs, workers=2)
+    assert [m for event, m, _ in pool_log["events"] if event == "read"] == [3] * 4
+    following = [f for f in pool_log["futures"] if f.task[0].scenario.num_links == 4]
+    assert len(following) == 4 and all(future.cancelled() for future in following)
+
+
+def test_every_block_is_submitted_and_run_inside_a_run_experiment_call(monkeypatch, pool_log):
+    # the benchmark times a command's experiment phase by its calls of
+    # evaluation.run_experiment, so a pool's start-up (at its first submit)
+    # and every block's work must fall inside one
+    depth, outside, ran = [0], [], []
+    unwrapped = evaluation.run_experiment
+
+    def counting_run_experiment(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return unwrapped(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def checked(name, fn):
+        def call(*args, **kwargs):
+            (ran if depth[0] else outside).append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    pool = evaluation.futures.ProcessPoolExecutor
+    monkeypatch.setattr(evaluation, "run_experiment", counting_run_experiment)
+    monkeypatch.setattr(evaluation, "_run_block", checked("block", evaluation._run_block))
+    monkeypatch.setattr(pool, "submit", checked("submit", pool.submit))
+    base = small_config(num_drops=5, frames_per_drop=1)
+    configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 3, 4)]
+    sweep(configs, workers=1)
+    assert (outside, ran) == ([], ["block"] * 9)  # blocks of 2, 2 and 1 drops
+    sweep(configs, workers=2)
+    assert outside == [] and ran.count("submit") == ran.count("block") - 9 == 3 * 5
+    assert pool_log["pools"] == [2]
+
+
 def test_workers_never_exceed_the_usable_cpus(tmp_path, monkeypatch, pool_log):
     # a pool starts all its processes at once: --threads 100000 must not
     # ask for 100,000 forks

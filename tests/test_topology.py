@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,14 @@ def test_rooted_tree_rejects_a_parent_out_of_range_or_an_unreached_vertex():
     # 1 and 2 are each other's parent, so no root reaches them
     with pytest.raises(ValueError, match="tree does not reach every vertex"):
         RootedTree(parent=(-1, 2, 1))
+    # an entry is an integer, Python or numpy, and not a bool, stored as a Python int
+    for parent, v in (((True, -1), 0), ((-1, 0.5), 1), ((-1, "0"), 1), ((-1, None), 1)):
+        message = f"parent of {v} must be an integer, got {parent[v]!r}"
+        with pytest.raises(ValueError, match=message):
+            RootedTree(parent=parent)
+    tree = RootedTree(parent=(np.int64(-1), np.int32(0)))
+    assert tree.parent == (-1, 0) and all(type(p) is int for p in tree.parent)
+    assert json.dumps(tree_to_json(graph_from(2, [(0, 1, 1.5)]), tree))
 
 
 def test_tree_edges_refuses_a_tree_that_is_not_a_forest_of_the_graph():
