@@ -221,8 +221,11 @@ class LinkInstance:
 
     def __post_init__(self) -> None:
         m = self.num_links
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+            raise ValueError(f"num_links must be an integer, got {m!r}")
         if m < 1:
             raise ValueError("num_links must be >= 1")
+        object.__setattr__(self, "num_links", int(m))
         seed_key = tuple(_check_seed(seed, "seed_key") for seed in self.seed_key)
         object.__setattr__(self, "seed_key", seed_key)
         expected = {
@@ -237,6 +240,9 @@ class LinkInstance:
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, _freeze(arr))
+        if not np.isin(self.kinds, list(KIND_NAMES)).all():
+            raise ValueError(f"kinds must be SYMMETRIC or ASYMMETRIC, got {self.kinds.tolist()}")
+        object.__setattr__(self, "kinds", _freeze(self.kinds.astype(np.int8, copy=False)))
         for name in ("snr", "inr", "shadowing"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} values must be finite")

@@ -156,7 +156,7 @@ def _cmd_optimize(args) -> int:
     else:
         instance = channel.generate_instance(config.scenario, args.drop)
     solved = evaluation.solve_drop(config, [instance], [config.master_seed])
-    (graph,), (tree,), _, (results,), seconds = solved
+    (graph,), (tree,), _, results, seconds = solved
 
     out = _out_dir(args)
     _write_json(
@@ -169,7 +169,7 @@ def _cmd_optimize(args) -> int:
             "graph": topology.graph_to_json(graph),
             "tree": topology.tree_to_json(graph, tree),
             "results": {
-                name: {"algorithm": name, **res.to_json(graph)} for name, res in results.items()
+                name: {"algorithm": name, **res.to_json(graph)} for name, (res,) in results.items()
             },
         },
     )
@@ -181,10 +181,10 @@ def _cmd_optimize(args) -> int:
         f"utility={config.utility.value} master_seed={config.master_seed}"
     )
     print(f"{'algorithm':<16}{'objective_exact':>18}{'objective_approx':>18}")
-    for name, res in results.items():
+    for name, (res,) in results.items():
         approx = "-" if res.objective_approx is None else f"{res.objective_approx:.6f}"
         print(f"{name:<16}{res.objective_exact:>18.6f}{approx:>18}")
-    for name, res in results.items():
+    for name, (res,) in results.items():
         if res.warning is not None:
             warning = f"{name} optimizer warned: {res.warning}; it is in result.json"
             print(f"warning: {warning}", file=sys.stderr)

@@ -30,7 +30,7 @@ import math
 import os
 import time
 from concurrent import futures
-from contextlib import ExitStack, closing, nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -298,9 +298,10 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
     one pass each, then runs each algorithm's block optimizer once over the
     block with the experiment's utility. A block of one takes the per-drop
     ``build_graph``, ``maximum_spanning_tree`` and optimizers, which the
-    benchmark probe wraps by name. A drop's ``results`` is a dict keyed by
-    algorithm in config order; ``seconds`` maps each algorithm to its time
-    over the block. A drop's ``baseline_seeds`` entry seeds its random baseline.
+    benchmark probe wraps by name. ``results`` maps each algorithm, in
+    config order, to its block optimizer's list of one ``OptimizationResult``
+    per drop; ``seconds`` maps each algorithm to its time over the block. A
+    drop's ``baseline_seeds`` entry seeds its random baseline.
     """
     threshold, utility = config.scenario.inr_edge_threshold, config.utility
     inr = [instance.inr for instance in instances]
@@ -325,12 +326,10 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
             "mst_dp": lambda: mst_dp_block(snr, planes, trees, utility),
             "random": lambda: random_spins_block(snr, planes, baseline_seeds, utility),
         }
-    results: list[dict] = [{} for _ in instances]
-    seconds: dict[str, float] = {}
+    results, seconds = {}, {}  # per algorithm: its block's results; its seconds
     for name in config.algorithms:
         start = time.perf_counter()
-        for drop, result in zip(results, solvers[name]()):
-            drop[name] = result
+        results[name] = solvers[name]()
         seconds[name] = time.perf_counter() - start
     return graphs, trees, planes, results, seconds
 
@@ -385,11 +384,8 @@ def _run_block(task) -> tuple:
     )
     # each drop with its planes as INR: the rates' long-term gains, which its fading scales
     instances = [_unchecked(type(i), **{**vars(i), "inr": p}) for i, p in zip(instances, planes)]
-    # one row per algorithm: a chunk's rates come from one call for all of them
-    selectors = [
-        spin_selectors(graph, np.stack([res.spins for res in drop.values()]))
-        for graph, drop in zip(graphs, results)
-    ]
+    # (B, A, M) spins, one row per algorithm: a chunk's rates come from one call for all of them
+    selectors = spin_selectors([[res.spins for res in drop] for drop in zip(*results.values())])
     shape = (len(config.algorithms), len(jobs), config.frames_per_drop, scenario.num_links)
     rates = np.empty(shape)
     if config.fading == "none":
@@ -418,39 +414,42 @@ def _run_block(task) -> tuple:
                     )
                 rates[:, drop, frames.start : frames.stop] = two_way_rates(draw, selectors[drop])
     rates *= config.bandwidth_hz
-    objectives = [[drop[name].objective_exact for drop in results] for name in config.algorithms]
-    warned = [[drop[name].warning is not None for drop in results] for name in config.algorithms]
+    objectives = [[res.objective_exact for res in drops] for drops in results.values()]
+    warned = [[res.warning is not None for res in drops] for drops in results.values()]
     max_children = [tree.max_children for tree in trees]
     num_edges = [int(graph.adjacency.sum()) // 2 for graph in graphs]
     return rates, objectives, warned, max_children, num_edges, seconds
 
 
-def _stream(pool, plans):
+def _stream(workers: int, plans):
     """The block results of each task list of ``plans`` in turn, in order.
 
-    With ``pool`` None, each block runs in-process as it is read. On
-    ``pool``, a list's blocks are already submitted when its first result is
-    asked for, and that request submits the next list's blocks behind them,
-    so the workers go on to them while the parent reads this list's tail.
-    Closing the stream cancels every queued block but the up to
-    ``workers + 1`` in the pool's call queue, which ``Future.cancel`` cannot stop.
+    With one worker, each block runs in-process as it is read. Otherwise the
+    first read opens a process pool of ``workers``, which the stream shuts
+    down as it ends or closes: a list's blocks are already submitted when
+    its first result is asked for, and that request submits the next list's
+    blocks behind them, so the workers go on to them while the parent reads
+    this list's tail. Closing the stream cancels every queued block but the
+    up to ``workers + 1`` in the pool's call queue, which ``Future.cancel``
+    cannot stop, and waits for those.
     """
-    if pool is None:
+    if workers == 1:
         for tasks in plans:
             yield from map(_run_block, tasks)
         return
     queued, reading = collections.deque(), 0  # futures not yet read; blocks of the list being read
-    try:
-        # a last, empty list submits nothing and reads the last list's blocks
-        for tasks in itertools.chain(plans, [()]):
-            queued.extend(pool.submit(_run_block, task) for task in tasks)
-            for _ in range(reading):
-                # each future is dropped as it is read, and its block's arrays with it
-                yield queued.popleft().result()
-            reading = len(tasks)
-    finally:
-        for future in queued:
-            future.cancel()
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            # a last, empty list submits nothing and reads the last list's blocks
+            for tasks in itertools.chain(plans, [()]):
+                queued.extend(pool.submit(_run_block, task) for task in tasks)
+                for _ in range(reading):
+                    # each future is dropped as it is read, and its block's arrays with it
+                    yield queued.popleft().result()
+                reading = len(tasks)
+        finally:
+            for future in queued:
+                future.cancel()
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> EvalReport:
@@ -458,11 +457,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
 
     Drops run in blocks of ``_block_drops(config, workers)``, one task per
     block, read from ``blocks``, a sweep's ``_stream`` that holds this run's
-    blocks next, or else from a stream of this run's own: in-process or,
-    with ``workers > 1``, on a process pool of at most ``num_drops`` and
-    ``_cpu_count()`` workers. Per-drop seeds are derived up front from the
-    master seed and each block is written at its drops, so the report
-    depends on neither the worker count nor the block size.
+    blocks next, or else from a ``_stream`` of this run's own, which closes
+    with it: in-process or, with ``workers > 1``, on a process pool of at
+    most ``num_drops`` and ``_cpu_count()`` workers. Per-drop seeds are
+    derived up front from the master seed and each block is written at its
+    drops, so the report depends on neither the worker count nor the block
+    size.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -474,10 +474,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
     warned = np.empty((len(algorithms), drops), dtype=bool)
     max_children, num_edges = np.empty(drops, dtype=np.int64), np.empty(drops, dtype=np.int64)
     optimize_time = collections.Counter()
-    with ExitStack() as stack:
-        if blocks is None:  # a run of its own: its pool and its stream close with it
-            pool = futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-            blocks = stack.enter_context(closing(_stream(stack.enter_context(pool), [tasks])))
+    with closing(_stream(workers, [tasks])) if blocks is None else nullcontext(blocks) as blocks:
         # zip asks the range first, so it reads exactly this run's blocks from a sweep's stream
         for start, (block_rates, objective, warning, children, edges, seconds) in zip(
             range(0, drops, block), blocks
@@ -542,8 +539,9 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     i), so points never share random streams even when their configs match.
     Every point's run reads its blocks from one ``_stream``, in-process or,
     with ``workers > 1``, on one pool of at most the largest ``num_drops`` and
-    ``_cpu_count()`` workers: a point's blocks are queued at the previous
-    point's first read, and an error in any point cancels the queued blocks.
+    ``_cpu_count()`` workers, which the first point's run opens: a point's
+    blocks are queued at the previous point's first read, and an error in
+    any point cancels the queued blocks.
     Each point's samples are released as its run returns, so a sweep holds at
     most one point's samples and the next point's block results, within
     ``peak_bytes(following)`` of each point: on a pool, a sweep with a pair of
@@ -566,14 +564,13 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
         points.append(replace(config, master_seed=derived))
     reports = []
     plans = (_plan(point, workers)[2] for point in points)  # each planned as its stream reaches it
-    with futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        with closing(_stream(pool, plans)) as blocks:
-            for point in points:
-                # through the module global, so that wrappers of run_experiment see every point
-                report = run_experiment(point, workers, blocks)
-                for st in report.stats.values():
-                    st.rates_bps = None  # nothing reads a sweep's samples
-                reports.append(report)
+    with closing(_stream(workers, plans)) as blocks:
+        for point in points:
+            # through the module global, so that wrappers of run_experiment see every point
+            report = run_experiment(point, workers, blocks)
+            for st in report.stats.values():
+                st.rates_bps = None  # nothing reads a sweep's samples
+            reports.append(report)
     return reports
 
 

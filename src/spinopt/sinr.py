@@ -96,15 +96,16 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins, plan
     return network_utilities(values.snr, planes, kind, check_spins(graph, spins)[None])[0]
 
 
-def spin_selectors(graph: TopologyGraph, spins) -> np.ndarray:
+def spin_selectors(spins) -> np.ndarray:
     """The symmetric mask ``two_way_rates`` selects planes by: ``differ[..., k, l]``
-    is True where the spins of links k and l differ, for one absolute spin
-    vector (M,) or a stack of them (A, M), e.g. one row per algorithm of a
-    drop, each row checked. Build once per (graph, spins), reuse across draws.
+    is True where the spins of links k and l differ, for an (..., M) stack of
+    0/1 spin vectors in one pass, e.g. a block's (B, A, M) spins, one row per
+    drop and algorithm. ``two_way_rates`` checks M against its links. Build
+    once per stack, reuse across draws.
     """
     spins = np.asarray(spins)
-    for row in spins if spins.ndim == 2 else [spins]:
-        check_spins(graph, row)
+    if not ((spins == 0) | (spins == 1)).all():
+        raise ValueError("spins must be 0/1")
     return spins[..., :, None] != spins[..., None, :]
 
 
@@ -113,12 +114,15 @@ def two_way_rates(values, differ: np.ndarray) -> np.ndarray:
 
     ``values.inr`` is a drop's ``spin_planes`` (0 off the graph), or a chunk
     of fading draws that scale them, stacked as (F, M, M, 2, 2) with
-    ``values.snr`` (F, M, 2); ``differ`` is ``spin_selectors``' mask. The
-    result is (F, M), or (A, F, M) for the mask of an (A, M) spin stack,
-    broadcast over the frames; each rate is bit-identical to its frame and
-    spin vector alone: the interferers are summed over ascending k, never
-    the innermost axis, before the noise is added."""
-    snr = values.snr
+    ``values.snr`` (F, M, 2); ``differ`` is ``spin_selectors``' mask, which
+    must end in (M, M), M the links of ``values``. The result is (F, M), or
+    (A, F, M) for the mask of an (A, M) spin stack, broadcast over the
+    frames; each rate is bit-identical to its frame and spin vector alone:
+    the interferers are summed over ascending k, never the innermost axis,
+    before the noise is added."""
+    snr, m = values.snr, values.snr.shape[-2]
+    if differ.shape[-2:] != (m, m):
+        raise ValueError(f"differ must end in shape ({m}, {m}), got {differ.shape}")
     frame_axes = (1,) * (snr.ndim - 2)
     differ = differ.reshape(differ.shape[:-2] + frame_axes + differ.shape[-2:])
     den_lr, den_rl = (

@@ -487,9 +487,8 @@ def run_drop(config, drop_seed: int, baseline_seed: int) -> tuple:
     seed states. Returns the block tuple of that one drop."""
     scenario = config.scenario
     instance = generate_instance(scenario, drop_seed)
-    graphs, trees, _, results, seconds = solve_drop(config, [instance], [baseline_seed])
-    graph, tree, results = graphs[0], trees[0], results[0]
-    selectors = spin_selectors(graph, np.stack([res.spins for res in results.values()]))
+    (graph,), (tree,), _, results, seconds = solve_drop(config, [instance], [baseline_seed])
+    selectors = spin_selectors([res.spins for (res,) in results.values()])
     rates = np.empty((len(results), config.frames_per_drop, scenario.num_links))
     if config.fading == "none":
         rates[:] = two_way_rates(on_graph(instance, graph), selectors)[:, None]
@@ -502,8 +501,8 @@ def run_drop(config, drop_seed: int, baseline_seed: int) -> tuple:
             rates[:, start : frames.stop] = two_way_rates(draw, selectors)
     return (
         config.bandwidth_hz * rates[:, None],
-        [[results[name].objective_exact] for name in config.algorithms],
-        [[results[name].warning is not None] for name in config.algorithms],
+        [[res.objective_exact] for (res,) in results.values()],
+        [[res.warning is not None] for (res,) in results.values()],
         [tree.max_children],
         [int(graph.adjacency.sum()) // 2],
         seconds,
@@ -564,10 +563,9 @@ def per_frame_rates(config) -> dict[str, np.ndarray]:
     rates = {name: np.empty(shape) for name in config.algorithms}
     for d in range(config.num_drops):
         instance = generate_instance(config.scenario, int(seeds[2 * d]))
-        graphs, _, _, results, _ = solve_drop(config, [instance], [int(seeds[2 * d + 1])])
-        graph = graphs[0]
-        for name, result in results[0].items():
-            selectors = spin_selectors(graph, result.spins)
+        (graph,), _, _, results, _ = solve_drop(config, [instance], [int(seeds[2 * d + 1])])
+        for name, (result,) in results.items():
+            selectors = spin_selectors(result.spins)
             for f in range(config.frames_per_drop):
                 values = instance if config.fading == "none" else fading_frame(instance, f)
                 values = on_graph(values, graph)

@@ -371,3 +371,34 @@ def test_instance_rejects_non_finite_gains(field, bad):
     arrays[field].flat[1] = bad
     with pytest.raises(ValueError, match="finite"):
         dataclasses.replace(inst, **arrays)
+
+
+@pytest.mark.parametrize("num_links", [2.0, np.float64(1.0), True])
+def test_instance_refuses_a_num_links_that_is_not_an_integer(num_links):
+    # a float num_links would be written as 2.0, which instance_from_json
+    # refuses; a bool is not an integer, though Python counts True as 1
+    inst = generate_instance(ScenarioConfig(num_links=int(num_links), seed=0), 0)
+    with pytest.raises(ValueError, match="num_links must be an integer"):
+        dataclasses.replace(inst, num_links=num_links)
+
+
+def test_instance_stores_an_integer_num_links_as_a_python_int():
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    edited = dataclasses.replace(inst, num_links=np.int64(2))
+    assert type(edited.num_links) is int
+    assert instance_from_json(json.loads(json.dumps(instance_to_json(edited)))).num_links == 2
+
+
+@pytest.mark.parametrize("kinds", [[5, 0], [0.5, 1.0], [0, -1], [np.nan, 0.0]])
+def test_instance_refuses_kinds_other_than_symmetric_or_asymmetric(kinds):
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    with pytest.raises(ValueError, match="kinds must be SYMMETRIC"):
+        dataclasses.replace(inst, kinds=np.array(kinds))
+
+
+def test_instance_stores_kinds_as_int8():
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    edited = dataclasses.replace(inst, kinds=np.array([ASYMMETRIC, SYMMETRIC], dtype=np.int64))
+    assert edited.kinds.dtype == np.int8 and edited.kinds.flags.writeable is False
+    assert edited.kinds.tolist() == [ASYMMETRIC, SYMMETRIC]
+    assert instance_to_json(edited)["kinds"] == ["asymmetric", "symmetric"]

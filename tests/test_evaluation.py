@@ -334,11 +334,9 @@ def block_held_bytes(num_links, algorithms, num_drops) -> int:
         graphs, _, planes, results, _ = evaluation.solve_drop(
             config, instances, list(range(num_drops))
         )
-        selectors = [
-            evaluation.spin_selectors(graph, np.stack([r.spins for r in drop.values()]))
-            for graph, drop in zip(graphs, results)
-        ]
-        assert len(selectors) == len(planes) == num_drops
+        spins = [[r.spins for r in drop] for drop in zip(*results.values())]
+        selectors = evaluation.spin_selectors(spins)
+        assert len(selectors) == len(planes) == len(graphs) == num_drops
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -375,6 +373,23 @@ def test_block_size_of_the_benchmark_configs(config, workers, blocks):
     assert [evaluation._block_drops(c, workers) for c in points or [experiment]] == blocks
 
 
+def test_the_mc_m10_config_builds_its_spin_selectors_once_per_block(monkeypatch):
+    # blocks of 38, 38 and 24 drops, one call each on its (B, A, M) spins
+    experiment, _ = load_config(
+        json.loads((REPO / "configs/evaluate_m10_symmetric.json").read_text())
+    )
+    calls, spin_selectors = [], evaluation.spin_selectors
+
+    def counting(spins):
+        calls.append(np.shape(spins))
+        return spin_selectors(spins)
+
+    monkeypatch.setattr(evaluation, "spin_selectors", counting)
+    run_experiment(experiment, workers=1)
+    m, algorithms = experiment.scenario.num_links, len(experiment.algorithms)
+    assert calls == [(drops, algorithms, m) for drops in (38, 38, 24)]
+
+
 @pytest.mark.parametrize("drops", [1, 2, 3])
 def test_block_size_follows_the_budget(monkeypatch, drops):
     config = small_config(scenario=ScenarioConfig(num_links=10, seed=1), num_drops=40)
@@ -390,7 +405,7 @@ def test_block_size_follows_the_budget(monkeypatch, drops):
 
 @pytest.mark.parametrize("num_links", [10, 40, 200])
 def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_links):
-    # from the block's last spin_selectors call on, the block holds its
+    # from the block's spin_selectors call on, the block holds its
     # drops (at most the budget, or the one drop a block holds at least)
     # and its rates while each chunk is drawn and rated; before it, the
     # block's generation pass peaks within the per-pair term of peak_bytes()
@@ -410,21 +425,21 @@ def test_a_block_peaks_within_its_budget_and_one_chunk_phase(monkeypatch, num_li
     jobs = [(100 + d, d) for d in range(block)]
     selected, spin_selectors = [], evaluation.spin_selectors
 
-    def selecting(graph, spins):
-        selected.append(graph)
-        if len(selected) == block and tracemalloc.is_tracing():
+    def selecting(spins):
+        selected.append(len(spins))
+        if tracemalloc.is_tracing():
             tracemalloc.reset_peak()
-        return spin_selectors(graph, spins)
+        return spin_selectors(spins)
 
     monkeypatch.setattr(evaluation, "spin_selectors", selecting)
     evaluation._run_block((config, jobs))
-    selected.clear()
     tracemalloc.start()
     try:
         evaluation._run_block((config, jobs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert selected == [block, block]  # one call per block, on all of its drops
     chunk_phase = frames * frame_bytes + 8 * len(algorithms) * num_links**2 * frames
     samples = 8 * block * len(algorithms) * frames * num_links
     # measured 0.82, 0.92 and 0.79 times the first term at M = 10, 40 and 200
@@ -755,8 +770,8 @@ def test_an_error_after_a_points_reads_cancels_the_next_points_blocks(monkeypatc
 
 def test_every_block_is_submitted_and_run_inside_a_run_experiment_call(monkeypatch, pool_log):
     # the benchmark times a command's experiment phase by its calls of
-    # evaluation.run_experiment, so a pool's start-up (at its first submit)
-    # and every block's work must fall inside one
+    # evaluation.run_experiment, so a pool's construction and start-up (at
+    # its first submit) and every block's work must fall inside one
     depth, outside, ran = [0], [], []
     unwrapped = evaluation.run_experiment
 
@@ -777,6 +792,7 @@ def test_every_block_is_submitted_and_run_inside_a_run_experiment_call(monkeypat
     pool = evaluation.futures.ProcessPoolExecutor
     monkeypatch.setattr(evaluation, "run_experiment", counting_run_experiment)
     monkeypatch.setattr(evaluation, "_run_block", checked("block", evaluation._run_block))
+    monkeypatch.setattr(pool, "__init__", checked("pool", pool.__init__))
     monkeypatch.setattr(pool, "submit", checked("submit", pool.submit))
     base = small_config(num_drops=5, frames_per_drop=1)
     configs = [replace(base, scenario=replace(base.scenario, num_links=m)) for m in (2, 3, 4)]
@@ -784,7 +800,8 @@ def test_every_block_is_submitted_and_run_inside_a_run_experiment_call(monkeypat
     assert (outside, ran) == ([], ["block"] * 9)  # blocks of 2, 2 and 1 drops
     sweep(configs, workers=2)
     assert outside == [] and ran.count("submit") == ran.count("block") - 9 == 3 * 5
-    assert pool_log["pools"] == [2]
+    # the pool too is built inside a run_experiment call: the first point's
+    assert ran.count("pool") == 1 and pool_log["pools"] == [2]
 
 
 def test_workers_never_exceed_the_usable_cpus(tmp_path, monkeypatch, pool_log):
@@ -1019,9 +1036,9 @@ def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fad
     # the counts bench/probe.py traces through evaluation's module globals:
     # an evaluate of 12 drops runs 2 blocks of 6, or with no block budget 12
     # blocks of one, each drop of 7 frames in chunks of 3. A block of 6
-    # generates its instances, graphs and forests and runs each optimizer in
-    # one call each; a block of one calls the per-drop functions, the ones
-    # the probe wraps
+    # generates its instances, graphs and forests, runs each optimizer and
+    # builds its spin selectors in one call each; a block of one calls the
+    # per-drop functions, the ones the probe wraps
     m = 4
     frame_bytes = 8 * (2 * m + 4 * m**2) + evaluation._FRAME_STATE_BYTES
     monkeypatch.setattr(evaluation, "FRAME_CHUNK_BUDGET", 3 * frame_bytes)
@@ -1090,6 +1107,7 @@ def test_every_layer_is_called_once_per_drop_or_chunk(tmp_path, monkeypatch, fad
     assert blocks == [block] * (drops // block)
     expected = dict.fromkeys(layers, drops)
     expected.update(draw_fading=chunks, two_way_rates=chunks or drops)
+    expected.update(spin_selectors=drops // block)
     if block == 1:
         expected.update(dict.fromkeys(block_stages, 0))
     else:
@@ -1209,9 +1227,10 @@ def test_solve_drop_equals_direct_optimizer_calls(algorithms, utility):
     config = small_config(algorithms=algorithms, utility=utility)
     instances = [generate_instance(config.scenario, seed) for seed in (5, 6, 7)]
     graphs, trees, planes, results, seconds = evaluation.solve_drop(config, instances, [9, 10, 11])
-    assert len(graphs) == len(trees) == len(planes) == len(results) == 3
-    # one time per algorithm, over the whole block
-    assert list(seconds) == list(algorithms)
+    assert len(graphs) == len(trees) == len(planes) == 3
+    # one list of the block's results and one time per algorithm, in config order
+    assert list(results) == list(seconds) == list(algorithms)
+    assert all(len(block_results) == 3 for block_results in results.values())
     assert all(s >= 0.0 for s in seconds.values())
     for drop, instance in enumerate(instances):
         graph, tree, baseline_seed = graphs[drop], trees[drop], 9 + drop
@@ -1225,8 +1244,8 @@ def test_solve_drop_equals_direct_optimizer_calls(algorithms, utility):
             "mst_dp": mst_dp(instance, graph, tree, utility),
             "random": random_spins(instance, graph, utility, baseline_seed),
         }
-        assert list(results[drop]) == list(algorithms)
-        for name, result in results[drop].items():
+        for name, block_results in results.items():
+            result = block_results[drop]
             assert np.array_equal(result.spins, direct[name].spins)
             assert result.objective_exact == direct[name].objective_exact
             assert result.objective_approx == direct[name].objective_approx

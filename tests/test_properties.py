@@ -299,7 +299,7 @@ def test_batched_network_utilities_equal_loop_oracle(net, kind, seed):
 def test_two_way_rates_equal_loop_oracle(net, start):
     inst, graph, _, spins = net
     frames = range(start, start + 3)
-    fast = two_way_rates(on_graph(draw_fading(inst, frames), graph), spin_selectors(graph, spins))
+    fast = two_way_rates(on_graph(draw_fading(inst, frames), graph), spin_selectors(spins))
     for rates, f in zip(fast, frames):
         assert same_bytes(rates, two_way_rates_loop(fading_frame(inst, f), graph, spins))
 
@@ -403,7 +403,7 @@ def test_spin_planes_and_their_kernels_equal_loop_oracles(case, start, rows, kin
     assert network_utilities(inst.snr, planes, kind, stack) == oracle
     frames = range(start, start + 3)
     on_graph_inst = replace(inst, inr=planes)
-    differ = spin_selectors(graph, stack)
+    differ = spin_selectors(stack)
     long_term = two_way_rates(on_graph_inst, differ)
     faded = two_way_rates(draw_fading(on_graph_inst, frames), differ)
     assert np.isfinite(faded).all()
@@ -415,20 +415,27 @@ def test_spin_planes_and_their_kernels_equal_loop_oracles(case, start, rows, kin
 
 @PROPERTY
 @given(
-    networks(max_links=10, min_links=1), st.integers(1, 3), st.integers(0, 2**16), st.booleans(),
-    st.data(),
+    networks(max_links=10, min_links=1), st.integers(1, 3), st.integers(1, 3),
+    st.integers(0, 2**16), st.booleans(), st.data(),
 )
-def test_stacked_spins_give_each_rows_rates(net, rows, start, faded, data):
-    # one call for every algorithm of a drop equals one call per algorithm
+def test_stacked_spins_give_each_rows_rates(net, drops, rows, start, faded, data):
+    # one selector call for a block's (B, A, M) spins equals one per drop's
+    # (A, M) stack, and one rate call for every algorithm of a drop equals
+    # one call per algorithm
     inst, graph, _, _ = net
     m = graph.num_vertices
     spin_rows = st.lists(st.integers(0, 1), min_size=m, max_size=m)
-    stack = np.array(data.draw(st.lists(spin_rows, min_size=rows, max_size=rows)), dtype=np.int8)
+    stacks = st.lists(spin_rows, min_size=rows, max_size=rows)
+    block = np.array(data.draw(st.lists(stacks, min_size=drops, max_size=drops)), dtype=np.int8)
     values = on_graph(draw_fading(inst, range(start, start + 3)) if faded else inst, graph)
-    batched = two_way_rates(values, spin_selectors(graph, stack))
-    assert batched.shape == (rows, *values.snr.shape[:-1])
-    for rates, spins in zip(batched, stack):
-        assert same_bytes(rates, two_way_rates(values, spin_selectors(graph, spins)))
+    differ = spin_selectors(block)
+    assert differ.shape == (drops, rows, m, m)
+    for stack, stack_differ in zip(block, differ, strict=True):
+        assert same_bytes(stack_differ, spin_selectors(stack))
+        batched = two_way_rates(values, stack_differ)
+        assert batched.shape == (rows, *values.snr.shape[:-1])
+        for rates, spins in zip(batched, stack, strict=True):
+            assert same_bytes(rates, two_way_rates(values, spin_selectors(spins)))
 
 
 # a frame index is one entropy word: these starts sit at its edges

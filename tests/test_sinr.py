@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -70,7 +71,7 @@ def test_exact_sinr_selects_interferer_end_by_spin():
     assert same[0] == 20.0 and opposite[0] == 10.0
     # the dense kernel picks the same ends
     for spins, sinr in (([1, 1], same), ([0, 1], opposite)):
-        rates = two_way_rates(inst, spin_selectors(graph, np.array(spins)))
+        rates = two_way_rates(inst, spin_selectors(np.array(spins)))
         assert rates[0] == pytest.approx(rates_of([sinr])[0], rel=1e-12)
 
 
@@ -79,18 +80,43 @@ def test_exact_sinr_requires_incident_spins():
     for bad in (np.array([0]), np.array([0, 1, 0]), np.array([0, 2])):
         with pytest.raises(ValueError, match="spins"):
             network_utility(inst, graph, SUM_RATE, bad)
-        with pytest.raises(ValueError, match="spins"):
-            spin_selectors(graph, bad)
+    # a spin vector of the wrong length never yields rates: the rate kernel
+    # refuses its mask
+    for bad in (np.array([0]), np.array([0, 1, 0])):
+        with pytest.raises(ValueError, match=r"differ must end in shape \(2, 2\)"):
+            two_way_rates(inst, spin_selectors(bad))
+    with pytest.raises(ValueError, match="spins must be 0/1"):
+        spin_selectors(np.array([0, 2]))
 
 
 def test_spin_selectors_check_every_row_of_a_stack():
-    inst, graph = two_link_instance()
-    differ = spin_selectors(graph, [[0, 1], [1, 1], [0, 0]])
+    inst, _ = two_link_instance()
+    differ = spin_selectors([[0, 1], [1, 1], [0, 0]])
     assert differ.shape == (3, 2, 2)
     assert differ[:, 0, 1].tolist() == [True, False, False]
-    for bad in ([[0, 1], [0, 2]], [[0, 1, 0], [1, 0, 1]], [[[0, 1]]]):
-        with pytest.raises(ValueError, match="spins"):
-            spin_selectors(graph, bad)
+    # a (B, A, M) stack of a block's drops is one call
+    assert np.array_equal(spin_selectors([[[0, 1]], [[1, 1]]]), differ[:2, None])
+    with pytest.raises(ValueError, match="spins must be 0/1"):
+        spin_selectors([[0, 1], [0, 2]])
+    with pytest.raises(ValueError, match=r"differ must end in shape \(2, 2\)"):
+        two_way_rates(inst, spin_selectors([[0, 1, 0], [1, 0, 1]]))
+
+
+@pytest.mark.parametrize("frames", [(), (4,)])
+@pytest.mark.parametrize("shape", [(1, 1), (3,), (4, 4), (2, 4, 4)])
+def test_two_way_rates_refuses_a_mask_that_does_not_end_in_m_by_m(frames, shape):
+    # M comes from the values, never from the mask: a (1, 1) mask would
+    # broadcast to every pair, an (M,) one mix the rows of several vectors,
+    # and a chunk of F = 4 frames does not make a (4, 4) mask fit M = 3
+    inst = build_instance(np.ones((3, 3, 2, 2)))
+    values = SimpleNamespace(
+        snr=np.broadcast_to(inst.snr, frames + (3, 2)),
+        inr=np.broadcast_to(inst.inr, frames + (3, 3, 2, 2)),
+    )
+    message = f"differ must end in shape (3, 3), got {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        two_way_rates(values, np.ones(shape, dtype=bool))
+    assert two_way_rates(values, np.ones((3, 3), dtype=bool)).shape == frames + (3,)
 
 
 def test_sinr_never_exceeds_snr():
@@ -247,7 +273,7 @@ def test_vectorized_rates_match_per_link_path():
         _, inst = random_instance(7, seed=seed)
         graph = build_graph(inst, threshold=0.01)
         s = np.random.default_rng(seed).integers(0, 2, size=7)
-        selectors = spin_selectors(graph, s)
+        selectors = spin_selectors(s)
         draw = on_graph(draw_fading(inst, range(seed, seed + 1)), graph)
         fast = two_way_rates(draw, selectors)[0]
         frame = fading_frame(inst, seed)
@@ -281,7 +307,7 @@ def test_unselected_interferer_end_that_overflows_leaves_rates_finite():
         draw = draw_fading(inst, range(20))
     overflowed = np.flatnonzero(np.isinf(draw.inr).any(axis=(1, 2, 3, 4)))
     assert len(overflowed) == 2
-    rates = two_way_rates(draw, spin_selectors(graph, spins))
+    rates = two_way_rates(draw, spin_selectors(spins))
     assert np.isfinite(rates).all()
     for f in overflowed:
         frame = SimpleNamespace(snr=draw.snr[f], inr=draw.inr[f])
@@ -300,7 +326,7 @@ def test_an_infinite_inr_off_the_graph_never_enters_a_sum():
     values = SimpleNamespace(snr=rng.uniform(10.0, 100.0, size=(3, 2)), inr=inr)
     graph = graph_from(3, ((0, 2, 1.0), (1, 2, 1.0)))
     stack = np.array([[(code >> j) & 1 for j in range(3)] for code in range(8)], dtype=np.int8)
-    rates = two_way_rates(on_graph(values, graph), spin_selectors(graph, stack))
+    rates = two_way_rates(on_graph(values, graph), spin_selectors(stack))
     assert np.isfinite(rates).all()
     for spins, row in zip(stack, rates):
         assert row.tobytes() == two_way_rates_loop(values, graph, spins).tobytes()
