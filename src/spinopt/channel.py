@@ -122,8 +122,9 @@ def check_fields(config) -> None:
         object.__setattr__(config, name, value)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=arr.dtype)
+def _freeze(arr) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous array; a contiguous array is not copied."""
+    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 
@@ -226,6 +227,8 @@ class LinkInstance:
         if m < 1:
             raise ValueError("num_links must be >= 1")
         object.__setattr__(self, "num_links", int(m))
+        if not isinstance(self.seed_key, (tuple, list)) or len(self.seed_key) != 2:
+            raise ValueError(f"seed_key must be two seeds, got {self.seed_key!r}")
         seed_key = tuple(_check_seed(seed, "seed_key") for seed in self.seed_key)
         object.__setattr__(self, "seed_key", seed_key)
         expected = {
@@ -236,7 +239,10 @@ class LinkInstance:
             "shadowing": (2 * m, 2 * m),
         }
         for name, shape in expected.items():
-            arr = getattr(self, name)
+            try:  # kinds keep their type until they are checked as codes below
+                arr = np.asarray(getattr(self, name), dtype=None if name == "kinds" else float)
+            except (TypeError, ValueError, OverflowError) as exc:  # an int beyond the float range
+                raise ValueError(f"{name} must be an array of numbers: {exc}") from None
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, _freeze(arr))
@@ -640,32 +646,22 @@ def instance_to_json(instance: LinkInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> LinkInstance:
-    """Rebuild an instance; a missing or malformed key fails with its name."""
+    """Rebuild an instance; a missing or malformed key fails with its name.
+
+    This checks what only the JSON has: the schema, every key and the kind
+    names. ``LinkInstance`` checks every value, as it does for any caller.
+    """
     schema = data.get("schema") if isinstance(data, dict) else data
     if schema != INSTANCE_SCHEMA:
         raise ValueError(f"expected schema {INSTANCE_SCHEMA!r}, got {schema!r}")
     try:
-        num_links, kinds, seed_key = data["num_links"], data["kinds"], data["seed_key"]
-        arrays = {key: data[key] for key in ("positions", "snr", "inr", "shadowing")}
+        values = {field.name: data[field.name] for field in fields(LinkInstance)}
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key: {exc}") from exc
-    if not isinstance(num_links, int) or isinstance(num_links, bool):
-        raise ValueError(f"instance key 'num_links' must be an integer, got {num_links!r}")
+    kinds = values["kinds"]
     named = isinstance(kinds, list) and all(isinstance(k, str) and k in KIND_CODES for k in kinds)
     if not named:
         raise ValueError(
             f"instance key 'kinds' must be a list of {sorted(KIND_CODES)}, got {kinds!r}"
         )
-    if not isinstance(seed_key, list) or len(seed_key) != 2:
-        raise ValueError(f"instance key 'seed_key' must list two seeds, got {seed_key!r}")
-    for key, value in arrays.items():
-        try:
-            arrays[key] = np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"instance key {key!r}: {exc}") from None
-    return LinkInstance(
-        num_links=num_links,
-        kinds=np.array([KIND_CODES[k] for k in kinds], dtype=np.int8),
-        seed_key=tuple(seed_key),
-        **arrays,
-    )
+    return LinkInstance(**{**values, "kinds": [KIND_CODES[k] for k in kinds]})

@@ -108,8 +108,18 @@ def _write_meta(out: Path, command: str, **facts) -> None:
     _write_json(out / "run_meta.json", meta)
 
 
-def _warn_optimizers(report, where: str = "") -> None:
-    """One stderr line per algorithm whose optimizer warned on some drop."""
+def _print_stats(report, where: str = "") -> None:
+    """A run's report: one stdout line of rates per algorithm, then one stderr
+    line per algorithm whose optimizer warned on some drop; each line names
+    ``where`` (a sweep point) before the algorithm."""
+    q_label = evaluation.percentile_label(report.config.percentile_q)
+    for name, st in report.stats.items():
+        gain = st.gain_percentile_vs_random
+        print(
+            f"  {where}{name:<12} mean={st.mean_bps / 1e6:.3f} Mbps  "
+            f"{q_label}={st.percentile_bps / 1e6:.3f} Mbps"
+            + ("" if gain is None else f"  gain_{q_label}={gain:.3f}")
+        )
     for name, st in report.stats.items():
         if st.warned_drops:
             print(
@@ -205,19 +215,7 @@ def _cmd_evaluate(args) -> int:
         f"evaluated {config.num_drops} drops x {config.frames_per_drop} frames, "
         f"master_seed={config.master_seed}"
     )
-    q_label = evaluation.percentile_label(config.percentile_q)
-    for name in config.algorithms:
-        st = report.stats[name]
-        gain = (
-            ""
-            if st.gain_percentile_vs_random is None
-            else f"  gain_{q_label}={st.gain_percentile_vs_random:.3f}"
-        )
-        print(
-            f"  {name:<12} mean={st.mean_bps / 1e6:.3f} Mbps  "
-            f"{q_label}={st.percentile_bps / 1e6:.3f} Mbps{gain}"
-        )
-    _warn_optimizers(report)
+    _print_stats(report)
     return 0
 
 
@@ -245,19 +243,7 @@ def _cmd_sweep(args) -> int:
     _write_meta(out, "sweep", points=[r.run_json() for r in reports])
     print(f"swept {parameter} over {values}")
     for value, report in zip(values, reports):
-        _warn_optimizers(report, f"{parameter}={value} ")
-        q_label = evaluation.percentile_label(report.config.percentile_q)
-        for name in report.config.algorithms:
-            st = report.stats[name]
-            gain = (
-                ""
-                if st.gain_percentile_vs_random is None
-                else f"  gain={st.gain_percentile_vs_random:.3f}"
-            )
-            print(
-                f"  {parameter}={value} {name:<12} "
-                f"{q_label}={st.percentile_bps / 1e6:.3f} Mbps{gain}"
-            )
+        _print_stats(report, f"{parameter}={value} ")
     return 0
 
 

@@ -104,6 +104,8 @@ def spin_selectors(spins) -> np.ndarray:
     once per stack, reuse across draws.
     """
     spins = np.asarray(spins)
+    if spins.ndim == 0:
+        raise ValueError(f"spins must have a link axis, got {spins!r}")
     if not ((spins == 0) | (spins == 1)).all():
         raise ValueError("spins must be 0/1")
     return spins[..., :, None] != spins[..., None, :]
@@ -120,7 +122,7 @@ def two_way_rates(values, differ: np.ndarray) -> np.ndarray:
     frames; each rate is bit-identical to its frame and spin vector alone:
     the interferers are summed over ascending k, never the innermost axis,
     before the noise is added."""
-    snr, m = values.snr, values.snr.shape[-2]
+    snr, m, differ = values.snr, values.snr.shape[-2], np.asarray(differ)
     if differ.shape[-2:] != (m, m):
         raise ValueError(f"differ must end in shape ({m}, {m}), got {differ.shape}")
     frame_axes = (1,) * (snr.ndim - 2)

@@ -402,3 +402,47 @@ def test_instance_stores_kinds_as_int8():
     assert edited.kinds.dtype == np.int8 and edited.kinds.flags.writeable is False
     assert edited.kinds.tolist() == [ASYMMETRIC, SYMMETRIC]
     assert instance_to_json(edited)["kinds"] == ["asymmetric", "symmetric"]
+
+
+ARRAY_FIELDS = ("positions", "kinds", "snr", "inr", "shadowing")
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_instance_takes_a_list_in_each_array_field(field):
+    inst = generate_instance(ScenarioConfig(num_links=3, link_mix=0.5, seed=2), drop_seed=2)
+    edited = dataclasses.replace(inst, **{field: getattr(inst, field).tolist()})
+    for name in ARRAY_FIELDS:
+        arr = getattr(edited, name)
+        assert arr.dtype == getattr(inst, name).dtype and arr.flags.writeable is False
+        np.testing.assert_array_equal(arr, getattr(inst, name))
+    assert instance_to_json(edited) == instance_to_json(inst)
+
+
+@pytest.mark.parametrize("seed_key", [(1,), (1, 2, 3), [1, 2, 3], 1, None])
+def test_instance_refuses_a_seed_key_that_is_not_two_seeds(seed_key):
+    # one seed made draw_fading fail to unpack it; three were written to a
+    # file instance_from_json refused
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    with pytest.raises(ValueError, match="seed_key"):
+        dataclasses.replace(inst, seed_key=seed_key)
+
+
+@pytest.mark.parametrize("cell", ["high", 10**400], ids=["string", "huge_int"])
+def test_instance_refuses_a_cell_that_is_no_float_in_snr(cell):
+    # an int beyond the float range raised numpy's OverflowError
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    snr = inst.snr.tolist()
+    snr[1][0] = cell
+    with pytest.raises(ValueError, match="snr must be an array of numbers"):
+        dataclasses.replace(inst, snr=snr)
+
+
+def test_fading_draw_stores_lists_as_read_only_arrays():
+    draw = FadingDraw(snr=[[[1.0, 2.0]]], inr=np.zeros((1, 1, 1, 2, 2)).tolist())
+    assert draw.snr.shape == (1, 1, 2) and draw.inr.shape == (1, 1, 1, 2, 2)
+    for arr in (draw.snr, draw.inr):
+        assert arr.dtype == np.float64 and arr.flags.writeable is False
+    # an array is kept, not copied: draw_fading hands over each chunk's gains
+    snr, inr = np.ones((2, 1, 2)), np.zeros((2, 1, 1, 2, 2))
+    draw = FadingDraw(snr=snr, inr=inr)
+    assert draw.snr is snr and draw.inr is inr

@@ -1,11 +1,14 @@
 import csv
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from concurrent import futures
 from dataclasses import fields
 from pathlib import Path
 
@@ -727,6 +730,28 @@ def test_percentile_label_is_exact(tmp_path, capsys):
     assert "p29=" in out and "p28" not in out
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_evaluate_and_sweep_print_each_algorithms_statistics_alike(tmp_path, capsys, command):
+    experiment = {"num_drops": 2, "frames_per_drop": 2, "algorithms": list(ALGORITHMS)}
+    sweep = {"parameter": "num_links", "values": [3, 4]}
+    scenario = {"num_links": 3, "seed": 11}
+    cfg = write_config(tmp_path, scenario=scenario, experiment=experiment, sweep=sweep)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    points = summary["points"] if command == "sweep" else [summary]
+    wheres = [f"num_links={m} " for m in sweep["values"]] if command == "sweep" else [""]
+    expected = [
+        f"  {where}{name:<12} mean={st['mean_rate_bps'] / 1e6:.3f} Mbps  "
+        f"p5={st['percentile_rate_bps'] / 1e6:.3f} Mbps  "
+        f"gain_p5={st['gain_percentile_vs_random']:.3f}"
+        for where, point in zip(wheres, points)
+        for name, st in point["algorithms"].items()
+    ]
+    assert len(expected) == 3 * len(points)
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
 # a shadowing deviation of 800 dB leaves most links an SNR near 0 or an INR
 # near 1e157, so more than 5% of the random baseline's rates are exactly 0
 ZERO_BASELINE = {
@@ -844,6 +869,25 @@ def test_run_meta_records_the_dispatch(tmp_path, monkeypatch, command):
     assert dispatch == {1: [(1, 8)] * points, 2: [(2, 4)] * points}
 
 
+def test_a_spawned_pool_writes_the_bytes_of_one_worker(tmp_path, monkeypatch):
+    # under spawn, the default start method on macOS and Windows (and
+    # forkserver, Linux's from Python 3.14), each worker imports spinopt
+    # afresh and inherits nothing from the parent process
+    spawn = multiprocessing.get_context("spawn")
+    pool = functools.partial(futures.ProcessPoolExecutor, mp_context=spawn)
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+    cfg = tiny_eval_config(tmp_path, num_drops=4)
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        assert main(["evaluate", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        assert json.loads((out / "run_meta.json").read_text())["workers"] == threads
+        outputs[threads] = data_files(out)
+    assert set(outputs[1]) == {"plot_data.csv", "samples.csv", "summary.json"}
+    assert outputs[2] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "change, key",
     [
@@ -872,6 +916,22 @@ def test_optimize_checks_the_instance_json(tmp_path, capsys, change, key):
     assert main(["optimize", "--config", cfg, "--instance", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_optimize_refuses_an_instance_gain_beyond_the_float_range(tmp_path, capsys):
+    # a JSON integer too large for a float made numpy raise OverflowError,
+    # which escaped main as a traceback
+    cfg = write_config(tmp_path, scenario={"num_links": 3, "seed": 4})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+    path = tmp_path / "gen" / "instance.json"
+    data = json.loads(path.read_text())
+    data["inr"][0][1][0][0] = 10**400
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", cfg, "--instance", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: inr must be an array of numbers")
     assert not out.exists()
 
 

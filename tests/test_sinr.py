@@ -102,6 +102,18 @@ def test_spin_selectors_check_every_row_of_a_stack():
         two_way_rates(inst, spin_selectors([[0, 1, 0], [1, 0, 1]]))
 
 
+@pytest.mark.parametrize("spins", [0, np.int8(1), np.array(1)])
+def test_spin_selectors_refuse_a_0d_input(spins):
+    with pytest.raises(ValueError, match="spins"):
+        spin_selectors(spins)
+
+
+def test_two_way_rates_takes_a_list_mask():
+    inst, _ = two_link_instance()
+    differ = spin_selectors([[0, 1], [1, 1]])
+    np.testing.assert_array_equal(two_way_rates(inst, differ.tolist()), two_way_rates(inst, differ))
+
+
 @pytest.mark.parametrize("frames", [(), (4,)])
 @pytest.mark.parametrize("shape", [(1, 1), (3,), (4, 4), (2, 4, 4)])
 def test_two_way_rates_refuses_a_mask_that_does_not_end_in_m_by_m(frames, shape):
