@@ -122,6 +122,22 @@ def check_fields(config) -> None:
         object.__setattr__(config, name, value)
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """``value`` as an array of integers or floats; an array is not copied.
+
+    Any other dtype is refused, naming the field ``name``: strings, which a
+    float conversion would parse, bools, complex numbers and objects, as
+    numpy holds a list with an int beyond int64. So is a ragged list.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged list
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def _freeze(arr) -> np.ndarray:
     """``arr`` as a read-only C-contiguous array; a contiguous array is not copied."""
     arr = np.ascontiguousarray(arr)
@@ -239,10 +255,9 @@ class LinkInstance:
             "shadowing": (2 * m, 2 * m),
         }
         for name, shape in expected.items():
-            try:  # kinds keep their type until they are checked as codes below
-                arr = np.asarray(getattr(self, name), dtype=None if name == "kinds" else float)
-            except (TypeError, ValueError, OverflowError) as exc:  # an int beyond the float range
-                raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+            arr = _numbers(getattr(self, name), name)
+            # kinds keep their type until they are checked as codes below
+            arr = arr if name == "kinds" else arr.astype(float, copy=False)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, _freeze(arr))
@@ -268,8 +283,8 @@ class FadingDraw:
     inr: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr", _freeze(self.snr))
-        object.__setattr__(self, "inr", _freeze(self.inr))
+        for name in ("snr", "inr"):
+            object.__setattr__(self, name, _freeze(_numbers(getattr(self, name), name)))
 
 
 def end_planes(inr: np.ndarray):

@@ -92,9 +92,6 @@ def load_config(data, seed=None, algorithms=None, optimize=False):
         points = [replace(config, scenario=point) for point in points]
     except ValueError as exc:
         raise ValueError(f"sweep key 'values' (parameter {parameter!r}): {exc}") from None
-    evaluation.check_sweep_budget(
-        points, lambda i: f"values {values[i]!r} and {values[i + 1]!r} of {parameter!r}"
-    )
     return config, points
 
 

@@ -350,10 +350,11 @@ def _block_drops(config: ExperimentConfig, workers: int) -> int:
 
 
 def _plan(config: ExperimentConfig, workers: int) -> tuple[int, int, list]:
-    """(workers, drops per block, tasks) of a run on at most ``workers``:
-    at most ``num_drops`` and ``_cpu_count()`` workers, and one task per
-    block of (drop seed, baseline seed) pairs derived from the master seed."""
-    workers = min(workers, config.num_drops, _cpu_count())
+    """(workers, drops per block, tasks) of a run on at most ``workers``, a
+    count its caller has already bounded by ``_cpu_count()``: at most
+    ``num_drops`` workers, and one task per block of (drop seed, baseline
+    seed) pairs derived from the master seed."""
+    workers = min(workers, config.num_drops)
     drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
         2 * config.num_drops, dtype=np.uint64
     ).tolist()
@@ -467,7 +468,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
-    workers, block, tasks = _plan(config, workers)
+    # a sweep's stream planned this run's blocks with the workers it passes
+    workers, block, tasks = _plan(config, min(workers, _cpu_count()) if blocks is None else workers)
     algorithms, drops = config.algorithms, config.num_drops
     rates = np.empty((len(algorithms), drops, config.frames_per_drop, config.scenario.num_links))
     objectives = np.empty((len(algorithms), drops))
@@ -518,20 +520,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
     )
 
 
-def check_sweep_budget(points: list[ExperimentConfig], pair_name) -> None:
-    """Refuse sweep points of which two consecutive ones, whose samples and
-    block results a sweep on a pool holds together, exceed RUN_MEMORY_BUDGET;
-    the error names the first such pair as ``pair_name(i)``, i its first index."""
-    for i, (point, following) in enumerate(itertools.pairwise(points)):
-        if point.peak_bytes(following) > RUN_MEMORY_BUDGET:
-            raise ValueError(
-                f"sweep {pair_name(i)} need ~{point.peak_bytes(following) / 2**30:.3g} GiB "
-                f"together, above the budget of {RUN_MEMORY_BUDGET / 2**30:g} GiB: a sweep holds "
-                "one point's samples and the next point's block results; lower "
-                "num_drops * frames_per_drop or the points' num_links"
-            )
-
-
 def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]:
     """Run one experiment per config with per-point derived seeds.
 
@@ -541,9 +529,11 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     with ``workers > 1``, on one pool of at most the largest ``num_drops`` and
     ``_cpu_count()`` workers, which the first point's run opens: a point's
     blocks are queued at the previous point's first read, and an error in
-    any point cancels the queued blocks.
-    Each point's samples are released as its run returns, so a sweep holds at
-    most one point's samples and the next point's block results, within
+    any point cancels the queued blocks. The CPUs are counted once, here, and
+    every point plans its blocks for the workers this count allows.
+    Each point's samples are released as its run returns, so in-process a
+    sweep holds one point's samples at a time, and on a pool at most one
+    point's samples and the next point's block results, within
     ``peak_bytes(following)`` of each point: on a pool, a sweep with a pair of
     points above the budget is refused before any process starts. Its reports
     carry statistics but no ``rates_bps``.
@@ -551,9 +541,16 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, max((config.num_drops for config in configs), default=1), _cpu_count())
-    if workers > 1:  # in-process, a point's run holds only its own samples
-        m = [config.scenario.num_links for config in configs]
-        check_sweep_budget(configs, lambda i: f"points {i}, {i + 1} (num_links {m[i]}, {m[i + 1]})")
+    for i, (point, following) in enumerate(itertools.pairwise(configs)):
+        # in-process, a point's run holds only its own samples
+        if workers > 1 and point.peak_bytes(following) > RUN_MEMORY_BUDGET:
+            raise ValueError(
+                f"sweep points {i}, {i + 1} (num_links {point.scenario.num_links}, "
+                f"{following.scenario.num_links}) need ~{point.peak_bytes(following) / 2**30:.3g} "
+                f"GiB together, above the budget of {RUN_MEMORY_BUDGET / 2**30:g} GiB: a sweep on "
+                "a pool holds one point's samples and the next point's block results; lower "
+                "num_drops * frames_per_drop or the points' num_links, or run it on one worker"
+            )
     points = []
     for i, config in enumerate(configs):
         derived = int(

@@ -446,3 +446,56 @@ def test_fading_draw_stores_lists_as_read_only_arrays():
     snr, inr = np.ones((2, 1, 2)), np.zeros((2, 1, 1, 2, 2))
     draw = FadingDraw(snr=snr, inr=inr)
     assert draw.snr is snr and draw.inr is inr
+
+
+@pytest.mark.parametrize("field", ["positions", "snr", "inr", "shadowing"])
+@pytest.mark.parametrize(
+    "cell, dtype",
+    [("1.5", "<U32"), (10**20, "object"), (1j, "complex128")],
+    ids=["numeric_string", "int_beyond_int64", "complex"],
+)
+def test_instance_refuses_an_array_of_other_than_integers_or_floats(field, cell, dtype):
+    # a numeric string was parsed ("1.5" became 1.5), and an int beyond int64
+    # in a list of floats, which numpy holds as an object, taken as a float
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    values = getattr(inst, field).astype(object)
+    values.flat[0] = cell
+    message = f"^{field} must be an array of numbers, got dtype {dtype}$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(inst, **{field: values.tolist()})
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_instance_refuses_a_bool_array(field):
+    # a bool array was taken as 0.0 and 1.0 (as the codes 0 and 1 in kinds)
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    flags = np.ones(getattr(inst, field).shape, dtype=bool)
+    with pytest.raises(ValueError, match=f"^{field} must be an array of numbers, got dtype bool"):
+        dataclasses.replace(inst, **{field: flags})
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_instance_refuses_a_ragged_list_by_name(field):
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    ragged = getattr(inst, field).tolist()
+    ragged[0] = [ragged[0], ragged[0]]
+    with pytest.raises(ValueError, match=f"^{field} must be an array of numbers: "):
+        dataclasses.replace(inst, **{field: ragged})
+
+
+@pytest.mark.parametrize(
+    "gains, dtype",
+    [
+        ([[["2.5", 1.0]]], "<U32"),
+        (np.ones((1, 1, 2), dtype=bool), "bool"),
+        ([[[10**20, 1.0]]], "object"),
+    ],
+    ids=["numeric_string", "bool", "int_beyond_int64"],
+)
+def test_fading_draw_refuses_an_array_of_other_than_integers_or_floats(gains, dtype):
+    # a string cell was stored as a <U32 array, which no rate could read
+    snr, inr = np.ones((1, 1, 2)), np.zeros((1, 1, 1, 2, 2))
+    with pytest.raises(ValueError, match=f"^snr must be an array of numbers, got dtype {dtype}"):
+        FadingDraw(snr=gains, inr=inr)
+    with pytest.raises(ValueError, match=f"^inr must be an array of numbers, got dtype {dtype}"):
+        FadingDraw(snr=snr, inr=[[gains]])

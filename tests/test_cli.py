@@ -17,7 +17,7 @@ import pytest
 
 from spinopt import evaluation
 from spinopt.channel import ScenarioConfig, generate_instance, instance_from_json
-from spinopt.cli import _write_json, main
+from spinopt.cli import _write_json, load_config, main
 from spinopt.evaluation import ALGORITHMS, ExperimentConfig
 from spinopt.optimizer import EXHAUSTIVE_CAP
 
@@ -886,6 +886,60 @@ def test_a_spawned_pool_writes_the_bytes_of_one_worker(tmp_path, monkeypatch):
         outputs[threads] = data_files(out)
     assert set(outputs[1]) == {"plot_data.csv", "samples.csv", "summary.json"}
     assert outputs[2] == outputs[1]
+
+
+def test_only_a_pooled_sweep_refuses_points_whose_pair_exceeds_the_budget(
+    tmp_path, monkeypatch, capsys
+):
+    # each point fits the budget on its own and the pair does not: a sweep on
+    # a pool holds one point's samples next to the next point's block
+    # results, an in-process sweep one point at a time
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+    experiment = {"num_drops": 4, "frames_per_drop": 2, "algorithms": ["mst_dp", "random"]}
+    sweep = {"parameter": "num_links", "values": [2, 3]}
+    scenario = {"num_links": 2, "seed": 3}
+    cfg = write_config(tmp_path, scenario=scenario, experiment=experiment, sweep=sweep)
+    points = load_config(json.loads(Path(cfg).read_text()))[1]
+    alone, pair = max(p.peak_bytes() for p in points), points[0].peak_bytes(points[1])
+    monkeypatch.setattr(evaluation, "RUN_MEMORY_BUDGET", (alone + pair) // 2)
+    assert alone <= evaluation.RUN_MEMORY_BUDGET < pair
+    out = tmp_path / "out1"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert set(data_files(out)) == {"plot_data.csv", "summary.json"}
+    capsys.readouterr()
+    out = tmp_path / "out2"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep points 0, 1 (num_links 2, 3) need ~")
+    assert err.rstrip().endswith("or run it on one worker")
+    assert not out.exists()
+
+
+def test_a_sweep_counts_the_cpus_once(tmp_path, monkeypatch):
+    # a point planned its blocks twice, reading the usable CPUs each time:
+    # when they fell from 2 to 1 between its two plans, its run met blocks
+    # twice the size it had planned and failed
+    sweep = {"parameter": "num_links", "values": [2, 3]}
+    experiment = {"num_drops": 8, "frames_per_drop": 2, "algorithms": ["mst_dp", "random"]}
+    cfg = write_config(tmp_path, scenario={"seed": 5}, experiment=experiment, sweep=sweep)
+    cpus, plan, outputs = [2], evaluation._plan, {}
+
+    def falling_plan(*args):
+        planned = plan(*args)
+        cpus[0] = 1  # as if the process's CPU affinity shrank
+        return planned
+
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus[0])
+    for run in ("steady", "falling"):
+        if run == "falling":
+            monkeypatch.setattr(evaluation, "_plan", falling_plan)
+        out = tmp_path / run
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert [point["workers"] for point in meta["points"]] == [2, 2]
+        outputs[run] = data_files(out)
+    assert cpus == [1]
+    assert outputs["falling"] == outputs["steady"]
 
 
 @pytest.mark.parametrize(

@@ -875,10 +875,16 @@ def test_sweep_runs_points_that_each_fit_the_budget(monkeypatch, pool_log):
     assert pool_log["pools"] == []
 
 
-def test_load_config_refuses_consecutive_points_above_the_budget():
-    # each point fits on its own, but a sweep holds one point's samples and
-    # the next point's block results: the M = 10 point at the largest
-    # num_drops one run may hold leaves no room for the M = 2 point's
+def test_only_a_pooled_sweep_refuses_consecutive_points_above_the_budget(monkeypatch, pool_log):
+    # each point fits on its own, but a sweep on a pool holds one point's
+    # samples and the next point's block results: the M = 10 point at the
+    # largest num_drops one run may hold leaves no room for the M = 2 point's.
+    # In-process a sweep holds one point at a time, so load_config, which
+    # serves every command and worker count, accepts the pair
+    def stub_run_experiment(config, *args):
+        return EvalReport(config, {}, d_max=0, d_mean=0.0, mean_edges=0.0, elapsed_s=0.0)
+
+    monkeypatch.setattr(evaluation, "run_experiment", stub_run_experiment)
     room = evaluation.RUN_MEMORY_BUDGET - evaluation._PAIR_BYTES * 100 - evaluation._FIXED_BYTES
     drops = room // (evaluation._SAMPLE_BYTES * 100 * 10 * 2)
 
@@ -893,9 +899,14 @@ def test_load_config_refuses_consecutive_points_above_the_budget():
     for value in (2, 10):
         assert [p.scenario.num_links for p in load_config(config([value]))[1]] == [value]
     assert len(load_config(config([2, 2, 2]))[1]) == 3
-    for values in ([2, 10], [10, 2], [2, 2, 10]):
-        with pytest.raises(ValueError, match=r"sweep values (2 and 10|10 and 2) of 'num_links'"):
-            load_config(config(values))
+    for values, i in (([2, 10], 0), ([10, 2], 0), ([2, 2, 10], 1)):
+        points = load_config(config(values))[1]
+        assert [p.scenario.num_links for p in points] == values
+        pair = rf"points {i}, {i + 1} \(num_links {values[i]}, {values[i + 1]}\)"
+        with pytest.raises(ValueError, match=f"^sweep {pair} need .* or run it on one worker$"):
+            sweep(points, workers=2)
+        assert pool_log["pools"] == []
+        assert len(sweep(points, workers=1)) == len(values)
 
 
 def test_sweep_derives_distinct_seeds():
