@@ -70,9 +70,13 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def _is_int(value) -> bool:
+    """The int rule of every integer argument: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(value: int, name: str) -> int:
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integer or not 0 <= value <= _MAX_SEED:
+    if not _is_int(value) or not 0 <= value <= _MAX_SEED:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
     return int(value)
 
@@ -101,8 +105,7 @@ def check_fields(config) -> None:
     for name, kind in _field_types(type(config)).items():
         value = getattr(config, name)
         if kind is int:
-            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            want = "an integer"
+            ok, want = _is_int(value), "an integer"
         elif kind is float:
             ok = isinstance(value, _REALS) and not isinstance(value, bool) and _is_finite(value)
             want = "a finite number"
@@ -238,7 +241,7 @@ class LinkInstance:
 
     def __post_init__(self) -> None:
         m = self.num_links
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        if not _is_int(m):
             raise ValueError(f"num_links must be an integer, got {m!r}")
         if m < 1:
             raise ValueError("num_links must be >= 1")

@@ -39,6 +39,7 @@ from .channel import (
     ScenarioConfig,
     _check_seed,
     _fading_states,
+    _is_int,
     check_fields,
     config_to_json,
     draw_fading,
@@ -236,6 +237,7 @@ class EvalReport:
         """Data-only summary (no timing), stable across identical runs."""
         per_alg = {}
         for name, st in self.stats.items():
+            # plot_rows reads the first four entries, plot_data.csv's statistics
             per_alg[name] = {
                 "mean_rate_bps": st.mean_bps,
                 "percentile_rate_bps": st.percentile_bps,
@@ -332,6 +334,15 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
         results[name] = solvers[name]()
         seconds[name] = time.perf_counter() - start
     return graphs, trees, planes, results, seconds
+
+
+def _check_workers(workers) -> int:
+    """``workers`` as an int, refused by name unless it passes the int rule and is >= 1."""
+    if not _is_int(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers)
 
 
 def _cpu_count() -> int:
@@ -465,8 +476,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
     drops, so the report depends on neither the worker count nor the block
     size.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _check_workers(workers)
     t_start = time.perf_counter()
     # a sweep's stream planned this run's blocks with the workers it passes
     workers, block, tasks = _plan(config, min(workers, _cpu_count()) if blocks is None else workers)
@@ -538,8 +548,7 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     points above the budget is refused before any process starts. Its reports
     carry statistics but no ``rates_bps``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _check_workers(workers)
     workers = min(workers, max((config.num_drops for config in configs), default=1), _cpu_count())
     for i, (point, following) in enumerate(itertools.pairwise(configs)):
         # in-process, a point's run holds only its own samples
@@ -626,23 +635,16 @@ def write_samples_csv(report: EvalReport, path) -> None:
 
 
 def plot_rows(reports: list[EvalReport]) -> list[dict]:
-    """One row per (experiment point, algorithm) for rate/gain curves."""
+    """One row per (experiment point, algorithm) for rate/gain curves: the
+    point's ``num_links`` and ``link_mix``, the algorithm, then the first four
+    entries of its ``summary_json`` record, its mean and percentile rates and
+    their gains against the random baseline."""
     rows = []
     for report in reports:
-        scenario = report.config.scenario
-        for name in report.config.algorithms:
-            st = report.stats[name]
-            rows.append(
-                {
-                    "num_links": scenario.num_links,
-                    "link_mix": scenario.link_mix,
-                    "algorithm": name,
-                    "mean_rate_bps": st.mean_bps,
-                    "percentile_rate_bps": st.percentile_bps,
-                    "gain_mean_vs_random": st.gain_mean_vs_random,
-                    "gain_percentile_vs_random": st.gain_percentile_vs_random,
-                }
-            )
+        summary = report.summary_json()
+        point = {key: summary["scenario"][key] for key in ("num_links", "link_mix")}
+        for name, record in summary["algorithms"].items():
+            rows.append({**point, "algorithm": name, **dict(itertools.islice(record.items(), 4))})
     return rows
 
 

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkInstance, end_planes
+from .channel import LinkInstance, _check_seed, end_planes
 from .sinr import (
     UtilityKind, denominators, left_sum, network_utilities, network_utility, spin_planes
 )
 from .topology import RootedTree, TopologyGraph, maximum_spanning_tree, relative_from_spins
+from .topology import _check_tree
 
 # Largest M exhaustive search accepts: 2**(M-1) assignments.
 EXHAUSTIVE_CAP = 20
@@ -205,8 +206,10 @@ def mst_dp(
     instance: LinkInstance, graph: TopologyGraph, tree: RootedTree, kind: UtilityKind, planes=None
 ) -> OptimizationResult:
     """Spanning-forest pruning plus max-sum dynamic programming:
-    ``mst_dp_block`` of one drop, its exact objective from ``network_utility``."""
+    ``mst_dp_block`` of one drop, its exact objective from ``network_utility``.
+    Refuses a tree that is not a forest of ``graph``."""
     planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
+    _check_tree(graph, tree)
     exact = lambda spins: [network_utility(instance, graph, kind, spins[0], planes)]
     return mst_dp_block(instance.snr[None], planes[None], [tree], kind, exact)[0]
 
@@ -307,8 +310,9 @@ def random_spins(
 
 def random_spins_block(snr, planes, seeds, kind: UtilityKind, exact=None) -> list:
     """``random_spins`` of each drop of a block, each drawn from its own seed
-    in order; ``exact`` as in ``mst_dp_block``."""
-    rngs = map(np.random.default_rng, seeds)
+    in order, refused by name unless it is a 64-bit unsigned integer;
+    ``exact`` as in ``mst_dp_block``."""
+    rngs = (np.random.default_rng(_check_seed(seed, "seed")) for seed in seeds)
     spins = np.stack([rng.integers(0, 2, size=snr.shape[1], dtype=np.int8) for rng in rngs])
     exact = network_utilities(snr, planes, kind, spins) if exact is None else exact(spins)
     return [OptimizationResult(*result, None) for result in zip(spins, exact)]

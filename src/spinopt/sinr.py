@@ -45,8 +45,11 @@ def link_utility(kind: UtilityKind, rate: float) -> float:
 def spin_planes(inr: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """A copy of the (..., M, M, 2, 2) ``inr``, or of a list of them stacked, with
     each pair that is no edge of ``adjacency`` ((M, M), or (B, M, M) for a block)
-    set to 0, not multiplied by 0: an inf INR off the graph gives 0, never NaN."""
+    set to 0, not multiplied by 0: an inf INR off the graph gives 0, never NaN.
+    Refuses a graph whose vertex count is not the INR's link count."""
     planes = np.array(inr)
+    if (m := planes.shape[-3]) != adjacency.shape[-1]:
+        raise ValueError(f"graph has {adjacency.shape[-1]} vertices, the INR {m} links")
     planes[..., ~adjacency, :, :] = 0.0
     return planes
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, _unchecked, end_planes
+from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, _is_int, _unchecked, end_planes
 
 Edge = tuple[int, int, float]
 
@@ -88,7 +88,7 @@ class RootedTree:
         children: list[list[int]] = [[] for _ in range(m)]
         roots = []
         for v, p in enumerate(self.parent):
-            if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+            if not _is_int(p):
                 raise ValueError(f"parent of {v} must be an integer, got {p!r}")
             if not -1 <= p < m:
                 raise ValueError(f"parent of {v} is {p}, outside [-1, {m})")
@@ -122,7 +122,7 @@ def build_graphs(
     them, so each weight matrix meets ``TopologyGraph``'s checks by
     construction; the graphs hold read-only views of one (B, M, M) stack.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too, which would compare False with every INR
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     same, opposite = end_planes(inr)
     # the four end planes hold all of a pair's INRs; an elementwise max of
@@ -216,17 +216,26 @@ def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
     return maximum_spanning_forests(graph.weight[None])[0]
 
 
-def tree_edges(graph: TopologyGraph, tree: RootedTree) -> tuple[Edge, ...]:
-    """The forest's edges as (k, l, weight), k < l in (k, l) order, weighted from the graph."""
+def _check_tree(graph: TopologyGraph, tree: RootedTree) -> None:
+    """Refuse a tree that is not a forest of the graph: a vertex count other
+    than the graph's, or an edge the graph lacks (the lowest such is named)."""
     parent = np.array(tree.parent, dtype=np.int64)
     if parent.shape != (graph.num_vertices,):
         raise ValueError(f"tree has {parent.size} vertices, the graph {graph.num_vertices}")
     child = np.flatnonzero(parent >= 0)
+    stray = child[~graph.adjacency[child, parent[child]]]
+    if stray.size:
+        edge = min(sorted(pair) for pair in zip(stray.tolist(), parent[stray].tolist()))
+        raise ValueError(f"tree edge {tuple(edge)} is not a graph edge")
+
+
+def tree_edges(graph: TopologyGraph, tree: RootedTree) -> tuple[Edge, ...]:
+    """The forest's edges as (k, l, weight), k < l in (k, l) order, weighted from the graph."""
+    _check_tree(graph, tree)
+    parent = np.array(tree.parent, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
     mask = np.zeros_like(graph.adjacency)
     mask[child, parent[child]] = mask[parent[child], child] = True
-    stray = np.argwhere(np.triu(mask & ~graph.adjacency))
-    if stray.size:
-        raise ValueError(f"tree edge {tuple(stray[0].tolist())} is not a graph edge")
     return _edge_list(graph.weight, mask)
 
 

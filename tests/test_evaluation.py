@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from concurrent import futures
 import tracemalloc
@@ -715,6 +716,32 @@ def test_sweep_sends_every_point_through_one_pool(monkeypatch, pool_log):
     with pytest.raises(ValueError, match="workers"):
         sweep(configs, workers=0)
     assert len(pool_log["pools"]) == 2
+
+
+@pytest.mark.parametrize("workers", [True, 1.5, "2", 2.5])
+def test_run_experiment_and_sweep_refuse_workers_that_are_no_integer(
+    monkeypatch, pool_log, workers
+):
+    # a bool ran as 1 worker and was written as "workers": true; a float or a
+    # string died inside _plan with an error that named no argument
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 4)
+    config = small_config(num_drops=3, frames_per_drop=2)
+    message = f"workers must be an integer, got {workers!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(config, workers)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep([config, config], workers)
+    assert pool_log["pools"] == []
+
+
+def test_a_numpy_integer_worker_count_is_stored_as_an_int(pool_log):
+    config = small_config(num_drops=3, frames_per_drop=2)
+    report = run_experiment(config, np.int64(2))
+    assert type(report.workers) is int and type(report.block_drops) is int
+    assert json.loads(json.dumps(report.run_json()))["workers"] == 2
+    (point,) = sweep([config], np.int64(2))
+    assert json.loads(json.dumps(point.run_json()))["workers"] == 2
+    assert pool_log["pools"] == [2, 2]
 
 
 def test_a_sweep_queues_the_next_point_before_its_last_read(pool_log):

@@ -32,6 +32,7 @@ from spinopt.optimizer import (
 )
 from spinopt.sinr import UtilityKind, network_utility, spin_planes
 from spinopt.topology import (
+    RootedTree,
     build_graph,
     maximum_spanning_tree,
     relative_from_spins,
@@ -454,6 +455,52 @@ def test_random_spins_deterministic_and_fair():
     )
     assert draws.size == 10200
     assert abs(draws.mean() - 0.5) < 0.015  # ~3 standard errors
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2**64, 1.5, "3"])
+def test_random_spins_refuses_a_seed_that_is_no_64_bit_unsigned_integer(seed):
+    # numpy took True and 2**64 and refused the rest without naming the seed
+    inst, graph, _ = prepared(4, seed=0)
+    with pytest.raises(ValueError, match=r"seed must be a 64-bit unsigned integer, got"):
+        random_spins(inst, graph, PF, seed)
+
+
+def test_random_spins_takes_a_numpy_integer_seed_as_its_value():
+    inst, graph, _ = prepared(6, seed=0)
+    for seed in (3, 2**64 - 1):
+        expected = random_spins(inst, graph, PF, seed)
+        for numpy_seed in (np.uint64(seed), np.array([seed], dtype=np.uint64)[0]):
+            got = random_spins(inst, graph, PF, numpy_seed)
+            np.testing.assert_array_equal(got.spins, expected.spins)
+            assert got.objective_exact == expected.objective_exact
+
+
+def test_every_optimizer_refuses_a_graph_of_another_link_count():
+    # numpy's "boolean index did not match" IndexError named neither side
+    _, inst = random_instance(4, seed=2)
+    graph = graph_from(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    tree = maximum_spanning_tree(graph)
+    message = "graph has 5 vertices, the INR 4 links"
+    with pytest.raises(ValueError, match=message):
+        exhaustive_search(inst, graph, PF)
+    with pytest.raises(ValueError, match=message):
+        mst_dp(inst, graph, tree, PF)
+    with pytest.raises(ValueError, match=message):
+        random_spins(inst, graph, PF, seed=1)
+    with pytest.raises(ValueError, match=message):
+        network_utility(inst, graph, PF, np.zeros(5, dtype=np.int8))
+
+
+def test_mst_dp_refuses_a_tree_that_is_not_a_forest_of_the_graph():
+    _, inst = random_instance(4, seed=2)
+    graph = graph_from(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    # (0, 1) is no edge: the DP read its INR as a tree edge's and returned spins
+    with pytest.raises(ValueError, match=r"tree edge \(0, 1\) is not a graph edge"):
+        mst_dp(inst, graph, RootedTree((-1, 0, 1, 2)), PF)
+    # a tree of 5 vertices died in numpy's broadcast
+    with pytest.raises(ValueError, match="tree has 5 vertices, the graph 4"):
+        mst_dp(inst, graph, RootedTree((-1, 0, 0, 0, 0)), PF)
+    assert mst_dp(inst, graph, RootedTree((-1, 2, 0, 2)), PF).spins.shape == (4,)
 
 
 def test_random_spins_zero_interference_matches_exhaustive():

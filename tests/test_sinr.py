@@ -348,6 +348,17 @@ def test_an_infinite_inr_off_the_graph_never_enters_a_sum():
             assert math.isfinite(utility) and utility == utility_of(kind, sinrs)
 
 
+def test_spin_planes_refuse_a_graph_of_another_link_count():
+    _, inst = random_instance(4, seed=2)
+    for m in (3, 5):
+        adjacency = graph_from(m, [(0, 1, 1.0)]).adjacency
+        message = f"graph has {m} vertices, the INR 4 links"
+        with pytest.raises(ValueError, match=message):
+            spin_planes(inst.inr, adjacency)
+        with pytest.raises(ValueError, match=message):
+            spin_planes([inst.inr, inst.inr], np.stack([adjacency, adjacency]))
+
+
 @pytest.mark.parametrize("shape", [(4, 2, 20, 20), (20, 20), (3, 9, 9), (1, 1)])
 def test_denominators_add_noise_then_each_interferer_in_order(shape):
     # bit for bit a per-link loop that starts at the noise and adds k = 0, 1, ...;

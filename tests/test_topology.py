@@ -155,6 +155,13 @@ def test_build_graph_rejects_a_negative_threshold():
         build_graph(inst, threshold=-1.0)
 
 
+def test_build_graph_rejects_a_nan_threshold():
+    # NaN compared False with every INR, so the graph silently had no edges
+    _, inst = random_instance(3, seed=1)
+    with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+        build_graph(inst, threshold=float("nan"))
+
+
 def test_edge_weight_examples():
     inr = np.zeros((2, 2, 2, 2))
     inst = build_instance(inr)
