@@ -97,9 +97,10 @@ def check_fields(config) -> None:
     """Check every field of a frozen config dataclass against its annotation.
 
     ``int``: an integer, not a bool; an integral float such as 10.0 is not
-    an int. ``float``: a finite int or float, not a bool, kept as given.
-    ``str``: a string. ``tuple[str, ...]``: a list or tuple of strings,
-    stored as a tuple. An Enum: a member or its value, stored as the
+    an int. ``float``: a finite int or float, not a bool, kept as given. A
+    numpy scalar is stored as its Python number, so a report echoing the
+    config is JSON. ``str``: a string. ``tuple[str, ...]``: a list or tuple
+    of strings, stored as a tuple. An Enum: a member or its value, stored as the
     member. Any other class: an instance of it. Errors name the field.
     """
     for name, kind in _field_types(type(config)).items():
@@ -122,7 +123,7 @@ def check_fields(config) -> None:
             want = f"a {kind.__name__}"
         if not ok:
             raise ValueError(f"{name} must be {want}, got {value!r}")
-        object.__setattr__(config, name, value)
+        object.__setattr__(config, name, value.item() if isinstance(value, np.generic) else value)
 
 
 def _numbers(value, name: str) -> np.ndarray:

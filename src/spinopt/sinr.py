@@ -9,6 +9,13 @@ relative spin selects from a drop's ``spin_planes``: ``evaluation.solve_drop``
 builds them once per drop, every optimizer and this module's kernels read
 them, and the rate stage's fading draws scale them. No kernel multiplies by
 a mask.
+
+One layout contract keeps every kernel bit-identical to a per-link loop:
+each interferer sum adds k = 0, 1, ..., M - 1 in ascending order, and
+numpy's reductions (``np.add.reduce`` and ``np.einsum`` alike) do so only
+while the k axis is not the innermost axis in memory. The planes and the
+fading draws are C-ordered, so it never is; a copy with k innermost would
+be summed pairwise and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -59,7 +66,9 @@ def denominators(terms: np.ndarray) -> np.ndarray:
 
     Noise (the reduction's initial 1.0) first, then each interferer in
     ascending k, as a per-link loop adds them, so results match it bit for
-    bit: the k axis is never the innermost one, so numpy adds one by one."""
+    bit under the module's layout contract. ``np.einsum`` overwrites its
+    ``out``, so it cannot start from the noise; these rows serve the
+    optimizers, not the rate stage's many short ones."""
     return np.add.reduce(terms, axis=-2, initial=1.0)
 
 
@@ -123,15 +132,17 @@ def two_way_rates(values, differ: np.ndarray) -> np.ndarray:
     must end in (M, M), M the links of ``values``. The result is (F, M), or
     (A, F, M) for the mask of an (A, M) spin stack, broadcast over the
     frames; each rate is bit-identical to its frame and spin vector alone:
-    the interferers are summed over ascending k, never the innermost axis,
-    before the noise is added."""
+    ``np.einsum`` sums the interferers over ascending k (the module's layout
+    contract), then the noise is added. Both it and ``.sum(axis=-2)`` run
+    one M-long inner loop per (algorithm, frame, k); einsum's costs about a
+    quarter as much, which halves the kernel at small M."""
     snr, m, differ = values.snr, values.snr.shape[-2], np.asarray(differ)
     if differ.shape[-2:] != (m, m):
         raise ValueError(f"differ must end in shape ({m}, {m}), got {differ.shape}")
     frame_axes = (1,) * (snr.ndim - 2)
     differ = differ.reshape(differ.shape[:-2] + frame_axes + differ.shape[-2:])
     den_lr, den_rl = (
-        1.0 + np.where(differ, opposite, same).sum(axis=-2)
+        1.0 + np.einsum("...kl->...l", np.where(differ, opposite, same))
         for same, opposite in zip(*end_planes(values.inr))
     )
     return np.log2(1.0 + snr[..., 0] / den_lr) + np.log2(1.0 + snr[..., 1] / den_rl)

@@ -519,6 +519,22 @@ def test_config_fields_keep_numbers_as_given():
         ExperimentConfig(scenario={"num_links": 3})
 
 
+def test_numpy_scalars_in_a_config_are_stored_as_python_numbers():
+    # a numpy scalar was stored as given, so json.dumps of the summary failed
+    # with "Object of type int64 is not JSON serializable" (float32, uint64)
+    scenario = ScenarioConfig(num_links=3, area_side=np.float32(100), seed=np.uint64(3))
+    config = small_config(
+        scenario=scenario, num_drops=np.int64(2), frames_per_drop=2, master_seed=np.uint64(4)
+    )
+    assert type(scenario.area_side) is float and scenario.area_side == 100.0
+    assert type(scenario.seed) is int and type(config.master_seed) is int
+    assert type(config.num_drops) is int
+    summary = json.loads(json.dumps(run_experiment(config).summary_json()))
+    scenario = ScenarioConfig(num_links=3, area_side=100.0, seed=3)
+    plain = small_config(scenario=scenario, num_drops=2, frames_per_drop=2, master_seed=4)
+    assert summary == run_experiment(plain).summary_json()
+
+
 def test_single_link_single_frame_identity_fading():
     config = small_config(
         scenario_kwargs={},

@@ -15,6 +15,7 @@ import textwrap
 from dataclasses import fields, replace
 from unittest import mock
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -306,6 +307,62 @@ def test_two_way_rates_equal_loop_oracle(net, start):
 
 def same_bytes(fast: np.ndarray, oracle: np.ndarray) -> bool:
     return fast.shape == oracle.shape and fast.tobytes() == oracle.tobytes()
+
+
+@st.composite
+def dominant_columns(draw):
+    """(values, graph, spins): F frames of a complete graph on M links whose
+    every INR column l is one dominant INR D, from the first link k != l,
+    followed by INRs of 0.3e-16 to 0.7e-16 of D, each below half an ulp of
+    it. Added left to right, D absorbs each small one; summed apart from D,
+    as numpy's pairwise sum does, enough of them (M >= 16) add up to at
+    least an ulp of D."""
+    m = draw(st.one_of(st.sampled_from([1, 16, 64, 80]), st.integers(2, 80)))
+    frames, rows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # D in [1, 1.5) * 2**e, so an ulp of it is at least 1.48e-16 * D
+    dominant = rng.uniform(1.0, 1.5, size=(frames, 1, m, 1, 1)) * 2.0 ** rng.integers(
+        0, 40, size=(frames, 1, m, 1, 1)
+    )
+    inr = dominant * rng.uniform(0.3e-16, 0.7e-16, size=(frames, m, m, 2, 2))
+    cols = np.arange(m)
+    if m > 1:
+        inr[:, np.where(cols == 0, 1, 0), cols] = dominant[:, 0]
+    inr[:, cols, cols] = 0.0
+    snr = 10.0 ** rng.uniform(0.0, 3.0, size=(frames, m, 2))
+    graph = graph_from(m, [(k, l, 1.0) for k in range(m) for l in range(k + 1, m)])
+    spins = rng.integers(0, 2, size=(rows, m), dtype=np.int8)
+    return SimpleNamespace(snr=snr, inr=inr), graph, spins
+
+
+@PROPERTY
+@given(dominant_columns(), KINDS)
+def test_interferer_sums_add_in_ascending_order_at_large_m(case, kind):
+    # both kernels must add the interferers k = 0, 1, ..., M - 1 left to
+    # right: two_way_rates (noise last) against its per-link loop, and
+    # network_utilities (noise first) against the per-link exact SINRs
+    values, graph, spins = case
+    m = graph.num_vertices
+    fast = two_way_rates(values, spin_selectors(spins))
+    frames = [SimpleNamespace(snr=s, inr=i) for s, i in zip(values.snr, values.inr)]
+    for row, rates in zip(spins, fast, strict=True):
+        for frame, frame_rates in zip(frames, rates, strict=True):
+            assert same_bytes(frame_rates, two_way_rates_loop(frame, graph, row))
+    for frame in frames:
+        sinrs = [[exact_sinr(frame, graph, l, s) for l in range(m)] for s in spins]
+        assert network_utilities(frame.snr, frame.inr, kind, spins) == [
+            utility_of(kind, row) for row in sinrs
+        ]
+    if m >= 16:
+        # negative control: the same terms with k innermost in memory are
+        # summed in another order, and the data show it
+        (same, _), (opposite, _) = end_planes(values.inr)
+        terms = np.where(spin_selectors(spins[0]), opposite, same)
+        k_innermost = np.swapaxes(np.swapaxes(terms, -1, -2).copy(), -1, -2)
+        assert np.array_equal(k_innermost, terms)
+        in_order = np.einsum("...kl->...l", terms)
+        assert not np.array_equal(k_innermost.sum(axis=-2), in_order)
+        assert not np.array_equal(np.einsum("...kl->...l", k_innermost), in_order)
 
 
 @st.composite
