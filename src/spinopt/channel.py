@@ -81,7 +81,20 @@ def _check_seed(value: int, name: str) -> int:
     return int(value)
 
 
+def _check_type(value, kind: type, name: str) -> None:
+    """Refuse, naming the argument ``name``, a ``value`` that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
 _REALS = (int, float, np.integer, np.floating)
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float, not a bool."""
+    return isinstance(value, _REALS) and not isinstance(value, bool)
+
+
 # resolves the string annotations of ``from __future__ import annotations``
 _field_types = functools.cache(typing.get_type_hints)
 
@@ -108,7 +121,7 @@ def check_fields(config) -> None:
         if kind is int:
             ok, want = _is_int(value), "an integer"
         elif kind is float:
-            ok = isinstance(value, _REALS) and not isinstance(value, bool) and _is_finite(value)
+            ok = _is_real(value) and _is_finite(value)
             want = "a finite number"
         elif kind == tuple[str, ...]:
             ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
@@ -279,8 +292,8 @@ class LinkInstance:
 class FadingDraw:
     """Instantaneous gains of a chunk of frames: long-term values times fading.
 
-    ``snr`` (F, M, 2) and ``inr`` (F, M, M, 2, 2) stack the chunk's frames
-    along a leading axis, in order.
+    ``snr`` (F, M, 2) and ``inr`` (F, M, M, 2, 2), of one F and M, stack
+    the chunk's frames along a leading axis, in order.
     """
 
     snr: np.ndarray
@@ -289,6 +302,11 @@ class FadingDraw:
     def __post_init__(self) -> None:
         for name in ("snr", "inr"):
             object.__setattr__(self, name, _freeze(_numbers(getattr(self, name), name)))
+        if self.snr.ndim != 3 or self.snr.shape[2] != 2:
+            raise ValueError(f"snr must have shape (F, M, 2), got {self.snr.shape}")
+        f, m, _ = self.snr.shape
+        if self.inr.shape != (f, m, m, 2, 2):
+            raise ValueError(f"inr must have shape {(f, m, m, 2, 2)}, got {self.inr.shape}")
 
 
 def end_planes(inr: np.ndarray):
@@ -411,6 +429,7 @@ def generate_instances(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]
     bit-identical instance whatever the block and however many fading draws
     are taken from it. A ValueError names the first failing drop's seed.
     """
+    _check_type(config, ScenarioConfig, "config")
     drop_seeds = [_check_seed(drop_seed, "drop_seed") for drop_seed in drop_seeds]
     b, m = len(drop_seeds), config.num_links
     first = np.empty((b, m, 2))
@@ -603,8 +622,8 @@ def draw_fading(
     ``states``, when given, are the frames' ``_fading_states`` rows, hashed by
     the caller for a larger block of frames; by default they are hashed here.
     """
-    if not isinstance(frames, range):
-        raise TypeError(f"frames must be a range, got {type(frames).__name__}")
+    _check_type(instance, LinkInstance, "instance")
+    _check_type(frames, range, "frames")
     if frames.step != 1 or not 0 <= frames.start <= frames.stop <= 2**32:
         raise ValueError(
             f"frames must be range(start, stop) with 0 <= start <= stop <= 2**32, got {frames!r}"

@@ -12,9 +12,10 @@ bit-identical regardless of worker count. They run in blocks of
 ``max(1, min(num_drops // (2 * workers), _BLOCK_BUDGET // held bytes))``,
 each block one stage at a time, so that each stage's code and data stay in
 cache across the block's drops, and one task per block, read from one
-``_stream`` in-process or on a process pool. A sweep's points share one
-stream, which queues each point's blocks before the previous point's last
-block is read, so the workers do not idle at a point's end.
+``_stream``, which plans each run as it reaches it, in-process or on a
+process pool. A sweep's points share one stream, which queues each
+point's blocks before the previous point's last block is read, so the
+workers do not idle at a point's end.
 Instance generation, topology graphs, spanning forests, spin planes and
 each optimizer run as one pass over the block's stacked arrays; a block of
 one calls the per-drop ``generate_instance``, ``build_graph``,
@@ -38,6 +39,7 @@ import numpy as np
 from .channel import (
     ScenarioConfig,
     _check_seed,
+    _check_type,
     _fading_states,
     _is_int,
     check_fields,
@@ -360,20 +362,17 @@ def _block_drops(config: ExperimentConfig, workers: int) -> int:
     return max(1, min(config.num_drops // (2 * workers), _BLOCK_BUDGET // held))
 
 
-def _plan(config: ExperimentConfig, workers: int) -> tuple[int, int, list]:
-    """(workers, drops per block, tasks) of a run on at most ``workers``, a
-    count its caller has already bounded by ``_cpu_count()``: at most
-    ``num_drops`` workers, and one task per block of (drop seed, baseline
-    seed) pairs derived from the master seed."""
-    workers = min(workers, config.num_drops)
+def _plan(config: ExperimentConfig, workers: int) -> list:
+    """The tasks of a run on ``workers``, a count its caller has already
+    bounded: one per block of (drop seed, baseline seed) pairs derived from
+    the master seed."""
     drop_seeds = np.random.SeedSequence(config.master_seed).generate_state(
         2 * config.num_drops, dtype=np.uint64
     ).tolist()
     jobs = list(zip(drop_seeds[0::2], drop_seeds[1::2]))
     block = _block_drops(config, workers)
     # a task pickles its block's shared config once
-    tasks = [(config, jobs[start : start + block]) for start in range(0, len(jobs), block)]
-    return workers, block, tasks
+    return [(config, jobs[start : start + block]) for start in range(0, len(jobs), block)]
 
 
 def _run_block(task) -> tuple:
@@ -433,26 +432,28 @@ def _run_block(task) -> tuple:
     return rates, objectives, warned, max_children, num_edges, seconds
 
 
-def _stream(workers: int, plans):
-    """The block results of each task list of ``plans`` in turn, in order.
+def _stream(workers: int, configs):
+    """The block results of each run of ``configs`` in turn, in order; each
+    run is planned by ``_plan`` for ``workers`` as the stream reaches it.
 
     With one worker, each block runs in-process as it is read. Otherwise the
     first read opens a process pool of ``workers``, which the stream shuts
-    down as it ends or closes: a list's blocks are already submitted when
-    its first result is asked for, and that request submits the next list's
+    down as it ends or closes: a run's blocks are already submitted when
+    its first result is asked for, and that request submits the next run's
     blocks behind them, so the workers go on to them while the parent reads
-    this list's tail. Closing the stream cancels every queued block but the
+    this run's tail. Closing the stream cancels every queued block but the
     up to ``workers + 1`` in the pool's call queue, which ``Future.cancel``
     cannot stop, and waits for those.
     """
+    plans = (_plan(config, workers) for config in configs)
     if workers == 1:
         for tasks in plans:
             yield from map(_run_block, tasks)
         return
-    queued, reading = collections.deque(), 0  # futures not yet read; blocks of the list being read
+    queued, reading = collections.deque(), 0  # futures not yet read; blocks of the run being read
     with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            # a last, empty list submits nothing and reads the last list's blocks
+            # a last, empty plan submits nothing and reads the last run's blocks
             for tasks in itertools.chain(plans, [()]):
                 queued.extend(pool.submit(_run_block, task) for task in tasks)
                 for _ in range(reading):
@@ -472,29 +473,31 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
     blocks next, or else from a ``_stream`` of this run's own, which closes
     with it: in-process or, with ``workers > 1``, on a process pool of at
     most ``num_drops`` and ``_cpu_count()`` workers. Per-drop seeds are
-    derived up front from the master seed and each block is written at its
-    drops, so the report depends on neither the worker count nor the block
-    size.
+    derived up front from the master seed, and each block is written at the
+    next drops, as many as it holds, so the report depends on neither the
+    worker count nor the block size.
     """
+    _check_type(config, ExperimentConfig, "config")
     workers = _check_workers(workers)
     t_start = time.perf_counter()
-    # a sweep's stream planned this run's blocks with the workers it passes
-    workers, block, tasks = _plan(config, min(workers, _cpu_count()) if blocks is None else workers)
+    # a sweep counted the CPUs once for all its points
+    workers = min(workers, config.num_drops, _cpu_count() if blocks is None else workers)
     algorithms, drops = config.algorithms, config.num_drops
     rates = np.empty((len(algorithms), drops, config.frames_per_drop, config.scenario.num_links))
     objectives = np.empty((len(algorithms), drops))
     warned = np.empty((len(algorithms), drops), dtype=bool)
     max_children, num_edges = np.empty(drops, dtype=np.int64), np.empty(drops, dtype=np.int64)
     optimize_time = collections.Counter()
-    with closing(_stream(workers, [tasks])) if blocks is None else nullcontext(blocks) as blocks:
-        # zip asks the range first, so it reads exactly this run's blocks from a sweep's stream
-        for start, (block_rates, objective, warning, children, edges, seconds) in zip(
-            range(0, drops, block), blocks
-        ):
-            drop = slice(start, start + block)  # the last block may be short
+    with closing(_stream(workers, [config])) if blocks is None else nullcontext(blocks) as blocks:
+        start = 0
+        # exactly this run's blocks, from a sweep's stream too
+        while start < drops:
+            block_rates, objective, warning, children, edges, seconds = next(blocks)
+            drop = slice(start, start + len(children))
             rates[:, drop], objectives[:, drop] = block_rates, objective
             warned[:, drop], max_children[drop], num_edges[drop] = warning, children, edges
             optimize_time.update(seconds)
+            start = drop.stop
 
     stats: dict[str, AlgorithmStats] = {}
     for a, name in enumerate(algorithms):
@@ -526,7 +529,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, blocks=None) -> E
         mean_edges=float(num_edges.mean()),
         elapsed_s=time.perf_counter() - t_start,
         workers=workers,
-        block_drops=block,
+        block_drops=_block_drops(config, workers),
     )
 
 
@@ -540,7 +543,7 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     ``_cpu_count()`` workers, which the first point's run opens: a point's
     blocks are queued at the previous point's first read, and an error in
     any point cancels the queued blocks. The CPUs are counted once, here, and
-    every point plans its blocks for the workers this count allows.
+    the stream plans every point's blocks for the workers this count allows.
     Each point's samples are released as its run returns, so in-process a
     sweep holds one point's samples at a time, and on a pool at most one
     point's samples and the next point's block results, within
@@ -549,8 +552,17 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     carry statistics but no ``rates_bps``.
     """
     workers = _check_workers(workers)
-    workers = min(workers, max((config.num_drops for config in configs), default=1), _cpu_count())
-    for i, (point, following) in enumerate(itertools.pairwise(configs)):
+    points = []
+    for i, config in enumerate(configs):
+        _check_type(config, ExperimentConfig, f"configs[{i}]")
+        derived = int(
+            np.random.SeedSequence(
+                entropy=(config.master_seed, i, _SWEEP_TAG)
+            ).generate_state(1, dtype=np.uint64)[0]
+        )
+        points.append(replace(config, master_seed=derived))
+    workers = min(workers, max((point.num_drops for point in points), default=1), _cpu_count())
+    for i, (point, following) in enumerate(itertools.pairwise(points)):
         # in-process, a point's run holds only its own samples
         if workers > 1 and point.peak_bytes(following) > RUN_MEMORY_BUDGET:
             raise ValueError(
@@ -560,17 +572,8 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
                 "a pool holds one point's samples and the next point's block results; lower "
                 "num_drops * frames_per_drop or the points' num_links, or run it on one worker"
             )
-    points = []
-    for i, config in enumerate(configs):
-        derived = int(
-            np.random.SeedSequence(
-                entropy=(config.master_seed, i, _SWEEP_TAG)
-            ).generate_state(1, dtype=np.uint64)[0]
-        )
-        points.append(replace(config, master_seed=derived))
     reports = []
-    plans = (_plan(point, workers)[2] for point in points)  # each planned as its stream reaches it
-    with closing(_stream(workers, plans)) as blocks:
+    with closing(_stream(workers, points)) as blocks:
         for point in points:
             # through the module global, so that wrappers of run_experiment see every point
             report = run_experiment(point, workers, blocks)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, _is_int, _unchecked, end_planes
+from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, _unchecked, end_planes
+from .channel import _is_int, _is_real
 
 Edge = tuple[int, int, float]
 
@@ -122,6 +123,8 @@ def build_graphs(
     them, so each weight matrix meets ``TopologyGraph``'s checks by
     construction; the graphs hold read-only views of one (B, M, M) stack.
     """
+    if not _is_real(threshold):
+        raise TypeError(f"threshold must be a number, got {threshold!r}")
     if not threshold >= 0:  # NaN too, which would compare False with every INR
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     same, opposite = end_planes(inr)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spinopt.channel import (
     db_to_linear,
     draw_fading,
     generate_instance,
+    generate_instances,
     instance_from_json,
     instance_to_json,
     interference_tensor,
@@ -446,6 +448,37 @@ def test_fading_draw_stores_lists_as_read_only_arrays():
     snr, inr = np.ones((2, 1, 2)), np.zeros((2, 1, 1, 2, 2))
     draw = FadingDraw(snr=snr, inr=inr)
     assert draw.snr is snr and draw.inr is inr
+
+
+def test_generation_and_fading_refuse_an_argument_of_another_type():
+    # each died in an AttributeError on the argument's first field
+    with pytest.raises(TypeError, match="^config must be of type ScenarioConfig, got dict$"):
+        generate_instance({}, 1)
+    with pytest.raises(TypeError, match="^config must be of type ScenarioConfig, got dict$"):
+        generate_instances({}, [1, 2])
+    with pytest.raises(TypeError, match="^instance must be of type LinkInstance, got NoneType$"):
+        draw_fading(None, range(1))
+    inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
+    with pytest.raises(TypeError, match="^frames must be of type range, got list$"):
+        draw_fading(inst, [0])
+
+
+@pytest.mark.parametrize(
+    "snr, inr, message",
+    [
+        ((3,), (3,), "snr must have shape (F, M, 2), got (3,)"),
+        ((1, 3), (1, 3, 3, 2, 2), "snr must have shape (F, M, 2), got (1, 3)"),
+        ((1, 3, 3), (1, 3, 3, 2, 2), "snr must have shape (F, M, 2), got (1, 3, 3)"),
+        ((1, 3, 2), (1, 4, 4, 2, 2), "inr must have shape (1, 3, 3, 2, 2), got (1, 4, 4, 2, 2)"),
+        ((1, 3, 2), (2, 3, 3, 2, 2), "inr must have shape (1, 3, 3, 2, 2), got (2, 3, 3, 2, 2)"),
+        ((1, 3, 2), (1, 3, 3, 2), "inr must have shape (1, 3, 3, 2, 2), got (1, 3, 3, 2)"),
+    ],
+)
+def test_fading_draw_refuses_gains_of_another_shape(snr, inr, message):
+    # a 1-d snr died in two_way_rates with an IndexError, and an inr of
+    # another link count in numpy's broadcast, which named no field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FadingDraw(snr=np.ones(snr), inr=np.ones(inr))
 
 
 @pytest.mark.parametrize("field", ["positions", "snr", "inr", "shadowing"])

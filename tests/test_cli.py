@@ -942,6 +942,43 @@ def test_a_sweep_counts_the_cpus_once(tmp_path, monkeypatch):
     assert outputs["falling"] == outputs["steady"]
 
 
+def test_each_run_and_sweep_point_is_planned_once(tmp_path, monkeypatch):
+    # a sweep point was planned twice, by the sweep's stream and by its own
+    # run, and the two plans had to agree on its blocks
+    monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+    planned, plan = [], evaluation._plan
+
+    def counting_plan(config, workers):
+        planned.append(config.scenario.num_links)
+        return plan(config, workers)
+
+    monkeypatch.setattr(evaluation, "_plan", counting_plan)
+    runs = {
+        "evaluate": (CONFIG_DIR / "three_links.json", [3]),
+        "sweep": (CONFIG_DIR / "sweep_links_asymmetric.json", [10, 20, 40]),
+    }
+    # (workers, block_drops) of each run, as the parent of this test wrote them
+    dispatch = {
+        ("evaluate", 1): [(1, 50)],
+        ("evaluate", 2): [(2, 25)],
+        ("sweep", 1): [(1, 25), (1, 17), (1, 5)],
+        ("sweep", 2): [(2, 12), (2, 12), (2, 5)],
+    }
+    for threads in (1, 2):
+        for command, (config, links) in runs.items():
+            planned.clear()
+            out = tmp_path / f"{command}{threads}"
+            args = ["--out", str(out), "--threads", str(threads), "--format", "both"]
+            assert main([command, "--config", str(config), *args]) == 0
+            assert planned == links
+            meta = json.loads((out / "run_meta.json").read_text())
+            points = meta["points"] if command == "sweep" else [meta]
+            assert [(p["workers"], p["block_drops"]) for p in points] == dispatch[command, threads]
+            for file_name, data in data_files(out).items():
+                digest = hashlib.sha256(data).hexdigest()
+                assert digest == EVALUATE_SWEEP_DIGESTS[f"{command}/{file_name}"]
+
+
 @pytest.mark.parametrize(
     "change, key",
     [

@@ -750,6 +750,17 @@ def test_run_experiment_and_sweep_refuse_workers_that_are_no_integer(
     assert pool_log["pools"] == []
 
 
+def test_run_experiment_and_sweep_refuse_a_config_of_another_type(pool_log):
+    # a dict died in AttributeError: 'dict' object has no attribute 'num_drops'
+    refusal = "must be of type ExperimentConfig, got dict"
+    with pytest.raises(TypeError, match=f"^config {refusal}$"):
+        run_experiment({"num_drops": 1})
+    config = small_config(num_drops=1, frames_per_drop=1)
+    with pytest.raises(TypeError, match=rf"^configs\[1\] {refusal}$"):
+        sweep([config, {"num_drops": 1}], workers=2)
+    assert pool_log["pools"] == []
+
+
 def test_a_numpy_integer_worker_count_is_stored_as_an_int(pool_log):
     config = small_config(num_drops=3, frames_per_drop=2)
     report = run_experiment(config, np.int64(2))

@@ -162,6 +162,14 @@ def test_build_graph_rejects_a_nan_threshold():
         build_graph(inst, threshold=float("nan"))
 
 
+@pytest.mark.parametrize("threshold", ["0.1", True, None])
+def test_build_graph_refuses_a_threshold_that_is_no_number(threshold):
+    # a string died comparing itself with 0 in a TypeError that named no argument
+    _, inst = random_instance(3, seed=1)
+    with pytest.raises(TypeError, match=f"^threshold must be a number, got {threshold!r}$"):
+        build_graph(inst, threshold)
+
+
 def test_edge_weight_examples():
     inr = np.zeros((2, 2, 2, 2))
     inst = build_instance(inr)
