@@ -8,6 +8,8 @@ a separate ``run_meta.json`` so golden comparisons can ignore it.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 import time
@@ -279,6 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; when its process exits, the collector skips what is alive.
+
+    The collections of the interpreter's module teardown walk every object
+    still alive only to free memory the OS takes back at exit anyway. Exit
+    handlers run before that teardown, so ``gc.freeze`` registered as one
+    moves those objects out of their reach; registered once per process,
+    however often ``main`` runs. A library call registers nothing.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

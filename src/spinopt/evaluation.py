@@ -30,6 +30,7 @@ import itertools
 import math
 import os
 import time
+from collections.abc import Iterable
 from concurrent import futures
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
@@ -290,7 +291,7 @@ def _rank(size: int, q: float) -> int:
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     qn = q * size
-    # guard against binary-float excess (e.g. 0.05 * 100 slightly above 5)
+    # guard against binary-float excess (e.g. 0.07 * 100 is 7.000000000000001)
     return max(0, math.ceil(qn - abs(qn) * 1e-12) - 1)
 
 
@@ -552,6 +553,7 @@ def sweep(configs: list[ExperimentConfig], workers: int = 1) -> list[EvalReport]
     carry statistics but no ``rates_bps``.
     """
     workers = _check_workers(workers)
+    _check_type(configs, Iterable, "configs")
     points = []
     for i, config in enumerate(configs):
         _check_type(config, ExperimentConfig, f"configs[{i}]")

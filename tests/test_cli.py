@@ -168,6 +168,57 @@ def test_evaluate_and_sweep_data_files_match_golden_digests(tmp_path):
     assert digests == EVALUATE_SWEEP_DIGESTS
 
 
+def test_a_command_freezes_the_collector_at_its_exit_only(tmp_path):
+    # exit handlers run last in, first out: one registered before main runs
+    # after main's and sees objects frozen; none is frozen when main returns
+    out = tmp_path / "evaluate"
+    args = [
+        "evaluate", "--config", str(CONFIG_DIR / "three_links.json"),
+        "--out", str(out), "--threads", "1", "--format", "both",
+    ]
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "from spinopt.cli import main\n"
+        f"code = main({args!r})\n"
+        "print('frozen after main:', gc.get_freeze_count() > 0, gc.isenabled())\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-2:] == [
+        "frozen after main: False True", "frozen at exit: True"
+    ]
+    digests = {
+        f"evaluate/{name}": hashlib.sha256(data).hexdigest()
+        for name, data in data_files(out).items()
+    }
+    golden = {k: v for k, v in EVALUATE_SWEEP_DIGESTS.items() if k.startswith("evaluate/")}
+    assert digests == golden
+
+
+def test_main_registers_one_exit_handler_however_often_it_runs(tmp_path):
+    # a process that calls main twice freezes once at its exit; gc.freeze is
+    # looked up at each call, so a counting stand-in sees every registration
+    cfg = write_config(tmp_path, scenario={"num_links": 2, "seed": 3})
+    commands = [["generate", "--config", cfg, "--out", str(tmp_path / out)] for out in "ab"]
+    script = (
+        "import atexit, gc\n"
+        "freeze, runs = gc.freeze, []\n"
+        "gc.freeze = lambda: runs.append(freeze())\n"
+        "atexit.register(lambda: print('freezes at exit:', len(runs)))\n"
+        "from spinopt.cli import main\n"
+        f"print('codes:', [main(command) for command in {commands!r}])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-2:] == ["codes: [0, 0]", "freezes at exit: 1"]
+
+
 def test_large_m_evaluate_matches_bench_reference(tmp_path):
     # the benchmark's M = 200 workload at its reference seed, on one worker;
     # bench/reference.json is only read here

@@ -65,6 +65,22 @@ def test_percentile_order_statistic():
     assert percentile(np.full(10, 3.3), 0.05) == 3.3
 
 
+def test_reported_percentile_is_the_lower_order_statistic_despite_float_excess():
+    # 0.07 * 100 is 7.000000000000001 in binary floats: the lower 7 % point of
+    # 100 samples is still the 7th smallest, index 6, not the 8th
+    config = small_config(
+        scenario=ScenarioConfig(num_links=5, seed=1),
+        num_drops=2,
+        frames_per_drop=10,
+        percentile_q=0.07,
+    )
+    report = run_experiment(config)
+    for st in report.stats.values():
+        pooled = np.sort(st.rates_bps.ravel())
+        assert pooled.size == 100 and pooled[6] < pooled[7]
+        assert st.percentile_bps == pooled[6]
+
+
 def test_percentile_monotone_in_q():
     rng = np.random.default_rng(3)
     sample = rng.exponential(1.0, size=257)
@@ -758,6 +774,9 @@ def test_run_experiment_and_sweep_refuse_a_config_of_another_type(pool_log):
     config = small_config(num_drops=1, frames_per_drop=1)
     with pytest.raises(TypeError, match=rf"^configs\[1\] {refusal}$"):
         sweep([config, {"num_drops": 1}], workers=2)
+    # one config in place of a list died in "'ExperimentConfig' object is not iterable"
+    with pytest.raises(TypeError, match="^configs must be of type Iterable, got ExperimentConfig$"):
+        sweep(config, workers=2)
     assert pool_log["pools"] == []
 
 
