@@ -372,7 +372,9 @@ def _interference(
     dist: np.ndarray, kinds: np.ndarray, shadowing: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
     """(B, M, M, 2, 2) INR tensors of a block from its node distances, kinds
-    and shadowing; see :func:`interference_tensor`."""
+    and shadowing; see :func:`interference_tensor`. The path gains are
+    computed in ``dist``, which is overwritten, so a block holds its
+    (B, 2M, 2M) node-pair arrays once."""
     b, m = kinds.shape
     nominal = config.nominal_snr()
     # transmit "power" of node (l, x): the nominal SNR it produces on its own
@@ -382,7 +384,7 @@ def _interference(
 
     # a node's distance to itself gives inf here; the same-link block is zeroed below
     with np.errstate(divide="ignore"):
-        inr_nodes = ref_nodes[..., None] / dist
+        inr_nodes = np.divide(ref_nodes[..., None], dist, out=dist)
     inr_nodes **= config.pathloss_exp
     inr_nodes *= tx_nodes[..., None]
     inr_nodes *= shadowing
@@ -462,16 +464,19 @@ def generate_instances(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]
         coincident = _coincident_nodes(dist)
         # numpy's normal(0, sigma) is 0 + sigma * standard_normal: the same
         # factors once the mirroring below adds 0 to every entry. One factor
-        # per unordered node pair; the diagonal is fixed at 1 and unused
+        # per unordered node pair; the diagonal is fixed at 1 and unused. The
+        # dB rule is db_to_linear's, x / 10 then 10 ** x, done in place, so
+        # the mirror sum is the one new (B, 2M, 2M) array
         shadow_db *= config.shadow_sigma_db
-        upper = np.triu(shadow_db, 1)
-        del shadow_db  # the block's (B, 2M, 2M) temporaries die as soon as they are used
-        shadowing = db_to_linear(upper + upper.swapaxes(1, 2))
-        del upper
+        np.copyto(shadow_db, 0.0, where=np.tri(2 * m, dtype=bool))
+        shadowing = shadow_db + shadow_db.swapaxes(1, 2)
+        del shadow_db
+        shadowing /= 10.0
+        np.power(10.0, shadowing, out=shadowing)
         own = 2 * np.arange(m)
         snr = config.nominal_snr()[kinds] * shadowing[:, own, own + 1][..., None]
         inr = _interference(dist, kinds, shadowing, config)
-        del dist
+        del dist  # overwritten by _interference
     finite = np.logical_and.reduce(
         [np.isfinite(gains).reshape(b, -1).all(axis=1) for gains in (shadowing, snr, inr)]
     )

@@ -95,15 +95,18 @@ _BLOCK_DROP_BYTES = 16 << 10
 
 # Memory budget of one run, checked by ExperimentConfig against
 # ``peak_bytes()``. Its terms, from tracemalloc peaks of run_experiment:
-# - per link pair (M**2): a drop's (2M, 2M) node-pair arrays and its
-#   (M, M, 2, 2) INR tensor while it is generated, which outweigh a frame of
-#   gains and its rate terms (32 + 8 B per algorithm); 160 B measured from
-#   M = 100 to 200, 256 B here. A block generates its B drops in one pass,
-#   which peaks at 170 B per link pair of its drops at M = 10 (B = 38) and
-#   163 B at M = 40 (B = 5), within this term per drop; blocks of two or
-#   more drops exist only within _BLOCK_BUDGET at _BLOCK_PAIR_BYTES per
-#   pair, so their pass peaks below _PAIR_BYTES / _BLOCK_PAIR_BYTES MiB
-#   (2.4 MiB), one of the phases of the fixed term;
+# - per link pair (M**2): solve_drop, which holds a drop's instance (its
+#   (2M, 2M) shadowing and (M, M, 2, 2) INR), spin planes and graph while
+#   the DP adds its chords: 134 B at M = 150, above generation, which holds
+#   each node-pair array once (100 B at M = 200), and the rate stage, whose
+#   drops keep no shadowing and whose frame of gains and rate terms adds
+#   32 + 8 B per algorithm (93 B at M = 150); 132.5 B measured from M = 60
+#   to 150, 192 B here. A block generates its B drops in one pass, which
+#   peaks at 140 B per link pair of its drops at M = 10 (B = 38) and 112 B
+#   at M = 40 (B = 5), within this term per drop; blocks of two or more
+#   drops exist only within _BLOCK_BUDGET at _BLOCK_PAIR_BYTES per pair, so
+#   their pass peaks below _PAIR_BYTES / _BLOCK_PAIR_BYTES MiB (1.8 MiB),
+#   one of the phases of the fixed term;
 # - per held rate sample: the run's rates and one algorithm's sorted copy;
 #   14.4 B measured (one algorithm, 40 to 120 drops at M = 10, in blocks of
 #   20 and 38; 15.3 B in blocks of 10 and 30), 20 B here. In a sweep on a
@@ -112,7 +115,7 @@ _BLOCK_DROP_BYTES = 16 << 10
 # - fixed: a chunk of fading frames and its rate terms (~1 MB at M <= 40,
 #   ~2 MB for the one frame of a chunk at M = 200), a window of seed states
 #   (<= 0.5 MB), a block of samples.csv rows (~1 MB), a block's generation
-#   pass (< 2.4 MiB) or the exhaustive screen, which never overlap,
+#   pass (< 1.8 MiB) or the exhaustive screen, which never overlap,
 #   whichever is larger (the rest of the peak measured 10.7 MB at
 #   M = 20 with exhaustive search, 9.4 MB at M = 18, <= 0.4 MB without
 #   it; the screen holds one batch and its re-rank however many
@@ -120,7 +123,7 @@ _BLOCK_DROP_BYTES = 16 << 10
 #   1e-40), 16 MiB here; the DP step's own budget; and what a block of drops
 #   holds between its stages, _BLOCK_BUDGET.
 RUN_MEMORY_BUDGET = 2 << 30
-_PAIR_BYTES = 256
+_PAIR_BYTES = 192
 _SAMPLE_BYTES = 20
 _FIXED_BYTES = (16 << 20) + DP_STEP_BUDGET + _BLOCK_BUDGET
 
@@ -394,8 +397,13 @@ def _run_block(task) -> tuple:
     graphs, trees, planes, results, seconds = solve_drop(
         config, instances, [baseline_seed for _, baseline_seed in jobs]
     )
-    # each drop with its planes as INR: the rates' long-term gains, which its fading scales
-    instances = [_unchecked(type(i), **{**vars(i), "inr": p}) for i, p in zip(instances, planes)]
+    # each drop with its planes as INR: the rates' long-term gains, which its
+    # fading scales. Only these fields are read from here on, so the block's
+    # (B, 2M, 2M) shadowing and its positions are freed before its frames
+    instances = [
+        _unchecked(type(i), num_links=i.num_links, snr=i.snr, inr=p, seed_key=i.seed_key)
+        for i, p in zip(instances, planes)
+    ]
     # (B, A, M) spins, one row per algorithm: a chunk's rates come from one call for all of them
     selectors = spin_selectors([[res.spins for res in drop] for drop in zip(*results.values())])
     shape = (len(config.algorithms), len(jobs), config.frames_per_drop, scenario.num_links)

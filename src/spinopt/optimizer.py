@@ -245,8 +245,12 @@ def mst_dp_block(snr, planes, trees, kind: UtilityKind, exact=None) -> list[Opti
     pairs = np.stack((planes[drops, own, vertices], planes[drops, vertices, own]))
     pick = np.stack([np.stack(e, axis=-1) for e in end_planes(pairs)], axis=-2)
     up, down = pick.reshape(2, n, 2, 2)
-    # chords[direction, drop, k, l]: a non-tree neighbour at the average of its two INRs
-    chords = np.stack([same + opposite for same, opposite in zip(*end_planes(planes))]) / 2.0
+    # chords[direction, drop, k, l]: a non-tree neighbour at the average of its two INRs,
+    # summed into one array and halved there
+    chords = np.empty((2, b, m, m))
+    for out, same, opposite in zip(chords, *end_planes(planes)):
+        np.add(same, opposite, out=out)
+    chords /= 2.0
     drop, child = np.nonzero(parent >= 0)
     above = parent[drop, child]
     chords[:, drop, child, above] = chords[:, drop, above, child] = 0.0

@@ -16,8 +16,12 @@ import numpy as np
 from spinopt import evaluation
 from spinopt.channel import (
     _FADING_TAG,
+    _INSTANCE_TAG,
+    ASYMMETRIC,
+    SYMMETRIC,
     LinkInstance,
     ScenarioConfig,
+    db_to_linear,
     draw_fading,
     end_planes,
     generate_instance,
@@ -438,6 +442,60 @@ def interference_tensor_norm(positions, kinds, shadowing, config) -> np.ndarray:
     inr = inr_nodes.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
     inr[np.arange(m), np.arange(m)] = 0.0
     return inr
+
+
+def generate_instances_out_of_place(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]:
+    """Reference form of ``channel.generate_instances``, which must match it
+    bit for bit: the same draws, then one drop at a time and every step into
+    a new array: distances by ``np.linalg.norm``, the shadowing by
+    ``np.triu``, the mirror add and ``db_to_linear``, and the path-loss ratio
+    ``ref / dist``. The first drop with coincident nodes of two links or a
+    non-finite gain is refused by a ValueError that begins as the package's."""
+    m = config.num_links
+    num_sym = int(round(config.link_mix * m))
+    links, link_of, own = np.arange(m), np.arange(2 * m) // 2, 2 * np.arange(m)
+    instances = []
+    for drop_seed in drop_seeds:
+        root = np.random.SeedSequence(entropy=(config.seed, drop_seed, _INSTANCE_TAG))
+        placement_ss, shadow_ss = root.spawn(2)
+        rng = np.random.default_rng(placement_ss)
+        first = rng.uniform(0.0, config.area_side, size=(m, 2))
+        first_end = rng.integers(0, 2, size=m)
+        kinds = np.full(m, ASYMMETRIC, dtype=np.int8)
+        kinds[rng.permutation(m)[:num_sym]] = SYMMETRIC
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        normals = np.random.default_rng(shadow_ss).standard_normal((2 * m, 2 * m))
+
+        offset = config.nominal_distance()[kinds][:, None] * np.stack(
+            [np.cos(angle), np.sin(angle)], axis=-1
+        )
+        positions = np.empty((m, 2, 2))
+        positions[links, first_end] = first
+        positions[links, 1 - first_end] = first + offset
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nodes = positions.reshape(2 * m, 2)
+            dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=2)
+            upper = np.triu(normals * config.shadow_sigma_db, 1)
+            shadowing = db_to_linear(upper + upper.T)
+            snr = config.nominal_snr()[kinds] * shadowing[own, own + 1][:, None]
+            ratio = np.repeat(config.nominal_distance()[kinds], 2)[:, None] / dist
+            tx = config.nominal_snr()[kinds].reshape(-1)
+            inr_nodes = ratio**config.pathloss_exp * tx[:, None] * shadowing
+        inr = inr_nodes.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
+        inr[links, links] = 0.0
+        coincide = np.argwhere((dist == 0) & (link_of[:, None] < link_of[None, :]))
+        if len(coincide):
+            a, b = coincide[0]
+            raise ValueError(
+                f"drop seed {drop_seed}: nodes coincide: end {a % 2} of link {a // 2} and "
+                f"end {b % 2} of link {b // 2} share a position"
+            )
+        if not all(np.isfinite(gains).all() for gains in (shadowing, snr, inr)):
+            raise ValueError(f"drop seed {drop_seed}: the SNR, INR or shadowing is not finite")
+        instances.append(
+            LinkInstance(m, positions, kinds, snr, inr, shadowing, (config.seed, drop_seed))
+        )
+    return instances
 
 
 def graph_weight_reduce(instance: LinkInstance, threshold: float) -> np.ndarray:

@@ -493,6 +493,21 @@ def test_a_blocks_generation_pass_peaks_within_the_per_pair_term_of_its_drops(nu
     assert model <= most < phases
 
 
+def test_one_drop_at_m_200_is_generated_within_110_bytes_per_link_pair():
+    # a drop holds three (2M, 2M) float arrays at its peak, 32 B per link
+    # pair each: the shadowing, the distances that become its path gains, and
+    # the INR tensor; the out-of-place formula held about five (161 B)
+    scenario = ScenarioConfig(num_links=200, link_mix=0.5, seed=1)
+    generate_instance(scenario, 7)
+    tracemalloc.start()
+    try:
+        generate_instance(scenario, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110 * 200**2
+
+
 @pytest.mark.parametrize(
     "scenario, experiment",
     [

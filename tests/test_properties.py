@@ -18,6 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from helpers import (
     exact_sinr,
     exhaustive_rerank,
     fading_frame,
+    generate_instances_out_of_place,
     graph_from,
     graph_weight_reduce,
     interference_tensor_norm,
@@ -243,6 +245,48 @@ def test_instance_blocks_equal_one_drop_at_a_time(m, link_mix, sigma, seed, drop
             assert same_bytes(getattr(inst, name), getattr(alone, name))
             assert not getattr(inst, name).flags.writeable
         assert inst.seed_key == alone.seed_key == (seed, drop_seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 30),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    # 1000 dB and more give shadow factors beyond the float range
+    st.sampled_from([0.0, 8.0, 300.0, 1000.0, 5000.0]),
+    st.sampled_from([1.5, 4.0, 7.25]),
+    # nodes 1e-300 m apart are at distance 0: their squares underflow
+    st.sampled_from([100.0, 1e-300]),
+    EDGE_SEEDS,
+    st.lists(EDGE_SEEDS, min_size=1, max_size=4),
+)
+@example(3, 0.5, 5000.0, 4.0, 100.0, 0, [1, 2])
+@example(3, 0.5, 8.0, 4.0, 1e-300, 0, [1, 2])
+def test_instance_blocks_equal_the_out_of_place_reference(
+    m, link_mix, sigma, pathloss_exp, area_side, seed, drop_seeds
+):
+    # the in-place arithmetic of generate_instances against the out-of-place
+    # formula: the same bytes, or the same refusal naming the same drop seed
+    config = ScenarioConfig(
+        num_links=m,
+        link_mix=link_mix,
+        shadow_sigma_db=sigma,
+        pathloss_exp=pathloss_exp,
+        area_side=area_side,
+        seed=seed,
+    )
+    try:
+        reference = generate_instances_out_of_place(config, drop_seeds)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            generate_instances(config, drop_seeds)
+        assert str(refused.value).startswith(str(exc)), (str(refused.value), str(exc))
+        return
+    block = generate_instances(config, drop_seeds)
+    assert len(block) == len(reference)
+    for inst, ref in zip(block, reference):
+        for name in ("positions", "kinds", "snr", "inr", "shadowing"):
+            assert same_bytes(getattr(inst, name), getattr(ref, name)), name
+        assert inst.seed_key == ref.seed_key
 
 
 @PROPERTY
