@@ -372,7 +372,11 @@ def _interference(
     dist: np.ndarray, kinds: np.ndarray, shadowing: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
     """(B, M, M, 2, 2) INR tensors of a block from its node distances, kinds
-    and shadowing; see :func:`interference_tensor`. The path gains are
+    and shadowing.
+
+    The interference a source node causes at another node is its nominal
+    transmit SNR scaled by ``(d_nominal / d)**eta`` path loss and the node
+    pair's shadow factor. Same-link entries are zeroed. The path gains are
     computed in ``dist``, which is overwritten, so a block holds its
     (B, 2M, 2M) node-pair arrays once."""
     b, m = kinds.shape
@@ -395,26 +399,6 @@ def _interference(
     return inr
 
 
-def interference_tensor(
-    positions: np.ndarray,
-    kinds: np.ndarray,
-    shadowing: np.ndarray,
-    config: ScenarioConfig,
-) -> np.ndarray:
-    """Long-term (M, M, 2, 2) INR tensor for given geometry and shadowing.
-
-    The interference a source node causes at another node is its nominal
-    transmit SNR scaled by ``(d_nominal / d)**eta`` path loss and the node
-    pair's shadow factor. Same-link entries are zeroed. Nodes of two links
-    at the same position are rejected: the INR between them would be infinite.
-    """
-    dist = _node_distances(np.asarray(positions, dtype=float)[None])
-    coincident = _coincident_nodes(dist)
-    if coincident:
-        raise ValueError(coincident[0])
-    return _interference(dist, np.asarray(kinds)[None], np.asarray(shadowing)[None], config)[0]
-
-
 def generate_instances(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]:
     """Generate a block of random drops, one per drop seed, in order.
 
@@ -423,7 +407,7 @@ def generate_instances(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]
     uniformly random direction and may fall outside the square. Each node
     pair draws one log-normal shadow factor, shared by both directions.
     Direct SNRs are the nominal values times the link's own node-pair shadow
-    factor; cross-link INRs follow :func:`interference_tensor`.
+    factor; cross-link INRs follow :func:`_interference`.
 
     Every drop makes its own random draws, in order, then the arithmetic
     runs once over the block's stacked arrays, whose per-drop views the
@@ -433,6 +417,8 @@ def generate_instances(config: ScenarioConfig, drop_seeds) -> list[LinkInstance]
     """
     _check_type(config, ScenarioConfig, "config")
     drop_seeds = [_check_seed(drop_seed, "drop_seed") for drop_seed in drop_seeds]
+    if not drop_seeds:
+        return []
     b, m = len(drop_seeds), config.num_links
     first = np.empty((b, m, 2))
     first_end = np.empty((b, m), dtype=np.int64)

@@ -316,28 +316,26 @@ def solve_drop(config: ExperimentConfig, instances: list, baseline_seeds: list[i
     if len(instances) == 1:
         graphs = [build_graph(instances[0], threshold)]
         trees = [maximum_spanning_tree(graphs[0])]
+        args = (instances[0], graphs[0])
+        solvers = {
+            "exhaustive": lambda planes: [exhaustive_search(*args, utility, planes[0])],
+            "mst_dp": lambda planes: [mst_dp(*args, trees[0], utility, planes[0])],
+            "random": lambda planes: [random_spins(*args, utility, baseline_seeds[0], planes[0])],
+        }
     else:
         graphs = build_graphs(np.stack(inr), threshold)
         trees = maximum_spanning_forests(np.stack([graph.weight for graph in graphs]))
-    planes = spin_planes(inr, np.stack([graph.adjacency for graph in graphs]))
-    if len(instances) == 1:
-        args = (instances[0], graphs[0])
-        solvers = {
-            "exhaustive": lambda: [exhaustive_search(*args, utility, planes[0])],
-            "mst_dp": lambda: [mst_dp(*args, trees[0], utility, planes[0])],
-            "random": lambda: [random_spins(*args, utility, baseline_seeds[0], planes[0])],
-        }
-    else:
         snr, roots = np.stack([instance.snr for instance in instances]), [t.roots for t in trees]
         solvers = {
-            "exhaustive": lambda: exhaustive_search_block(snr, planes, roots, utility),
-            "mst_dp": lambda: mst_dp_block(snr, planes, trees, utility),
-            "random": lambda: random_spins_block(snr, planes, baseline_seeds, utility),
+            "exhaustive": lambda planes: exhaustive_search_block(snr, planes, roots, utility),
+            "mst_dp": lambda planes: mst_dp_block(snr, planes, trees, utility),
+            "random": lambda planes: random_spins_block(snr, planes, baseline_seeds, utility),
         }
+    planes = spin_planes(inr, np.stack([graph.adjacency for graph in graphs]))
     results, seconds = {}, {}  # per algorithm: its block's results; its seconds
     for name in config.algorithms:
         start = time.perf_counter()
-        results[name] = solvers[name]()
+        results[name] = solvers[name](planes)
         seconds[name] = time.perf_counter() - start
     return graphs, trees, planes, results, seconds
 
@@ -664,6 +662,8 @@ def plot_rows(reports: list[EvalReport]) -> list[dict]:
 def write_plot_csv(reports: list[EvalReport], path) -> None:
     """``plot_rows`` as CSV; ``csv.writer`` writes a float as its repr and None
     as an empty cell."""
+    if not reports:
+        raise ValueError("reports must hold at least one report, got none")
     rows = plot_rows(reports)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkInstance, _check_seed, end_planes
+from .channel import LinkInstance, _check_seed, _check_type, end_planes
 from .sinr import (
     UtilityKind, denominators, left_sum, network_utilities, network_utility, spin_planes
 )
@@ -55,6 +55,10 @@ _SCREEN_MARGIN = 1e-9
 
 RESULT_SCHEMA = "spinopt.result/1"
 _ALL_INF = "all assignments have -inf utility; returning the all-zero spins"
+# mst_dp maximizes the tree-restricted objective, not the exact one
+_TREE_ALL_INF = (
+    "all assignments have -inf tree-restricted utility; returning the DP's tie-break spins"
+)
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,8 @@ def exhaustive_search(
 ) -> OptimizationResult:
     """Globally optimal spins by enumeration: ``exhaustive_search_block`` of one
     drop, its roots the lowest vertex of each connected component."""
+    _check_type(instance, LinkInstance, "instance")
+    _check_type(graph, TopologyGraph, "graph")
     planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
     roots = maximum_spanning_tree(graph).roots
     return exhaustive_search_block(instance.snr[None], planes[None], [roots], kind)[0]
@@ -208,8 +214,9 @@ def mst_dp(
     """Spanning-forest pruning plus max-sum dynamic programming:
     ``mst_dp_block`` of one drop, its exact objective from ``network_utility``.
     Refuses a tree that is not a forest of ``graph``."""
-    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
+    _check_type(instance, LinkInstance, "instance")
     _check_tree(graph, tree)
+    planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
     exact = lambda spins: [network_utility(instance, graph, kind, spins[0], planes)]
     return mst_dp_block(instance.snr[None], planes[None], [tree], kind, exact)[0]
 
@@ -298,7 +305,7 @@ def mst_dp_block(snr, planes, trees, kind: UtilityKind, exact=None) -> list[Opti
     values = mu[:, 0].reshape(b, m).tolist()
     approx = [left_sum(v[r] for r in reversed(t.roots)) for v, t in zip(values, trees)]
     return [
-        OptimizationResult(*result, _ALL_INF if result[2] == -np.inf else None)
+        OptimizationResult(*result, _TREE_ALL_INF if result[2] == -np.inf else None)
         for result in zip(spins, exact, approx)
     ]
 
@@ -307,6 +314,8 @@ def random_spins(
     instance: LinkInstance, graph: TopologyGraph, kind: UtilityKind, seed: int, planes=None
 ) -> OptimizationResult:
     """Uniform random spin baseline, evaluated exactly: ``random_spins_block`` of one drop."""
+    _check_type(instance, LinkInstance, "instance")
+    _check_type(graph, TopologyGraph, "graph")
     planes = spin_planes(instance.inr, graph.adjacency) if planes is None else planes
     exact = lambda spins: [network_utility(instance, graph, kind, spins[0], planes)]
     return random_spins_block(instance.snr[None], planes[None], [seed], kind, exact)[0]

@@ -77,6 +77,12 @@ def left_sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
+def _check_gains(values) -> None:
+    """Refuse, naming the argument ``values``, a value without ``snr`` and ``inr`` arrays."""
+    if not (hasattr(values, "snr") and hasattr(values, "inr")):
+        raise TypeError(f"values must have snr and inr arrays, got {type(values).__name__}")
+
+
 def network_utilities(snr, planes, kind: UtilityKind, spins) -> list[float]:
     """``network_utility`` of every row of an (N, M) batch of absolute spins.
 
@@ -85,7 +91,7 @@ def network_utilities(snr, planes, kind: UtilityKind, spins) -> list[float]:
     per row. One dense denominator pass per direction; then libm's
     ``math.log2`` per link and a ``left_sum`` per row, so every value equals
     ``network_utility`` of its row alone bit for bit."""
-    differ = spins[..., :, None] != spins[..., None, :]
+    differ = spin_selectors(spins)
     lr, rl = (
         (1.0 + snr[..., d] / denominators(np.where(differ, opposite, same))).tolist()
         for d, (same, opposite) in enumerate(zip(*end_planes(planes)))
@@ -104,16 +110,19 @@ def network_utility(values, graph: TopologyGraph, kind: UtilityKind, spins, plan
     (a LinkInstance for long-term gains, or one frame's instantaneous
     gains); ``spins`` holds one absolute 0/1 spin per link, and ``planes``
     the ``spin_planes`` of ``values`` and ``graph``, built here when not given."""
+    _check_gains(values)
+    spins = check_spins(graph, spins)
     planes = spin_planes(values.inr, graph.adjacency) if planes is None else planes
-    return network_utilities(values.snr, planes, kind, check_spins(graph, spins)[None])[0]
+    return network_utilities(values.snr, planes, kind, spins[None])[0]
 
 
 def spin_selectors(spins) -> np.ndarray:
-    """The symmetric mask ``two_way_rates`` selects planes by: ``differ[..., k, l]``
-    is True where the spins of links k and l differ, for an (..., M) stack of
-    0/1 spin vectors in one pass, e.g. a block's (B, A, M) spins, one row per
-    drop and algorithm. ``two_way_rates`` checks M against its links. Build
-    once per stack, reuse across draws.
+    """The symmetric mask ``two_way_rates`` and ``network_utilities`` select
+    planes by, the one map from absolute to relative spins of both kernels:
+    ``differ[..., k, l]`` is True where the spins of links k and l differ, for
+    an (..., M) stack of 0/1 spin vectors in one pass, e.g. a block's (B, A, M)
+    spins, one row per drop and algorithm. ``two_way_rates`` checks M against
+    its links. Build once per stack, reuse across draws.
     """
     spins = np.asarray(spins)
     if spins.ndim == 0:
@@ -136,6 +145,7 @@ def two_way_rates(values, differ: np.ndarray) -> np.ndarray:
     contract), then the noise is added. Both it and ``.sum(axis=-2)`` run
     one M-long inner loop per (algorithm, frame, k); einsum's costs about a
     quarter as much, which halves the kernel at small M."""
+    _check_gains(values)
     snr, m, differ = values.snr, values.snr.shape[-2], np.asarray(differ)
     if differ.shape[-2:] != (m, m):
         raise ValueError(f"differ must end in shape ({m}, {m}), got {differ.shape}")

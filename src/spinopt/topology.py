@@ -8,7 +8,8 @@ weights keeps the edges whose spin choice matters most.
 
 The spin state is a vector of absolute spins, one 0/1 value per link. A
 relative spin is the XOR of two absolute spins; it exists only as the
-``relative_from_spins`` view written to result files.
+``relative_from_spins`` view written to result files and as
+``sinr.spin_selectors``' mask, which the kernels select INR planes by.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DEFAULT_INR_EDGE_THRESHOLD, LinkInstance, _unchecked, end_planes
-from .channel import _is_int, _is_real
+from .channel import _check_type, _is_int, _is_real
 
 Edge = tuple[int, int, float]
 
@@ -150,6 +151,7 @@ def build_graph(
     instance: LinkInstance, threshold: float = DEFAULT_INR_EDGE_THRESHOLD
 ) -> TopologyGraph:
     """Topology graph of one drop: :func:`build_graphs` of a block of one."""
+    _check_type(instance, LinkInstance, "instance")
     return build_graphs(instance.inr[None], threshold)[0]
 
 
@@ -216,12 +218,16 @@ def maximum_spanning_forests(weight: np.ndarray) -> list[RootedTree]:
 
 def maximum_spanning_tree(graph: TopologyGraph) -> RootedTree:
     """Maximum spanning forest of one graph: :func:`maximum_spanning_forests` of a block of one."""
+    _check_type(graph, TopologyGraph, "graph")
     return maximum_spanning_forests(graph.weight[None])[0]
 
 
-def _check_tree(graph: TopologyGraph, tree: RootedTree) -> None:
+def _check_tree(graph: TopologyGraph, tree: RootedTree) -> tuple[np.ndarray, np.ndarray]:
     """Refuse a tree that is not a forest of the graph: a vertex count other
-    than the graph's, or an edge the graph lacks (the lowest such is named)."""
+    than the graph's, or an edge the graph lacks (the lowest such is named).
+    Returns the parent row and the vertices that have a parent."""
+    _check_type(graph, TopologyGraph, "graph")
+    _check_type(tree, RootedTree, "tree")
     parent = np.array(tree.parent, dtype=np.int64)
     if parent.shape != (graph.num_vertices,):
         raise ValueError(f"tree has {parent.size} vertices, the graph {graph.num_vertices}")
@@ -230,13 +236,12 @@ def _check_tree(graph: TopologyGraph, tree: RootedTree) -> None:
     if stray.size:
         edge = min(sorted(pair) for pair in zip(stray.tolist(), parent[stray].tolist()))
         raise ValueError(f"tree edge {tuple(edge)} is not a graph edge")
+    return parent, child
 
 
 def tree_edges(graph: TopologyGraph, tree: RootedTree) -> tuple[Edge, ...]:
     """The forest's edges as (k, l, weight), k < l in (k, l) order, weighted from the graph."""
-    _check_tree(graph, tree)
-    parent = np.array(tree.parent, dtype=np.int64)
-    child = np.flatnonzero(parent >= 0)
+    parent, child = _check_tree(graph, tree)
     mask = np.zeros_like(graph.adjacency)
     mask[child, parent[child]] = mask[parent[child], child] = True
     return _edge_list(graph.weight, mask)
@@ -250,6 +255,7 @@ def _edge_list(weight: np.ndarray, mask: np.ndarray) -> tuple[Edge, ...]:
 
 def check_spins(graph: TopologyGraph, spins) -> np.ndarray:
     """The spin vector as an array, after checking it has one 0/1 spin per link."""
+    _check_type(graph, TopologyGraph, "graph")
     spins = np.asarray(spins)
     if spins.shape != (graph.num_vertices,):
         raise ValueError(
@@ -277,12 +283,13 @@ def graph_to_json(graph: TopologyGraph) -> dict:
 
 
 def tree_to_json(graph: TopologyGraph, tree: RootedTree) -> dict:
+    edges = tree_edges(graph, tree)  # checks the tree before its fields are read
     return {
         "schema": TREE_SCHEMA,
         "num_vertices": len(tree.parent),
         "roots": list(tree.roots),
         "parent": list(tree.parent),
-        "edges": list(map(list, tree_edges(graph, tree))),
+        "edges": list(map(list, edges)),
         "max_children": tree.max_children,
     }
 

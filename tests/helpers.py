@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 
-from spinopt import evaluation
+from spinopt import channel, evaluation
 from spinopt.channel import (
     _FADING_TAG,
     _INSTANCE_TAG,
@@ -21,6 +21,8 @@ from spinopt.channel import (
     SYMMETRIC,
     LinkInstance,
     ScenarioConfig,
+    _coincident_nodes,
+    _node_distances,
     db_to_linear,
     draw_fading,
     end_planes,
@@ -418,8 +420,23 @@ def exhaustive_rerank(instance: LinkInstance, graph: TopologyGraph, kind):
     return best_spins, best
 
 
+def interference_tensor(positions, kinds, shadowing, config) -> np.ndarray:
+    """Long-term (M, M, 2, 2) INR tensor of one drop's geometry and shadowing,
+    by the package's block kernel (``channel._interference``) on a block of
+    one. Nodes of two links at the same position are rejected: the INR
+    between them would be infinite."""
+    dist = _node_distances(np.asarray(positions, dtype=float)[None])
+    coincident = _coincident_nodes(dist)
+    if coincident:
+        raise ValueError(coincident[0])
+    # through the module: this file's own _interference is a per-link oracle
+    return channel._interference(
+        dist, np.asarray(kinds)[None], np.asarray(shadowing)[None], config
+    )[0]
+
+
 def interference_tensor_norm(positions, kinds, shadowing, config) -> np.ndarray:
-    """Reference form of ``channel.interference_tensor``, which must match it
+    """Reference form of ``interference_tensor``, which must match it
     bit for bit: distances by ``np.linalg.norm`` over (2M, 2M, 2) coordinate
     differences, an ``argwhere`` scan of every node pair for coincident
     nodes, and the path-loss ratio by a ``where=`` divide into an inf array."""

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import fading_frame, node_positions
+from helpers import fading_frame, interference_tensor, node_positions
 from spinopt.channel import (
     ASYMMETRIC,
     SYMMETRIC,
@@ -18,7 +18,6 @@ from spinopt.channel import (
     generate_instances,
     instance_from_json,
     instance_to_json,
-    interference_tensor,
 )
 
 
@@ -461,6 +460,11 @@ def test_generation_and_fading_refuse_an_argument_of_another_type():
     inst = generate_instance(ScenarioConfig(num_links=2, seed=0), 0)
     with pytest.raises(TypeError, match="^frames must be of type range, got list$"):
         draw_fading(inst, [0])
+
+
+def test_an_empty_block_of_drop_seeds_generates_no_instances():
+    # numpy's "cannot reshape array of size 0" named nothing
+    assert generate_instances(ScenarioConfig(num_links=3, seed=0), []) == []
 
 
 @pytest.mark.parametrize(

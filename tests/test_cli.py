@@ -830,6 +830,10 @@ def test_gain_against_a_zero_baseline_is_null(tmp_path, capsys, command):
     assert "gain" not in capsys.readouterr().out
 
 
+EXHAUSTIVE_ALL_INF = "all assignments have -inf utility; returning the all-zero spins"
+MST_DP_ALL_INF = (
+    "all assignments have -inf tree-restricted utility; returning the DP's tie-break spins"
+)
 # proportional fairness on the same drops: every assignment leaves a link at
 # rate 0, so every objective is -inf and both optimizers warn on every drop
 MINUS_INF_OBJECTIVE = {
@@ -876,8 +880,8 @@ def test_optimize_writes_a_minus_inf_objective_as_null(tmp_path, capsys):
     for result in results.values():
         assert result["objective_exact"] is None
     assert results["mst_dp"]["objective_approx"] is None
-    warning = "all assignments have -inf utility; returning the all-zero spins"
-    assert results["exhaustive"]["warning"] == results["mst_dp"]["warning"] == warning
+    assert results["exhaustive"]["warning"] == EXHAUSTIVE_ALL_INF
+    assert results["mst_dp"]["warning"] == MST_DP_ALL_INF
     assert results["random"]["warning"] is None
     assert "-inf" in capsys.readouterr().out
 
@@ -888,11 +892,24 @@ def test_optimize_reports_optimizer_warnings_on_stderr(tmp_path, capsys):
     cfg = write_config(tmp_path, scenario=MINUS_INF_OBJECTIVE["scenario"])
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     err = capsys.readouterr().err
-    warning = "all assignments have -inf utility; returning the all-zero spins"
     assert err.splitlines() == [
         f"warning: {name} optimizer warned: {warning}; it is in result.json"
-        for name in ("exhaustive", "mst_dp")
+        for name, warning in (("exhaustive", EXHAUSTIVE_ALL_INF), ("mst_dp", MST_DP_ALL_INF))
     ]
+
+
+def test_mst_dp_warns_of_its_tree_restricted_objective_not_of_every_assignment(tmp_path):
+    # on this drop exhaustive finds a finite objective at the all-zero spins, so
+    # exhaustive's warning text would be false for the -inf the DP maximizes
+    cfg = write_config(tmp_path, scenario=MINUS_INF_OBJECTIVE["scenario"])
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--drop", "3"]) == 0
+    results = json.loads((out / "result.json").read_text())["results"]
+    exhaustive, dp = results["exhaustive"], results["mst_dp"]
+    assert exhaustive["spins"] == [0, 0, 0, 0] and exhaustive["warning"] is None
+    assert exhaustive["objective_exact"] == pytest.approx(18.783773)
+    assert dp["spins"] == [0, 1, 1, 0] and dp["objective_approx"] is None
+    assert dp["warning"] == MST_DP_ALL_INF
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])

@@ -1408,3 +1408,10 @@ def test_plot_csv_bytes_match_cell_by_cell_writer(tmp_path):
     assert b"3,1,mst_dp,5e-324,1e+16,1.5,\r\n" in written
     assert b"3,1,random,0.30000000000000004,1e-05,1.5,\r\n" in written
     assert b"3,0.25,random,123456789.0,0.0,,\r\n" in written
+
+
+def test_plot_csv_refuses_no_reports_by_name(tmp_path):
+    # reading the header of no rows raised IndexError
+    with pytest.raises(ValueError, match="^reports must hold at least one report, got none$"):
+        write_plot_csv([], tmp_path / "plot.csv")
+    assert not (tmp_path / "plot.csv").exists()

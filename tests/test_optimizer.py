@@ -1,4 +1,5 @@
 import builtins
+import inspect
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from helpers import (
     tree_brute_force,
     utility_of,
 )
+import spinopt
 from spinopt import optimizer
 from spinopt.optimizer import (
     CHILD_CAP,
@@ -30,7 +32,7 @@ from spinopt.optimizer import (
     mst_dp_block,
     random_spins,
 )
-from spinopt.sinr import UtilityKind, network_utility, spin_planes
+from spinopt.sinr import UtilityKind, network_utility, spin_planes, spin_selectors
 from spinopt.topology import (
     RootedTree,
     build_graph,
@@ -510,6 +512,41 @@ def test_random_spins_takes_a_numpy_integer_seed_as_its_value():
             got = random_spins(inst, graph, PF, numpy_seed)
             np.testing.assert_array_equal(got.spins, expected.spins)
             assert got.objective_exact == expected.objective_exact
+
+
+# every parameter of a spinopt.__all__ function that takes a package class or,
+# for values, any object with snr and inr arrays
+PACKAGE_CLASS_PARAMETERS = [
+    ("build_graph", "instance"),
+    ("maximum_spanning_tree", "graph"),
+    ("relative_from_spins", "graph"),
+    ("two_way_rates", "values"),
+    ("exhaustive_search", "instance"),
+    ("exhaustive_search", "graph"),
+    ("mst_dp", "instance"),
+    ("mst_dp", "graph"),
+    ("mst_dp", "tree"),
+    ("random_spins", "instance"),
+    ("random_spins", "graph"),
+    ("network_utility", "values"),
+    ("network_utility", "graph"),
+]
+
+
+@pytest.mark.parametrize("name, parameter", PACKAGE_CLASS_PARAMETERS)
+def test_public_entries_refuse_none_by_the_parameter_name(name, parameter):
+    # each died in Python's AttributeError, naming no argument
+    inst, graph, tree = prepared(4, seed=1)
+    spins = np.zeros(4, dtype=np.int8)
+    values = {
+        "instance": inst, "values": inst, "graph": graph, "tree": tree, "kind": PF,
+        "spins": spins, "seed": 1, "differ": spin_selectors(spins),
+    }
+    function = getattr(spinopt, name)
+    arguments = {p: values[p] for p in inspect.signature(function).parameters if p in values}
+    function(**arguments)
+    with pytest.raises(TypeError, match=f"^{parameter} must "):
+        function(**{**arguments, parameter: None})
 
 
 def test_every_optimizer_refuses_a_graph_of_another_link_count():

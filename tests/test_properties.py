@@ -32,6 +32,7 @@ from helpers import (
     generate_instances_out_of_place,
     graph_from,
     graph_weight_reduce,
+    interference_tensor,
     interference_tensor_norm,
     kruskal_forest,
     mst_dp_per_vertex,
@@ -55,7 +56,6 @@ from spinopt.channel import (
     generate_instances,
     instance_from_json,
     instance_to_json,
-    interference_tensor,
 )
 from spinopt import evaluation, optimizer
 from spinopt.cli import CONFIG_SCHEMA, load_config, main

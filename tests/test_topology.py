@@ -149,6 +149,17 @@ def test_tree_edges_refuses_a_tree_that_is_not_a_forest_of_the_graph():
         tree_edges(g, RootedTree((-1, 2, 0)))
 
 
+@pytest.mark.parametrize("writer", [tree_edges, tree_to_json])
+def test_tree_writers_refuse_a_graph_or_tree_of_another_type_by_name(writer):
+    # each died in Python's AttributeError, naming no argument
+    g = graph_from(3, [(0, 1, 1.5), (1, 2, 2.5)])
+    tree = RootedTree((-1, 0, 1))
+    with pytest.raises(TypeError, match="^graph must be of type TopologyGraph, got NoneType$"):
+        writer(None, tree)
+    with pytest.raises(TypeError, match="^tree must be of type RootedTree, got tuple$"):
+        writer(g, (-1, 0, 1))
+
+
 def test_build_graph_rejects_a_negative_threshold():
     _, inst = random_instance(3, seed=1)
     with pytest.raises(ValueError, match="threshold must be >= 0, got -1.0"):
